@@ -22,7 +22,7 @@ from .heisenberg import (MIXED, Annihilate, Central, Create, FockMonomial,
                          apply, commutator, degree_of, enumerate_monomials,
                          graded_character, level_dim, random_state,
                          stratum_class)
-from .linalg import GaussianRational, SpectrumNotSplit
+from .linalg import GaussianRational, IdentityFailed, SpectrumNotSplit
 from .adhm import (MatrixTriple, NotCommuting, NotInBidisk, SupportCycle,
                    ZeroScalar, from_monomial_ideal, in_bidisk, is_commuting,
                    is_stable, read_triple, retract, support_cycle,

@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import isqrt
 
 from . import linalg
-from .linalg import (GaussianRational, SpectrumNotSplit, ZERO, ONE,
-                     char_poly, gaussian_rational_roots, identity,
+from .linalg import (GaussianRational, IdentityFailed, SpectrumNotSplit,
+                     ZERO, ONE, char_poly, gaussian_rational_roots, identity,
                      kernel_basis, mat_mul, mat_pow, mat_scale, mat_sub,
                      mat_vec, matrix, scalar_from_str, scalar_to_str,
                      solve_columns, trace)
@@ -184,18 +184,22 @@ def trace_table(tr, max_total):
         b_pows.append(mat_mul(b_pows[-1], tr.b))
     out = {}
     for k in range(max_total + 1):
-        ak = a_pows[k]
+        # Tr(A^k B^l) = sum over the nonzero entries x = A^k[i][j] of
+        # x * B^l[j][i]
+        ak = [(i, j, x) for i, row in enumerate(a_pows[k])
+              for j, x in enumerate(row) if not x.is_zero()]
         for l in range(max_total + 1 - k):
             bl = b_pows[l]
             t = ZERO
-            for i in range(n):
-                for j in range(n):
-                    t = t + ak[i][j] * bl[j][i]
+            for i, j, x in ak:
+                y = bl[j][i]
+                if not y.is_zero():
+                    t = t + x * y
             out[(k, l)] = t
     return out
 
 
-def support_cycle(tr):
+def support_cycle(tr, traces=None):
     """
     The support of the triple with multiplicities: split the space into
     generalized eigenspaces of A, restrict B to each and split again; a
@@ -203,8 +207,11 @@ def support_cycle(tr):
     characteristic polynomials (of A and of each restriction of B) to
     split over the Gaussian rationals; raises SpectrumNotSplit otherwise.
 
-    Self-check: the power sums of the cycle equal the trace invariants in
-    all bidegrees k + l <= n.
+    Self-check: the multiplicities sum to n, and the power sums of the
+    cycle equal the trace invariants in all bidegrees k + l <= n; raises
+    IdentityFailed otherwise.  `traces` is the triple's
+    `trace_table(tr, tr.n)` when the caller already has it; otherwise it
+    is computed here.
     """
     if not is_commuting(tr):
         raise NotCommuting("triple does not commute")
@@ -222,18 +229,31 @@ def support_cycle(tr):
             joint = len(kernel_basis(mat_pow(shifted_b, dim)))
             points[(x, y)] = points.get((x, y), 0) + joint
     cycle = SupportCycle(points)
-    assert cycle.total == n
-    traces = trace_table(tr, n)
-    for (k, l), val in traces.items():
-        assert cycle.power_sum(k, l) == val, \
-            "support/trace mismatch at (%d, %d)" % (k, l)
+    if cycle.total != n:
+        raise IdentityFailed("support multiplicities sum to %d, not %d"
+                             % (cycle.total, n))
+    if traces is None:
+        traces = trace_table(tr, n)
+    for k in range(n + 1):
+        for l in range(n + 1 - k):
+            power_sum = cycle.power_sum(k, l)
+            if power_sum != traces[(k, l)]:
+                raise IdentityFailed(
+                    "support/trace mismatch at (%d, %d): power sum %s, "
+                    "trace %s" % (k, l, power_sum, traces[(k, l)]))
     return cycle
 
 
-def in_bidisk(tr):
-    """Whether every support point has both coordinates of modulus < 1."""
+def in_bidisk(tr, cycle=None):
+    """
+    Whether every support point has both coordinates of modulus < 1.
+    `cycle` is the triple's `support_cycle` when the caller already has it;
+    otherwise it is computed here.
+    """
+    if cycle is None:
+        cycle = support_cycle(tr)
     one = Fraction(1)
-    for (x, y) in support_cycle(tr).points:
+    for (x, y) in cycle.points:
         if x.norm_sq() >= one or y.norm_sq() >= one:
             return False
     return True

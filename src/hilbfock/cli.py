@@ -240,7 +240,10 @@ def cmd_adhm(args):
         except (OSError, ValueError) as exc:
             raise ConfigError("--triple: %s" % exc)
     else:
-        tr = adhm.from_monomial_ideal(_parse_partition(args.mu, "--mu"))
+        mu = _parse_partition(args.mu, "--mu")
+        if not mu.n:
+            raise ConfigError("--mu: the partition is empty")
+        tr = adhm.from_monomial_ideal(mu)
     rows = [("key", "value"), ("size", tr.n)]
     commuting = adhm.is_commuting(tr)
     rows.append(("commuting", commuting))
@@ -248,15 +251,16 @@ def cmd_adhm(args):
         emit(rows, args.output)
         return 0
     rows.append(("stable", adhm.is_stable(tr)))
+    traces = adhm.trace_table(tr, tr.n)
     try:
-        cycle = adhm.support_cycle(tr)
+        cycle = adhm.support_cycle(tr, traces)
         rows.append(("support", cycle))
-        rows.append(("in_bidisk", adhm.in_bidisk(tr)))
+        rows.append(("in_bidisk", adhm.in_bidisk(tr, cycle)))
     except adhm.SpectrumNotSplit as exc:
         rows.append(("support", "not split (%s)" % exc))
     for k in range(tr.n + 1):
         for l in range(tr.n + 1 - k):
-            rows.append(("trace[%d,%d]" % (k, l), adhm.trace_invariant(tr, k, l)))
+            rows.append(("trace[%d,%d]" % (k, l), traces[(k, l)]))
     emit(rows, args.output)
     return 0
 
@@ -306,6 +310,9 @@ def main(argv=None):
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except adhm.IdentityFailed as exc:
+        print("error: a verified identity failed: %s" % exc, file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -8,14 +8,17 @@ Matrices are tuples of tuples of GaussianRational; everything is pure.
 """
 
 from fractions import Fraction
-from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 import re
 
 
 class SpectrumNotSplit(ArithmeticError):
     """A characteristic polynomial has no full Gaussian-rational root set
     discoverable by the configured root search."""
+
+
+class IdentityFailed(ArithmeticError):
+    """Two independently computed quantities that must agree do not."""
 
 
 # Gaussian integers with norm above this bound are not searched for roots.
@@ -175,15 +178,46 @@ def mat_scale(a, c):
     return tuple(tuple(x * c for x in row) for row in a)
 
 
+def _nonzero_parts(row):
+    # (column, re, im) of each nonzero entry
+    return [(j, y.re, y.im) for j, y in enumerate(row) if not y.is_zero()]
+
+
 def mat_mul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in bt)
-        for row in a)
+    """
+    The product a * b.  Only pairs of nonzero entries are multiplied: each
+    nonzero x in a row of a scales the precomputed nonzero entries of the
+    matching row of b.
+    """
+    width = len(b[0]) if b else 0
+    b_rows = [_nonzero_parts(row) for row in b]
+    out = []
+    for row in a:
+        re_acc = [0] * width
+        im_acc = [0] * width
+        for x, b_row in zip(row, b_rows):
+            xr, xi = x.re, x.im
+            if not b_row or not (xr or xi):
+                continue
+            for j, yr, yi in b_row:
+                re_acc[j] += xr * yr - xi * yi
+                im_acc[j] += xr * yi + xi * yr
+        out.append(tuple(map(GaussianRational, re_acc, im_acc)))
+    return tuple(out)
 
 
 def mat_vec(a, v):
-    return tuple(sum((x * y for x, y in zip(row, v)), ZERO) for row in a)
+    v_parts = _nonzero_parts(v)
+    out = []
+    for row in a:
+        re_acc = im_acc = 0
+        for j, yr, yi in v_parts:
+            xr, xi = row[j].re, row[j].im
+            if xr or xi:
+                re_acc += xr * yr - xi * yi
+                im_acc += xr * yi + xi * yr
+        out.append(GaussianRational(re_acc, im_acc))
+    return tuple(out)
 
 
 def mat_pow(a, k):
@@ -311,25 +345,53 @@ def poly_deflate(p, r):
     return q, acc
 
 
-@lru_cache(maxsize=None)
-def _int_divisors(n):
-    n = abs(n)
-    out = []
-    d = 1
+def _factor(n):
+    # {prime: exponent} of a positive integer, by trial division
+    out = {}
+    d = 2
     while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return tuple(sorted(out))
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _two_squares(p):
+    # (a, b) with a*a + b*b == p for a prime p = 1 (mod 4): a square root
+    # of -1 mod p, then the Euclidean algorithm on (p, root) down to sqrt(p)
+    c = 2
+    while True:
+        r = pow(c, (p - 1) // 4, p)
+        if r * r % p == p - 1:
+            break
+        c += 1
+    a, b = p, r
+    while b * b > p:
+        a, b = b, a % b
+    return b, isqrt(p - b * b)
+
+
+def _powers(q, k):
+    # [q^0, ..., q^k] for a Gaussian integer q given as (re, im)
+    out = [(1, 0)]
+    for _ in range(k):
+        r, i = out[-1]
+        out.append((r * q[0] - i * q[1], r * q[1] + i * q[0]))
+    return out
 
 
 def gaussian_integer_divisors(g):
     """
     Divisors of a nonzero Gaussian integer, one per associate class
     (normalized to the closed first quadrant minus the positive imaginary
-    axis).  Found by norm divisibility: d | g forces N(d) | N(g).
+    axis), sorted by norm, then real and imaginary part.  Built from the
+    factorisation of the norm N(g): 2 gives powers of 1+i, a prime
+    p = 3 (mod 4) divides g as p^(e/2), and a prime p = 1 (mod 4) splits as
+    (a+bi)(a-bi), with the exponent of each factor in g found by exact
+    division.
     """
     n = int(g.norm_sq())
     if n == 0:
@@ -338,22 +400,34 @@ def gaussian_integer_divisors(g):
         raise SpectrumNotSplit(
             "norm %d exceeds the root search bound %d"
             % (n, ROOT_SEARCH_NORM_BOUND))
-    out = set()
-    for dn in _int_divisors(n):
-        a = 0
-        while a * a <= dn:
-            b2 = dn - a * a
-            b = isqrt(b2)
-            if b * b == b2:
-                for cand in (GaussianRational(a, b), GaussianRational(b, a)):
-                    cand = _canonical_associate(cand)
-                    if cand is None:
-                        continue
-                    q = g * cand.conjugate()
-                    nc = int(cand.norm_sq())
-                    if q.re % nc == 0 and q.im % nc == 0:
-                        out.add(cand)
-            a += 1
+    # each entry: the powers 1, q, q^2, ... of one Gaussian prime q in g,
+    # as (re, im) integer pairs
+    prime_powers = []
+    for p, e in _factor(n).items():
+        if p == 2:
+            prime_powers.append(_powers((1, 1), e))
+        elif p % 4 == 3:
+            prime_powers.append(_powers((p, 0), e // 2))
+        else:
+            a, b = _two_squares(p)
+            rest = (int(g.re), int(g.im))
+            for q in ((a, b), (a, -b)):
+                k = 0
+                while k < e:
+                    # rest / q = rest * conj(q) / p, exact when p divides both
+                    re = rest[0] * q[0] + rest[1] * q[1]
+                    im = rest[1] * q[0] - rest[0] * q[1]
+                    if re % p or im % p:
+                        break
+                    rest = (re // p, im // p)
+                    k += 1
+                prime_powers.append(_powers(q, k))
+    divisors = [(1, 0)]
+    for powers in prime_powers:
+        divisors = [(dr * qr - di * qi, dr * qi + di * qr)
+                    for dr, di in divisors for qr, qi in powers]
+    out = {_canonical_associate(GaussianRational(re, im))
+           for re, im in divisors}
     return sorted(out, key=lambda z: (z.norm_sq(), z.re, z.im))
 
 
@@ -393,7 +467,10 @@ def gaussian_rational_roots(p):
     for cand in candidates:
         while len(work) > 1 and poly_eval(work, cand).is_zero():
             work, rem = poly_deflate(work, cand)
-            assert rem.is_zero()
+            if not rem.is_zero():
+                raise IdentityFailed(
+                    "deflating the root %s left the remainder %s"
+                    % (cand, rem))
             roots.append(cand)
     if len(work) > 1:
         raise SpectrumNotSplit(
@@ -410,7 +487,7 @@ def _root_candidates(p):
     lcm = 1
     for c in p:
         for f in (c.re, c.im):
-            lcm = lcm * f.denominator // _gcd(lcm, f.denominator)
+            lcm = lcm * f.denominator // gcd(lcm, f.denominator)
     ip = [c * GaussianRational(lcm) for c in p]
     lead, const = ip[-1], ip[0]
     if const.is_zero():
@@ -425,9 +502,3 @@ def _root_candidates(p):
             for u in _UNITS:
                 cands.add(base * u)
     return sorted(cands, key=lambda z: (z.norm_sq(), z.re, z.im))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

@@ -152,12 +152,13 @@ def check_adhm(order, seed=0):
                 return False, "%r triple does not commute" % (mu,)
             if not adhm.is_stable(tr):
                 return False, "%r triple is not stable" % (mu,)
-            cycle = adhm.support_cycle(tr)
+            traces = adhm.trace_table(tr, n)
+            cycle = adhm.support_cycle(tr, traces)
             if cycle.points != {(adhm.ZERO, adhm.ZERO): n}:
                 return False, "%r not supported at the origin" % (mu,)
-            if not adhm.in_bidisk(tr):
+            if not adhm.in_bidisk(tr, cycle):
                 return False, "%r not in the bidisk" % (mu,)
-            for (k, l), val in adhm.trace_table(tr, n).items():
+            for (k, l), val in traces.items():
                 want = adhm.GaussianRational(n if k == l == 0 else 0)
                 if val != want:
                     return False, "%r invariant (%d,%d) = %r" % (

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -11,7 +12,8 @@ from hilbfock.adhm import (MatrixTriple, NotCommuting, NotInBidisk,
                            retract, staircase_cells, staircase_weight_matrix,
                            support_cycle, torus_scale, trace_invariant,
                            trace_table, write_triple)
-from hilbfock.linalg import (GaussianRational, SpectrumNotSplit, char_poly,
+from hilbfock.linalg import (GaussianRational, IdentityFailed,
+                             SpectrumNotSplit, char_poly,
                              gaussian_integer_divisors,
                              gaussian_rational_roots, identity, invert,
                              kernel_basis, mat_mul, poly_deflate, poly_eval,
@@ -98,10 +100,81 @@ def test_poly_deflate():
     assert poly_eval(p, G(2)).is_zero()
 
 
+def plain_mat_mul(a, b):
+    # reference: the dense triple loop
+    return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(len(b))), G(0))
+                       for j in range(len(b[0])))
+                 for i in range(len(a)))
+
+
+def rand_matrix(rng, rows, cols, density):
+    return tuple(tuple(rand_scalar(rng, denoms=(1, 2, 3))
+                       if rng.random() < density else G(0)
+                       for _ in range(cols)) for _ in range(rows))
+
+
+def test_mat_mul_matches_plain_product():
+    rng = random.Random(11)
+    for _ in range(60):
+        n, k, m = (rng.randint(1, 5) for _ in range(3))
+        density = rng.choice((0.0, 0.2, 0.5, 1.0))
+        a = rand_matrix(rng, n, k, density)
+        b = rand_matrix(rng, k, m, rng.choice((0.0, 0.3, 1.0)))
+        prod = mat_mul(a, b)
+        assert prod == plain_mat_mul(a, b)
+        assert all(isinstance(x, G) for row in prod for x in row)
+        assert len(prod) == n and all(len(row) == m for row in prod)
+    # Fraction entries whose products cancel to integers
+    half = G(Fraction(1, 2), Fraction(-1, 3))
+    a = ((half, G(0), G(Fraction(3, 4))),)
+    b = ((G(2),), (G(5, 5),), (G(Fraction(4, 3), 1),))
+    assert mat_mul(a, b) == plain_mat_mul(a, b)
+    zero = ((G(0), G(0)), (G(0), G(0)))
+    assert mat_mul(zero, zero) == zero
+
+
+def brute_force_divisors(g):
+    # reference: every integer divisor dn of N(g) written as a^2 + b^2 in
+    # all ways, each candidate kept when it divides g exactly
+    n = int(g.norm_sq())
+    int_divisors = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    int_divisors += [n // d for d in int_divisors]
+    out = set()
+    for dn in set(int_divisors):
+        a = 0
+        while 2 * a * a <= dn:      # (a, b) and (b, a) are both tried
+            b2 = dn - a * a
+            b = isqrt(b2)
+            if b * b == b2:
+                for cand in (G(a, b), G(b, a)):
+                    for unit in (G(1), G(-1), G(0, 1), G(0, -1)):
+                        w = cand * unit
+                        if w.re > 0 and w.im >= 0:
+                            break
+                    q = g * w.conjugate()
+                    nc = int(w.norm_sq())
+                    if q.re % nc == 0 and q.im % nc == 0:
+                        out.add(w)
+            a += 1
+    return sorted(out, key=lambda z: (z.norm_sq(), z.re, z.im))
+
+
 def test_gaussian_divisors():
     divs = gaussian_integer_divisors(G(5))
     assert G(1) in divs and G(5) in divs
     assert G(2, 1) in divs and G(1, 2) in divs      # 5 = (2+i)(2-i)
+    for a in range(-30, 31):
+        for b in range(-30, 31):
+            if a or b:
+                g = G(a, b)
+                assert gaussian_integer_divisors(g) == \
+                    brute_force_divisors(g), g
+    for g in (G(55440), G(720720)):
+        assert gaussian_integer_divisors(g) == brute_force_divisors(g)
+    with pytest.raises(ValueError):
+        gaussian_integer_divisors(G(0))
+    with pytest.raises(SpectrumNotSplit):
+        gaussian_integer_divisors(G(10 ** 6 + 1))
 
 
 def test_roots_simple():
@@ -164,6 +237,15 @@ def test_support_diagonal():
     tr = MatrixTriple([[1, 0], [0, 2]], [[3, 0], [0, 4]], [1, 1])
     assert support_cycle(tr) == SupportCycle({(G(1), G(3)): 1,
                                               (G(2), G(4)): 1})
+
+
+def test_support_cycle_rejects_corrupted_trace_table():
+    tr = MatrixTriple([[1, 0], [0, 2]], [[3, 0], [0, 4]], [1, 1])
+    table = trace_table(tr, tr.n)
+    assert support_cycle(tr, table) == support_cycle(tr)
+    table[(1, 1)] = table[(1, 1)] + 1
+    with pytest.raises(IdentityFailed, match="mismatch at \\(1, 1\\)"):
+        support_cycle(tr, table)
 
 
 def test_support_jordan():

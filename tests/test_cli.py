@@ -1,9 +1,15 @@
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from hilbfock import adhm
+from hilbfock.adhm import (MatrixTriple, from_monomial_ideal, trace_invariant,
+                           write_triple)
 from hilbfock.cli import main, parse_surface_file
+from hilbfock.linalg import GaussianRational, matrix, scalar_from_str
+from hilbfock.partitions import Partition
 
 
 def run_cli(args, capsys):
@@ -95,6 +101,66 @@ def test_adhm_triple_file(tmp_path, capsys):
     code, _, err = run_cli(["adhm", "--triple", str(bad)], capsys)
     assert code == 2
     assert "--triple" in err
+
+
+def test_adhm_trace_rows_match_trace_invariant(tmp_path, capsys):
+    def check(argv, tr):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        rows = [line.split("\t") for line in out.splitlines()
+                if line.startswith("trace[")]
+        want = [("trace[%d,%d]" % (k, l), trace_invariant(tr, k, l))
+                for k in range(tr.n + 1) for l in range(tr.n + 1 - k)]
+        assert [key for key, _ in rows] == [key for key, _ in want]
+        assert [scalar_from_str(val) for _, val in rows] == \
+            [val for _, val in want]
+
+    for mu in ("1", "2,1", "3,3,1", "4,2"):
+        tr = from_monomial_ideal(Partition(
+            sorted((int(x) for x in mu.split(",")), reverse=True)))
+        check(["adhm", "--mu", mu], tr)
+    i = GaussianRational(0, 1)
+    tr = MatrixTriple([[Fraction(1, 2), 0, 0], [0, i, 0], [0, 0, 0]],
+                      [[3, 0, 0], [0, 0, 0], [0, 0, Fraction(1, 3)]],
+                      [1, 1, 1]).conjugate_by(matrix([[1, 1, 0], [0, 1, i],
+                                                      [1, 0, 1]]))
+    path = tmp_path / "conjugated.txt"
+    path.write_text(write_triple(tr))
+    check(["adhm", "--triple", str(path)], tr)
+
+
+def test_adhm_root_search_triple(tmp_path, capsys):
+    path = tmp_path / "point.txt"
+    path.write_text("1\n720720\n0\n1\n")
+    code, out, _ = run_cli(["adhm", "--triple", str(path)], capsys)
+    assert code == 0
+    assert out == ("key\tvalue\nsize\t1\ncommuting\tTrue\n"
+                   "stable\tTrue\nsupport\t1*(720720,0)\n"
+                   "in_bidisk\tFalse\ntrace[0,0]\t1\ntrace[0,1]\t0\n"
+                   "trace[1,0]\t720720\n")
+
+
+def test_adhm_empty_partition_exits_2(capsys):
+    code, out, err = run_cli(["adhm", "--mu", ","], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--mu" in err
+
+
+def test_adhm_identity_failure_exits_1(monkeypatch, capsys):
+    real_trace_table = adhm.trace_table
+
+    def corrupted(tr, max_total):
+        table = real_trace_table(tr, max_total)
+        table[(0, 0)] = table[(0, 0)] + 1
+        return table
+
+    monkeypatch.setattr(adhm, "trace_table", corrupted)
+    code, out, err = run_cli(["adhm", "--mu", "2,1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: a verified identity failed")
+    assert err.count("\n") == 1
 
 
 def test_commutators_subcommand(capsys):
