@@ -19,7 +19,7 @@ from .goettsche import (equivariant_k_dim, general_binomial,
                         sym_total_dim)
 from .heisenberg import (MIXED, Annihilate, Central, Create, FockMonomial,
                          FockState, ModeNonPositive, UnknownClass, WrongModel,
-                         apply, commutator, degree_of, enumerate_monomials,
+                         commutator, degree_of, enumerate_monomials,
                          graded_character, level_dim, random_state,
                          stratum_class)
 from .linalg import GaussianRational, IdentityFailed, SpectrumNotSplit

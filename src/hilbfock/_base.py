@@ -1,0 +1,28 @@
+"""The frozen base of the value classes and the exact-rational normaliser."""
+
+from fractions import Fraction
+
+
+class Frozen:
+    """
+    Base of the immutable value classes.  Subclasses declare __slots__ and
+    set each slot once, in __init__, through object.__setattr__; any later
+    assignment raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+def exact(c):
+    """
+    Normalize an exact rational: int stays int, integral Fraction demotes,
+    so arithmetic stays on machine integers until a denominator appears.
+    """
+    if isinstance(c, int):
+        return c
+    if isinstance(c, Fraction):
+        return int(c) if c.denominator == 1 else c
+    raise TypeError("exact rational expected, got %r" % (c,))

@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import linalg
+from ._base import Frozen
 from .linalg import (GaussianRational, IdentityFailed, SpectrumNotSplit,
                      ZERO, ONE, char_poly, gaussian_rational_roots, identity,
                      kernel_basis, mat_mul, mat_pow, mat_scale, mat_sub,
@@ -34,7 +35,7 @@ class ZeroScalar(ValueError):
     """Torus scaling by zero is not invertible."""
 
 
-class MatrixTriple:
+class MatrixTriple(Frozen):
     """A matrix pair with marked vector: (A, B, v), all of size n."""
 
     __slots__ = ("n", "a", "b", "v")
@@ -52,9 +53,6 @@ class MatrixTriple:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "v", v)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixTriple is immutable")
-
     def __eq__(self, other):
         return (isinstance(other, MatrixTriple) and self.a == other.a
                 and self.b == other.b and self.v == other.v)
@@ -70,7 +68,7 @@ class MatrixTriple:
                             mat_vec(g, self.v))
 
 
-class SupportCycle:
+class SupportCycle(Frozen):
     """A multiset of plane points (x, y) with multiplicities summing to n."""
 
     __slots__ = ("points",)
@@ -83,9 +81,6 @@ class SupportCycle:
             if m:
                 pts[(x, y)] = pts.get((x, y), 0) + m
         object.__setattr__(self, "points", pts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SupportCycle is immutable")
 
     @property
     def total(self):

@@ -121,7 +121,6 @@ def build_parser():
         if n:
             p.add_argument("--n", type=int, required=True)
         p.add_argument("--output", default=None)
-        p.add_argument("--format", default="tsv", choices=["tsv"])
 
     common(sub.add_parser("goettsche", help="Poincare polynomials of the "
                           "Hilbert schemes, product route"),
@@ -220,10 +219,6 @@ def cmd_commutators(args):
 
 
 def cmd_strata(args):
-    if args.n < 1:
-        raise ConfigError("--n must be positive")
-    if args.h < 0:
-        raise ConfigError("--h must be non-negative")
     rows = [("partition",)]
     rows += [(a,) for a in support_strata(args.n, args.h)]
     emit(rows, args.output)
@@ -302,10 +297,25 @@ _COMMANDS = {
 }
 
 
+# the least value of each count option; a selfcheck of order 0 checks nothing
+_LEAST = {"order": 0, "trials": 1, "n": 1, "h": 0}
+
+
+def _check_counts(args):
+    """Reject a count option below its least value, for every subcommand."""
+    least = dict(_LEAST, order=1) if args.command == "selfcheck" else _LEAST
+    for name, low in least.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise ConfigError("--%s must be at least %d, got %d"
+                              % (name, low, value))
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -14,12 +14,12 @@ Their agreement, coefficient by coefficient, is the numerical content of
 the decomposition of the direct image under the support morphism.
 """
 
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 from .partitions import partitions_of
-from .series import CoeffPoly, FactorFamily, QTSeries, product_expand
+from .series import (CoeffPoly, FactorFamily, QTSeries, product_expand,
+                     super_power_table)
 from .surfaces import MissingHodgeData
 
 
@@ -52,16 +52,9 @@ def sym_poincare(model, m):
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    table = [CoeffPoly.one()] + [CoeffPoly.zero()] * m
-    for d in model.ordinary_degrees:
-        td = CoeffPoly.monomial((d,))
-        if d % 2 == 0:
-            for j in range(1, m + 1):
-                table[j] = table[j] + td * table[j - 1]
-        else:
-            for j in range(m, 0, -1):
-                table[j] = table[j] + td * table[j - 1]
-    return table[m]
+    gens = ((CoeffPoly.monomial((d,)), 1, d % 2)
+            for d in model.ordinary_degrees)
+    return super_power_table(gens, m, CoeffPoly.one(), CoeffPoly.zero())[m]
 
 
 def sym_poincare_product(model, m):
@@ -119,13 +112,13 @@ def punctual_poincare(n):
 
 
 def general_binomial(a, k):
-    """Binomial coefficient with arbitrary integer top, exact integer."""
-    num = 1
-    for i in range(k):
-        num *= a - i
-    val = Fraction(num, factorial(k))
-    assert val.denominator == 1
-    return int(val)
+    """
+    Binomial coefficient with arbitrary integer top, exact integer:
+    C(a, k) = (-1)^k C(k - a - 1, k) for a < 0.
+    """
+    if a < 0:
+        return -comb(k - a - 1, k) if k % 2 else comb(k - a - 1, k)
+    return comb(a, k)
 
 
 def hilbert_euler(euler, n):
@@ -209,16 +202,9 @@ def hodge_sym(model, m):
     """
     if model.hodge is None:
         raise MissingHodgeData("model %r carries no Hodge data" % model.name)
-    table = [CoeffPoly.one(2)] + [CoeffPoly.zero(2)] * m
-    for (p, q) in model.class_bidegrees:
-        xy = CoeffPoly.monomial((p, q))
-        if (p + q) % 2 == 0:
-            for j in range(1, m + 1):
-                table[j] = table[j] + xy * table[j - 1]
-        else:
-            for j in range(m, 0, -1):
-                table[j] = table[j] + xy * table[j - 1]
-    return table[m]
+    gens = ((CoeffPoly.monomial((p, q)), 1, (p + q) % 2)
+            for (p, q) in model.class_bidegrees)
+    return super_power_table(gens, m, CoeffPoly.one(2), CoeffPoly.zero(2))[m]
 
 
 def hilbert_hodge(model, n):

@@ -21,8 +21,9 @@ Conventions fixed here:
 
 from fractions import Fraction
 
+from ._base import Frozen
 from .partitions import multiplicity_factorial
-from .series import CoeffPoly, QTSeries
+from .series import CoeffPoly, QTSeries, super_power_table
 from .surfaces import MissingHodgeData
 
 
@@ -46,7 +47,7 @@ class _Mixed:
 MIXED = _Mixed()
 
 
-class FockMonomial:
+class FockMonomial(Frozen):
     """A normal-ordered product of creation factors (mode, class index)."""
 
     __slots__ = ("factors",)
@@ -61,9 +62,6 @@ class FockMonomial:
             if i and factors[i - 1] > (m, c):
                 raise ValueError("factors must be sorted: %r" % (factors,))
         object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FockMonomial is immutable")
 
     @property
     def level(self):
@@ -93,7 +91,7 @@ class FockMonomial:
 VACUUM_MONOMIAL = FockMonomial(())
 
 
-class FockState:
+class FockState(Frozen):
     """Finite rational linear combination of Fock monomials."""
 
     __slots__ = ("terms",)
@@ -108,9 +106,6 @@ class FockState:
                 clean[mono] = clean.get(mono, Fraction(0)) + c
         object.__setattr__(self, "terms",
                            {m: c for m, c in clean.items() if c})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FockState is immutable")
 
     @classmethod
     def vacuum(cls):
@@ -156,7 +151,7 @@ def _check_mode_class(mode, cls, n_classes):
         raise UnknownClass("class index %d outside 0..%d" % (cls, n_classes - 1))
 
 
-class Create:
+class Create(Frozen):
     """Creation operator: left multiplication by the generator (mode, class)."""
 
     __slots__ = ("mode", "cls")
@@ -164,9 +159,6 @@ class Create:
     def __init__(self, mode, cls):
         object.__setattr__(self, "mode", int(mode))
         object.__setattr__(self, "cls", int(cls))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("operator is immutable")
 
     def parity(self, model):
         return model.class_degree(self.cls) % 2
@@ -196,7 +188,7 @@ class Create:
         return "Create(%d, %d)" % (self.mode, self.cls)
 
 
-class Annihilate:
+class Annihilate(Frozen):
     """Annihilation operator: contraction super-derivation for (mode, class)."""
 
     __slots__ = ("mode", "cls")
@@ -204,9 +196,6 @@ class Annihilate:
     def __init__(self, mode, cls):
         object.__setattr__(self, "mode", int(mode))
         object.__setattr__(self, "cls", int(cls))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("operator is immutable")
 
     def parity(self, model):
         return model.compact_class_degree(self.cls) % 2
@@ -247,11 +236,6 @@ class Central:
 
     def __repr__(self):
         return "Central()"
-
-
-def apply(op, state, model):
-    """Apply an operator to a state; free-function form of op.apply."""
-    return op.apply(state, model)
 
 
 def commutator(op1, op2, state, model):
@@ -308,32 +292,17 @@ def graded_character(model, order):
     (geometric step for even classes, two-term step for odd ones), which
     sums over exactly the admissible monomials without listing them.
     """
-    coeffs = [CoeffPoly.one()] + [CoeffPoly.zero()] * order
-    for mode in range(1, order + 1):
-        for cls, d in enumerate(model.ordinary_degrees):
-            td = CoeffPoly.monomial((d + 2 * (mode - 1),))
-            if d % 2 == 0:
-                for lvl in range(mode, order + 1):
-                    coeffs[lvl] = coeffs[lvl] + td * coeffs[lvl - mode]
-            else:
-                for lvl in range(order, mode - 1, -1):
-                    coeffs[lvl] = coeffs[lvl] + td * coeffs[lvl - mode]
-    return QTSeries(order, coeffs)
+    gens = ((CoeffPoly.monomial((d + 2 * (mode - 1),)), mode, d % 2)
+            for mode in range(1, order + 1) for d in model.ordinary_degrees)
+    return QTSeries(order, super_power_table(gens, order, CoeffPoly.one(),
+                                             CoeffPoly.zero()))
 
 
 def level_dim(model, n):
     """Number of level-n monomials, by the same stepping with plain counts."""
-    b_even = model.betti[0] + model.betti[2] + model.betti[4]
-    b_odd = model.betti[1] + model.betti[3]
-    counts = [1] + [0] * n
-    for mode in range(1, n + 1):
-        for _ in range(b_even):
-            for lvl in range(mode, n + 1):
-                counts[lvl] += counts[lvl - mode]
-        for _ in range(b_odd):
-            for lvl in range(n, mode - 1, -1):
-                counts[lvl] += counts[lvl - mode]
-    return counts[n]
+    gens = ((1, mode, d % 2)
+            for mode in range(1, n + 1) for d in model.ordinary_degrees)
+    return super_power_table(gens, n, 1, 0)[n]
 
 
 def enumerate_monomials(model, n):

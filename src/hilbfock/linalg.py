@@ -11,6 +11,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 import re
 
+from ._base import Frozen, exact
+
 
 class SpectrumNotSplit(ArithmeticError):
     """A characteristic polynomial has no full Gaussian-rational root set
@@ -25,26 +27,14 @@ class IdentityFailed(ArithmeticError):
 ROOT_SEARCH_NORM_BOUND = 10 ** 12
 
 
-def _fr(x):
-    # exact rational, kept as int when integral so arithmetic stays fast
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    raise TypeError("exact rational expected, got %r" % (x,))
-
-
-class GaussianRational:
+class GaussianRational(Frozen):
     """An exact complex number with rational real and imaginary parts."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _fr(re))
-        object.__setattr__(self, "im", _fr(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+        object.__setattr__(self, "re", exact(re))
+        object.__setattr__(self, "im", exact(im))
 
     def __add__(self, other):
         other = _coerce(other)

@@ -17,12 +17,14 @@ from functools import lru_cache
 from itertools import product
 from math import factorial
 
+from ._base import Frozen
+
 
 class MismatchedWeight(ValueError):
     """Two partitions that should partition the same n do not."""
 
 
-class Partition:
+class Partition(Frozen):
     """An integer partition, weakly decreasing tuple of positive parts."""
 
     __slots__ = ("nu",)
@@ -35,9 +37,6 @@ class Partition:
             if i and nu[i - 1] < p:
                 raise ValueError("parts must be weakly decreasing: %r" % (nu,))
         object.__setattr__(self, "nu", nu)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     @classmethod
     def from_multiplicities(cls, mult):
@@ -160,7 +159,7 @@ def _fill(parts, capacities):
     return False
 
 
-class PartitionTuple:
+class PartitionTuple(Frozen):
     """A tuple of partitions, one for each part of a host partition."""
 
     __slots__ = ("host", "parts")
@@ -174,9 +173,6 @@ class PartitionTuple:
                 raise MismatchedWeight("component %r does not partition %d" % (b, v))
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PartitionTuple is immutable")
 
     def merged(self):
         """

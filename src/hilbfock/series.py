@@ -11,10 +11,18 @@ silent re-truncation.
 Infinite products of the shape prod_{m>=1} (1 +- t^(c*m+d) q^m)^(+-w) are
 expanded by binomial / negative-binomial expansion of each factor; factors
 with m > N cannot touch coefficients up to q^N, so the product is finite.
+
+Graded super-symmetric powers (symmetric products, their Hodge
+refinement, the Fock character and level dimensions) all come from one
+stepping kernel, super_power_table: each generator multiplies the
+truncated table by 1/(1 - w q^s) when even and by (1 + w q^s) when odd,
+in place.
 """
 
 from fractions import Fraction
 from math import comb
+
+from ._base import Frozen, exact
 
 
 class OrderMismatch(ValueError):
@@ -32,16 +40,7 @@ class UnknownVariable(KeyError):
 _VARS = {1: ("t",), 2: ("x", "y")}
 
 
-def _num(c):
-    """Normalize an exact rational: int stays int, integral Fraction demotes."""
-    if isinstance(c, int):
-        return c
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
-    raise TypeError("coefficients must be int or Fraction, got %r" % (c,))
-
-
-class CoeffPoly:
+class CoeffPoly(Frozen):
     """Sparse polynomial: map from exponent tuple to nonzero exact rational."""
 
     __slots__ = ("nvars", "terms")
@@ -54,14 +53,11 @@ class CoeffPoly:
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError("bad exponent tuple %r" % (exps,))
-            c = _num(c)
+            c = exact(c)
             if c:
                 clean[exps] = clean.get(exps, 0) + c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoeffPoly is immutable")
 
     @classmethod
     def _make(cls, terms, nvars):
@@ -77,7 +73,7 @@ class CoeffPoly:
 
     @classmethod
     def constant(cls, c, nvars=1):
-        c = _num(c)
+        c = exact(c)
         return cls._make({(0,) * nvars: c} if c else {}, nvars)
 
     @classmethod
@@ -129,7 +125,7 @@ class CoeffPoly:
 
     def __mul__(self, other):
         if not isinstance(other, CoeffPoly):
-            c = _num(other)
+            c = exact(other)
             if not c:
                 return CoeffPoly.zero(self.nvars)
             return CoeffPoly._make({e: v * c for e, v in self.terms.items()},
@@ -180,7 +176,7 @@ class CoeffPoly:
                 elif isinstance(target, str):
                     raise UnknownVariable("unknown target variable %r" % (target,))
                 else:
-                    val *= _num(target) ** e
+                    val *= exact(target) ** e
             key = (t_exp,)
             out[key] = out.get(key, 0) + val
         return CoeffPoly(out, 1)
@@ -212,7 +208,7 @@ class CoeffPoly:
     __repr__ = __str__
 
 
-class QTSeries:
+class QTSeries(Frozen):
     """Power series in q truncated at a fixed order, CoeffPoly coefficients."""
 
     __slots__ = ("order", "nvars", "coeffs")
@@ -234,9 +230,6 @@ class QTSeries:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QTSeries is immutable")
 
     @classmethod
     def zero(cls, order, nvars=1):
@@ -313,7 +306,7 @@ class QTSeries:
                         [c.specialize(assignment) for c in self.coeffs], 1)
 
 
-class FactorFamily:
+class FactorFamily(Frozen):
     """
     One family of factors of an infinite product: for every m >= 1 the
     factor (1 + u_m q^m)^w when sign is +1, or (1 - u_m q^m)^(-w) when sign
@@ -337,9 +330,6 @@ class FactorFamily:
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "exps", exps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FactorFamily is immutable")
 
     @property
     def nvars(self):
@@ -380,3 +370,20 @@ def product_expand(families, order, nvars=None):
         for m in range(1, order + 1):
             out = out * f.factor_series(m, order)
     return out
+
+
+def super_power_table(gens, order, one, zero):
+    """
+    Graded super-symmetric powers, one generator at a time: the list
+    table[0..order] of the truncated product over gens of 1/(1 - w q^s)
+    for even generators and (1 + w q^s) for odd ones.  gens yields
+    (w, s, odd) triples.  The step table[j] += w * table[j - s] runs
+    upward for an even generator, so it may repeat, and downward for an
+    odd one, so it is used at most once.  Works for any ring in which
+    one, zero and the weights add and multiply.
+    """
+    table = [one] + [zero] * order
+    for w, s, odd in gens:
+        for j in range(order, s - 1, -1) if odd else range(s, order + 1):
+            table[j] = table[j] + w * table[j - s]
+    return table

@@ -9,13 +9,14 @@ Everything here is a dimension count over partitions; no sheaf data
 structure exists, by design.
 """
 
+from ._base import Frozen
 from .goettsche import (hilbert_poincare_from_strata, punctual_poincare,
                         stratum_poincare)
 from .partitions import partitions_of, splittings_with_drop
 from .series import CoeffPoly
 
 
-class StalkTable:
+class StalkTable(Frozen):
     """Stalk dimensions of the even direct images over one stratum."""
 
     __slots__ = ("nu", "rows")
@@ -28,9 +29,6 @@ class StalkTable:
             raise ValueError("degree-0 stalk must be 1 (connected fibers)")
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StalkTable is immutable")
 
     def poincare(self):
         """Sum of rows[h] t^(2h), the stalk Poincare polynomial."""

@@ -14,32 +14,15 @@ are identity blocks in the chosen bases.
 
 from fractions import Fraction
 
+from ._base import Frozen
+from .linalg import matrix, rank
+
 
 class MissingHodgeData(ValueError):
     """Hodge-mode operation on a model without a Hodge bigrading."""
 
 
-def _rank(rows):
-    # exact Gaussian elimination over Fraction
-    rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
-class SurfaceModel:
+class SurfaceModel(Frozen):
     __slots__ = ("name", "betti", "betti_c", "pairing", "hodge", "euler",
                  "_ord_degrees", "_com_degrees", "_bidegrees")
 
@@ -70,7 +53,7 @@ class SurfaceModel:
                 if len(block) != betti[d] or any(
                         len(row) != betti_c[4 - d] for row in block):
                     raise ValueError("pairing block %d has wrong shape" % d)
-                if betti[d] and _rank(block) != betti[d]:
+                if betti[d] and rank(matrix(block)) != betti[d]:
                     raise ValueError("pairing block %d is degenerate" % d)
         if hodge is not None:
             hodge = {(int(p), int(q)): int(h) for (p, q), h in dict(hodge).items()
@@ -110,9 +93,6 @@ class SurfaceModel:
                     out.extend([(p, q)] * table[(p, q)])
             bidegs = tuple(out)
         object.__setattr__(self, "_bidegrees", bidegs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SurfaceModel is immutable")
 
     def __eq__(self, other):
         return isinstance(other, SurfaceModel) and self._key() == other._key()

@@ -170,6 +170,28 @@ def test_commutators_subcommand(capsys):
     assert "supercommuting\tpass" in out
 
 
+@pytest.mark.parametrize("args", (
+    ["sym", "--surface", "p2", "--order", "-1"],
+    ["punctual", "--order", "-1"],
+    ["euler", "--surface", "k3", "--order", "-1"],
+    ["hodge", "--surface", "p2", "--order", "-1"],
+    ["ktheory", "--surface", "k3", "--order", "-1"],
+    ["goettsche", "--surface", "p2", "--order", "-1"],
+    ["fock", "--surface", "p2", "--order", "-1"],
+    ["selfcheck", "--order", "0"],
+    ["commutators", "--surface", "p2", "--trials", "0"],
+    ["commutators", "--surface", "p2", "--trials", "-5"],
+    ["strata", "--n", "0", "--h", "0"],
+    ["strata", "--n", "3", "--h", "-1"],
+), ids=" ".join)
+def test_count_below_least_value_exits_2(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --")
+    assert err.count("\n") == 1
+
+
 def test_output_deterministic(tmp_path, capsys):
     f1 = tmp_path / "a.tsv"
     f2 = tmp_path / "b.tsv"

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -12,7 +12,7 @@ from hilbfock.goettsche import (equivariant_k_dim, general_binomial,
                                 stratum_poincare, sym_poincare,
                                 sym_poincare_product, sym_total_dim)
 from hilbfock.partitions import Partition, partitions_of
-from hilbfock.series import CoeffPoly
+from hilbfock.series import CoeffPoly, FactorFamily, product_expand
 from hilbfock.surfaces import (ABELIAN, DELTA, K3, P2, P1XP1,
                                MissingHodgeData, SurfaceModel)
 
@@ -147,6 +147,17 @@ def test_general_binomial():
     assert general_binomial(0, 3) == 0
 
 
+def test_general_binomial_matches_falling_factorial():
+    for a in range(-12, 13):
+        for k in range(11):
+            num = 1
+            for i in range(k):
+                num *= a - i
+            got = general_binomial(a, k)
+            assert type(got) is int
+            assert got == Fraction(num, factorial(k))
+
+
 def test_sym_total_dim_matches_poly():
     for model in PRESETS:
         for m in range(9):
@@ -194,6 +205,20 @@ def test_hodge_collapse_to_poincare(model):
         assert collapsed == hilbert_poincare_from_strata(model, n)
 
 
+# independent full-resolution route: the Goettsche-Soergel product
+# prod_m prod_{p,q} (1 - (-1)^(p+q) x^(p+m-1) y^(q+m-1) q^m)^(-(-1)^(p+q) h^{p,q})
+@pytest.mark.parametrize("model,order", ((P2, 6), (P1XP1, 6), (ABELIAN, 6),
+                                         (K3, 5)),
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_hodge_product_formula_full_bigrading(model, order):
+    families = [FactorFamily(1 if (p + q) % 2 else -1, h,
+                             ((1, p - 1), (1, q - 1)))
+                for (p, q), h in model.hodge]
+    series = product_expand(families, order, nvars=2)
+    for n in range(order + 1):
+        assert series.coeff(n) == hilbert_hodge(model, n)
+
+
 def test_hodge_requires_data():
     with pytest.raises(MissingHodgeData):
         hilbert_hodge(DELTA, 2)
@@ -220,6 +245,28 @@ def test_surface_model_validation():
     assert m.euler == 4
     assert m.pairing_value(0, 3) == 1     # H^0 against H^4_c
     assert m.pairing_value(0, 0) == 0
+
+
+def test_surface_model_explicit_pairing():
+    ident = ((1,),)
+    hyperbolic = SurfaceModel("hyp", (1, 0, 2, 0, 1),
+                              pairing=(ident, (), ((0, 1), (1, 0)), (), ident))
+    assert hyperbolic.pairing_value(1, 2) == 1     # first H^2 class vs second
+    assert hyperbolic.pairing_value(1, 1) == 0
+    scaled = SurfaceModel("scaled", (1, 0, 2, 0, 1),
+                          pairing=(((2,),), (), ((Fraction(1, 2), 3), (1, 0)),
+                                   (), ident))
+    assert scaled.pairing_value(0, 3) == 2
+    assert scaled.pairing_value(1, 1) == Fraction(1, 2)
+    with pytest.raises(ValueError, match="block 2 is degenerate"):
+        SurfaceModel("deg", (1, 0, 2, 0, 1),
+                     pairing=(ident, (), ((1, 1), (1, 1)), (), ident))
+    with pytest.raises(ValueError, match="block 0 is degenerate"):
+        SurfaceModel("deg0", (1, 0, 2, 0, 1),
+                     pairing=(((0,),), (), ((1, 0), (0, 1)), (), ident))
+    with pytest.raises(ValueError, match="block 2 has wrong shape"):
+        SurfaceModel("shape", (1, 0, 2, 0, 1),
+                     pairing=(ident, (), ((1, 0, 0), (0, 1, 0)), (), ident))
 
 
 def test_open_surface_pairing():

@@ -6,7 +6,7 @@ import pytest
 from hilbfock.partitions import partitions_of
 from hilbfock.series import (CoeffPoly, FactorFamily, IndexOutOfRange,
                              OrderMismatch, QTSeries, UnknownVariable,
-                             product_expand)
+                             product_expand, super_power_table)
 
 
 def rand_poly(rng, nvars=1, max_deg=3):
@@ -158,3 +158,16 @@ def test_two_variable_family_collapses_to_one_variable():
     s2 = product_expand([fam2], 7)
     assert s2.nvars == 2
     assert s2.specialize({"x": "t", "y": "t"}) == product_expand([fam1], 7)
+
+
+def test_super_power_table_counts():
+    # two even generators repeat freely: multisets of size j
+    assert super_power_table([(1, 1, 0)] * 2, 5, 1, 0) == [1, 2, 3, 4, 5, 6]
+    # three odd generators are used at most once: subsets of size j
+    assert super_power_table([(1, 1, 1)] * 3, 5, 1, 0) == [1, 3, 3, 1, 0, 0]
+    # stride 2: the even generator lands on even levels only
+    assert super_power_table([(1, 2, 0)], 5, 1, 0) == [1, 0, 1, 0, 1, 0]
+    t = CoeffPoly.monomial((1,))
+    table = super_power_table([(t, 1, 1), (t, 1, 0)], 2, CoeffPoly.one(),
+                              CoeffPoly.zero())
+    assert table[2] == CoeffPoly({(2,): 2})
