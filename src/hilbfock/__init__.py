@@ -16,7 +16,7 @@ from .goettsche import (equivariant_k_dim, general_binomial,
                         hilbert_poincare_from_strata, hilbert_poincare_series,
                         hodge_sym, orbifold_euler, punctual_poincare,
                         stratum_poincare, sym_poincare, sym_poincare_product,
-                        sym_total_dim)
+                        sym_poincare_table, sym_total_dim)
 from .heisenberg import (MIXED, Annihilate, Central, Create, FockMonomial,
                          FockState, ModeNonPositive, UnknownClass, WrongModel,
                          commutator, degree_of, enumerate_monomials,

@@ -22,7 +22,7 @@ import sys
 from . import adhm, selfcheck
 from .goettsche import (equivariant_k_dim, hilbert_euler, hilbert_hodge,
                         hilbert_poincare_series, punctual_poincare,
-                        sym_poincare)
+                        sym_poincare_table)
 from .heisenberg import graded_character
 from .partitions import Partition
 from .stratification import support_strata
@@ -169,7 +169,7 @@ def cmd_goettsche(args):
 def cmd_sym(args):
     s = resolve_surface(args.surface)
     rows = [("m", "poincare")]
-    rows += [(m, sym_poincare(s, m)) for m in range(args.order + 1)]
+    rows += enumerate(sym_poincare_table(s, args.order))
     emit(rows, args.output)
     return 0
 

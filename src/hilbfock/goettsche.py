@@ -41,20 +41,26 @@ def hilbert_poincare_series(model, order):
     return product_expand(goettsche_families(model), order, nvars=1)
 
 
-@lru_cache(maxsize=None)
-def sym_poincare(model, m):
+def sym_poincare_table(model, order):
     """
-    Poincare polynomial of the m-th symmetric product: graded dimension of
-    the m-th super-symmetric power of the cohomology of the surface.
-    Computed by an exact one-generator-at-a-time expansion (even classes
+    The list [sym_poincare(model, m) for m in 0..order], from one pass of
+    the stepping kernel: the Poincare polynomials of the symmetric
+    products as graded dimensions of the super-symmetric powers of the
+    cohomology of the surface.  Each class is one generator (even classes
     repeat freely, odd classes at most once), which enumerates the same
     multisets as the naive count without materializing them.
     """
-    if m < 0:
-        raise ValueError("m must be non-negative")
+    if order < 0:
+        raise ValueError("order must be non-negative")
     gens = ((CoeffPoly.monomial((d,)), 1, d % 2)
             for d in model.ordinary_degrees)
-    return super_power_table(gens, m, CoeffPoly.one(), CoeffPoly.zero())[m]
+    return super_power_table(gens, order, CoeffPoly.one(), CoeffPoly.zero())
+
+
+@lru_cache(maxsize=None)
+def sym_poincare(model, m):
+    """Poincare polynomial of the m-th symmetric product."""
+    return sym_poincare_table(model, m)[m]
 
 
 def sym_poincare_product(model, m):
@@ -101,14 +107,19 @@ def hilbert_poincare_from_strata(model, n):
 def punctual_poincare(n):
     """
     Poincare polynomial of the punctual fiber: sum over partitions of n of
-    t^(2 drop).  Top coefficient sits at t^(2(n-1)) and equals 1.
+    t^(2 drop).  Top coefficient sits at t^(2(n-1)) and equals 1.  Counted
+    by length l = n - drop, with the recurrence
+    p(k, l) = p(k-1, l-1) + p(k-l, l) for partitions of k into l parts
+    (remove a part 1, or subtract 1 from every part).
     """
     if n < 1:
         raise ValueError("n must be positive")
-    out = CoeffPoly.zero()
-    for p in partitions_of(n):
-        out = out + CoeffPoly.monomial((2 * p.drop,))
-    return out
+    p = [[1] + [0] * n]
+    for k in range(1, n + 1):
+        p.append([0] + [p[k - 1][l - 1] + p[k - l][l] for l in range(1, k + 1)]
+                 + [0] * (n - k))
+    return CoeffPoly._make({(2 * (n - l),): p[n][l] for l in range(1, n + 1)},
+                           1)
 
 
 def general_binomial(a, k):
@@ -202,6 +213,8 @@ def hodge_sym(model, m):
     """
     if model.hodge is None:
         raise MissingHodgeData("model %r carries no Hodge data" % model.name)
+    if m < 0:
+        raise ValueError("m must be non-negative")
     gens = ((CoeffPoly.monomial((p, q)), 1, (p + q) % 2)
             for (p, q) in model.class_bidegrees)
     return super_power_table(gens, m, CoeffPoly.one(2), CoeffPoly.zero(2))[m]

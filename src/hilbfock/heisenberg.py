@@ -300,6 +300,8 @@ def graded_character(model, order):
 
 def level_dim(model, n):
     """Number of level-n monomials, by the same stepping with plain counts."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     gens = ((1, mode, d % 2)
             for mode in range(1, n + 1) for d in model.ordinary_degrees)
     return super_power_table(gens, n, 1, 0)[n]

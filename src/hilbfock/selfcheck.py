@@ -6,6 +6,7 @@ battery into a pass/fail table.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from . import adhm, heisenberg
@@ -15,6 +16,7 @@ from .goettsche import (equivariant_k_dim, hilbert_euler,
                         punctual_poincare, sym_poincare,
                         sym_poincare_product)
 from .partitions import partitions_of
+from .series import CoeffPoly
 from .stratification import global_degeneration_check, local_fiber_check
 from .surfaces import ABELIAN, DELTA, K3, P2, P1XP1
 
@@ -99,6 +101,11 @@ def check_local_stalks(order):
 def check_punctual(order):
     for n in range(1, order + 1):
         poly = punctual_poincare(n)
+        drops = Counter(p.drop for p in partitions_of(n))
+        listed = CoeffPoly({(2 * d,): c for d, c in drops.items()})
+        if poly != listed:
+            return False, "n=%d: by length %s vs listed partitions %s" % (
+                n, poly, listed)
         top = 2 * (n - 1)
         if poly.coefficient((top,)) != 1:
             return False, "top coefficient at n=%d is %s" % (

@@ -11,6 +11,9 @@ silent re-truncation.
 Infinite products of the shape prod_{m>=1} (1 +- t^(c*m+d) q^m)^(+-w) are
 expanded by binomial / negative-binomial expansion of each factor; factors
 with m > N cannot touch coefficients up to q^N, so the product is finite.
+product_expand applies the factors in place to dense integer lists, one
+per q-power, with the exponents of a monomial packed into one index (t,
+or x*width + y), and builds CoeffPoly coefficients only at the end.
 
 Graded super-symmetric powers (symmetric products, their Hodge
 refinement, the Fock character and level dimensions) all come from one
@@ -359,17 +362,59 @@ def product_expand(families, order, nvars=None):
     """
     Expand prod_{m>=1} prod_{f in families} f(m) exactly to the given order.
     The empty product is the constant series 1.
+
+    Works on dense integer lists, one per q-power, and builds the CoeffPoly
+    coefficients only at the end: a monomial with exponents (e_1, .., e_v)
+    sits at the packed index sum e_i * stride_i (t, or x*width + y).  Each
+    factor sum_j C_j u^j q^(jm) is applied in place, rows from the top
+    down, so every row still reads the old values of the rows below it.
     """
     families = list(families)
     if nvars is None:
         nvars = families[0].nvars if families else 1
-    out = QTSeries.one(order, nvars)
     for f in families:
         if f.nvars != nvars:
             raise ValueError("families in different variables")
+    # u^j at q^(jm) has exponent j(c m + d) <= jm (c + max(d, 0)) in each
+    # variable, so at q^k no exponent exceeds k times the variable's rate;
+    # the strides keep the packed digits apart up to that bound
+    rates = [max((f.exps[v][0] + max(f.exps[v][1], 0) for f in families),
+                 default=0) for v in range(nvars)]
+    strides = [1] * nvars
+    for v in range(nvars - 1, 0, -1):
+        strides[v - 1] = strides[v] * (order * rates[v] + 1)
+    rows = [[0] * (k * rates[0] * strides[0] + strides[0])
+            for k in range(order + 1)]
+    rows[0][0] = 1
+    for f in families:
+        w = f.weight
+        if not w:
+            continue
         for m in range(1, order + 1):
-            out = out * f.factor_series(m, order)
-    return out
+            shift = sum((c * m + d) * s for (c, d), s in zip(f.exps, strides))
+            jmax = order // m if f.sign == -1 else min(order // m, w)
+            binom = [comb(w, j) if f.sign == 1 else comb(w + j - 1, j)
+                     for j in range(jmax + 1)]
+            for k in range(order, m - 1, -1):
+                dst = rows[k]
+                for j in range(1, min(k // m, jmax) + 1):
+                    src, off, c = rows[k - j * m], j * shift, binom[j]
+                    # src entries past the end of dst are zero by the bound
+                    n = min(len(src), len(dst) - off)
+                    dst[off:off + n] = [a + c * b for a, b
+                                        in zip(dst[off:off + n], src)]
+    coeffs = []
+    for row in rows:
+        terms = {}
+        for idx, v in enumerate(row):
+            if v:
+                exps = []
+                for s in strides:
+                    e, idx = divmod(idx, s)
+                    exps.append(e)
+                terms[tuple(exps)] = v
+        coeffs.append(CoeffPoly._make(terms, nvars))
+    return QTSeries(order, coeffs, nvars)
 
 
 def super_power_table(gens, order, one, zero):

@@ -24,7 +24,7 @@ class MissingHodgeData(ValueError):
 
 class SurfaceModel(Frozen):
     __slots__ = ("name", "betti", "betti_c", "pairing", "hodge", "euler",
-                 "_ord_degrees", "_com_degrees", "_bidegrees")
+                 "_ord_degrees", "_com_degrees", "_bidegrees", "_hash")
 
     def __init__(self, name, betti, betti_c=None, pairing=None, hodge=None,
                  euler=None):
@@ -93,15 +93,18 @@ class SurfaceModel(Frozen):
                     out.extend([(p, q)] * table[(p, q)])
             bidegs = tuple(out)
         object.__setattr__(self, "_bidegrees", bidegs)
+        # hashed once: every cache lookup would otherwise rehash the pairing
+        object.__setattr__(self, "_hash", hash(self._key()))
 
     def __eq__(self, other):
-        return isinstance(other, SurfaceModel) and self._key() == other._key()
+        return self is other or (isinstance(other, SurfaceModel)
+                                 and self._key() == other._key())
 
     def _key(self):
         return (self.name, self.betti, self.betti_c, self.pairing, self.hodge)
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self):
         return "SurfaceModel(%r, betti=%r)" % (self.name, self.betti)

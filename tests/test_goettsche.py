@@ -10,8 +10,9 @@ from hilbfock.goettsche import (equivariant_k_dim, general_binomial,
                                 hilbert_poincare_series, hodge_sym,
                                 orbifold_euler, punctual_poincare,
                                 stratum_poincare, sym_poincare,
-                                sym_poincare_product, sym_total_dim)
-from hilbfock.partitions import Partition, partitions_of
+                                sym_poincare_product, sym_poincare_table,
+                                sym_total_dim)
+from hilbfock.partitions import Partition, count_with_length, partitions_of
 from hilbfock.series import CoeffPoly, FactorFamily, product_expand
 from hilbfock.surfaces import (ABELIAN, DELTA, K3, P2, P1XP1,
                                MissingHodgeData, SurfaceModel)
@@ -63,6 +64,23 @@ def test_sym_matches_multiset_oracle(model):
 def test_sym_two_routes_agree(model):
     for m in range(11):
         assert sym_poincare(model, m) == sym_poincare_product(model, m)
+
+
+@pytest.mark.parametrize("model", PRESETS, ids=lambda m: m.name)
+def test_sym_table_matches_product_route(model):
+    table = sym_poincare_table(model, 12)
+    assert table == [sym_poincare_product(model, m) for m in range(13)]
+
+
+def test_sym_and_hodge_sym_reject_negative_index():
+    for model in (P2, ABELIAN):
+        for m in (-1, -2):
+            with pytest.raises(ValueError):
+                sym_poincare(model, m)
+            with pytest.raises(ValueError):
+                sym_poincare_table(model, m)
+            with pytest.raises(ValueError):
+                hodge_sym(model, m)
 
 
 def test_sym_examples():
@@ -117,6 +135,12 @@ def test_punctual():
         poly = punctual_poincare(n)
         assert poly.coefficient((2 * (n - 1),)) == 1
         assert poly.total_degree() == 2 * (n - 1)
+
+
+def test_punctual_counts_partitions_by_length():
+    for n in range(1, 21):
+        assert punctual_poincare(n) == CoeffPoly(
+            {(2 * (n - l),): count_with_length(n, l) for l in range(1, n + 1)})
 
 
 def test_euler_examples():

@@ -1,0 +1,32 @@
+"""
+Byte identity of the table subcommands: every table request of the
+benchmark's cli_tables workload, run in-process through cli.main, must
+print exactly the bytes whose sha256 perfbench/digests.json records.  The
+digest file is only read here.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from hilbfock.cli import main
+
+DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                      / "digests.json").read_text())["cli"]
+TABLES = sorted(key for key in DIGESTS if not key.startswith("adhm "))
+
+
+def test_every_table_subcommand_has_a_digest():
+    assert {key.split()[0] for key in TABLES} == {
+        "euler", "strata", "goettsche", "fock", "ktheory", "sym", "hodge",
+        "punctual"}
+
+
+@pytest.mark.parametrize("argv", TABLES)
+def test_table_output_matches_recorded_digest(argv, capsys):
+    code = main(argv.split())
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[argv]

@@ -214,6 +214,13 @@ def test_level_dim_values():
     assert level_dim(K3, 0) == 1
 
 
+def test_level_dim_rejects_negative_level():
+    for model in (P2, ABELIAN):
+        for n in (-1, -2):
+            with pytest.raises(ValueError):
+                level_dim(model, n)
+
+
 def test_stratum_class_examples():
     n = 5
     ones = Partition((1,) * n)

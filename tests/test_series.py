@@ -171,3 +171,46 @@ def test_super_power_table_counts():
     table = super_power_table([(t, 1, 1), (t, 1, 0)], 2, CoeffPoly.one(),
                               CoeffPoly.zero())
     assert table[2] == CoeffPoly({(2,): 2})
+
+
+# oracle: the product as a chain of QTSeries products of single factors
+def factor_chain(families, order, nvars):
+    out = QTSeries.one(order, nvars)
+    for f in families:
+        for m in range(1, order + 1):
+            out = out * f.factor_series(m, order)
+    return out
+
+
+def rand_family(rng, nvars):
+    # d may be negative (down to -c), which keeps c*m + d >= 0 for m >= 1
+    exps = []
+    for _ in range(nvars):
+        c = rng.randint(0, 3)
+        exps.append((c, rng.randint(-c, 3)))
+    return FactorFamily(rng.choice((1, -1)), rng.randint(0, 3), exps)
+
+
+# weight 0, both signs, and a negative d in each variable: the packed index
+# width must follow the largest exponent, c + max(d, 0) per unit of q
+FIXED_FAMILIES = {
+    1: [FactorFamily(1, 0, ((2, 1),)), FactorFamily(-1, 2, ((3, -3),)),
+        FactorFamily(1, 3, ((1, -1),)), FactorFamily(-1, 1, ((0, 2),))],
+    2: [FactorFamily(1, 0, ((1, 1), (1, 1))),
+        FactorFamily(-1, 2, ((2, -2), (0, 1))),
+        FactorFamily(1, 3, ((0, 2), (3, -2))),
+        FactorFamily(-1, 1, ((1, -1), (1, -1)))],
+}
+
+
+@pytest.mark.parametrize("nvars", (1, 2))
+def test_product_expand_matches_factor_chain(nvars):
+    rng = random.Random(40 + nvars)
+    for order in range(13):
+        fixed = FIXED_FAMILIES[nvars]
+        assert product_expand(fixed, order, nvars) == \
+            factor_chain(fixed, order, nvars)
+        for _ in range(2):
+            fams = [rand_family(rng, nvars) for _ in range(rng.randint(1, 3))]
+            assert product_expand(fams, order, nvars) == \
+                factor_chain(fams, order, nvars)
