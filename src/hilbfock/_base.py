@@ -1,6 +1,10 @@
-"""The frozen base of the value classes and the exact-rational normaliser."""
+"""The frozen value base, the exact normaliser and IdentityFailed."""
 
 from fractions import Fraction
+
+
+class IdentityFailed(ArithmeticError):
+    """Two independently computed quantities that must agree do not."""
 
 
 class Frozen:

@@ -90,7 +90,7 @@ class SupportCycle(Frozen):
         """Sum over the cycle of x^k y^l with multiplicity."""
         out = ZERO
         for (x, y), m in self.points.items():
-            out = out + _gr_pow(x, k) * _gr_pow(y, l) * GaussianRational(m)
+            out = out + x ** k * y ** l * GaussianRational(m)
         return out
 
     def __eq__(self, other):
@@ -103,13 +103,6 @@ class SupportCycle(Frozen):
                                                 kv[0][1].re, kv[0][1].im)):
             bits.append("%d*(%s,%s)" % (m, scalar_to_str(x), scalar_to_str(y)))
         return " + ".join(bits) if bits else "0"
-
-
-def _gr_pow(z, k):
-    out = ONE
-    for _ in range(k):
-        out = out * z
-    return out
 
 
 def is_commuting(tr):
@@ -347,7 +340,7 @@ def staircase_weight_matrix(mu, l1, l2):
     n = len(cells)
     g = [[ZERO] * n for _ in range(n)]
     for i, (x, y) in enumerate(cells):
-        g[i][i] = _gr_pow(l1, x) * _gr_pow(l2, y)
+        g[i][i] = l1 ** x * l2 ** y
     return matrix(g)
 
 

@@ -7,6 +7,9 @@ byte-deterministic for fixed inputs.
 Exit codes: 0 success, 1 a verified identity failed, 2 usage or
 configuration error.
 
+Each cmd_* imports its own layer, so a request loads only the modules its
+subcommand uses.
+
 Surface configuration files are flat key=value lines:
 
     name=mysurface
@@ -19,13 +22,7 @@ Surface configuration files are flat key=value lines:
 import argparse
 import sys
 
-from . import adhm, selfcheck
-from .goettsche import (equivariant_k_dim, hilbert_euler, hilbert_hodge,
-                        hilbert_poincare_series, punctual_poincare,
-                        sym_poincare_table)
-from .heisenberg import graded_character
-from .partitions import Partition
-from .stratification import support_strata
+from ._base import IdentityFailed
 from .surfaces import PRESETS, SurfaceModel
 
 
@@ -89,6 +86,7 @@ def resolve_surface(spec):
 
 
 def _parse_partition(text, flag):
+    from .partitions import Partition
     try:
         parts = [int(x) for x in text.split(",") if x.strip()]
         return Partition(sorted(parts, reverse=True))
@@ -158,6 +156,7 @@ def build_parser():
 
 
 def cmd_goettsche(args):
+    from .goettsche import hilbert_poincare_series
     s = resolve_surface(args.surface)
     series = hilbert_poincare_series(s, args.order)
     rows = [("n", "poincare")]
@@ -167,6 +166,7 @@ def cmd_goettsche(args):
 
 
 def cmd_sym(args):
+    from .goettsche import sym_poincare_table
     s = resolve_surface(args.surface)
     rows = [("m", "poincare")]
     rows += enumerate(sym_poincare_table(s, args.order))
@@ -175,6 +175,7 @@ def cmd_sym(args):
 
 
 def cmd_punctual(args):
+    from .goettsche import punctual_poincare
     rows = [("n", "poincare")]
     rows += [(n, punctual_poincare(n)) for n in range(1, args.order + 1)]
     emit(rows, args.output)
@@ -182,6 +183,7 @@ def cmd_punctual(args):
 
 
 def cmd_euler(args):
+    from .goettsche import hilbert_euler
     s = resolve_surface(args.surface)
     rows = [("n", "euler")]
     rows += [(n, hilbert_euler(s.euler, n)) for n in range(args.order + 1)]
@@ -190,16 +192,18 @@ def cmd_euler(args):
 
 
 def cmd_hodge(args):
+    from .goettsche import hilbert_hodge_table
     s = resolve_surface(args.surface)
     if not s.has_hodge:
         raise ConfigError("surface %r has no hodge field (--surface)" % s.name)
     rows = [("n", "hodge")]
-    rows += [(n, hilbert_hodge(s, n)) for n in range(args.order + 1)]
+    rows += enumerate(hilbert_hodge_table(s, args.order))
     emit(rows, args.output)
     return 0
 
 
 def cmd_fock(args):
+    from .heisenberg import graded_character
     s = resolve_surface(args.surface)
     series = graded_character(s, args.order)
     rows = [("n", "character")]
@@ -209,6 +213,7 @@ def cmd_fock(args):
 
 
 def cmd_commutators(args):
+    from . import selfcheck
     s = resolve_surface(args.surface)
     ok, detail = selfcheck.check_commutators(trials=args.trials,
                                              seed=args.seed, models=(s,))
@@ -219,6 +224,7 @@ def cmd_commutators(args):
 
 
 def cmd_strata(args):
+    from .stratification import support_strata
     rows = [("partition",)]
     rows += [(a,) for a in support_strata(args.n, args.h)]
     emit(rows, args.output)
@@ -226,6 +232,7 @@ def cmd_strata(args):
 
 
 def cmd_adhm(args):
+    from . import adhm
     if bool(args.triple) == bool(args.mu):
         raise ConfigError("give exactly one of --triple or --mu")
     if args.triple:
@@ -261,6 +268,7 @@ def cmd_adhm(args):
 
 
 def cmd_ktheory(args):
+    from .goettsche import equivariant_k_dim
     s = resolve_surface(args.surface)
     rows = [("n", "dim")]
     rows += [(n, equivariant_k_dim(s, n)) for n in range(args.order + 1)]
@@ -269,6 +277,7 @@ def cmd_ktheory(args):
 
 
 def cmd_selfcheck(args):
+    from . import selfcheck
     results = selfcheck.run_all(args.order, seed=args.seed)
     rows = [("identity", "status", "detail")]
     failed = []
@@ -320,7 +329,7 @@ def main(argv=None):
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except adhm.IdentityFailed as exc:
+    except IdentityFailed as exc:
         print("error: a verified identity failed: %s" % exc, file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -20,7 +20,6 @@ from math import comb
 from .partitions import partitions_of
 from .series import (CoeffPoly, FactorFamily, QTSeries, product_expand,
                      super_power_table)
-from .surfaces import MissingHodgeData
 
 
 def goettsche_families(model):
@@ -57,10 +56,20 @@ def sym_poincare_table(model, order):
     return super_power_table(gens, order, CoeffPoly.one(), CoeffPoly.zero())
 
 
-@lru_cache(maxsize=None)
+_TABLES = {}  # the longest table built so far, per (builder, model)
+
+
+def _table_to(build, model, order):
+    """build(model, order), or a longer table of model built before."""
+    table = _TABLES.get((build, model))
+    if table is None or not 0 <= order < len(table):
+        table = _TABLES[build, model] = build(model, order)
+    return table
+
+
 def sym_poincare(model, m):
     """Poincare polynomial of the m-th symmetric product."""
-    return sym_poincare_table(model, m)[m]
+    return _table_to(sym_poincare_table, model, m)[m]
 
 
 def sym_poincare_product(model, m):
@@ -98,6 +107,7 @@ def hilbert_poincare_from_strata(model, n):
     Poincare polynomial of the n-th Hilbert scheme as the stratum sum
     sum_a t^(2 drop(a)) * P_t(stratum space of a) over partitions of n.
     """
+    _table_to(sym_poincare_table, model, n)  # serves every stratum of n
     out = CoeffPoly.zero()
     for a in partitions_of(n):
         out = out + CoeffPoly.monomial((2 * a.drop,)) * stratum_poincare(model, a)
@@ -205,19 +215,21 @@ def equivariant_k_dim(model, n):
     return total
 
 
-@lru_cache(maxsize=None)
+def hodge_sym_table(model, order):
+    """The list [hodge_sym(model, m) for m in 0..order], from one pass."""
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    gens = ((CoeffPoly.monomial((p, q)), 1, (p + q) % 2)
+            for (p, q) in model.class_bidegrees)
+    return super_power_table(gens, order, CoeffPoly.one(2), CoeffPoly.zero(2))
+
+
 def hodge_sym(model, m):
     """
     Hodge polynomial of the m-th symmetric product: the bigraded
     super-symmetric power, classes of odd total degree used at most once.
     """
-    if model.hodge is None:
-        raise MissingHodgeData("model %r carries no Hodge data" % model.name)
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    gens = ((CoeffPoly.monomial((p, q)), 1, (p + q) % 2)
-            for (p, q) in model.class_bidegrees)
-    return super_power_table(gens, m, CoeffPoly.one(2), CoeffPoly.zero(2))[m]
+    return _table_to(hodge_sym_table, model, m)[m]
 
 
 def hilbert_hodge(model, n):
@@ -226,10 +238,7 @@ def hilbert_hodge(model, n):
     stratum sum of bigraded symmetric powers, each stratum shifted by
     (xy)^drop (the weight-twist mismatch between the two sides).
     """
-    if model.hodge is None:
-        raise MissingHodgeData("model %r carries no Hodge data" % model.name)
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    _table_to(hodge_sym_table, model, n)  # serves every stratum of n
     out = CoeffPoly.zero(2)
     for a in partitions_of(n):
         term = CoeffPoly.monomial((a.drop, a.drop))
@@ -238,3 +247,9 @@ def hilbert_hodge(model, n):
                 term = term * hodge_sym(model, ai)
         out = out + term
     return out
+
+
+def hilbert_hodge_table(model, order):
+    """[hilbert_hodge(model, n) for n in 0..order] from one hodge_sym table."""
+    _table_to(hodge_sym_table, model, order)
+    return [hilbert_hodge(model, n) for n in range(order + 1)]

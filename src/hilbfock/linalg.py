@@ -8,19 +8,15 @@ Matrices are tuples of tuples of GaussianRational; everything is pure.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 import re
 
-from ._base import Frozen, exact
+from ._base import Frozen, IdentityFailed, exact
 
 
 class SpectrumNotSplit(ArithmeticError):
     """A characteristic polynomial has no full Gaussian-rational root set
     discoverable by the configured root search."""
-
-
-class IdentityFailed(ArithmeticError):
-    """Two independently computed quantities that must agree do not."""
 
 
 # Gaussian integers with norm above this bound are not searched for roots.
@@ -66,6 +62,12 @@ class GaussianRational(Frozen):
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
+
+    def __pow__(self, k):
+        """The k-th power, k a non-negative integer."""
+        if k < 0:
+            raise ValueError("negative exponent %r" % (k,))
+        return prod([self] * k, start=ONE)  # a TypeError unless k is an int
 
     def conjugate(self):
         return GaussianRational(self.re, -self.im)

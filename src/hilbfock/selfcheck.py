@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import adhm, heisenberg
 from .goettsche import (equivariant_k_dim, hilbert_euler,
-                        hilbert_hodge, hilbert_poincare_from_strata,
+                        hilbert_hodge_table, hilbert_poincare_from_strata,
                         hilbert_poincare_series, orbifold_euler,
                         punctual_poincare, sym_poincare,
                         sym_poincare_product)
@@ -141,8 +141,8 @@ def check_ktheory(order, models=ALL_PRESETS):
 
 def check_hodge(order, models=HODGE_PRESETS):
     for s in models:
-        for n in range(order + 1):
-            lhs = hilbert_hodge(s, n).specialize({"x": "t", "y": "t"})
+        for n, hodge in enumerate(hilbert_hodge_table(s, order)):
+            lhs = hodge.specialize({"x": "t", "y": "t"})
             rhs = hilbert_poincare_from_strata(s, n)
             if lhs != rhs:
                 return False, "%s n=%d: collapsed %s vs %s" % (

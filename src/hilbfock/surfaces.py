@@ -15,7 +15,6 @@ are identity blocks in the chosen bases.
 from fractions import Fraction
 
 from ._base import Frozen
-from .linalg import matrix, rank
 
 
 class MissingHodgeData(ValueError):
@@ -46,6 +45,7 @@ class SurfaceModel(Frozen):
                       for i in range(betti[d]))
                 for d in range(5))
         else:
+            from .linalg import matrix, rank
             pairing = tuple(
                 tuple(tuple(Fraction(v) for v in row) for row in block)
                 for block in pairing)

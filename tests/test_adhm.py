@@ -50,6 +50,21 @@ def test_gaussian_arithmetic():
     assert (-a).re == Fraction(-1, 2)
 
 
+def test_gaussian_power_matches_repeated_multiplication():
+    for z in (G(0), G(1), G(0, 1), G(Fraction(1, 2), -1),
+              G(-3, Fraction(2, 3))):
+        product = G(1)
+        for k in range(13):
+            assert z ** k == product
+            product = product * z
+    for bad in (1.5, 2.0, Fraction(2), "2"):
+        with pytest.raises(TypeError):
+            G(1, 1) ** bad
+    for bad in (-1, -4, Fraction(-1, 2)):
+        with pytest.raises(ValueError):
+            G(1, 1) ** bad
+
+
 def test_scalar_round_trip():
     cases = ["3", "-1/2", "i", "-i", "2i", "-3/4i", "1/2+3/4i", "1/2-3/4i",
              "0", "-2+i"]

@@ -261,12 +261,10 @@ def test_surface_config_errors(tmp_path, capsys):
 
 
 def test_selfcheck_failure_exits_1(monkeypatch, capsys):
-    from hilbfock import cli as cli_mod
-
     def fake_run_all(order, seed=0):
         return [("fake_identity", False, "lhs 1 vs rhs 2")]
 
-    monkeypatch.setattr(cli_mod.selfcheck, "run_all", fake_run_all)
+    monkeypatch.setattr("hilbfock.selfcheck.run_all", fake_run_all)
     code, out, err = run_cli(["selfcheck", "--order", "2"], capsys)
     assert code == 1
     assert "fake_identity\tFAIL" in out

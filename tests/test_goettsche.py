@@ -4,8 +4,11 @@ from math import comb, factorial
 
 import pytest
 
+from hilbfock import goettsche
+from hilbfock.cli import main
 from hilbfock.goettsche import (equivariant_k_dim, general_binomial,
                                 hilbert_euler, hilbert_hodge,
+                                hilbert_hodge_table,
                                 hilbert_poincare_from_strata,
                                 hilbert_poincare_series, hodge_sym,
                                 orbifold_euler, punctual_poincare,
@@ -297,3 +300,42 @@ def test_open_surface_pairing():
     assert DELTA.betti_c == (0, 0, 0, 0, 1)
     assert DELTA.pairing_value(0, 0) == 1
     assert DELTA.euler == 1
+
+
+def count_stepping_tables(monkeypatch):
+    """Empty the table cache and record the order of every stepping pass."""
+    orders = []
+    real = goettsche.super_power_table
+
+    def counting(gens, order, one, zero):
+        orders.append(order)
+        return real(gens, order, one, zero)
+
+    monkeypatch.setattr(goettsche, "_TABLES", {})
+    monkeypatch.setattr(goettsche, "super_power_table", counting)
+    return orders
+
+
+def test_hodge_request_builds_one_stepping_table(monkeypatch, capsys):
+    orders = count_stepping_tables(monkeypatch)
+    assert main(["hodge", "--surface", "k3", "--order", "10"]) == 0
+    assert orders == [10]
+    assert len(capsys.readouterr().out.splitlines()) == 12
+
+
+def test_strata_sums_share_one_table_per_model(monkeypatch):
+    orders = count_stepping_tables(monkeypatch)
+    for model in (P2, ABELIAN):
+        rows = hilbert_hodge_table(model, 7)
+        assert rows == [hilbert_hodge(model, n) for n in range(8)]
+        assert [hodge_sym(model, m) for m in range(8)] == [
+            oracle_hodge_sym(model, m) for m in range(8)]
+        sym_poincare(model, 7)
+        assert [hilbert_poincare_from_strata(model, n) for n in range(8)] == [
+            hilbert_poincare_series(model, 7).coeff(n) for n in range(8)]
+    assert orders == [7, 7, 7, 7]
+    # a longer order rebuilds once; shorter ones then read the longer table
+    assert hodge_sym(P2, 9) == oracle_hodge_sym(P2, 9)
+    assert hilbert_hodge_table(P2, 7) == [hilbert_hodge(P2, n)
+                                          for n in range(8)]
+    assert orders == [7, 7, 7, 7, 9]

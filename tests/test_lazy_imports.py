@@ -1,0 +1,159 @@
+"""
+The package loads its modules on demand: top-level names resolve on first
+access, and a CLI request imports only the layers its subcommand uses.
+Import sets are read in fresh interpreters, so earlier tests cannot leak
+modules into them.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import hilbfock
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(hilbfock.__file__)))
+
+# the top-level names the package exported when it imported every module
+EXPORTED = """
+ABELIAN Annihilate Central CoeffPoly Create DELTA FactorFamily FockMonomial
+FockState GaussianRational IdentityFailed IndexOutOfRange K3 MIXED
+MatrixTriple MismatchedWeight MissingHodgeData ModeNonPositive NotCommuting
+NotInBidisk OrderMismatch P1XP1 P2 PRESETS Partition PartitionTuple QTSeries
+SpectrumNotSplit StalkTable SupportCycle SurfaceModel UnknownClass
+UnknownVariable WrongModel ZeroScalar commutator count_with_length degree_of
+enumerate_monomials equivariant_k_dim from_monomial_ideal general_binomial
+global_degeneration_check goettsche_families graded_character hilbert_euler
+hilbert_hodge hilbert_poincare_from_strata hilbert_poincare_series hodge_sym
+in_bidisk is_commuting is_stable level_dim local_fiber_check
+multiplicity_factorial orbifold_euler partitions_of product_expand
+punctual_poincare random_state read_triple refines retract splittings
+splittings_merging_to splittings_with_drop stalk_table stratum_class
+stratum_poincare support_cycle support_strata sym_poincare
+sym_poincare_product sym_poincare_table sym_total_dim torus_scale
+trace_invariant trace_table write_triple
+""".split()
+
+HOME = {
+    "partitions": "MismatchedWeight Partition refines splittings_with_drop",
+    "series": "CoeffPoly QTSeries product_expand",
+    "surfaces": "K3 PRESETS SurfaceModel",
+    "goettsche": "hilbert_hodge sym_poincare_table",
+    "heisenberg": "MIXED Create graded_character",
+    "linalg": "GaussianRational IdentityFailed SpectrumNotSplit",
+    "adhm": "IdentityFailed SupportCycle trace_table",
+    "stratification": "StalkTable support_strata",
+}
+
+ALL_LAYERS = {"partitions", "series", "surfaces", "goettsche", "heisenberg",
+              "linalg", "adhm", "stratification", "selfcheck"}
+
+
+def fresh_python(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def loaded_after(argv):
+    """The hilbfock modules a fresh interpreter holds after one request."""
+    out = fresh_python(
+        "import contextlib, io, sys\n"
+        "from hilbfock import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(%r)\n"
+        "assert code == 0, code\n"
+        "print(' '.join(m[len('hilbfock.'):] for m in sys.modules\n"
+        "               if m.startswith('hilbfock.')))\n" % (argv,))
+    return set(out.split())
+
+
+@pytest.mark.parametrize("argv, needed, unneeded", [
+    (["adhm", "--mu", "2,1"], {"linalg", "adhm", "partitions"},
+     {"series", "goettsche", "heisenberg", "stratification", "selfcheck"}),
+    (["hodge", "--surface", "p2", "--order", "2"], {"goettsche", "series"},
+     {"linalg", "adhm", "heisenberg", "stratification", "selfcheck"}),
+    (["strata", "--n", "4", "--h", "2"], {"stratification", "goettsche"},
+     {"linalg", "adhm", "heisenberg", "selfcheck"}),
+    (["fock", "--surface", "delta", "--order", "3"], {"heisenberg", "series"},
+     {"linalg", "adhm", "goettsche", "stratification", "selfcheck"}),
+])
+def test_request_loads_only_its_layers(argv, needed, unneeded):
+    loaded = loaded_after(argv) & ALL_LAYERS
+    assert needed <= loaded
+    assert not loaded & unneeded
+
+
+def test_importing_the_cli_loads_no_layer_beyond_surfaces():
+    out = fresh_python(
+        "import sys\nimport hilbfock.cli\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('hilbfock')))")
+    assert set(out.split()) == {"hilbfock", "hilbfock._base",
+                                "hilbfock.surfaces", "hilbfock.cli"}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["hodge", "--help"]])
+def test_help_exits_0_and_lists_presets(argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "hilbfock"] + argv,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    if argv[0] == "hodge":
+        for preset in ("abelian", "c2", "delta", "k3", "p1xp1", "p2"):
+            assert preset in proc.stdout
+    else:
+        assert "hodge" in proc.stdout and "adhm" in proc.stdout
+
+
+def test_all_is_the_exported_names():
+    assert sorted(hilbfock.__all__) == sorted(EXPORTED)
+    assert len(hilbfock.__all__) == len(set(hilbfock.__all__)) == 80
+
+
+def test_names_are_the_objects_of_their_home_modules():
+    for module, names in HOME.items():
+        mod = importlib.import_module("hilbfock." + module)
+        for name in names.split():
+            assert getattr(hilbfock, name) is getattr(mod, name), name
+    for name in EXPORTED:  # functions and classes name their home module
+        obj = getattr(hilbfock, name)
+        home = getattr(obj, "__module__", "")
+        if home.startswith("hilbfock."):
+            assert getattr(sys.modules[home], name) is obj, name
+
+
+def test_star_import_and_dir_list_every_name():
+    namespace = {}
+    exec("from hilbfock import *", namespace)
+    assert set(EXPORTED) <= set(namespace)
+    assert not set(namespace) - set(EXPORTED) - {"__builtins__"}
+    assert set(EXPORTED) <= set(dir(hilbfock))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError):
+        hilbfock.no_such_name
+    with pytest.raises(ImportError):
+        exec("from hilbfock import no_such_name", {})
+
+
+def test_identity_failed_is_one_class_and_version_unchanged():
+    import hilbfock.adhm
+    import hilbfock.linalg
+    assert hilbfock.IdentityFailed is hilbfock.linalg.IdentityFailed
+    assert hilbfock.IdentityFailed is hilbfock.adhm.IdentityFailed
+    assert hilbfock.__version__ == "0.1.0"
+
+
+def test_submodules_load_on_attribute_access():
+    out = fresh_python(
+        "import hilbfock\n"
+        "print(hilbfock.linalg.IdentityFailed is hilbfock.IdentityFailed,\n"
+        "      hilbfock.stratification.__name__)")
+    assert out.split() == ["True", "hilbfock.stratification"]
