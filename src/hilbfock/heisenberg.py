@@ -17,11 +17,19 @@ Conventions fixed here:
     exactly as in the defining bracket.
   * A factor (mode i, class of degree d) has cohomological degree
     d + 2(i-1); in Hodge mode, bidegree (p + i - 1, q + i - 1).
+
+Invariant: a FockState maps monomials with sorted positive factors to
+nonzero Fraction coefficients.  The public constructors check it; the
+operators and the state arithmetic keep it by construction (insertion at
+the sorted position, removal of one factor, Fraction times an exact
+weight, zeros dropped once) and build results through the unchecked _make.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 
-from ._base import Frozen
+from ._base import Frozen, exact
 from .partitions import multiplicity_factorial
 from .series import CoeffPoly, QTSeries, super_power_table
 from .surfaces import MissingHodgeData
@@ -63,6 +71,13 @@ class FockMonomial(Frozen):
                 raise ValueError("factors must be sorted: %r" % (factors,))
         object.__setattr__(self, "factors", factors)
 
+    @classmethod
+    def _make(cls, factors):
+        # trusted constructor: factors already a sorted tuple of int pairs
+        self = object.__new__(cls)
+        object.__setattr__(self, "factors", factors)
+        return self
+
     @property
     def level(self):
         return sum(m for m, _ in self.factors)
@@ -102,18 +117,24 @@ class FockState(Frozen):
             if not isinstance(mono, FockMonomial):
                 mono = FockMonomial(mono)
             c = c if isinstance(c, Fraction) else Fraction(c)
-            if c:
-                clean[mono] = clean.get(mono, Fraction(0)) + c
+            clean[mono] = clean.get(mono, Fraction(0)) + c
         object.__setattr__(self, "terms",
                            {m: c for m, c in clean.items() if c})
 
     @classmethod
+    def _make(cls, terms):
+        # trusted constructor: FockMonomial keys, nonzero Fraction values
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    @classmethod
     def vacuum(cls):
-        return cls({VACUUM_MONOMIAL: Fraction(1)})
+        return cls._make({VACUUM_MONOMIAL: Fraction(1)})
 
     @classmethod
     def zero(cls):
-        return cls({})
+        return cls._make({})
 
     def is_zero(self):
         return not self.terms
@@ -121,18 +142,18 @@ class FockState(Frozen):
     def __add__(self, other):
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return FockState(terms)
+            if m in terms:
+                c += terms.pop(m)
+            if c:
+                terms[m] = c
+        return FockState._make(terms)
 
     def __sub__(self, other):
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) - c
-        return FockState(terms)
+        return self + other.scale(-1)
 
     def scale(self, c):
         c = c if isinstance(c, Fraction) else Fraction(c)
-        return FockState({m: v * c for m, v in self.terms.items()})
+        return FockState._make({m: v * c for m, v in self.terms.items() if c})
 
     def __eq__(self, other):
         return isinstance(other, FockState) and self.terms == other.terms
@@ -151,6 +172,21 @@ def _check_mode_class(mode, cls, n_classes):
         raise UnknownClass("class index %d outside 0..%d" % (cls, n_classes - 1))
 
 
+@lru_cache(maxsize=None)
+def _odd(model):
+    """Odd flag of each ordinary class, by flat index."""
+    return tuple(bool(d % 2) for d in model.ordinary_degrees)
+
+
+@lru_cache(maxsize=None)
+def _weights(model, mode, cls):
+    """{alpha: (-1)^(mode-1) * mode * <alpha, cls>} over nonzero pairings."""
+    norm = (-1) ** (mode - 1) * mode
+    return {a: exact(norm * model.pairing_value(a, cls))
+            for a in range(len(model.ordinary_degrees))
+            if model.pairing_value(a, cls)}
+
+
 class Create(Frozen):
     """Creation operator: left multiplication by the generator (mode, class)."""
 
@@ -165,24 +201,21 @@ class Create(Frozen):
 
     def apply(self, state, model):
         _check_mode_class(self.mode, self.cls, len(model.ordinary_degrees))
-        par = self.parity(model)
+        odd = _odd(model)
         key = (self.mode, self.cls)
         out = {}
         for mono, coeff in state.terms.items():
-            if par and key in mono.factors:
-                continue
-            sign = 1
-            pos = 0
-            for m, c in mono.factors:
-                if (m, c) < key:
-                    pos += 1
-                    if par and model.class_degree(c) % 2:
-                        sign = -sign
-                else:
-                    break
-            new = FockMonomial(mono.factors[:pos] + (key,) + mono.factors[pos:])
-            out[new] = out.get(new, Fraction(0)) + sign * coeff
-        return FockState(out)
+            factors = mono.factors
+            pos = bisect_left(factors, key)
+            if odd[self.cls]:
+                if factors[pos:pos + 1] == (key,):
+                    continue
+                if sum(odd[c] for _, c in factors[:pos]) % 2:
+                    coeff = -coeff
+            # insertion is injective: no two terms land on one monomial
+            new = factors[:pos] + (key,) + factors[pos:]
+            out[FockMonomial._make(new)] = coeff
+        return FockState._make(out)
 
     def __repr__(self):
         return "Create(%d, %d)" % (self.mode, self.cls)
@@ -202,22 +235,20 @@ class Annihilate(Frozen):
 
     def apply(self, state, model):
         _check_mode_class(self.mode, self.cls, len(model.compact_degrees))
-        par = self.parity(model)
+        odd = _odd(model) if self.parity(model) else None
+        weights = _weights(model, self.mode, self.cls)
         i = self.mode
-        norm = Fraction((-1) ** (i - 1) * i)
         out = {}
         for mono, coeff in state.terms.items():
-            sign = 1
-            for s, (m, c) in enumerate(mono.factors):
-                if m == i:
-                    pair = model.pairing_value(c, self.cls)
-                    if pair:
-                        new = FockMonomial(mono.factors[:s] + mono.factors[s + 1:])
-                        val = sign * norm * pair * coeff
-                        out[new] = out.get(new, Fraction(0)) + val
-                if par and model.class_degree(c) % 2:
-                    sign = -sign
-        return FockState(out)
+            factors = mono.factors
+            for s, (m, c) in enumerate(factors):
+                if m == i and c in weights:
+                    new = FockMonomial._make(factors[:s] + factors[s + 1:])
+                    val = coeff * weights[c]
+                    out[new] = out[new] + val if new in out else val
+                if odd and odd[c]:
+                    coeff = -coeff
+        return FockState._make({m: c for m, c in out.items() if c})
 
     def __repr__(self):
         return "Annihilate(%d, %d)" % (self.mode, self.cls)

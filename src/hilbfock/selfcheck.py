@@ -9,15 +9,9 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from . import adhm, heisenberg
-from .goettsche import (equivariant_k_dim, hilbert_euler,
-                        hilbert_hodge_table, hilbert_poincare_from_strata,
-                        hilbert_poincare_series, orbifold_euler,
-                        punctual_poincare, sym_poincare,
-                        sym_poincare_product)
+from . import heisenberg
 from .partitions import partitions_of
 from .series import CoeffPoly
-from .stratification import global_degeneration_check, local_fiber_check
 from .surfaces import ABELIAN, DELTA, K3, P2, P1XP1
 
 ALL_PRESETS = (DELTA, P2, P1XP1, K3, ABELIAN)
@@ -25,7 +19,10 @@ HODGE_PRESETS = (P2, P1XP1, K3, ABELIAN)
 
 
 def check_goettsche(order, models=ALL_PRESETS):
+    from .goettsche import (hilbert_poincare_from_strata,
+                            hilbert_poincare_series, sym_poincare)
     for s in models:
+        sym_poincare(s, order)  # one symmetric-product table for every n
         series = hilbert_poincare_series(s, order)
         for n in range(order + 1):
             lhs = series.coeff(n)
@@ -37,6 +34,7 @@ def check_goettsche(order, models=ALL_PRESETS):
 
 
 def check_fock_character(order, models=ALL_PRESETS):
+    from .goettsche import hilbert_poincare_series
     for s in models:
         lhs = heisenberg.graded_character(s, order)
         rhs = hilbert_poincare_series(s, order)
@@ -49,7 +47,9 @@ def check_fock_character(order, models=ALL_PRESETS):
 
 
 def check_sym_routes(order, models=ALL_PRESETS):
+    from .goettsche import sym_poincare, sym_poincare_product
     for s in models:
+        sym_poincare(s, order)  # one symmetric-product table for every m
         for m in range(order + 1):
             lhs = sym_poincare(s, m)
             rhs = sym_poincare_product(s, m)
@@ -91,6 +91,7 @@ def check_commutators(trials=50, seed=0, models=ALL_PRESETS, max_mode=5):
 
 
 def check_local_stalks(order):
+    from .stratification import local_fiber_check
     for n in range(1, order + 1):
         for nu in partitions_of(n):
             if not local_fiber_check(nu):
@@ -99,6 +100,7 @@ def check_local_stalks(order):
 
 
 def check_punctual(order):
+    from .goettsche import punctual_poincare
     for n in range(1, order + 1):
         poly = punctual_poincare(n)
         drops = Counter(p.drop for p in partitions_of(n))
@@ -116,6 +118,7 @@ def check_punctual(order):
 
 
 def check_euler(order, euler_range=range(-10, 31)):
+    from .goettsche import hilbert_euler, orbifold_euler
     for e in euler_range:
         for n in range(order + 1):
             lhs = hilbert_euler(e, n)
@@ -128,6 +131,7 @@ def check_euler(order, euler_range=range(-10, 31)):
 
 
 def check_ktheory(order, models=ALL_PRESETS):
+    from .goettsche import equivariant_k_dim, hilbert_poincare_series
     for s in models:
         series = hilbert_poincare_series(s, order)
         for n in range(order + 1):
@@ -140,6 +144,7 @@ def check_ktheory(order, models=ALL_PRESETS):
 
 
 def check_hodge(order, models=HODGE_PRESETS):
+    from .goettsche import hilbert_hodge_table, hilbert_poincare_from_strata
     for s in models:
         for n, hodge in enumerate(hilbert_hodge_table(s, order)):
             lhs = hodge.specialize({"x": "t", "y": "t"})
@@ -151,6 +156,7 @@ def check_hodge(order, models=HODGE_PRESETS):
 
 
 def check_adhm(order, seed=0):
+    from . import adhm
     order = min(order, 8)
     for n in range(1, order + 1):
         for mu in partitions_of(n):
@@ -174,6 +180,7 @@ def check_adhm(order, seed=0):
 
 
 def check_leray(order, models=ALL_PRESETS):
+    from .stratification import global_degeneration_check
     for s in models:
         for n in range(order + 1):
             if not global_degeneration_check(s, n):

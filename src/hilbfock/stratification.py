@@ -12,7 +12,7 @@ structure exists, by design.
 from ._base import Frozen
 from .goettsche import (hilbert_poincare_from_strata, punctual_poincare,
                         stratum_poincare)
-from .partitions import partitions_of, splittings_with_drop
+from .partitions import partitions_of, splittings
 from .series import CoeffPoly
 
 
@@ -62,7 +62,9 @@ def stalk_table(nu):
     """
     if nu.n < 1:
         raise ValueError("partition must be non-empty")
-    rows = [len(splittings_with_drop(h, nu)) for h in range(nu.n)]
+    rows = [0] * nu.n
+    for beta in splittings(nu):
+        rows[beta.drop] += 1
     return StalkTable(nu, rows)
 
 

@@ -16,6 +16,7 @@ from hilbfock.goettsche import (equivariant_k_dim, general_binomial,
                                 sym_poincare_product, sym_poincare_table,
                                 sym_total_dim)
 from hilbfock.partitions import Partition, count_with_length, partitions_of
+from hilbfock.selfcheck import check_goettsche, check_sym_routes
 from hilbfock.series import CoeffPoly, FactorFamily, product_expand
 from hilbfock.surfaces import (ABELIAN, DELTA, K3, P2, P1XP1,
                                MissingHodgeData, SurfaceModel)
@@ -321,6 +322,14 @@ def test_hodge_request_builds_one_stepping_table(monkeypatch, capsys):
     assert main(["hodge", "--surface", "k3", "--order", "10"]) == 0
     assert orders == [10]
     assert len(capsys.readouterr().out.splitlines()) == 12
+
+
+def test_selfcheck_builds_one_symmetric_product_table_per_preset(monkeypatch):
+    orders = count_stepping_tables(monkeypatch)
+    goettsche.hilbert_poincare_from_strata.cache_clear()
+    assert check_goettsche(8) == (True, "5 presets, n <= 8")
+    assert check_sym_routes(8) == (True, "5 presets, m <= 8")
+    assert orders == [8] * 5
 
 
 def test_strata_sums_share_one_table_per_model(monkeypatch):

@@ -13,7 +13,7 @@ from hilbfock.heisenberg import (MIXED, Annihilate, Central, Create,
 from hilbfock.partitions import (Partition, multiplicity_factorial,
                                  partitions_of)
 from hilbfock.series import CoeffPoly
-from hilbfock.surfaces import ABELIAN, DELTA, K3, P2, P1XP1
+from hilbfock.surfaces import ABELIAN, DELTA, K3, P2, P1XP1, SurfaceModel
 
 PRESETS = (DELTA, P2, P1XP1, K3, ABELIAN)
 VAC = FockState.vacuum()
@@ -281,3 +281,161 @@ def test_fock_state_arithmetic():
     assert (a + b) - b == a
     assert a.scale(0).is_zero()
     assert (a + a) == a.scale(2)
+
+
+# Definitional reference operators, written from the conventions in the
+# module docstring and sharing no code with Create/Annihilate.apply.  Each
+# returns the terms of the result: validated monomials, zeros dropped.
+def ref_create(mode, cls, state, model):
+    """Put the factor on the left and bubble it into place; each swap of
+    two odd factors flips the sign, and a repeated odd factor kills."""
+    odd = [model.class_degree(c) % 2
+           for c in range(len(model.ordinary_degrees))]
+    out = {}
+    for mono, coeff in state.terms.items():
+        factors = [(mode, cls)] + list(mono.factors)
+        if odd[cls] and factors.count((mode, cls)) > 1:
+            continue
+        for i in range(len(factors)):
+            for j in range(len(factors) - 1 - i):
+                if factors[j] > factors[j + 1]:
+                    if odd[factors[j][1]] and odd[factors[j + 1][1]]:
+                        coeff = -coeff
+                    factors[j], factors[j + 1] = factors[j + 1], factors[j]
+        key = FockMonomial(factors)
+        out[key] = out[key] + coeff if key in out else coeff
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_annihilate(mode, cls, state, model):
+    """Contract each factor of the mode in turn, through pairing_value,
+    with the Koszul sign of the odd factors to its left."""
+    odd_op = model.compact_class_degree(cls) % 2
+    out = {}
+    for mono, coeff in state.terms.items():
+        for s, (m, c) in enumerate(mono.factors):
+            if m != mode:
+                continue
+            left_odd = sum(model.class_degree(a) % 2
+                           for _, a in mono.factors[:s])
+            sign = (-1) ** left_odd if odd_op else 1
+            value = (sign * (-1) ** (mode - 1) * mode
+                     * model.pairing_value(c, cls) * coeff)
+            key = FockMonomial(mono.factors[:s] + mono.factors[s + 1:])
+            out[key] = out[key] + value if key in out else value
+    return {m: c for m, c in out.items() if c}
+
+
+def assert_well_formed(state):
+    for mono, coeff in state.terms.items():
+        assert type(coeff) is Fraction and coeff != 0
+        assert list(mono.factors) == sorted(mono.factors)
+        assert all(type(m) is type(c) is int and m >= 1
+                   for m, c in mono.factors)
+
+
+def operators_of(model, max_mode=4):
+    for mode in range(1, max_mode + 1):
+        for cls in range(len(model.ordinary_degrees)):
+            yield Create(mode, cls), ref_create
+        for cls in range(len(model.compact_degrees)):
+            yield Annihilate(mode, cls), ref_annihilate
+
+
+@pytest.mark.parametrize("model", (P2, P1XP1, ABELIAN), ids=lambda m: m.name)
+def test_operators_match_reference_on_every_basis_monomial(model):
+    basis = [FockState({mono: 1}) for level in range(4)
+             for mono in enumerate_monomials(model, level)]
+    ops = list(operators_of(model))
+    assert len(ops) == 4 * (len(model.ordinary_degrees)
+                            + len(model.compact_degrees))
+    for op, ref in ops:
+        for st in basis:
+            got = op.apply(st, model)
+            assert got.terms == ref(op.mode, op.cls, st, model), (op, st)
+            assert_well_formed(got)
+
+
+@pytest.mark.parametrize("model", (P2, P1XP1, ABELIAN), ids=lambda m: m.name)
+def test_operators_match_reference_on_random_states(model):
+    rng = random.Random(17)
+    for _ in range(40):
+        st = random_state(model, rng.randint(0, 5), rng, n_terms=4)
+        st = st + random_state(model, rng.randint(0, 5), rng).scale(
+            Fraction(rng.choice([-7, 2, 5]), rng.choice([1, 3, 4])))
+        for op, ref in operators_of(model):
+            got = op.apply(st, model)
+            assert got.terms == ref(op.mode, op.cls, st, model), (op, st)
+            assert_well_formed(got)
+        assert_well_formed(st)
+
+
+# a skew, non-integral pairing on the degree-2 classes 1, 2: two factors
+# contract against one compact class, and weights are proper fractions
+SKEW = SurfaceModel("skew", (1, 0, 2, 0, 1), pairing=(
+    ((1,),), (), ((1, Fraction(1, 2)), (1, 3)), (), ((1,),)))
+
+
+def test_operators_match_reference_with_skew_pairing():
+    rng = random.Random(29)
+    for _ in range(30):
+        st = random_state(SKEW, rng.randint(0, 5), rng, n_terms=6)
+        for op, ref in operators_of(SKEW):
+            got = op.apply(st, SKEW)
+            assert got.terms == ref(op.mode, op.cls, st, SKEW), (op, st)
+            assert_well_formed(got)
+
+
+def test_contractions_that_cancel_leave_no_term():
+    st = FockState({FockMonomial(((1, 1), (2, 0))): 1,
+                    FockMonomial(((1, 2), (2, 0))): -1})
+    assert Annihilate(1, 1).apply(st, SKEW).is_zero()
+    got = Annihilate(1, 2).apply(st, SKEW)
+    assert got.terms == {FockMonomial(((2, 0),)): Fraction(-5, 2)}
+    assert_well_formed(got)
+
+
+def test_state_arithmetic_keeps_fractions_and_drops_zeros():
+    rng = random.Random(23)
+    for _ in range(30):
+        a = random_state(ABELIAN, 3, rng)
+        b = random_state(ABELIAN, 3, rng)
+        for st in (a + b, a - b, a.scale(Fraction(-2, 3)), a.scale(3)):
+            assert_well_formed(st)
+        assert (a - a).terms == {} and a.scale(0).terms == {}
+        assert (a + b) - b == a
+
+
+def test_public_monomial_constructor_still_validates():
+    with pytest.raises(ValueError):
+        FockMonomial(((1, 1), (1, 0)))
+    with pytest.raises(ValueError):
+        FockMonomial(((3, 0), (2, 4)))
+    with pytest.raises(ModeNonPositive):
+        FockMonomial(((0, 2),))
+    with pytest.raises(ModeNonPositive):
+        FockMonomial(((-1, 0), (2, 0)))
+    with pytest.raises(UnknownClass):
+        FockMonomial(((1, -1),))
+    assert FockState({((1, 0),): 2}).terms == {
+        FockMonomial(((1, 0),)): Fraction(2)}
+
+
+def test_commutator_builds_no_validated_monomial(monkeypatch):
+    rng = random.Random(31)
+    states = [random_state(ABELIAN, 4, rng) for _ in range(5)]
+    calls = []
+    real = FockMonomial.__init__
+
+    def counting(self, factors):
+        calls.append(factors)
+        real(self, factors)
+
+    monkeypatch.setattr(FockMonomial, "__init__", counting)
+    for st in states:
+        for k in (1, 2, 3):
+            got = commutator(Annihilate(k, 11), Create(k, 1), st, ABELIAN)
+            assert got == st.scale((-1) ** (k - 1) * k)
+            assert commutator(Create(k, 2), Create(1, 3), st,
+                              ABELIAN).is_zero()
+    assert calls == []

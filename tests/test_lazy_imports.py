@@ -83,6 +83,10 @@ def loaded_after(argv):
      {"linalg", "adhm", "heisenberg", "selfcheck"}),
     (["fock", "--surface", "delta", "--order", "3"], {"heisenberg", "series"},
      {"linalg", "adhm", "goettsche", "stratification", "selfcheck"}),
+    # the relation battery lives in selfcheck but needs only the Fock layer
+    (["commutators", "--surface", "abelian", "--trials", "3"],
+     {"heisenberg", "series", "partitions", "selfcheck"},
+     {"linalg", "adhm", "goettsche", "stratification"}),
 ])
 def test_request_loads_only_its_layers(argv, needed, unneeded):
     loaded = loaded_after(argv) & ALL_LAYERS
