@@ -270,6 +270,7 @@ def cmd_adhm(args):
 def cmd_ktheory(args):
     from .goettsche import equivariant_k_dim
     s = resolve_surface(args.surface)
+    equivariant_k_dim(s, args.order)  # one K table serves every row
     rows = [("n", "dim")]
     rows += [(n, equivariant_k_dim(s, n)) for n in range(args.order + 1)]
     emit(rows, args.output)

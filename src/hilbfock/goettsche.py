@@ -12,14 +12,19 @@ Routes for the Poincare polynomial of the n-th Hilbert scheme:
 
 Their agreement, coefficient by coefficient, is the numerical content of
 the decomposition of the direct image under the support morphism.
+
+The stratum sums (Poincare, Hodge, K-theory, orbifold Euler) are one
+convolution over part sizes, on packed polynomials or on integers.  The
+literal walk over partitions stays in stratum_poincare, which the
+regrouping check of stratification sums against the convolution.
 """
 
 from functools import lru_cache
 from math import comb
 
-from .partitions import partitions_of
-from .series import (CoeffPoly, FactorFamily, QTSeries, product_expand,
-                     super_power_table)
+from .series import (CoeffPoly, FactorFamily, QTSeries, digit_bits, pack,
+                     packed_monomial, product_expand, super_power_table,
+                     unpack)
 
 
 def goettsche_families(model):
@@ -40,6 +45,18 @@ def hilbert_poincare_series(model, order):
     return product_expand(goettsche_families(model), order, nvars=1)
 
 
+def _sym_table(model, order, degrees, width=None):
+    """One packed stepping pass; row m unpacked against sym_total_dim(m)."""
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    totals = [sym_total_dim(model, m) for m in range(order + 1)]
+    bits = digit_bits(max(totals))
+    gens = ((packed_monomial(e, bits, width), 1, sum(e) % 2)
+            for e in degrees)
+    table = super_power_table(gens, order, 1, 0)
+    return [unpack(v, bits, t, width) for v, t in zip(table, totals)]
+
+
 def sym_poincare_table(model, order):
     """
     The list [sym_poincare(model, m) for m in 0..order], from one pass of
@@ -49,11 +66,7 @@ def sym_poincare_table(model, order):
     repeat freely, odd classes at most once), which enumerates the same
     multisets as the naive count without materializing them.
     """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    gens = ((CoeffPoly.monomial((d,)), 1, d % 2)
-            for d in model.ordinary_degrees)
-    return super_power_table(gens, order, CoeffPoly.one(), CoeffPoly.zero())
+    return _sym_table(model, order, [(d,) for d in model.ordinary_degrees])
 
 
 _TABLES = {}  # the longest table built so far, per (builder, model)
@@ -101,17 +114,41 @@ def stratum_poincare(model, a):
     return out
 
 
+def _strata_sums(f, order, w=1):
+    """
+    Sum over partitions of n of w^drop prod_i f[a_i], for n <= order
+    (f[0] = 1): part size i multiplies in sum_a f[a] w^((i-1)a) q^(ia).
+    """
+    out = [1] + [0] * order
+    for i in range(1, order + 1):
+        terms = [f[a] * w ** ((i - 1) * a) for a in range(order // i + 1)]
+        for n in range(order, i - 1, -1):
+            out[n] += sum(terms[a] * out[n - i * a]
+                          for a in range(1, n // i + 1))
+    return out
+
+
+def _strata_table(model, order, build=sym_poincare_table, twist=(2,),
+                  width=None):
+    """
+    The strata sums over the table of build (Poincare by default), each
+    stratum times twist^drop; the K table sizes and checks the digits.
+    """
+    table = _table_to(build, model, order)[:order + 1]
+    totals = _table_to(_k_table, model, order)[:order + 1]
+    bits = digit_bits(max(totals))
+    f = [pack(p, bits, width) for p in table]
+    sums = _strata_sums(f, order, packed_monomial(twist, bits, width))
+    return [unpack(v, bits, t, width) for v, t in zip(sums, totals)]
+
+
 @lru_cache(maxsize=None)
 def hilbert_poincare_from_strata(model, n):
     """
     Poincare polynomial of the n-th Hilbert scheme as the stratum sum
     sum_a t^(2 drop(a)) * P_t(stratum space of a) over partitions of n.
     """
-    _table_to(sym_poincare_table, model, n)  # serves every stratum of n
-    out = CoeffPoly.zero()
-    for a in partitions_of(n):
-        out = out + CoeffPoly.monomial((2 * a.drop,)) * stratum_poincare(model, a)
-    return out
+    return _table_to(_strata_table, model, n)[n]
 
 
 def punctual_poincare(n):
@@ -171,14 +208,12 @@ def orbifold_euler(euler, n):
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    total = 0
-    for a in partitions_of(n):
-        term = 1
-        for ai in a.multiplicities:
-            if ai:
-                term *= general_binomial(euler + ai - 1, ai)
-        total += term
-    return total
+    return _table_to(_orbifold_table, euler, n)[n]
+
+
+def _orbifold_table(euler, order):
+    return _strata_sums([general_binomial(euler + a - 1, a)
+                         for a in range(order + 1)], order)
 
 
 @lru_cache(maxsize=None)
@@ -192,7 +227,8 @@ def sym_total_dim(model, m):
     b_odd = model.betti[1] + model.betti[3]
     total = 0
     for j in range(min(b_odd, m) + 1):
-        total += comb(b_odd, j) * comb(b_even + (m - j) - 1, m - j)
+        # max(., 0): with no even class only the empty multiset is left
+        total += comb(b_odd, j) * comb(max(b_even + m - j - 1, 0), m - j)
     return total
 
 
@@ -205,23 +241,23 @@ def equivariant_k_dim(model, n):
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    total = 0
-    for a in partitions_of(n):
-        term = 1
-        for ai in a.multiplicities:
-            if ai:
-                term *= sym_total_dim(model, ai)
-        total += term
-    return total
+    return _table_to(_k_table, model, n)[n]
+
+
+def _k_table(model, order):
+    return _strata_sums([sym_total_dim(model, a) for a in range(order + 1)],
+                        order)
+
+
+def _hodge_width(model, order):
+    """Above every y-exponent of a Hodge table to order: n * max(1, q)."""
+    return order * max([1] + [q for _, q in model.class_bidegrees]) + 1
 
 
 def hodge_sym_table(model, order):
     """The list [hodge_sym(model, m) for m in 0..order], from one pass."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    gens = ((CoeffPoly.monomial((p, q)), 1, (p + q) % 2)
-            for (p, q) in model.class_bidegrees)
-    return super_power_table(gens, order, CoeffPoly.one(2), CoeffPoly.zero(2))
+    return _sym_table(model, order, model.class_bidegrees,
+                      _hodge_width(model, order))
 
 
 def hodge_sym(model, m):
@@ -238,18 +274,10 @@ def hilbert_hodge(model, n):
     stratum sum of bigraded symmetric powers, each stratum shifted by
     (xy)^drop (the weight-twist mismatch between the two sides).
     """
-    _table_to(hodge_sym_table, model, n)  # serves every stratum of n
-    out = CoeffPoly.zero(2)
-    for a in partitions_of(n):
-        term = CoeffPoly.monomial((a.drop, a.drop))
-        for ai in a.multiplicities:
-            if ai:
-                term = term * hodge_sym(model, ai)
-        out = out + term
-    return out
+    return _table_to(hilbert_hodge_table, model, n)[n]
 
 
 def hilbert_hodge_table(model, order):
     """[hilbert_hodge(model, n) for n in 0..order] from one hodge_sym table."""
-    _table_to(hodge_sym_table, model, order)
-    return [hilbert_hodge(model, n) for n in range(order + 1)]
+    return _strata_table(model, order, hodge_sym_table, (1, 1),
+                         _hodge_width(model, order))

@@ -31,7 +31,8 @@ from functools import lru_cache
 
 from ._base import Frozen, exact
 from .partitions import multiplicity_factorial
-from .series import CoeffPoly, QTSeries, super_power_table
+from .series import (QTSeries, digit_bits, packed_monomial, super_power_table,
+                     unpack)
 from .surfaces import MissingHodgeData
 
 
@@ -58,7 +59,7 @@ MIXED = _Mixed()
 class FockMonomial(Frozen):
     """A normal-ordered product of creation factors (mode, class index)."""
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "_hash")
 
     def __init__(self, factors):
         factors = tuple((int(m), int(c)) for m, c in factors)
@@ -70,12 +71,14 @@ class FockMonomial(Frozen):
             if i and factors[i - 1] > (m, c):
                 raise ValueError("factors must be sorted: %r" % (factors,))
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_hash", hash(factors))
 
     @classmethod
     def _make(cls, factors):
         # trusted constructor: factors already a sorted tuple of int pairs
         self = object.__new__(cls)
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_hash", hash(factors))
         return self
 
     @property
@@ -95,7 +98,7 @@ class FockMonomial(Frozen):
         return isinstance(other, FockMonomial) and self.factors == other.factors
 
     def __hash__(self):
-        return hash(self.factors)
+        return self._hash
 
     def __repr__(self):
         if not self.factors:
@@ -316,26 +319,32 @@ def degree_of(state, model, hodge=False):
     return seen
 
 
+def _level_table(model, order, bits=0):
+    """One stepping pass, t^degree packed at bits per digit (0: counts)."""
+    gens = ((packed_monomial((d + 2 * (mode - 1),), bits), mode, d % 2)
+            for mode in range(1, order + 1) for d in model.ordinary_degrees)
+    return super_power_table(gens, order, 1, 0)
+
+
 def graded_character(model, order):
     """
     Character of the Fock space: the coefficient of q^n is the sum of
     t^degree over all level-n monomials.  Evaluated generator by generator
     (geometric step for even classes, two-term step for odd ones), which
-    sums over exactly the admissible monomials without listing them.
+    sums over exactly the admissible monomials without listing them: one
+    pass with plain counts sizes the digits of one packed pass.
     """
-    gens = ((CoeffPoly.monomial((d + 2 * (mode - 1),)), mode, d % 2)
-            for mode in range(1, order + 1) for d in model.ordinary_degrees)
-    return QTSeries(order, super_power_table(gens, order, CoeffPoly.one(),
-                                             CoeffPoly.zero()))
+    totals = _level_table(model, order)
+    bits = digit_bits(max(totals))
+    packed = _level_table(model, order, bits)
+    return QTSeries(order, [unpack(v, bits, t) for v, t in zip(packed, totals)])
 
 
 def level_dim(model, n):
     """Number of level-n monomials, by the same stepping with plain counts."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    gens = ((1, mode, d % 2)
-            for mode in range(1, n + 1) for d in model.ordinary_degrees)
-    return super_power_table(gens, n, 1, 0)[n]
+    return _level_table(model, n)[n]
 
 
 def enumerate_monomials(model, n):

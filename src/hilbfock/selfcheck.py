@@ -19,10 +19,9 @@ HODGE_PRESETS = (P2, P1XP1, K3, ABELIAN)
 
 
 def check_goettsche(order, models=ALL_PRESETS):
-    from .goettsche import (hilbert_poincare_from_strata,
-                            hilbert_poincare_series, sym_poincare)
+    from .goettsche import hilbert_poincare_from_strata, hilbert_poincare_series
     for s in models:
-        sym_poincare(s, order)  # one symmetric-product table for every n
+        hilbert_poincare_from_strata(s, order)  # one strata table for every n
         series = hilbert_poincare_series(s, order)
         for n in range(order + 1):
             lhs = series.coeff(n)
@@ -120,6 +119,7 @@ def check_punctual(order):
 def check_euler(order, euler_range=range(-10, 31)):
     from .goettsche import hilbert_euler, orbifold_euler
     for e in euler_range:
+        orbifold_euler(e, order)  # one orbifold table for every n
         for n in range(order + 1):
             lhs = hilbert_euler(e, n)
             rhs = orbifold_euler(e, n)
@@ -134,6 +134,7 @@ def check_ktheory(order, models=ALL_PRESETS):
     from .goettsche import equivariant_k_dim, hilbert_poincare_series
     for s in models:
         series = hilbert_poincare_series(s, order)
+        equivariant_k_dim(s, order)  # one K table for every n
         for n in range(order + 1):
             lhs = equivariant_k_dim(s, n)
             rhs = series.coeff(n).specialize({"t": 1}).constant_value()
@@ -146,6 +147,7 @@ def check_ktheory(order, models=ALL_PRESETS):
 def check_hodge(order, models=HODGE_PRESETS):
     from .goettsche import hilbert_hodge_table, hilbert_poincare_from_strata
     for s in models:
+        hilbert_poincare_from_strata(s, order)  # one strata table for every n
         for n, hodge in enumerate(hilbert_hodge_table(s, order)):
             lhs = hodge.specialize({"x": "t", "y": "t"})
             rhs = hilbert_poincare_from_strata(s, n)

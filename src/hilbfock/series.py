@@ -20,12 +20,19 @@ refinement, the Fock character and level dimensions) all come from one
 stepping kernel, super_power_table: each generator multiplies the
 truncated table by 1/(1 - w q^s) when even and by (1 + w q^s) when odd,
 in place.
+
+Dimension counts are stepped packed into one int (Kronecker substitution):
+t^e is the digit at bit bits*e, x^p y^q the one at bits*(p*width + q), so
+an int product is a polynomial product.  No digit may carry: bits is whole
+bytes above an exact total that bounds every coefficient, width exceeds
+every y-exponent the table reaches, and unpack raises IdentityFailed unless
+the digits sum to that total.  Signed or rational data is never packed.
 """
 
 from fractions import Fraction
 from math import comb
 
-from ._base import Frozen, exact
+from ._base import Frozen, IdentityFailed, exact
 
 
 class OrderMismatch(ValueError):
@@ -432,3 +439,32 @@ def super_power_table(gens, order, one, zero):
         for j in range(order, s - 1, -1) if odd else range(s, order + 1):
             table[j] = table[j] + w * table[j - s]
     return table
+
+
+def digit_bits(total):
+    """Bits of a packed digit: whole bytes, enough to hold total."""
+    return 8 * max(1, (total.bit_length() + 7) // 8)
+
+
+def packed_monomial(exps, bits, width=None):
+    """The packed int of t^e, or of x^p y^q when width is given."""
+    return 1 << bits * (exps[0] if width is None else exps[0] * width + exps[1])
+
+
+def pack(poly, bits, width=None):
+    """The packed int of a CoeffPoly with coefficients in 0..2^bits - 1."""
+    return sum(c * packed_monomial(e, bits, width)
+               for e, c in poly.terms.items())
+
+
+def unpack(value, bits, total, width=None):
+    """The CoeffPoly (in t, or x, y if width) of a packed int of sum total."""
+    step = bits // 8
+    raw = value.to_bytes(-(-value.bit_length() // bits) * step, "little")
+    digits = raw if step == 1 else [int.from_bytes(raw[k:k + step], "little")
+                                    for k in range(0, len(raw), step)]
+    if sum(digits) != total:
+        raise IdentityFailed("packed digits do not sum to %d" % total)
+    return CoeffPoly._make({(k,) if width is None else divmod(k, width): c
+                            for k, c in enumerate(digits) if c},
+                           1 if width is None else 2)

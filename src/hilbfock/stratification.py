@@ -9,10 +9,12 @@ Everything here is a dimension count over partitions; no sheaf data
 structure exists, by design.
 """
 
+from itertools import product
+
 from ._base import Frozen
 from .goettsche import (hilbert_poincare_from_strata, punctual_poincare,
                         stratum_poincare)
-from .partitions import partitions_of, splittings
+from .partitions import partitions_of
 from .series import CoeffPoly
 
 
@@ -32,11 +34,7 @@ class StalkTable(Frozen):
 
     def poincare(self):
         """Sum of rows[h] t^(2h), the stalk Poincare polynomial."""
-        out = CoeffPoly.zero()
-        for h, r in enumerate(self.rows):
-            if r:
-                out = out + CoeffPoly.monomial((2 * h,), r)
-        return out
+        return CoeffPoly({(2 * h,): r for h, r in enumerate(self.rows)})
 
     def __repr__(self):
         return "StalkTable(%r, rows=%r)" % (self.nu, self.rows)
@@ -63,8 +61,9 @@ def stalk_table(nu):
     if nu.n < 1:
         raise ValueError("partition must be non-empty")
     rows = [0] * nu.n
-    for beta in splittings(nu):
-        rows[beta.drop] += 1
+    pools = [[len(b) for b in partitions_of(v)] for v in nu]
+    for lengths in product(*pools):
+        rows[nu.n - sum(lengths)] += 1
     return StalkTable(nu, rows)
 
 

@@ -348,3 +348,126 @@ def test_strata_sums_share_one_table_per_model(monkeypatch):
     assert hilbert_hodge_table(P2, 7) == [hilbert_hodge(P2, n)
                                           for n in range(8)]
     assert orders == [7, 7, 7, 7, 9]
+
+
+# oracles: the per-n partition walks that the convolution over part sizes
+# replaced, kept literally
+def walk_poincare(model, n):
+    out = CoeffPoly.zero()
+    for a in partitions_of(n):
+        out = out + CoeffPoly.monomial((2 * a.drop,)) * stratum_poincare(model, a)
+    return out
+
+
+def walk_hodge(model, n):
+    out = CoeffPoly.zero(2)
+    for a in partitions_of(n):
+        term = CoeffPoly.monomial((a.drop, a.drop))
+        for ai in a.multiplicities:
+            if ai:
+                term = term * hodge_sym(model, ai)
+        out = out + term
+    return out
+
+
+def walk_k_dim(model, n):
+    total = 0
+    for a in partitions_of(n):
+        term = 1
+        for ai in a.multiplicities:
+            if ai:
+                term *= sym_total_dim(model, ai)
+        total += term
+    return total
+
+
+def walk_orbifold(euler, n):
+    total = 0
+    for a in partitions_of(n):
+        term = 1
+        for ai in a.multiplicities:
+            if ai:
+                term *= general_binomial(euler + ai - 1, ai)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("model", PRESETS, ids=lambda m: m.name)
+def test_strata_convolution_matches_partition_walk(model):
+    goettsche.hilbert_poincare_from_strata.cache_clear()
+    for n in range(13):
+        assert hilbert_poincare_from_strata(model, n) == walk_poincare(model, n)
+        assert equivariant_k_dim(model, n) == walk_k_dim(model, n)
+    if model.has_hodge:
+        table = hilbert_hodge_table(model, 12)
+        assert table == [walk_hodge(model, n) for n in range(13)]
+
+
+def test_orbifold_convolution_matches_partition_walk():
+    for e in range(-4, 25):
+        assert [orbifold_euler(e, n) for n in range(13)] == [
+            walk_orbifold(e, n) for n in range(13)]
+
+
+# classes of bidegree (0,4) and (4,0): the y-exponent reaches 4n, twice the
+# 2n of a preset, so a packing width taken from 2 * order + 1 would alias
+SKEW = SurfaceModel("skew", (1, 0, 0, 0, 3), betti_c=(3, 0, 0, 0, 1),
+                    hodge={(0, 0): 1, (0, 4): 1, (4, 0): 1, (2, 2): 1})
+
+
+def test_skew_surface_hodge_matches_oracle_and_product():
+    assert hodge_sym(SKEW, 1) == CoeffPoly(
+        {(0, 0): 1, (0, 4): 1, (4, 0): 1, (2, 2): 1}, nvars=2)
+    families = [FactorFamily(1 if (p + q) % 2 else -1, h,
+                             ((1, p - 1), (1, q - 1)))
+                for (p, q), h in SKEW.hodge]
+    series = product_expand(families, 4, nvars=2)
+    for n in range(5):
+        assert hodge_sym(SKEW, n) == oracle_hodge_sym(SKEW, n)
+        assert hilbert_hodge(SKEW, n) == series.coeff(n)
+        assert hilbert_hodge(SKEW, n) == walk_hodge(SKEW, n)
+
+
+def test_skew_config_file_prints_unaliased_hodge_rows(tmp_path, capsys):
+    cfg = tmp_path / "skew.cfg"
+    cfg.write_text("name=skew\nbetti=1,0,0,0,3\nbetti_c=3,0,0,0,1\n"
+                   "hodge=0,0,1\nhodge=0,4,1\nhodge=4,0,1\nhodge=2,2,1\n")
+    assert main(["hodge", "--surface", str(cfg), "--order", "4"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[2] == "1\t1 + y^4 + x^2y^2 + x^4"
+    assert rows[1:] == ["%d\t%s" % (n, hilbert_hodge(SKEW, n))
+                        for n in range(5)]
+
+
+def test_ktheory_request_builds_one_k_table(monkeypatch, capsys):
+    built = []
+    real = goettsche._k_table
+
+    def counting(model, order):
+        built.append((model.name, order))
+        return real(model, order)
+
+    monkeypatch.setattr(goettsche, "_TABLES", {})
+    monkeypatch.setattr(goettsche, "_k_table", counting)
+    assert main(["ktheory", "--surface", "k3", "--order", "20"]) == 0
+    assert built == [("k3", 20)]
+    assert len(capsys.readouterr().out.splitlines()) == 22
+
+
+def test_surface_without_classes_has_trivial_tables():
+    empty = SurfaceModel("empty", (0, 0, 0, 0, 0), hodge={})
+    assert hilbert_hodge_table(empty, 3) == [CoeffPoly.one(2)] + [
+        CoeffPoly.zero(2)] * 3
+    assert sym_poincare_table(empty, 3) == [CoeffPoly.one()] + [
+        CoeffPoly.zero()] * 3
+    assert [equivariant_k_dim(empty, n) for n in range(4)] == [1, 0, 0, 0]
+
+
+def test_surface_without_even_classes_has_total_dims():
+    odd = SurfaceModel("odd", (0, 1, 0, 1, 0))
+    assert [sym_total_dim(odd, m) for m in range(4)] == [1, 2, 1, 0]
+    series = hilbert_poincare_series(odd, 6)
+    for n in range(7):
+        assert sym_poincare(odd, n) == oracle_sym(odd, n)
+        assert equivariant_k_dim(odd, n) == \
+            series.coeff(n).specialize({"t": 1}).constant_value()

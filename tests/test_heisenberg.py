@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from hilbfock import heisenberg
+from hilbfock.cli import main
 from hilbfock.goettsche import hilbert_poincare_series
 from hilbfock.heisenberg import (MIXED, Annihilate, Central, Create,
                                  FockMonomial, FockState, ModeNonPositive,
@@ -439,3 +441,29 @@ def test_commutator_builds_no_validated_monomial(monkeypatch):
             assert commutator(Create(k, 2), Create(1, 3), st,
                               ABELIAN).is_zero()
     assert calls == []
+
+
+def test_fock_request_makes_one_plain_and_one_packed_pass(monkeypatch,
+                                                           capsys):
+    passes = []
+    real = heisenberg.super_power_table
+
+    def counting(gens, order, one, zero):
+        gens = list(gens)
+        passes.append((order, all(w == 1 for w, _, _ in gens)))
+        return real(gens, order, one, zero)
+
+    monkeypatch.setattr(heisenberg, "super_power_table", counting)
+    assert main(["fock", "--surface", "abelian", "--order", "12"]) == 0
+    assert sorted(passes) == [(12, False), (12, True)]
+    assert len(capsys.readouterr().out.splitlines()) == 14
+
+
+def test_monomial_hash_is_the_hash_of_its_factors():
+    factors = ((1, 0), (2, 3), (2, 5))
+    checked = FockMonomial(factors)
+    trusted = FockMonomial._make(factors)
+    assert hash(checked) == hash(trusted) == hash(factors)
+    assert {checked: 1}[trusted] == 1
+    with pytest.raises(AttributeError):
+        checked._hash = 0

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from hilbfock._base import IdentityFailed
 from hilbfock.partitions import partitions_of
 from hilbfock.series import (CoeffPoly, FactorFamily, IndexOutOfRange,
                              OrderMismatch, QTSeries, UnknownVariable,
-                             product_expand, super_power_table)
+                             digit_bits, pack, packed_monomial,
+                             product_expand, super_power_table, unpack)
 
 
 def rand_poly(rng, nvars=1, max_deg=3):
@@ -214,3 +216,76 @@ def test_product_expand_matches_factor_chain(nvars):
             fams = [rand_family(rng, nvars) for _ in range(rng.randint(1, 3))]
             assert product_expand(fams, order, nvars) == \
                 factor_chain(fams, order, nvars)
+
+
+def rand_count_poly(rng, nvars, max_deg, max_coeff):
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        exps = tuple(rng.randint(0, max_deg) for _ in range(nvars))
+        terms[exps] = rng.randint(0, max_coeff)
+    return CoeffPoly(terms, nvars)
+
+
+def packed_product(a, b, nvars):
+    """a * b through pack, one int product and unpack, digits sized by it."""
+    want = a * b
+    total = sum(want.terms.values())
+    bits = digit_bits(max(want.terms.values(), default=0))
+    # x^p y^q with q below width; the product reaches the sum of the degrees
+    width = None if nvars == 1 else max(
+        (e[1] for e in want.terms), default=0) + 1
+    return unpack(pack(a, bits, width) * pack(b, bits, width), bits, total,
+                  width), want
+
+
+@pytest.mark.parametrize("nvars", (1, 2))
+def test_packed_product_matches_dict_product(nvars):
+    rng = random.Random(70 + nvars)
+    for _ in range(200):
+        a = rand_count_poly(rng, nvars, 6, rng.choice((3, 40, 3000)))
+        b = rand_count_poly(rng, nvars, 6, rng.choice((3, 40, 3000)))
+        got, want = packed_product(a, b, nvars)
+        assert got == want
+
+
+@pytest.mark.parametrize("nvars", (1, 2))
+def test_packed_digits_reach_the_top_of_their_width(nvars):
+    # 255 = 15 * 17 and 65535 = 255 * 257 fill a digit of 8 and 16 bits
+    mono = (lambda *e: e[:nvars])
+    for c1, c2, bits in ((15, 17, 8), (255, 257, 16), (1, 255, 8)):
+        a = CoeffPoly({mono(0, 2): c1, mono(3, 0): 1}, nvars)
+        b = CoeffPoly({mono(2, 1): c2}, nvars)
+        got, want = packed_product(a, b, nvars)
+        assert got == want
+        assert max(want.terms.values()) == 2 ** bits - 1
+        assert digit_bits(max(want.terms.values())) == bits
+
+
+def test_digit_bits_are_whole_bytes_above_the_total():
+    assert [digit_bits(v) for v in (0, 1, 255, 256, 65535, 65536)] == \
+        [8, 8, 8, 16, 16, 24]
+
+
+def test_pack_layout_and_empty_values():
+    bits, width = 8, 5
+    assert packed_monomial((1, 4), bits, width) == 1 << 8 * 9
+    assert packed_monomial((3,), 0) == 1  # no digits: plain counts
+    assert pack(CoeffPoly({(2,): 3}), bits) == 3 << 16
+    assert pack(CoeffPoly({(1, 4): 7}, 2), bits, width) == 7 << 8 * 9
+    assert pack(CoeffPoly.zero(2), bits, width) == 0
+    assert unpack(0, bits, 0) == CoeffPoly.zero()
+    assert unpack(0, bits, 0, width) == CoeffPoly.zero(2)
+    assert unpack(7 << 8 * 9, bits, 7, width) == CoeffPoly({(1, 4): 7}, 2)
+
+
+def test_unpack_with_a_wrong_total_raises_identity_failed():
+    poly = CoeffPoly({(0,): 2, (3,): 5})
+    value = pack(poly, 8)
+    assert unpack(value, 8, 7) == poly
+    for total in (6, 8, 0):
+        with pytest.raises(IdentityFailed):
+            unpack(value, 8, total)
+    # a carry out of a digit changes the digit sum, so it cannot pass
+    carried = pack(CoeffPoly({(0,): 300}), 8)
+    with pytest.raises(IdentityFailed):
+        unpack(carried, 8, 300)

@@ -2,7 +2,7 @@ import pytest
 
 from hilbfock.goettsche import punctual_poincare
 from hilbfock.partitions import (Partition, partitions_of, refines,
-                                 splittings_merging_to)
+                                 splittings_merging_to, splittings_with_drop)
 from hilbfock.series import CoeffPoly
 from hilbfock.stratification import (StalkTable, global_degeneration_check,
                                      local_fiber_check, stalk_table,
@@ -73,6 +73,13 @@ def test_stalk_rows_split_by_target():
                 total = sum(len(splittings_merging_to(a, nu))
                             for a in partitions_of(n) if a.length == n - h)
                 assert rows[h] == total
+
+
+def test_stalk_rows_count_splittings_by_drop():
+    for n in range(1, 9):
+        for nu in partitions_of(n):
+            assert list(stalk_table(nu).rows) == [
+                len(splittings_with_drop(h, nu)) for h in range(n)]
 
 
 @pytest.mark.parametrize("n", range(1, 11))
