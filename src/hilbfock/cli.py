@@ -158,9 +158,8 @@ def build_parser():
 def cmd_goettsche(args):
     from .goettsche import hilbert_poincare_series
     s = resolve_surface(args.surface)
-    series = hilbert_poincare_series(s, args.order)
     rows = [("n", "poincare")]
-    rows += [(n, series.coeff(n)) for n in range(args.order + 1)]
+    rows += enumerate(hilbert_poincare_series(s, args.order).coeffs)
     emit(rows, args.output)
     return 0
 
@@ -205,9 +204,8 @@ def cmd_hodge(args):
 def cmd_fock(args):
     from .heisenberg import graded_character
     s = resolve_surface(args.surface)
-    series = graded_character(s, args.order)
     rows = [("n", "character")]
-    rows += [(n, series.coeff(n)) for n in range(args.order + 1)]
+    rows += enumerate(graded_character(s, args.order).coeffs)
     emit(rows, args.output)
     return 0
 
@@ -268,11 +266,10 @@ def cmd_adhm(args):
 
 
 def cmd_ktheory(args):
-    from .goettsche import equivariant_k_dim
+    from .goettsche import equivariant_k_table
     s = resolve_surface(args.surface)
-    equivariant_k_dim(s, args.order)  # one K table serves every row
     rows = [("n", "dim")]
-    rows += [(n, equivariant_k_dim(s, n)) for n in range(args.order + 1)]
+    rows += enumerate(equivariant_k_table(s, args.order))
     emit(rows, args.output)
     return 0
 

@@ -17,9 +17,13 @@ The stratum sums (Poincare, Hodge, K-theory, orbifold Euler) are one
 convolution over part sizes, on packed polynomials or on integers.  The
 literal walk over partitions stays in stratum_poincare, which the
 regrouping check of stratification sums against the convolution.
+
+Every table is cached per surface, built at the longest order asked so
+far.  Ask *_table(model, N) for rows 0..N: walking a per-n function upward
+(sym_poincare(model, n) for n = 0, 1, ..) rebuilds the table at each new n.
 """
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb
 
 from .series import (CoeffPoly, FactorFamily, QTSeries, digit_bits, pack,
@@ -39,16 +43,37 @@ def goettsche_families(model):
     return [FactorFamily(sign, w, (exp,)) for sign, w, exp in specs if w]
 
 
-@lru_cache(maxsize=None)
+_TABLES = {}  # the longest table built so far, per (builder, surface)
+
+
+def _cached_table(build):
+    """
+    build(model, order) as a cached table of rows 0..order: built once per
+    surface, at the longest order asked so far, and sliced for shorter ones.
+    """
+    @wraps(build)
+    def table(model, order):
+        if order < 0:
+            raise ValueError("order must be non-negative")
+        rows = _TABLES.get((build, model))
+        if rows is None or order >= len(rows):
+            rows = _TABLES[build, model] = build(model, order)
+        return rows[:order + 1]
+    return table
+
+
+@_cached_table
+def _product_table(model, order):
+    return product_expand(goettsche_families(model), order, nvars=1).coeffs
+
+
 def hilbert_poincare_series(model, order):
     """Generating function of Hilbert-scheme Poincare polynomials up to q^order."""
-    return product_expand(goettsche_families(model), order, nvars=1)
+    return QTSeries(order, _product_table(model, order))
 
 
 def _sym_table(model, order, degrees, width=None):
     """One packed stepping pass; row m unpacked against sym_total_dim(m)."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
     totals = [sym_total_dim(model, m) for m in range(order + 1)]
     bits = digit_bits(max(totals))
     gens = ((packed_monomial(e, bits, width), 1, sum(e) % 2)
@@ -57,6 +82,7 @@ def _sym_table(model, order, degrees, width=None):
     return [unpack(v, bits, t, width) for v, t in zip(table, totals)]
 
 
+@_cached_table
 def sym_poincare_table(model, order):
     """
     The list [sym_poincare(model, m) for m in 0..order], from one pass of
@@ -69,20 +95,9 @@ def sym_poincare_table(model, order):
     return _sym_table(model, order, [(d,) for d in model.ordinary_degrees])
 
 
-_TABLES = {}  # the longest table built so far, per (builder, model)
-
-
-def _table_to(build, model, order):
-    """build(model, order), or a longer table of model built before."""
-    table = _TABLES.get((build, model))
-    if table is None or not 0 <= order < len(table):
-        table = _TABLES[build, model] = build(model, order)
-    return table
-
-
 def sym_poincare(model, m):
     """Poincare polynomial of the m-th symmetric product."""
-    return _table_to(sym_poincare_table, model, m)[m]
+    return sym_poincare_table(model, m)[m]
 
 
 def sym_poincare_product(model, m):
@@ -128,27 +143,30 @@ def _strata_sums(f, order, w=1):
     return out
 
 
-def _strata_table(model, order, build=sym_poincare_table, twist=(2,),
-                  width=None):
+def _strata_table(model, order, table, twist, width=None):
     """
-    The strata sums over the table of build (Poincare by default), each
-    stratum times twist^drop; the K table sizes and checks the digits.
+    The strata sums over the rows 0..order of a symmetric-power table,
+    each stratum times twist^drop; the K table sizes and checks the digits.
     """
-    table = _table_to(build, model, order)[:order + 1]
-    totals = _table_to(_k_table, model, order)[:order + 1]
+    totals = equivariant_k_table(model, order)
     bits = digit_bits(max(totals))
     f = [pack(p, bits, width) for p in table]
     sums = _strata_sums(f, order, packed_monomial(twist, bits, width))
     return [unpack(v, bits, t, width) for v, t in zip(sums, totals)]
 
 
-@lru_cache(maxsize=None)
+@_cached_table
+def strata_poincare_table(model, order):
+    """[hilbert_poincare_from_strata(model, n) for n in 0..order]."""
+    return _strata_table(model, order, sym_poincare_table(model, order), (2,))
+
+
 def hilbert_poincare_from_strata(model, n):
     """
     Poincare polynomial of the n-th Hilbert scheme as the stratum sum
     sum_a t^(2 drop(a)) * P_t(stratum space of a) over partitions of n.
     """
-    return _table_to(_strata_table, model, n)[n]
+    return strata_poincare_table(model, n)[n]
 
 
 def punctual_poincare(n):
@@ -206,12 +224,12 @@ def orbifold_euler(euler, n):
     sum over partitions of n of the product over multiplicities a_i of
     C(e + a_i - 1, a_i), the Euler number of the a_i-th symmetric product.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return _table_to(_orbifold_table, euler, n)[n]
+    return orbifold_euler_table(euler, n)[n]
 
 
-def _orbifold_table(euler, order):
+@_cached_table
+def orbifold_euler_table(euler, order):
+    """[orbifold_euler(euler, n) for n in 0..order] from one convolution."""
     return _strata_sums([general_binomial(euler + a - 1, a)
                          for a in range(order + 1)], order)
 
@@ -239,12 +257,12 @@ def equivariant_k_dim(model, n):
     of total cohomology dimensions of the attached symmetric products.
     Equals the total Betti number of the n-th Hilbert scheme.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return _table_to(_k_table, model, n)[n]
+    return equivariant_k_table(model, n)[n]
 
 
-def _k_table(model, order):
+@_cached_table
+def equivariant_k_table(model, order):
+    """[equivariant_k_dim(model, n) for n in 0..order] from one convolution."""
     return _strata_sums([sym_total_dim(model, a) for a in range(order + 1)],
                         order)
 
@@ -254,6 +272,7 @@ def _hodge_width(model, order):
     return order * max([1] + [q for _, q in model.class_bidegrees]) + 1
 
 
+@_cached_table
 def hodge_sym_table(model, order):
     """The list [hodge_sym(model, m) for m in 0..order], from one pass."""
     return _sym_table(model, order, model.class_bidegrees,
@@ -265,7 +284,7 @@ def hodge_sym(model, m):
     Hodge polynomial of the m-th symmetric product: the bigraded
     super-symmetric power, classes of odd total degree used at most once.
     """
-    return _table_to(hodge_sym_table, model, m)[m]
+    return hodge_sym_table(model, m)[m]
 
 
 def hilbert_hodge(model, n):
@@ -274,10 +293,11 @@ def hilbert_hodge(model, n):
     stratum sum of bigraded symmetric powers, each stratum shifted by
     (xy)^drop (the weight-twist mismatch between the two sides).
     """
-    return _table_to(hilbert_hodge_table, model, n)[n]
+    return hilbert_hodge_table(model, n)[n]
 
 
+@_cached_table
 def hilbert_hodge_table(model, order):
     """[hilbert_hodge(model, n) for n in 0..order] from one hodge_sym table."""
-    return _strata_table(model, order, hodge_sym_table, (1, 1),
+    return _strata_table(model, order, hodge_sym_table(model, order), (1, 1),
                          _hodge_width(model, order))

@@ -78,9 +78,6 @@ class GaussianRational(Frozen):
     def is_zero(self):
         return not self.re and not self.im
 
-    def is_gaussian_integer(self):
-        return isinstance(self.re, int) and isinstance(self.im, int)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = GaussianRational(other)
@@ -155,10 +152,6 @@ def matrix(rows):
 def identity(n):
     return tuple(tuple(ONE if i == j else ZERO for j in range(n))
                  for i in range(n))
-
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_sub(a, b):
@@ -311,7 +304,8 @@ def char_poly(a):
         am = mat_mul(a, m)
         ck = -(trace(am) * GaussianRational(Fraction(1, k)))
         coeffs[n - k] = ck
-        m = mat_add(am, mat_scale(identity(n), ck))
+        m = tuple(tuple(x + ck if i == j else x for j, x in enumerate(row))
+                  for i, row in enumerate(am))
     return coeffs
 
 

@@ -18,43 +18,49 @@ ALL_PRESETS = (DELTA, P2, P1XP1, K3, ABELIAN)
 HODGE_PRESETS = (P2, P1XP1, K3, ABELIAN)
 
 
-def check_goettsche(order, models=ALL_PRESETS):
-    from .goettsche import hilbert_poincare_from_strata, hilbert_poincare_series
+def _first_difference(models, order, lhs, rhs, names):
+    """
+    The first row where two routes disagree, as a failure detail, or None.
+    lhs(s, order) and rhs(s, order) give rows 0..order of each route for
+    every s in models; names = (row symbol, lhs route, rhs route).
+    """
+    row, left, right = names
     for s in models:
-        hilbert_poincare_from_strata(s, order)  # one strata table for every n
-        series = hilbert_poincare_series(s, order)
-        for n in range(order + 1):
-            lhs = series.coeff(n)
-            rhs = hilbert_poincare_from_strata(s, n)
-            if lhs != rhs:
-                return False, "%s n=%d: product %s vs strata %s" % (
-                    s.name, n, lhs, rhs)
-    return True, "%d presets, n <= %d" % (len(models), order)
+        label = s.name if hasattr(s, "name") else "e=%d" % s
+        for n, (a, b) in enumerate(zip(lhs(s, order), rhs(s, order),
+                                       strict=True)):
+            if a != b:
+                return "%s %s=%d: %s %s vs %s %s" % (label, row, n, left, a,
+                                                     right, b)
+    return None
+
+
+def _product_rows(s, order):
+    from .goettsche import hilbert_poincare_series
+    return hilbert_poincare_series(s, order).coeffs
+
+
+def check_goettsche(order, models=ALL_PRESETS):
+    from .goettsche import strata_poincare_table
+    bad = _first_difference(models, order, _product_rows,
+                            strata_poincare_table, ("n", "product", "strata"))
+    return not bad, bad or "%d presets, n <= %d" % (len(models), order)
 
 
 def check_fock_character(order, models=ALL_PRESETS):
-    from .goettsche import hilbert_poincare_series
-    for s in models:
-        lhs = heisenberg.graded_character(s, order)
-        rhs = hilbert_poincare_series(s, order)
-        if lhs != rhs:
-            for n in range(order + 1):
-                if lhs.coeff(n) != rhs.coeff(n):
-                    return False, "%s n=%d: character %s vs product %s" % (
-                        s.name, n, lhs.coeff(n), rhs.coeff(n))
-    return True, "%d presets, n <= %d" % (len(models), order)
+    bad = _first_difference(
+        models, order, lambda s, n: heisenberg.graded_character(s, n).coeffs,
+        _product_rows, ("n", "character", "product"))
+    return not bad, bad or "%d presets, n <= %d" % (len(models), order)
 
 
 def check_sym_routes(order, models=ALL_PRESETS):
-    from .goettsche import sym_poincare, sym_poincare_product
-    for s in models:
-        sym_poincare(s, order)  # one symmetric-product table for every m
-        for m in range(order + 1):
-            lhs = sym_poincare(s, m)
-            rhs = sym_poincare_product(s, m)
-            if lhs != rhs:
-                return False, "%s m=%d: %s vs %s" % (s.name, m, lhs, rhs)
-    return True, "%d presets, m <= %d" % (len(models), order)
+    from .goettsche import sym_poincare_product, sym_poincare_table
+    bad = _first_difference(
+        models, order, sym_poincare_table,
+        lambda s, n: [sym_poincare_product(s, m) for m in range(n + 1)],
+        ("m", "stepping", "product"))
+    return not bad, bad or "%d presets, m <= %d" % (len(models), order)
 
 
 def check_commutators(trials=50, seed=0, models=ALL_PRESETS, max_mode=5):
@@ -117,44 +123,33 @@ def check_punctual(order):
 
 
 def check_euler(order, euler_range=range(-10, 31)):
-    from .goettsche import hilbert_euler, orbifold_euler
-    for e in euler_range:
-        orbifold_euler(e, order)  # one orbifold table for every n
-        for n in range(order + 1):
-            lhs = hilbert_euler(e, n)
-            rhs = orbifold_euler(e, n)
-            if lhs != rhs:
-                return False, "e=%d n=%d: product %d vs orbifold %d" % (
-                    e, n, lhs, rhs)
-    return True, "e in %d..%d, n <= %d" % (
+    from .goettsche import hilbert_euler, orbifold_euler_table
+    bad = _first_difference(
+        euler_range, order,
+        lambda e, n: [hilbert_euler(e, m) for m in range(n + 1)],
+        orbifold_euler_table, ("n", "product", "orbifold"))
+    return not bad, bad or "e in %d..%d, n <= %d" % (
         euler_range[0], euler_range[-1], order)
 
 
 def check_ktheory(order, models=ALL_PRESETS):
-    from .goettsche import equivariant_k_dim, hilbert_poincare_series
-    for s in models:
-        series = hilbert_poincare_series(s, order)
-        equivariant_k_dim(s, order)  # one K table for every n
-        for n in range(order + 1):
-            lhs = equivariant_k_dim(s, n)
-            rhs = series.coeff(n).specialize({"t": 1}).constant_value()
-            if lhs != rhs:
-                return False, "%s n=%d: K-dim %d vs total Betti %s" % (
-                    s.name, n, lhs, rhs)
-    return True, "%d presets, n <= %d" % (len(models), order)
+    from .goettsche import equivariant_k_table
+    bad = _first_difference(
+        models, order, equivariant_k_table,
+        lambda s, n: [c.specialize({"t": 1}).constant_value()
+                      for c in _product_rows(s, n)],
+        ("n", "K-dim", "total Betti"))
+    return not bad, bad or "%d presets, n <= %d" % (len(models), order)
 
 
 def check_hodge(order, models=HODGE_PRESETS):
-    from .goettsche import hilbert_hodge_table, hilbert_poincare_from_strata
-    for s in models:
-        hilbert_poincare_from_strata(s, order)  # one strata table for every n
-        for n, hodge in enumerate(hilbert_hodge_table(s, order)):
-            lhs = hodge.specialize({"x": "t", "y": "t"})
-            rhs = hilbert_poincare_from_strata(s, n)
-            if lhs != rhs:
-                return False, "%s n=%d: collapsed %s vs %s" % (
-                    s.name, n, lhs, rhs)
-    return True, "%d presets, n <= %d" % (len(models), order)
+    from .goettsche import hilbert_hodge_table, strata_poincare_table
+    bad = _first_difference(
+        models, order,
+        lambda s, n: [h.specialize({"x": "t", "y": "t"})
+                      for h in hilbert_hodge_table(s, n)],
+        strata_poincare_table, ("n", "collapsed", "strata"))
+    return not bad, bad or "%d presets, n <= %d" % (len(models), order)
 
 
 def check_adhm(order, seed=0):

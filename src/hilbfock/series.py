@@ -101,9 +101,6 @@ class CoeffPoly(Frozen):
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
-    def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
-
     def constant_value(self):
         return Fraction(self.terms.get((0,) * self.nvars, 0))
 

@@ -110,10 +110,6 @@ class SurfaceModel(Frozen):
         return "SurfaceModel(%r, betti=%r)" % (self.name, self.betti)
 
     @property
-    def is_compact(self):
-        return self.betti == self.betti_c
-
-    @property
     def has_hodge(self):
         return self.hodge is not None
 

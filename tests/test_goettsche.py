@@ -6,15 +6,16 @@ import pytest
 
 from hilbfock import goettsche
 from hilbfock.cli import main
-from hilbfock.goettsche import (equivariant_k_dim, general_binomial,
-                                hilbert_euler, hilbert_hodge,
-                                hilbert_hodge_table,
+from hilbfock.goettsche import (equivariant_k_dim, equivariant_k_table,
+                                general_binomial, hilbert_euler,
+                                hilbert_hodge, hilbert_hodge_table,
                                 hilbert_poincare_from_strata,
                                 hilbert_poincare_series, hodge_sym,
-                                orbifold_euler, punctual_poincare,
-                                stratum_poincare, sym_poincare,
-                                sym_poincare_product, sym_poincare_table,
-                                sym_total_dim)
+                                hodge_sym_table, orbifold_euler,
+                                orbifold_euler_table, punctual_poincare,
+                                strata_poincare_table, stratum_poincare,
+                                sym_poincare, sym_poincare_product,
+                                sym_poincare_table, sym_total_dim)
 from hilbfock.partitions import Partition, count_with_length, partitions_of
 from hilbfock.selfcheck import check_goettsche, check_sym_routes
 from hilbfock.series import CoeffPoly, FactorFamily, product_expand
@@ -317,6 +318,80 @@ def count_stepping_tables(monkeypatch):
     return orders
 
 
+def series_rows(model, order):
+    return hilbert_poincare_series(model, order).coeffs
+
+
+def series_row(model, n):
+    return hilbert_poincare_series(model, n).coeff(n)
+
+
+# every cached table with its per-n reader and the key it is asked for
+TABLES = [
+    (series_rows, series_row, ABELIAN),
+    (sym_poincare_table, sym_poincare, ABELIAN),
+    (hodge_sym_table, hodge_sym, ABELIAN),
+    (strata_poincare_table, hilbert_poincare_from_strata, ABELIAN),
+    (hilbert_hodge_table, hilbert_hodge, ABELIAN),
+    (equivariant_k_table, equivariant_k_dim, ABELIAN),
+    (orbifold_euler_table, orbifold_euler, 24),
+]
+TABLE_IDS = [t[0].__name__ for t in TABLES]
+
+
+@pytest.mark.parametrize("table, reader, key", TABLES, ids=TABLE_IDS)
+def test_table_rows_match_per_n_reader(monkeypatch, table, reader, key):
+    monkeypatch.setattr(goettsche, "_TABLES", {})
+    cold = [reader(key, n) for n in range(7)]
+    monkeypatch.setattr(goettsche, "_TABLES", {})
+    rows = table(key, 6)
+    assert list(rows) == cold
+    assert len(table(key, 9)) == 10
+    assert list(table(key, 6)) == cold
+    assert [reader(key, n) for n in range(7)] == cold
+    for ask in (table, reader):
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            ask(key, -1)
+
+
+def count_builds(monkeypatch):
+    """Empty the table cache and record every kernel run that builds a table."""
+    calls = []
+    for name in ("super_power_table", "_strata_sums", "product_expand"):
+        def counting(*args, _real=getattr(goettsche, name), _name=name,
+                     **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(goettsche, name, counting)
+    monkeypatch.setattr(goettsche, "_TABLES", {})
+    return calls
+
+
+@pytest.mark.parametrize("table, reader, key", TABLES, ids=TABLE_IDS)
+def test_public_table_is_built_once(monkeypatch, table, reader, key):
+    calls = count_builds(monkeypatch)
+    rows = table(key, 8)
+    built = len(calls)
+    assert built
+    assert table(key, 8) == rows
+    assert table(key, 5) == rows[:6]
+    assert reader(key, 7) == rows[7]
+    assert len(calls) == built
+
+
+def test_a_caller_cannot_change_a_cached_table(monkeypatch):
+    monkeypatch.setattr(goettsche, "_TABLES", {})
+    rows = sym_poincare_table(P2, 4)
+    rows[2] = None
+    assert sym_poincare_table(P2, 4)[2] == sym_poincare_product(P2, 2)
+
+
+def test_the_only_lru_cache_is_on_sym_total_dim():
+    cached = [name for name, obj in vars(goettsche).items()
+              if hasattr(obj, "cache_info")]
+    assert cached == ["sym_total_dim"]
+
+
 def test_hodge_request_builds_one_stepping_table(monkeypatch, capsys):
     orders = count_stepping_tables(monkeypatch)
     assert main(["hodge", "--surface", "k3", "--order", "10"]) == 0
@@ -326,7 +401,6 @@ def test_hodge_request_builds_one_stepping_table(monkeypatch, capsys):
 
 def test_selfcheck_builds_one_symmetric_product_table_per_preset(monkeypatch):
     orders = count_stepping_tables(monkeypatch)
-    goettsche.hilbert_poincare_from_strata.cache_clear()
     assert check_goettsche(8) == (True, "5 presets, n <= 8")
     assert check_sym_routes(8) == (True, "5 presets, m <= 8")
     assert orders == [8] * 5
@@ -394,7 +468,6 @@ def walk_orbifold(euler, n):
 
 @pytest.mark.parametrize("model", PRESETS, ids=lambda m: m.name)
 def test_strata_convolution_matches_partition_walk(model):
-    goettsche.hilbert_poincare_from_strata.cache_clear()
     for n in range(13):
         assert hilbert_poincare_from_strata(model, n) == walk_poincare(model, n)
         assert equivariant_k_dim(model, n) == walk_k_dim(model, n)
@@ -441,16 +514,16 @@ def test_skew_config_file_prints_unaliased_hodge_rows(tmp_path, capsys):
 
 def test_ktheory_request_builds_one_k_table(monkeypatch, capsys):
     built = []
-    real = goettsche._k_table
+    real = goettsche._strata_sums
 
-    def counting(model, order):
-        built.append((model.name, order))
-        return real(model, order)
+    def counting(f, order, w=1):
+        built.append(order)
+        return real(f, order, w)
 
     monkeypatch.setattr(goettsche, "_TABLES", {})
-    monkeypatch.setattr(goettsche, "_k_table", counting)
+    monkeypatch.setattr(goettsche, "_strata_sums", counting)
     assert main(["ktheory", "--surface", "k3", "--order", "20"]) == 0
-    assert built == [("k3", 20)]
+    assert built == [20]
     assert len(capsys.readouterr().out.splitlines()) == 22
 
 
