@@ -17,10 +17,10 @@ from math import isqrt
 from . import linalg
 from ._base import Frozen
 from .linalg import (GaussianRational, IdentityFailed, SpectrumNotSplit,
-                     ZERO, ONE, char_poly, gaussian_rational_roots, identity,
-                     kernel_basis, mat_mul, mat_pow, mat_scale, mat_sub,
-                     mat_vec, matrix, scalar_from_str, scalar_to_str,
-                     solve_columns, trace)
+                     ZERO, ONE, add_scalar, char_poly, gaussian_rational_roots,
+                     identity, invariant_span_dim, kernel_basis, mat_mul,
+                     mat_pow, mat_scale, mat_vec, matrix, scalar_from_str,
+                     scalar_to_str, solve_columns, trace)
 
 
 class NotCommuting(ValueError):
@@ -111,45 +111,13 @@ def is_commuting(tr):
 
 def is_stable(tr):
     """
-    Cyclicity of v: the span of the words in A and B applied to v is the
-    whole space.  Grown breadth-first; each round either enlarges the span
-    or stops, so at most n rounds run.
+    Cyclicity of v: the smallest subspace that contains v and is invariant
+    under A and B is the whole space, i.e. the words in A and B applied to
+    v span it (linalg.invariant_span_dim).
     """
     if not is_commuting(tr):
         raise NotCommuting("triple does not commute")
-    n = tr.n
-    if n == 0:
-        return True
-    span = []        # echelon rows
-    frontier = [tr.v]
-    while frontier:
-        new_frontier = []
-        for w in frontier:
-            red = _reduce(span, w)
-            if red is not None:
-                span.append(red)
-                new_frontier.append(mat_vec(tr.a, w))
-                new_frontier.append(mat_vec(tr.b, w))
-        frontier = new_frontier
-        if len(span) == n:
-            return True
-    return len(span) == n
-
-
-def _reduce(span, w):
-    # reduce w against echelon rows (each with leading 1); return the new
-    # normalized row, or None if dependent
-    w = list(w)
-    for row in span:
-        lead = next(i for i, x in enumerate(row) if not x.is_zero())
-        if not w[lead].is_zero():
-            f = w[lead]
-            w = [a - f * b for a, b in zip(w, row)]
-    lead = next((i for i, x in enumerate(w) if not x.is_zero()), None)
-    if lead is None:
-        return None
-    inv = ONE / w[lead]
-    return tuple(x * inv for x in w)
+    return invariant_span_dim((tr.a, tr.b), tr.v) == tr.n
 
 
 def trace_invariant(tr, k, l):
@@ -206,15 +174,13 @@ def support_cycle(tr, traces=None):
     n = tr.n
     points = {}
     for x, _mult in gaussian_rational_roots(char_poly(tr.a)):
-        shifted = mat_sub(tr.a, mat_scale(identity(n), x))
-        cols = kernel_basis(mat_pow(shifted, n))
+        cols = kernel_basis(mat_pow(add_scalar(tr.a, -x), n))
         b_cols = [mat_vec(tr.b, c) for c in cols]
         b_restricted = solve_columns(cols, b_cols)
         dim = len(cols)
         for y, my in gaussian_rational_roots(char_poly(b_restricted)):
-            shifted_b = mat_sub(b_restricted,
-                                mat_scale(identity(dim), y))
-            joint = len(kernel_basis(mat_pow(shifted_b, dim)))
+            joint = len(kernel_basis(mat_pow(add_scalar(b_restricted, -y),
+                                             dim)))
             points[(x, y)] = points.get((x, y), 0) + joint
     cycle = SupportCycle(points)
     if cycle.total != n:
@@ -353,6 +319,8 @@ def read_triple(text):
         n = int(tokens[0])
     except ValueError:
         raise ValueError("first token must be the size, got %r" % tokens[0])
+    if n < 0:
+        raise ValueError("the size must be non-negative, got %d" % n)
     need = 1 + 2 * n * n + n
     if len(tokens) != need:
         raise ValueError("expected %d tokens for size %d, got %d"

@@ -182,10 +182,10 @@ def cmd_punctual(args):
 
 
 def cmd_euler(args):
-    from .goettsche import hilbert_euler
+    from .goettsche import hilbert_euler_table
     s = resolve_surface(args.surface)
     rows = [("n", "euler")]
-    rows += [(n, hilbert_euler(s.euler, n)) for n in range(args.order + 1)]
+    rows += enumerate(hilbert_euler_table(s.euler, args.order))
     emit(rows, args.output)
     return 0
 

@@ -197,25 +197,32 @@ def general_binomial(a, k):
     return comb(a, k)
 
 
-def hilbert_euler(euler, n):
+def hilbert_euler_table(euler, order):
     """
-    Euler number of the n-th Hilbert scheme: coefficient of q^n in
-    prod_m (1 - q^m)^(-e) where e is the Euler number of the surface.
-    Negative e is allowed (the factor becomes a positive power).
+    Euler numbers of the Hilbert schemes of points, n = 0..order: the
+    coefficients of prod_m (1 - q^m)^(-e) up to q^order, where e is the
+    Euler number of the surface.  Negative e is allowed (the factor
+    becomes a positive power).  Not cached, so a per-n call costs one
+    expansion to n.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    co = [0] * (n + 1)
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    co = [0] * (order + 1)
     co[0] = 1
-    for m in range(1, n + 1):
-        new = [0] * (n + 1)
+    for m in range(1, order + 1):
+        new = [0] * (order + 1)
         for i, c in enumerate(co):
             if not c:
                 continue
-            for j in range(0, (n - i) // m + 1):
+            for j in range(0, (order - i) // m + 1):
                 new[i + m * j] += c * general_binomial(euler + j - 1, j)
         co = new
-    return co[n]
+    return co
+
+
+def hilbert_euler(euler, n):
+    """Euler number of the n-th Hilbert scheme (see hilbert_euler_table)."""
+    return hilbert_euler_table(euler, n)[n]
 
 
 def orbifold_euler(euler, n):

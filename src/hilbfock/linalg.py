@@ -4,6 +4,11 @@ linear algebra the commuting-matrix model needs: products, powers,
 echelon/kernel/inverse, characteristic polynomials, and a bounded root
 search for polynomials that split over the Gaussian rationals.
 
+All row reduction is one routine, _insert, which adds one vector to a
+basis kept in reduced row-echelon form.  Rank, kernels, solves and
+inverses fold it over the rows of a matrix (_echelon); invariant_span_dim
+grows a basis with it breadth-first.
+
 Matrices are tuples of tuples of GaussianRational; everything is pure.
 """
 
@@ -104,7 +109,7 @@ def _coerce(x):
     raise TypeError("cannot coerce %r" % (x,))
 
 
-_RAT = r"\d+(?:/\d+)?"
+_RAT = r"\d+(?:/\d*[1-9]\d*)?"  # no zero denominator
 _IMAG_ONLY = re.compile(r"([+-]?(?:%s)?)i" % _RAT)
 _FULL = re.compile(r"([+-]?%s)(?:([+-](?:%s)?)i)?" % (_RAT, _RAT))
 
@@ -154,8 +159,11 @@ def identity(n):
                  for i in range(n))
 
 
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def add_scalar(a, c):
+    """a + c*I for a square matrix a."""
+    c = _coerce(c)
+    return tuple(tuple(x + c if i == j else x for j, x in enumerate(row))
+                 for i, row in enumerate(a))
 
 
 def mat_scale(a, c):
@@ -221,38 +229,60 @@ def trace(a):
     return sum((a[i][i] for i in range(len(a))), ZERO)
 
 
+def _insert(basis, v):
+    # add v to a reduced row-echelon basis {pivot column: row}: reduce v
+    # against the rows, scale its first nonzero entry to 1 and clear that
+    # column from the other rows; False, basis unchanged, if v is dependent
+    v = list(v)
+    for p, row in basis.items():
+        f = v[p]
+        if not f.is_zero():
+            v = [x - f * y for x, y in zip(v, row)]
+    col = next((j for j, x in enumerate(v) if not x.is_zero()), None)
+    if col is None:
+        return False
+    inv = ONE / v[col]
+    v = [x * inv for x in v]
+    for p, row in basis.items():
+        f = row[col]
+        if not f.is_zero():
+            basis[p] = [x - f * y for x, y in zip(row, v)]
+    basis[col] = v
+    return True
+
+
 def _echelon(rows):
-    # returns (echelon rows, pivot column list); rows is a list of lists
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if not rows[i][col].is_zero()),
-                   None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ONE / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    return rows[:r], pivots
+    # (reduced row-echelon rows, their pivot columns), by ascending pivot
+    basis = {}
+    for row in rows:
+        _insert(basis, row)
+    pivots = sorted(basis)
+    return [basis[p] for p in pivots], pivots
+
+
+def invariant_span_dim(mats, v):
+    """
+    The dimension of the smallest subspace that contains v and is invariant
+    under every matrix in mats, grown breadth-first: each vector that
+    enlarges the span sends its images under mats to the next round.
+    """
+    basis = {}
+    frontier = [v]
+    while frontier and len(basis) < len(v):
+        frontier = [mat_vec(m, w) for w in frontier if _insert(basis, w)
+                    for m in mats]
+    return len(basis)
 
 
 def rank(a):
-    return len(_echelon(list(a))[0])
+    return len(_echelon(a)[1])
 
 
 def kernel_basis(a):
     """Basis of the right kernel, as a list of column vectors."""
     n_rows = len(a)
     n_cols = len(a[0]) if n_rows else 0
-    ech, pivots = _echelon(list(a))
+    ech, pivots = _echelon(a)
     free = [c for c in range(n_cols) if c not in pivots]
     basis = []
     for fc in free:
@@ -265,13 +295,10 @@ def kernel_basis(a):
 
 
 def invert(a):
-    n = len(a)
-    aug = [list(a[i]) + [ONE if j == i else ZERO for j in range(n)]
-           for i in range(n)]
-    ech, pivots = _echelon(aug)
-    if pivots[:n] != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return tuple(tuple(ech[i][n:]) for i in range(n))
+    try:
+        return solve_columns(tuple(zip(*a)), identity(len(a)))
+    except ValueError:
+        raise ZeroDivisionError("matrix is singular") from None
 
 
 def solve_columns(v_cols, w_cols):
@@ -286,9 +313,8 @@ def solve_columns(v_cols, w_cols):
     ech, pivots = _echelon(aug)
     if pivots[:k] != list(range(k)):
         raise ValueError("columns are not independent")
-    for row in ech[k:]:
-        if any(not x.is_zero() for x in row):
-            raise ValueError("system is inconsistent")
+    if len(pivots) > k:
+        raise ValueError("system is inconsistent")
     return tuple(tuple(ech[i][k:]) for i in range(k))
 
 
@@ -304,8 +330,7 @@ def char_poly(a):
         am = mat_mul(a, m)
         ck = -(trace(am) * GaussianRational(Fraction(1, k)))
         coeffs[n - k] = ck
-        m = tuple(tuple(x + ck if i == j else x for j, x in enumerate(row))
-                  for i, row in enumerate(am))
+        m = add_scalar(am, ck)
     return coeffs
 
 
@@ -475,12 +500,7 @@ def _root_candidates(p):
         for f in (c.re, c.im):
             lcm = lcm * f.denominator // gcd(lcm, f.denominator)
     ip = [c * GaussianRational(lcm) for c in p]
-    lead, const = ip[-1], ip[0]
-    if const.is_zero():
-        # handled by the caller's zero-root stripping of the full poly; the
-        # square-free part may still vanish at 0
-        nonzero = next(c for c in ip if not c.is_zero())
-        const = nonzero
+    lead, const = ip[-1], ip[0]  # both nonzero: the caller strips zero roots
     cands = set()
     for num in gaussian_integer_divisors(const):
         for den in gaussian_integer_divisors(lead):

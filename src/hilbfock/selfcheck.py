@@ -123,11 +123,9 @@ def check_punctual(order):
 
 
 def check_euler(order, euler_range=range(-10, 31)):
-    from .goettsche import hilbert_euler, orbifold_euler_table
-    bad = _first_difference(
-        euler_range, order,
-        lambda e, n: [hilbert_euler(e, m) for m in range(n + 1)],
-        orbifold_euler_table, ("n", "product", "orbifold"))
+    from .goettsche import hilbert_euler_table, orbifold_euler_table
+    bad = _first_difference(euler_range, order, hilbert_euler_table,
+                            orbifold_euler_table, ("n", "product", "orbifold"))
     return not bad, bad or "e in %d..%d, n <= %d" % (
         euler_range[0], euler_range[-1], order)
 
@@ -152,7 +150,7 @@ def check_hodge(order, models=HODGE_PRESETS):
     return not bad, bad or "%d presets, n <= %d" % (len(models), order)
 
 
-def check_adhm(order, seed=0):
+def check_adhm(order):
     from . import adhm
     order = min(order, 8)
     for n in range(1, order + 1):

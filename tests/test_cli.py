@@ -103,6 +103,19 @@ def test_adhm_triple_file(tmp_path, capsys):
     assert "--triple" in err
 
 
+@pytest.mark.parametrize("text", ["1\n1/0\n0\n1\n", "1\n0\n1/0i\n1\n",
+                                  "-1\n1\n"],
+                         ids=["zero_denominator", "zero_imaginary_denominator",
+                              "negative_size"])
+def test_adhm_malformed_triple_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "malformed.txt"
+    path.write_text(text)
+    code, out, err = run_cli(["adhm", "--triple", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--triple" in err
+
+
 def test_adhm_trace_rows_match_trace_invariant(tmp_path, capsys):
     def check(argv, tr):
         code, out, _ = run_cli(argv, capsys)

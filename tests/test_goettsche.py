@@ -8,6 +8,7 @@ from hilbfock import goettsche
 from hilbfock.cli import main
 from hilbfock.goettsche import (equivariant_k_dim, equivariant_k_table,
                                 general_binomial, hilbert_euler,
+                                hilbert_euler_table,
                                 hilbert_hodge, hilbert_hodge_table,
                                 hilbert_poincare_from_strata,
                                 hilbert_poincare_series, hodge_sym,
@@ -159,6 +160,30 @@ def test_euler_equals_orbifold():
     for e in range(-10, 31):
         for n in range(11):
             assert hilbert_euler(e, n) == orbifold_euler(e, n)
+
+
+def test_euler_table_rows_equal_per_n_values():
+    for e in range(-10, 31):
+        assert hilbert_euler_table(e, 12) == [hilbert_euler(e, n)
+                                              for n in range(13)]
+    with pytest.raises(ValueError):
+        hilbert_euler_table(2, -1)
+    with pytest.raises(ValueError):
+        hilbert_euler(2, -1)
+
+
+def test_euler_request_runs_the_product_loop_once(monkeypatch, capsys):
+    orders = []
+    real = goettsche.hilbert_euler_table
+
+    def counting(euler, order):
+        orders.append(order)
+        return real(euler, order)
+
+    monkeypatch.setattr(goettsche, "hilbert_euler_table", counting)
+    assert main(["euler", "--surface", "k3", "--order", "24"]) == 0
+    assert orders == [24]
+    assert len(capsys.readouterr().out.splitlines()) == 26
 
 
 def test_orbifold_examples():

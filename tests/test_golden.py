@@ -1,8 +1,8 @@
 """
-Byte identity of the table subcommands: every table request of the
-benchmark's cli_tables workload, run in-process through cli.main, must
-print exactly the bytes whose sha256 perfbench/digests.json records.  The
-digest file is only read here.
+Byte identity of the CLI output: every table request of the benchmark's
+cli_tables workload and every adhm --mu request of its cli_adhm workload,
+run in-process through cli.main, must print exactly the bytes whose
+sha256 perfbench/digests.json records.  The digest file is only read here.
 """
 
 import hashlib
@@ -24,7 +24,7 @@ def test_every_table_subcommand_has_a_digest():
         "punctual"}
 
 
-@pytest.mark.parametrize("argv", TABLES)
+@pytest.mark.parametrize("argv", sorted(DIGESTS))
 def test_table_output_matches_recorded_digest(argv, capsys):
     code = main(argv.split())
     out, err = capsys.readouterr()
