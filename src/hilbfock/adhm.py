@@ -36,9 +36,12 @@ class ZeroScalar(ValueError):
 
 
 class MatrixTriple(Frozen):
-    """A matrix pair with marked vector: (A, B, v), all of size n."""
+    """
+    A matrix pair with marked vector: (A, B, v), all of size n.  `commuting`
+    is whether AB = BA, computed once here.
+    """
 
-    __slots__ = ("n", "a", "b", "v")
+    __slots__ = ("n", "a", "b", "v", "commuting")
 
     def __init__(self, a, b, v):
         a = matrix(a)
@@ -52,6 +55,7 @@ class MatrixTriple(Frozen):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "commuting", mat_mul(a, b) == mat_mul(b, a))
 
     def __eq__(self, other):
         return (isinstance(other, MatrixTriple) and self.a == other.a
@@ -106,7 +110,7 @@ class SupportCycle(Frozen):
 
 
 def is_commuting(tr):
-    return mat_mul(tr.a, tr.b) == mat_mul(tr.b, tr.a)
+    return tr.commuting
 
 
 def is_stable(tr):
@@ -115,7 +119,7 @@ def is_stable(tr):
     under A and B is the whole space, i.e. the words in A and B applied to
     v span it (linalg.invariant_span_dim).
     """
-    if not is_commuting(tr):
+    if not tr.commuting:
         raise NotCommuting("triple does not commute")
     return invariant_span_dim((tr.a, tr.b), tr.v) == tr.n
 
@@ -169,7 +173,7 @@ def support_cycle(tr, traces=None):
     `trace_table(tr, tr.n)` when the caller already has it; otherwise it
     is computed here.
     """
-    if not is_commuting(tr):
+    if not tr.commuting:
         raise NotCommuting("triple does not commute")
     n = tr.n
     points = {}

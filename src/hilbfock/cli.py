@@ -5,10 +5,11 @@ row with polynomials in a fixed monomial order, so output is
 byte-deterministic for fixed inputs.
 
 Exit codes: 0 success, 1 a verified identity failed, 2 usage or
-configuration error.
+configuration error, 3 an internal error (the traceback goes to stderr).
 
 Each cmd_* imports its own layer, so a request loads only the modules its
-subcommand uses.
+subcommand uses, and returns (exit code, rows); main writes the rows, so
+stdout stays empty when a request fails.
 
 Surface configuration files are flat key=value lines:
 
@@ -104,90 +105,85 @@ def emit(rows, output):
 
 
 def build_parser():
+    """
+    One declaration per subcommand: its help, its options, the least value
+    of each count option and its handler.  main calls this on every run,
+    so a cmd_* rebound in this module is the one that runs.
+    """
     ap = argparse.ArgumentParser(
         prog="hilbfock",
         description="exact invariants of Hilbert schemes of points")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, surface=False, order=False, n=False):
-        if surface:
-            p.add_argument("--surface", required=True,
-                           help="preset name (%s) or config file"
-                           % ", ".join(sorted(set(PRESETS))))
-        if order:
-            p.add_argument("--order", type=int, required=True)
-        if n:
-            p.add_argument("--n", type=int, required=True)
-        p.add_argument("--output", default=None)
+    def count(name, least, **kw):
+        return "--" + name, least, dict(kw, type=int)
 
-    common(sub.add_parser("goettsche", help="Poincare polynomials of the "
-                          "Hilbert schemes, product route"),
-           surface=True, order=True)
-    common(sub.add_parser("sym", help="Poincare polynomials of symmetric "
-                          "products"), surface=True, order=True)
-    common(sub.add_parser("punctual", help="Poincare polynomials of "
-                          "punctual fibers"), order=True)
-    common(sub.add_parser("euler", help="Euler numbers of the Hilbert "
-                          "schemes"), surface=True, order=True)
-    common(sub.add_parser("hodge", help="Hodge polynomials of the Hilbert "
-                          "schemes"), surface=True, order=True)
-    common(sub.add_parser("fock", help="graded Fock characters"),
-           surface=True, order=True)
-    p = sub.add_parser("commutators", help="verify the commutation "
-                       "relations on random states")
-    common(p, surface=True)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p = sub.add_parser("strata", help="strata supporting a direct image "
-                       "degree")
-    common(p, n=True)
-    p.add_argument("--h", type=int, required=True, dest="h")
-    p = sub.add_parser("adhm", help="inspect a matrix triple")
-    common(p)
-    p.add_argument("--triple", help="triple file")
-    p.add_argument("--mu", help="partition for a monomial-ideal triple, "
-                   "e.g. 2,1")
-    common(sub.add_parser("ktheory", help="equivariant K-theory "
-                          "dimensions"), surface=True, order=True)
-    p = sub.add_parser("selfcheck", help="run every cross-identity")
-    common(p, order=True)
-    p.add_argument("--seed", type=int, default=0)
+    surface = ("--surface", None, {
+        "required": True, "help": "preset name (%s) or config file"
+        % ", ".join(sorted(set(PRESETS)))})
+    order = count("order", 0, required=True)
+    output = ("--output", None, {"default": None})
+    seed = count("seed", None, default=0)
+
+    def add(name, handler, help, *options):
+        p = sub.add_parser(name, help=help)
+        for flag, _, kw in options:
+            p.add_argument(flag, **kw)
+        p.set_defaults(handler=handler, least={
+            flag[2:]: low for flag, low, _ in options if low is not None})
+
+    add("goettsche", cmd_goettsche, "Poincare polynomials of the Hilbert "
+        "schemes, product route", surface, order, output)
+    add("sym", cmd_sym, "Poincare polynomials of symmetric products",
+        surface, order, output)
+    add("punctual", cmd_punctual, "Poincare polynomials of punctual fibers",
+        order, output)
+    add("euler", cmd_euler, "Euler numbers of the Hilbert schemes", surface,
+        order, output)
+    add("hodge", cmd_hodge, "Hodge polynomials of the Hilbert schemes",
+        surface, order, output)
+    add("fock", cmd_fock, "graded Fock characters", surface, order, output)
+    add("commutators", cmd_commutators, "verify the commutation relations "
+        "on random states", surface, output, count("trials", 1, default=50),
+        seed)
+    add("strata", cmd_strata, "strata supporting a direct image degree",
+        count("n", 1, required=True), output, count("h", 0, required=True))
+    add("adhm", cmd_adhm, "inspect a matrix triple", output,
+        ("--triple", None, {"help": "triple file"}),
+        ("--mu", None, {"help": "partition for a monomial-ideal triple, "
+                                "e.g. 2,1"}))
+    add("ktheory", cmd_ktheory, "equivariant K-theory dimensions", surface,
+        order, output)
+    # a selfcheck of order 0 checks nothing
+    add("selfcheck", cmd_selfcheck, "run every cross-identity",
+        count("order", 1, required=True), output, seed)
     return ap
 
 
 def cmd_goettsche(args):
     from .goettsche import hilbert_poincare_series
     s = resolve_surface(args.surface)
-    rows = [("n", "poincare")]
-    rows += enumerate(hilbert_poincare_series(s, args.order).coeffs)
-    emit(rows, args.output)
-    return 0
+    return 0, [("n", "poincare"),
+               *enumerate(hilbert_poincare_series(s, args.order).coeffs)]
 
 
 def cmd_sym(args):
     from .goettsche import sym_poincare_table
     s = resolve_surface(args.surface)
-    rows = [("m", "poincare")]
-    rows += enumerate(sym_poincare_table(s, args.order))
-    emit(rows, args.output)
-    return 0
+    return 0, [("m", "poincare"), *enumerate(sym_poincare_table(s, args.order))]
 
 
 def cmd_punctual(args):
     from .goettsche import punctual_poincare
-    rows = [("n", "poincare")]
-    rows += [(n, punctual_poincare(n)) for n in range(1, args.order + 1)]
-    emit(rows, args.output)
-    return 0
+    return 0, [("n", "poincare"), *((n, punctual_poincare(n))
+                                    for n in range(1, args.order + 1))]
 
 
 def cmd_euler(args):
     from .goettsche import hilbert_euler_table
     s = resolve_surface(args.surface)
-    rows = [("n", "euler")]
-    rows += enumerate(hilbert_euler_table(s.euler, args.order))
-    emit(rows, args.output)
-    return 0
+    return 0, [("n", "euler"),
+               *enumerate(hilbert_euler_table(s.euler, args.order))]
 
 
 def cmd_hodge(args):
@@ -195,19 +191,14 @@ def cmd_hodge(args):
     s = resolve_surface(args.surface)
     if not s.has_hodge:
         raise ConfigError("surface %r has no hodge field (--surface)" % s.name)
-    rows = [("n", "hodge")]
-    rows += enumerate(hilbert_hodge_table(s, args.order))
-    emit(rows, args.output)
-    return 0
+    return 0, [("n", "hodge"), *enumerate(hilbert_hodge_table(s, args.order))]
 
 
 def cmd_fock(args):
     from .heisenberg import graded_character
     s = resolve_surface(args.surface)
-    rows = [("n", "character")]
-    rows += enumerate(graded_character(s, args.order).coeffs)
-    emit(rows, args.output)
-    return 0
+    return 0, [("n", "character"),
+               *enumerate(graded_character(s, args.order).coeffs)]
 
 
 def cmd_commutators(args):
@@ -215,18 +206,14 @@ def cmd_commutators(args):
     s = resolve_surface(args.surface)
     ok, detail = selfcheck.check_commutators(trials=args.trials,
                                              seed=args.seed, models=(s,))
-    rows = [("relation_battery", "status", "detail"),
-            ("supercommuting", "pass" if ok else "FAIL", detail)]
-    emit(rows, args.output)
-    return 0 if ok else 1
+    return (0 if ok else 1), [
+        ("relation_battery", "status", "detail"),
+        ("supercommuting", "pass" if ok else "FAIL", detail)]
 
 
 def cmd_strata(args):
     from .stratification import support_strata
-    rows = [("partition",)]
-    rows += [(a,) for a in support_strata(args.n, args.h)]
-    emit(rows, args.output)
-    return 0
+    return 0, [("partition",), *((a,) for a in support_strata(args.n, args.h))]
 
 
 def cmd_adhm(args):
@@ -244,12 +231,10 @@ def cmd_adhm(args):
         if not mu.n:
             raise ConfigError("--mu: the partition is empty")
         tr = adhm.from_monomial_ideal(mu)
-    rows = [("key", "value"), ("size", tr.n)]
     commuting = adhm.is_commuting(tr)
-    rows.append(("commuting", commuting))
+    rows = [("key", "value"), ("size", tr.n), ("commuting", commuting)]
     if not commuting:
-        emit(rows, args.output)
-        return 0
+        return 0, rows
     rows.append(("stable", adhm.is_stable(tr)))
     traces = adhm.trace_table(tr, tr.n)
     try:
@@ -258,72 +243,39 @@ def cmd_adhm(args):
         rows.append(("in_bidisk", adhm.in_bidisk(tr, cycle)))
     except adhm.SpectrumNotSplit as exc:
         rows.append(("support", "not split (%s)" % exc))
-    for k in range(tr.n + 1):
-        for l in range(tr.n + 1 - k):
-            rows.append(("trace[%d,%d]" % (k, l), traces[(k, l)]))
-    emit(rows, args.output)
-    return 0
+    rows += [("trace[%d,%d]" % (k, l), traces[(k, l)])
+             for k in range(tr.n + 1) for l in range(tr.n + 1 - k)]
+    return 0, rows
 
 
 def cmd_ktheory(args):
     from .goettsche import equivariant_k_table
     s = resolve_surface(args.surface)
-    rows = [("n", "dim")]
-    rows += enumerate(equivariant_k_table(s, args.order))
-    emit(rows, args.output)
-    return 0
+    return 0, [("n", "dim"), *enumerate(equivariant_k_table(s, args.order))]
 
 
 def cmd_selfcheck(args):
     from . import selfcheck
-    results = selfcheck.run_all(args.order, seed=args.seed)
     rows = [("identity", "status", "detail")]
-    failed = []
-    for name, ok, detail in results:
+    failed = 0
+    for name, ok, detail in selfcheck.run_all(args.order, seed=args.seed):
         rows.append((name, "pass" if ok else "FAIL", detail))
         if not ok:
-            failed.append((name, detail))
-    emit(rows, args.output)
-    for name, detail in failed:
-        print("FAILED %s: %s" % (name, detail), file=sys.stderr)
-    return 1 if failed else 0
-
-
-_COMMANDS = {
-    "goettsche": cmd_goettsche,
-    "sym": cmd_sym,
-    "punctual": cmd_punctual,
-    "euler": cmd_euler,
-    "hodge": cmd_hodge,
-    "fock": cmd_fock,
-    "commutators": cmd_commutators,
-    "strata": cmd_strata,
-    "adhm": cmd_adhm,
-    "ktheory": cmd_ktheory,
-    "selfcheck": cmd_selfcheck,
-}
-
-
-# the least value of each count option; a selfcheck of order 0 checks nothing
-_LEAST = {"order": 0, "trials": 1, "n": 1, "h": 0}
-
-
-def _check_counts(args):
-    """Reject a count option below its least value, for every subcommand."""
-    least = dict(_LEAST, order=1) if args.command == "selfcheck" else _LEAST
-    for name, low in least.items():
-        value = getattr(args, name, None)
-        if value is not None and value < low:
-            raise ConfigError("--%s must be at least %d, got %d"
-                              % (name, low, value))
+            failed = 1
+            print("FAILED %s: %s" % (name, detail), file=sys.stderr)
+    return failed, rows
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _check_counts(args)
-        return _COMMANDS[args.command](args)
+        for name, low in args.least.items():
+            if getattr(args, name) < low:
+                raise ConfigError("--%s must be at least %d, got %d"
+                                  % (name, low, getattr(args, name)))
+        code, rows = args.handler(args)
+        emit(rows, args.output)
+        return code
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -333,6 +285,10 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception:
+        import traceback
+        traceback.print_exc()
+        return 3
 
 
 def entry():

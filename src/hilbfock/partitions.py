@@ -68,12 +68,6 @@ class Partition(Frozen):
             a[p - 1] += 1
         return tuple(a)
 
-    def multiplicity(self, i):
-        """Number of parts equal to i (0 when i is out of range)."""
-        if i < 1 or i > self.n:
-            return 0
-        return sum(1 for p in self.nu if p == i)
-
     def __eq__(self, other):
         return isinstance(other, Partition) and self.nu == other.nu
 

@@ -1,8 +1,8 @@
 """
 Cross-identity battery: every identity the library asserts between two
 independently computed quantities, run over the shipped presets up to a
-given order.  Each check returns (name, ok, detail); the CLI turns the
-battery into a pass/fail table.
+given order.  Each check returns (ok, detail), run_all names the rows,
+and the CLI turns the battery into a pass/fail table.
 """
 
 import random
@@ -16,13 +16,16 @@ from .surfaces import ABELIAN, DELTA, K3, P2, P1XP1
 
 ALL_PRESETS = (DELTA, P2, P1XP1, K3, ABELIAN)
 HODGE_PRESETS = (P2, P1XP1, K3, ABELIAN)
+EULER_RANGE = range(-10, 31)
+MAX_MODE = 5  # the largest Heisenberg mode of the random relation battery
 
 
-def _first_difference(models, order, lhs, rhs, names):
+def _compare(models, order, lhs, rhs, names):
     """
-    The first row where two routes disagree, as a failure detail, or None.
-    lhs(s, order) and rhs(s, order) give rows 0..order of each route for
-    every s in models; names = (row symbol, lhs route, rhs route).
+    (ok, detail) of two routes: lhs(s, order) and rhs(s, order) give rows
+    0..order for every s in models (surfaces or a range of Euler numbers);
+    names = (row symbol, lhs route, rhs route).  The detail names the first
+    row where they disagree, or the bound they agree to.
     """
     row, left, right = names
     for s in models:
@@ -30,9 +33,11 @@ def _first_difference(models, order, lhs, rhs, names):
         for n, (a, b) in enumerate(zip(lhs(s, order), rhs(s, order),
                                        strict=True)):
             if a != b:
-                return "%s %s=%d: %s %s vs %s %s" % (label, row, n, left, a,
-                                                     right, b)
-    return None
+                return False, "%s %s=%d: %s %s vs %s %s" % (
+                    label, row, n, left, a, right, b)
+    scope = ("e in %d..%d" % (models[0], models[-1])
+             if isinstance(models, range) else "%d presets" % len(models))
+    return True, "%s, %s <= %d" % (scope, row, order)
 
 
 def _product_rows(s, order):
@@ -40,38 +45,36 @@ def _product_rows(s, order):
     return hilbert_poincare_series(s, order).coeffs
 
 
-def check_goettsche(order, models=ALL_PRESETS):
+def check_goettsche(order):
     from .goettsche import strata_poincare_table
-    bad = _first_difference(models, order, _product_rows,
-                            strata_poincare_table, ("n", "product", "strata"))
-    return not bad, bad or "%d presets, n <= %d" % (len(models), order)
+    return _compare(ALL_PRESETS, order, _product_rows, strata_poincare_table,
+                    ("n", "product", "strata"))
 
 
-def check_fock_character(order, models=ALL_PRESETS):
-    bad = _first_difference(
-        models, order, lambda s, n: heisenberg.graded_character(s, n).coeffs,
-        _product_rows, ("n", "character", "product"))
-    return not bad, bad or "%d presets, n <= %d" % (len(models), order)
+def check_fock_character(order):
+    return _compare(
+        ALL_PRESETS, order,
+        lambda s, n: heisenberg.graded_character(s, n).coeffs, _product_rows,
+        ("n", "character", "product"))
 
 
-def check_sym_routes(order, models=ALL_PRESETS):
+def check_sym_routes(order):
     from .goettsche import sym_poincare_product, sym_poincare_table
-    bad = _first_difference(
-        models, order, sym_poincare_table,
+    return _compare(
+        ALL_PRESETS, order, sym_poincare_table,
         lambda s, n: [sym_poincare_product(s, m) for m in range(n + 1)],
         ("m", "stepping", "product"))
-    return not bad, bad or "%d presets, m <= %d" % (len(models), order)
 
 
-def check_commutators(trials=50, seed=0, models=ALL_PRESETS, max_mode=5):
+def check_commutators(trials, seed, models):
     rng = random.Random(seed)
     for s in models:
         n_ord = len(s.ordinary_degrees)
         n_com = len(s.compact_degrees)
         for _ in range(trials):
             st = heisenberg.random_state(s, rng.randint(1, 5), rng)
-            k = rng.randint(1, max_mode)
-            l = rng.randint(1, max_mode)
+            k = rng.randint(1, MAX_MODE)
+            l = rng.randint(1, MAX_MODE)
             a1, a2 = rng.randrange(n_ord), rng.randrange(n_ord)
             b1, b2 = rng.randrange(n_com), rng.randrange(n_com)
             cc = heisenberg.commutator(heisenberg.Create(k, a1),
@@ -122,37 +125,32 @@ def check_punctual(order):
     return True, "n <= %d" % order
 
 
-def check_euler(order, euler_range=range(-10, 31)):
+def check_euler(order):
     from .goettsche import hilbert_euler_table, orbifold_euler_table
-    bad = _first_difference(euler_range, order, hilbert_euler_table,
-                            orbifold_euler_table, ("n", "product", "orbifold"))
-    return not bad, bad or "e in %d..%d, n <= %d" % (
-        euler_range[0], euler_range[-1], order)
+    return _compare(EULER_RANGE, order, hilbert_euler_table,
+                    orbifold_euler_table, ("n", "product", "orbifold"))
 
 
-def check_ktheory(order, models=ALL_PRESETS):
+def check_ktheory(order):
     from .goettsche import equivariant_k_table
-    bad = _first_difference(
-        models, order, equivariant_k_table,
+    return _compare(
+        ALL_PRESETS, order, equivariant_k_table,
         lambda s, n: [c.specialize({"t": 1}).constant_value()
                       for c in _product_rows(s, n)],
         ("n", "K-dim", "total Betti"))
-    return not bad, bad or "%d presets, n <= %d" % (len(models), order)
 
 
-def check_hodge(order, models=HODGE_PRESETS):
+def check_hodge(order):
     from .goettsche import hilbert_hodge_table, strata_poincare_table
-    bad = _first_difference(
-        models, order,
+    return _compare(
+        HODGE_PRESETS, order,
         lambda s, n: [h.specialize({"x": "t", "y": "t"})
                       for h in hilbert_hodge_table(s, n)],
         strata_poincare_table, ("n", "collapsed", "strata"))
-    return not bad, bad or "%d presets, n <= %d" % (len(models), order)
 
 
 def check_adhm(order):
     from . import adhm
-    order = min(order, 8)
     for n in range(1, order + 1):
         for mu in partitions_of(n):
             tr = adhm.from_monomial_ideal(mu)
@@ -174,33 +172,32 @@ def check_adhm(order):
     return True, "monomial triples, n <= %d" % order
 
 
-def check_leray(order, models=ALL_PRESETS):
+def check_leray(order):
     from .stratification import global_degeneration_check
-    for s in models:
+    for s in ALL_PRESETS:
         for n in range(order + 1):
             if not global_degeneration_check(s, n):
                 return False, "%s n=%d" % (s.name, n)
-    return True, "%d presets, n <= %d" % (len(models), order)
+    return True, "%d presets, n <= %d" % (len(ALL_PRESETS), order)
 
 
 def run_all(order, seed=0):
-    """Run the whole battery; returns a list of (name, ok, detail)."""
-    euler_order = min(order, 10)
+    """
+    Run the whole battery; returns a list of (name, ok, detail).  Each row
+    is (name, check, its arguments), so every bound derived from `order`
+    is here.
+    """
     battery = [
-        ("goettsche_product_vs_strata", lambda: check_goettsche(order)),
-        ("fock_character_vs_product", lambda: check_fock_character(order)),
-        ("sym_two_routes", lambda: check_sym_routes(order)),
-        ("heisenberg_commutators", lambda: check_commutators(seed=seed)),
-        ("local_stalk_identity", lambda: check_local_stalks(order)),
-        ("punctual_top_betti", lambda: check_punctual(max(order, 12))),
-        ("euler_product_vs_orbifold", lambda: check_euler(euler_order)),
-        ("ktheory_vs_total_betti", lambda: check_ktheory(order)),
-        ("hodge_specialization", lambda: check_hodge(min(order, 6))),
-        ("adhm_monomial_triples", lambda: check_adhm(order)),
-        ("leray_regrouping", lambda: check_leray(order)),
+        ("goettsche_product_vs_strata", check_goettsche, order),
+        ("fock_character_vs_product", check_fock_character, order),
+        ("sym_two_routes", check_sym_routes, order),
+        ("heisenberg_commutators", check_commutators, 50, seed, ALL_PRESETS),
+        ("local_stalk_identity", check_local_stalks, order),
+        ("punctual_top_betti", check_punctual, max(order, 12)),
+        ("euler_product_vs_orbifold", check_euler, min(order, 10)),
+        ("ktheory_vs_total_betti", check_ktheory, order),
+        ("hodge_specialization", check_hodge, min(order, 6)),
+        ("adhm_monomial_triples", check_adhm, min(order, 8)),
+        ("leray_regrouping", check_leray, order),
     ]
-    results = []
-    for name, fn in battery:
-        ok, detail = fn()
-        results.append((name, ok, detail))
-    return results
+    return [(name, *check(*args)) for name, check, *args in battery]

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -299,3 +300,72 @@ def test_console_entry_point():
          "2"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "partition\n(4)\n(3,1)\n(2,2)\n"
+
+
+def test_adhm_request_multiplies_a_and_b_once_each_way(monkeypatch, capsys):
+    # the commutation test runs once per triple, not once per caller
+    tr = from_monomial_ideal(Partition((3, 3, 1)))
+    real_mat_mul = adhm.mat_mul
+    products = []
+
+    def counting(x, y):
+        if (x, y) in ((tr.a, tr.b), (tr.b, tr.a)):
+            products.append((x, y))
+        return real_mat_mul(x, y)
+
+    monkeypatch.setattr(adhm, "mat_mul", counting)
+    code, out, _ = run_cli(["adhm", "--mu", "3,3,1"], capsys)
+    assert code == 0
+    assert "commuting\tTrue" in out.splitlines()
+    assert len(products) == 2
+
+
+def test_internal_error_exits_3_with_a_traceback(monkeypatch, capsys):
+    from hilbfock import goettsche
+
+    def broken(e, order):
+        raise TypeError("broken layer")
+
+    monkeypatch.setattr(goettsche, "hilbert_euler_table", broken)
+    code, out, err = run_cli(["euler", "--surface", "k3", "--order", "3"],
+                             capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("Traceback")
+    assert "TypeError: broken layer" in err
+
+
+# sha256 of each --help text at COLUMNS=80; the option order is part of it
+HELP_DIGESTS = {
+    "": "812dfbbc5fbd6f30c95ebbfa57b4b3574f44bb67d73d7192900ca7acd235f67e",
+    "goettsche":
+        "725ba92ec031dba2f993ea63a8ba05f3348193b9e5f22e93f5e7be09bf377867",
+    "sym": "30142ae9c7155f7d5e2159222a9e55480a23b15416a4ff29e1c8da07cccae9a9",
+    "punctual":
+        "759ced0f9400449a15126b047f24c4055260b1715b26c1f7dbb7d344a027f03f",
+    "euler":
+        "a490fabe09b30bcdbef72aca2f52ecf692568d8079d6d433df8b1af3de31e9e7",
+    "hodge":
+        "33898428c3d7cd0cc5332f5c68c25cd366c2ee0131aca41a24dc6f186d3c3ecc",
+    "fock": "e70e1599e4a71803f72dfb8339f22a1ea284e2a54653bf95b35bfbfcb75a047d",
+    "commutators":
+        "087b661d92496a628c57edbcabef151f34cbeb504153fc0afc3ec3cfae85d9f4",
+    "strata":
+        "eeb36c513afaa7c1e1f5e5b6a5fb261f9e83f3a51257f096f04fd4899797a8fa",
+    "adhm": "7f8afdc3f792446895ccbd6d79d80b881ed38634953bba27dec60b9978e935b8",
+    "ktheory":
+        "5285449cd61864b0d4bf807bc949b9075490ba1af8a7345267e39057bfd210dd",
+    "selfcheck":
+        "e20f68095b2f148ba3a5a5a336867e825f46396c848c122e97c193d907607360",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS),
+                         ids=lambda c: c or "top")
+def test_help_text_is_unchanged(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"] if command else ["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]

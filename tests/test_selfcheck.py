@@ -76,3 +76,26 @@ def test_selfcheck_output_does_not_rely_on_assert():
     assert plain.returncode == 0, plain.stderr
     assert optimized.returncode == 0, optimized.stderr
     assert optimized.stdout == plain.stdout
+
+
+CHECKS = ("goettsche", "fock_character", "sym_routes", "commutators",
+          "local_stalks", "punctual", "euler", "ktheory", "hodge", "adhm",
+          "leray")
+
+
+@pytest.mark.parametrize("order, capped", [
+    (4, {"punctual": 12}),
+    (12, {"hodge": 6, "adhm": 8, "euler": 10}),
+])
+def test_run_all_holds_every_bound(monkeypatch, order, capped):
+    received = {}
+    for name in CHECKS:
+        def recorder(*args, name=name):
+            received[name] = args
+            return True, "recorded"
+        monkeypatch.setattr(selfcheck, "check_" + name, recorder)
+    rows = selfcheck.run_all(order, seed=7)
+    assert [ok for _, ok, _ in rows] == [True] * len(CHECKS)
+    assert received.pop("commutators") == (50, 7, selfcheck.ALL_PRESETS)
+    assert received == {name: (capped.get(name, order),)
+                        for name in CHECKS if name != "commutators"}
