@@ -94,7 +94,8 @@ class SupportCycle(Frozen):
         """Sum over the cycle of x^k y^l with multiplicity."""
         out = ZERO
         for (x, y), m in self.points.items():
-            out = out + x ** k * y ** l * GaussianRational(m)
+            if not (k and x.is_zero() or l and y.is_zero()):  # else 0^k = 0
+                out = out + x ** k * y ** l * GaussianRational(m)
         return out
 
     def __eq__(self, other):

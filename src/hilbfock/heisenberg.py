@@ -31,8 +31,7 @@ from functools import lru_cache
 
 from ._base import Frozen, exact
 from .partitions import multiplicity_factorial
-from .series import (QTSeries, digit_bits, packed_monomial, super_power_table,
-                     unpack)
+from .series import QTSeries, checked_rows, packed_monomial, super_power_table
 from .surfaces import MissingHodgeData
 
 
@@ -334,10 +333,8 @@ def graded_character(model, order):
     sums over exactly the admissible monomials without listing them: one
     pass with plain counts sizes the digits of one packed pass.
     """
-    totals = _level_table(model, order)
-    bits = digit_bits(max(totals))
-    packed = _level_table(model, order, bits)
-    return QTSeries(order, [unpack(v, bits, t) for v, t in zip(packed, totals)])
+    return QTSeries(order,
+                    checked_rows(lambda bits: _level_table(model, order, bits)))
 
 
 def level_dim(model, n):

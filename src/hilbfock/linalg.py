@@ -135,15 +135,12 @@ def scalar_from_str(token):
 
 
 def scalar_to_str(z):
-    def rat(f):
-        return str(f)
-
     if not z.im:
-        return rat(z.re)
-    im = ("" if abs(z.im) == 1 else rat(abs(z.im))) + "i"
+        return str(z.re)
+    im = ("" if abs(z.im) == 1 else str(abs(z.im))) + "i"
     if not z.re:
         return ("-" if z.im < 0 else "") + im
-    return rat(z.re) + ("-" if z.im < 0 else "+") + im
+    return str(z.re) + ("-" if z.im < 0 else "+") + im
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +192,8 @@ def mat_mul(a, b):
             for j, yr, yi in b_row:
                 re_acc[j] += xr * yr - xi * yi
                 im_acc[j] += xr * yi + xi * yr
-        out.append(tuple(map(GaussianRational, re_acc, im_acc)))
+        out.append(tuple(GaussianRational(r, i) if r or i else ZERO
+                         for r, i in zip(re_acc, im_acc)))
     return tuple(out)
 
 
@@ -209,7 +207,8 @@ def mat_vec(a, v):
             if xr or xi:
                 re_acc += xr * yr - xi * yi
                 im_acc += xr * yi + xi * yr
-        out.append(GaussianRational(re_acc, im_acc))
+        out.append(GaussianRational(re_acc, im_acc) if re_acc or im_acc
+                   else ZERO)
     return tuple(out)
 
 

@@ -194,9 +194,9 @@ def run_all(order, seed=0):
         ("heisenberg_commutators", check_commutators, 50, seed, ALL_PRESETS),
         ("local_stalk_identity", check_local_stalks, order),
         ("punctual_top_betti", check_punctual, max(order, 12)),
-        ("euler_product_vs_orbifold", check_euler, min(order, 10)),
+        ("euler_product_vs_orbifold", check_euler, order),
         ("ktheory_vs_total_betti", check_ktheory, order),
-        ("hodge_specialization", check_hodge, min(order, 6)),
+        ("hodge_specialization", check_hodge, order),
         ("adhm_monomial_triples", check_adhm, min(order, 8)),
         ("leray_regrouping", check_leray, order),
     ]

@@ -11,9 +11,6 @@ silent re-truncation.
 Infinite products of the shape prod_{m>=1} (1 +- t^(c*m+d) q^m)^(+-w) are
 expanded by binomial / negative-binomial expansion of each factor; factors
 with m > N cannot touch coefficients up to q^N, so the product is finite.
-product_expand applies the factors in place to dense integer lists, one
-per q-power, with the exponents of a monomial packed into one index (t,
-or x*width + y), and builds CoeffPoly coefficients only at the end.
 
 Graded super-symmetric powers (symmetric products, their Hodge
 refinement, the Fock character and level dimensions) all come from one
@@ -21,12 +18,13 @@ stepping kernel, super_power_table: each generator multiplies the
 truncated table by 1/(1 - w q^s) when even and by (1 + w q^s) when odd,
 in place.
 
-Dimension counts are stepped packed into one int (Kronecker substitution):
-t^e is the digit at bit bits*e, x^p y^q the one at bits*(p*width + q), so
-an int product is a polynomial product.  No digit may carry: bits is whole
-bytes above an exact total that bounds every coefficient, width exceeds
-every y-exponent the table reaches, and unpack raises IdentityFailed unless
-the digits sum to that total.  Signed or rational data is never packed.
+Dimension counts and the product are stepped on one packed int per q-power
+(Kronecker substitution): t^e is the digit at bit bits*e, x^p y^q the one
+at bits*(p*width + q), so an int product is a polynomial product.  No digit
+may carry: bits is whole bytes above an exact total that bounds every
+coefficient, width exceeds every y-exponent the table reaches, and unpack
+raises IdentityFailed unless the digits sum to that total.  Signed or
+rational data is never packed.
 """
 
 from fractions import Fraction
@@ -267,12 +265,7 @@ class QTSeries(Frozen):
                         self.nvars)
 
     def __sub__(self, other):
-        if not isinstance(other, QTSeries):
-            other = QTSeries(self.order, [other], self.nvars)
-        self._check(other)
-        return QTSeries(self.order,
-                        [a - b for a, b in zip(self.coeffs, other.coeffs)],
-                        self.nvars)
+        return self + other * -1
 
     def __mul__(self, other):
         if not isinstance(other, QTSeries):
@@ -367,11 +360,10 @@ def product_expand(families, order, nvars=None):
     Expand prod_{m>=1} prod_{f in families} f(m) exactly to the given order.
     The empty product is the constant series 1.
 
-    Works on dense integer lists, one per q-power, and builds the CoeffPoly
-    coefficients only at the end: a monomial with exponents (e_1, .., e_v)
-    sits at the packed index sum e_i * stride_i (t, or x*width + y).  Each
-    factor sum_j C_j u^j q^(jm) is applied in place, rows from the top
-    down, so every row still reads the old values of the rows below it.
+    One packed int per q-power: each factor sum_j C_j u^j q^(jm) is applied
+    rows from the top down, so every row reads the old rows below it.  Each
+    factor has constant term 1 and non-negative coefficients, so a partial
+    product is at most the final row, whose sum sizes the digits: no carry.
     """
     families = list(families)
     if nvars is None:
@@ -379,46 +371,27 @@ def product_expand(families, order, nvars=None):
     for f in families:
         if f.nvars != nvars:
             raise ValueError("families in different variables")
-    # u^j at q^(jm) has exponent j(c m + d) <= jm (c + max(d, 0)) in each
-    # variable, so at q^k no exponent exceeds k times the variable's rate;
-    # the strides keep the packed digits apart up to that bound
-    rates = [max((f.exps[v][0] + max(f.exps[v][1], 0) for f in families),
-                 default=0) for v in range(nvars)]
-    strides = [1] * nvars
-    for v in range(nvars - 1, 0, -1):
-        strides[v - 1] = strides[v] * (order * rates[v] + 1)
-    rows = [[0] * (k * rates[0] * strides[0] + strides[0])
-            for k in range(order + 1)]
-    rows[0][0] = 1
-    for f in families:
-        w = f.weight
-        if not w:
-            continue
-        for m in range(1, order + 1):
-            shift = sum((c * m + d) * s for (c, d), s in zip(f.exps, strides))
-            jmax = order // m if f.sign == -1 else min(order // m, w)
-            binom = [comb(w, j) if f.sign == 1 else comb(w + j - 1, j)
-                     for j in range(jmax + 1)]
-            for k in range(order, m - 1, -1):
-                dst = rows[k]
-                for j in range(1, min(k // m, jmax) + 1):
-                    src, off, c = rows[k - j * m], j * shift, binom[j]
-                    # src entries past the end of dst are zero by the bound
-                    n = min(len(src), len(dst) - off)
-                    dst[off:off + n] = [a + c * b for a, b
-                                        in zip(dst[off:off + n], src)]
-    coeffs = []
-    for row in rows:
-        terms = {}
-        for idx, v in enumerate(row):
-            if v:
-                exps = []
-                for s in strides:
-                    e, idx = divmod(idx, s)
-                    exps.append(e)
-                terms[tuple(exps)] = v
-        coeffs.append(CoeffPoly._make(terms, nvars))
-    return QTSeries(order, coeffs, nvars)
+    # at q^k the y-exponent j(c m + d) is at most k (c + max(d, 0))
+    width = None if nvars == 1 else order * max(
+        (c + max(d, 0) for f in families for c, d in f.exps[1:]),
+        default=0) + 1
+
+    def expand(bits):
+        rows = [1] + [0] * order
+        for f in families:
+            w = f.weight
+            for m in range(1, order + 1):
+                u = [c * m + d for c, d in f.exps]
+                # u^j sits j * shift bits up, as in packed_monomial
+                shift = bits * (u[0] if width is None else u[0] * width + u[1])
+                jmax = order // m if f.sign == -1 else min(order // m, w)
+                binom = [comb(w, j) if f.sign == 1 else comb(w + j - 1, j)
+                         for j in range(1, jmax + 1)]
+                for k in range(order, m - 1, -1):
+                    rows[k] += sum(c * rows[k - j * m] << j * shift
+                                   for j, c in enumerate(binom[:k // m], 1))
+        return rows
+    return QTSeries(order, checked_rows(expand, width), nvars)
 
 
 def super_power_table(gens, order, one, zero):
@@ -452,6 +425,16 @@ def pack(poly, bits, width=None):
     """The packed int of a CoeffPoly with coefficients in 0..2^bits - 1."""
     return sum(c * packed_monomial(e, bits, width)
                for e, c in poly.terms.items())
+
+
+def checked_rows(expand, width=None):
+    """
+    The rows of a packed pass expand(bits), unpacked: expand(0) gives each
+    row's coefficient sum, which sizes the digits and checks each row.
+    """
+    totals = expand(0)
+    bits = digit_bits(max(totals))
+    return [unpack(v, bits, t, width) for v, t in zip(expand(bits), totals)]
 
 
 def unpack(value, bits, total, width=None):

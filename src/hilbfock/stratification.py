@@ -90,11 +90,10 @@ def global_degeneration_check(model, n):
     if n < 0:
         raise ValueError("n must be non-negative")
     lhs = hilbert_poincare_from_strata(model, n)
+    levels = [CoeffPoly.zero()] * (n + 1)  # the strata by h = n - length
+    for a in partitions_of(n):
+        levels[n - a.length] += stratum_poincare(model, a)
     rhs = CoeffPoly.zero()
-    for h in range(n + 1):
-        level = CoeffPoly.zero()
-        for a in partitions_of(n):
-            if a.length == n - h:
-                level = level + stratum_poincare(model, a)
+    for h, level in enumerate(levels):
         rhs = rhs + CoeffPoly.monomial((2 * h,)) * level
     return lhs == rhs

@@ -85,7 +85,7 @@ CHECKS = ("goettsche", "fock_character", "sym_routes", "commutators",
 
 @pytest.mark.parametrize("order, capped", [
     (4, {"punctual": 12}),
-    (12, {"hodge": 6, "adhm": 8, "euler": 10}),
+    (12, {"adhm": 8}),
 ])
 def test_run_all_holds_every_bound(monkeypatch, order, capped):
     received = {}

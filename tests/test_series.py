@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from hilbfock import goettsche, heisenberg, series
 from hilbfock._base import IdentityFailed
+from hilbfock.cli import main
+from hilbfock.goettsche import goettsche_families
 from hilbfock.partitions import partitions_of
 from hilbfock.series import (CoeffPoly, FactorFamily, IndexOutOfRange,
                              OrderMismatch, QTSeries, UnknownVariable,
                              digit_bits, pack, packed_monomial,
                              product_expand, super_power_table, unpack)
+from hilbfock.surfaces import K3
 
 
 def rand_poly(rng, nvars=1, max_deg=3):
@@ -216,6 +220,36 @@ def test_product_expand_matches_factor_chain(nvars):
             fams = [rand_family(rng, nvars) for _ in range(rng.randint(1, 3))]
             assert product_expand(fams, order, nvars) == \
                 factor_chain(fams, order, nvars)
+
+
+def crossed(*args, **kwargs):
+    raise AssertionError("one route called the other's stepping")
+
+
+def test_product_and_character_routes_step_apart(monkeypatch):
+    """fock_character_vs_product proves something only if they share no step."""
+    families = goettsche_families(K3)
+    with monkeypatch.context() as m:
+        for module in (series, goettsche, heisenberg):
+            m.setattr(module, "super_power_table", crossed)
+        product = product_expand(families, 8)
+    assert product == factor_chain(families, 8, 1)
+    monkeypatch.setattr(goettsche, "_TABLES", {})
+    for module in (series, goettsche):
+        monkeypatch.setattr(module, "product_expand", crossed)
+    assert heisenberg.graded_character(K3, 8) == product
+
+
+def test_a_carry_in_the_product_series_fails_the_identity(monkeypatch,
+                                                           capsys):
+    # K3's Betti numbers pass 255 by n = 10, so one-byte digits carry
+    monkeypatch.setattr(series, "digit_bits", lambda total: 8)
+    with pytest.raises(IdentityFailed):
+        product_expand(goettsche_families(K3), 10)
+    monkeypatch.setattr(goettsche, "_TABLES", {})
+    assert main(["goettsche", "--surface", "k3", "--order", "10"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "identity failed" in err
 
 
 def rand_count_poly(rng, nvars, max_deg, max_coeff):
