@@ -163,30 +163,26 @@ def trace_table(tr, max_total):
 def support_cycle(tr, traces=None):
     """
     The support of the triple with multiplicities: split the space into
-    generalized eigenspaces of A, restrict B to each and split again; a
-    point (x, y) gets the dimension of the joint piece.  Requires both
-    characteristic polynomials (of A and of each restriction of B) to
-    split over the Gaussian rationals; raises SpectrumNotSplit otherwise.
+    the generalized eigenspaces ker (A - x)^mx of A and restrict B to each;
+    (x, y) gets the multiplicity of y that the root search returns for the
+    restriction, the dimension of the joint piece.  Both characteristic
+    polynomials must split over the Gaussian rationals (SpectrumNotSplit).
 
     Self-check: the multiplicities sum to n, and the power sums of the
-    cycle equal the trace invariants in all bidegrees k + l <= n; raises
-    IdentityFailed otherwise.  `traces` is the triple's
-    `trace_table(tr, tr.n)` when the caller already has it; otherwise it
-    is computed here.
+    cycle equal the trace invariants in all bidegrees k + l <= n, which
+    verifies every point and multiplicity; raises IdentityFailed otherwise.
+    `traces` is the triple's `trace_table(tr, tr.n)` when the caller
+    already has it; otherwise it is computed here.
     """
     if not tr.commuting:
         raise NotCommuting("triple does not commute")
     n = tr.n
     points = {}
-    for x, _mult in gaussian_rational_roots(char_poly(tr.a)):
-        cols = kernel_basis(mat_pow(add_scalar(tr.a, -x), n))
-        b_cols = [mat_vec(tr.b, c) for c in cols]
-        b_restricted = solve_columns(cols, b_cols)
-        dim = len(cols)
+    for x, mx in gaussian_rational_roots(char_poly(tr.a)):
+        cols = kernel_basis(mat_pow(add_scalar(tr.a, -x), mx))
+        b_restricted = solve_columns(cols, [mat_vec(tr.b, c) for c in cols])
         for y, my in gaussian_rational_roots(char_poly(b_restricted)):
-            joint = len(kernel_basis(mat_pow(add_scalar(b_restricted, -y),
-                                             dim)))
-            points[(x, y)] = points.get((x, y), 0) + joint
+            points[(x, y)] = my
     cycle = SupportCycle(points)
     if cycle.total != n:
         raise IdentityFailed("support multiplicities sum to %d, not %d"

@@ -16,19 +16,19 @@ the decomposition of the direct image under the support morphism.
 The stratum sums (Poincare, Hodge, K-theory, orbifold Euler) are one
 convolution over part sizes, on packed polynomials or on integers.  The
 literal walk over partitions stays in stratum_poincare, which the
-regrouping check of stratification sums against the convolution.
+regrouping check of stratification sums against the convolution.  Packed
+rows are checked against independent totals by series.checked_rows.
 
-Every table is cached per surface, built at the longest order asked so
-far.  Ask *_table(model, N) for rows 0..N: walking a per-n function upward
-(sym_poincare(model, n) for n = 0, 1, ..) rebuilds the table at each new n.
+Every table is cached per surface or Euler number, built at the longest
+order asked so far.  Ask *_table(model, N) for rows 0..N: a per-n walk
+(sym_poincare(model, n) for n = 0, 1, ..) rebuilds it at each new n.
 """
 
 from functools import lru_cache, wraps
 from math import comb
 
-from .series import (CoeffPoly, FactorFamily, QTSeries, digit_bits, pack,
-                     packed_monomial, product_expand, super_power_table,
-                     unpack)
+from .series import (CoeffPoly, FactorFamily, QTSeries, checked_rows, pack,
+                     packed_monomial, product_expand, super_power_table)
 
 
 def goettsche_families(model):
@@ -74,12 +74,12 @@ def hilbert_poincare_series(model, order):
 
 def _sym_table(model, order, degrees, width=None):
     """One packed stepping pass; row m unpacked against sym_total_dim(m)."""
-    totals = [sym_total_dim(model, m) for m in range(order + 1)]
-    bits = digit_bits(max(totals))
-    gens = ((packed_monomial(e, bits, width), 1, sum(e) % 2)
-            for e in degrees)
-    table = super_power_table(gens, order, 1, 0)
-    return [unpack(v, bits, t, width) for v, t in zip(table, totals)]
+    def expand(bits):
+        gens = ((packed_monomial(e, bits, width), 1, sum(e) % 2)
+                for e in degrees)
+        return super_power_table(gens, order, 1, 0)
+    return checked_rows(expand, [sym_total_dim(model, m)
+                                 for m in range(order + 1)], width)
 
 
 @_cached_table
@@ -148,11 +148,10 @@ def _strata_table(model, order, table, twist, width=None):
     The strata sums over the rows 0..order of a symmetric-power table,
     each stratum times twist^drop; the K table sizes and checks the digits.
     """
-    totals = equivariant_k_table(model, order)
-    bits = digit_bits(max(totals))
-    f = [pack(p, bits, width) for p in table]
-    sums = _strata_sums(f, order, packed_monomial(twist, bits, width))
-    return [unpack(v, bits, t, width) for v, t in zip(sums, totals)]
+    def expand(bits):
+        return _strata_sums([pack(p, bits, width) for p in table], order,
+                            packed_monomial(twist, bits, width))
+    return checked_rows(expand, equivariant_k_table(model, order), width)
 
 
 @_cached_table
@@ -197,18 +196,15 @@ def general_binomial(a, k):
     return comb(a, k)
 
 
+@_cached_table
 def hilbert_euler_table(euler, order):
     """
     Euler numbers of the Hilbert schemes of points, n = 0..order: the
     coefficients of prod_m (1 - q^m)^(-e) up to q^order, where e is the
     Euler number of the surface.  Negative e is allowed (the factor
-    becomes a positive power).  Not cached, so a per-n call costs one
-    expansion to n.
+    becomes a positive power).
     """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    co = [0] * (order + 1)
-    co[0] = 1
+    co = [1] + [0] * order
     for m in range(1, order + 1):
         new = [0] * (order + 1)
         for i, c in enumerate(co):

@@ -334,7 +334,8 @@ def graded_character(model, order):
     pass with plain counts sizes the digits of one packed pass.
     """
     return QTSeries(order,
-                    checked_rows(lambda bits: _level_table(model, order, bits)))
+                    checked_rows(lambda bits: _level_table(model, order, bits),
+                                 _level_table(model, order)))
 
 
 def level_dim(model, n):

@@ -391,7 +391,7 @@ def product_expand(families, order, nvars=None):
                     rows[k] += sum(c * rows[k - j * m] << j * shift
                                    for j, c in enumerate(binom[:k // m], 1))
         return rows
-    return QTSeries(order, checked_rows(expand, width), nvars)
+    return QTSeries(order, checked_rows(expand, expand(0), width), nvars)
 
 
 def super_power_table(gens, order, one, zero):
@@ -427,12 +427,11 @@ def pack(poly, bits, width=None):
                for e, c in poly.terms.items())
 
 
-def checked_rows(expand, width=None):
+def checked_rows(expand, totals, width=None):
     """
-    The rows of a packed pass expand(bits), unpacked: expand(0) gives each
-    row's coefficient sum, which sizes the digits and checks each row.
+    The rows of a packed pass expand(bits), unpacked: the caller's exact
+    coefficient sum of each row (totals) sizes the digits and checks it.
     """
-    totals = expand(0)
     bits = digit_bits(max(totals))
     return [unpack(v, bits, t, width) for v, t in zip(expand(bits), totals)]
 

@@ -22,8 +22,9 @@ class MissingHodgeData(ValueError):
 
 
 class SurfaceModel(Frozen):
+    # ordinary_degrees, compact_degrees: each class's degree, flat order
     __slots__ = ("name", "betti", "betti_c", "pairing", "hodge", "euler",
-                 "_ord_degrees", "_com_degrees", "_bidegrees", "_hash")
+                 "ordinary_degrees", "compact_degrees", "_bidegrees", "_hash")
 
     def __init__(self, name, betti, betti_c=None, pairing=None, hodge=None,
                  euler=None):
@@ -80,9 +81,9 @@ class SurfaceModel(Frozen):
         object.__setattr__(self, "pairing", pairing)
         object.__setattr__(self, "hodge", hodge)
         object.__setattr__(self, "euler", e)
-        object.__setattr__(self, "_ord_degrees", tuple(
+        object.__setattr__(self, "ordinary_degrees", tuple(
             d for d in range(5) for _ in range(betti[d])))
-        object.__setattr__(self, "_com_degrees", tuple(
+        object.__setattr__(self, "compact_degrees", tuple(
             d for d in range(5) for _ in range(betti_c[d])))
         bidegs = None
         if hodge is not None:
@@ -112,15 +113,6 @@ class SurfaceModel(Frozen):
     @property
     def has_hodge(self):
         return self.hodge is not None
-
-    @property
-    def ordinary_degrees(self):
-        """Degrees of the ordinary classes, flat order (degree-major)."""
-        return self._ord_degrees
-
-    @property
-    def compact_degrees(self):
-        return self._com_degrees
 
     @property
     def total_dim(self):

@@ -4,7 +4,8 @@ from math import isqrt
 
 import pytest
 
-from hilbfock import linalg
+from hilbfock import adhm, linalg
+from hilbfock.cli import main
 from hilbfock.partitions import Partition, partitions_of
 from hilbfock.adhm import (MatrixTriple, NotCommuting, NotInBidisk,
                            SupportCycle, ZeroScalar, from_monomial_ideal,
@@ -273,6 +274,62 @@ def test_support_shared_eigenvalue():
     tr = MatrixTriple([[1, 0], [0, 1]], [[3, 0], [0, 4]], [1, 1])
     assert support_cycle(tr) == SupportCycle({(G(1), G(3)): 1,
                                               (G(1), G(4)): 1})
+
+
+def shifted_block_sum(blocks):
+    """The direct sum of the monomial triples of mu moved to (x, y)."""
+    n = sum(sum(mu) for mu, _ in blocks)
+    a = [[G(0)] * n for _ in range(n)]
+    b = [[G(0)] * n for _ in range(n)]
+    v = []
+    for mu, (x, y) in blocks:
+        tr, off = from_monomial_ideal(mu), len(v)
+        for i in range(tr.n):
+            for j in range(tr.n):
+                a[off + i][off + j] = tr.a[i][j] + (x if i == j else G(0))
+                b[off + i][off + j] = tr.b[i][j] + (y if i == j else G(0))
+        v += tr.v
+    return MatrixTriple(a, b, v)
+
+
+# two points share x = 1/2, so B restricted to V_x has two eigenvalues
+X, Y1, Y2 = G(Fraction(1, 2)), G(Fraction(1, 3)), G(Fraction(-1, 4))
+X3 = G(Fraction(-2, 3))
+
+
+def shared_x_triple():
+    tr = shifted_block_sum([((2, 1), (X, Y1)), ((2,), (X, Y2)),
+                            ((1, 1), (X3, Y1))])
+    return tr.conjugate_by(rand_invertible(random.Random(12), tr.n))
+
+
+def test_support_multiplicities_are_the_block_sizes():
+    assert support_cycle(shared_x_triple()) == SupportCycle(
+        {(X, Y1): 3, (X, Y2): 2, (X3, Y1): 2})
+
+
+@pytest.mark.parametrize("shift", ((1, -1), (0, 1)),
+                         ids=("trace_check", "total_check"))
+def test_a_misreported_support_multiplicity_fails_the_identity(
+        monkeypatch, tmp_path, capsys, shift):
+    # (1, -1) keeps the total n, so only the trace check can catch it
+    tr = shared_x_triple()
+    real = adhm.gaussian_rational_roots
+
+    def misreport(p):
+        roots = real(p)
+        if {y for y, _ in roots} == {Y1, Y2}:     # B restricted to V_(1/2)
+            roots = [(y, m + d) for (y, m), d in zip(roots, shift)]
+        return roots
+
+    monkeypatch.setattr(adhm, "gaussian_rational_roots", misreport)
+    with pytest.raises(IdentityFailed):
+        support_cycle(tr)
+    path = tmp_path / "shared_x.txt"
+    path.write_text(write_triple(tr))
+    assert main(["adhm", "--triple", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "identity failed" in err
 
 
 def test_support_nilpotent_plus_semisimple():

@@ -186,6 +186,18 @@ def test_euler_request_runs_the_product_loop_once(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 26
 
 
+def test_euler_tables_are_cached(monkeypatch):
+    def expansion(*args):
+        raise AssertionError("a per-n call started a new expansion")
+
+    monkeypatch.setattr(goettsche, "_TABLES", {})
+    for e in (-4, 0, 24):
+        table = hilbert_euler_table(e, 20)
+        with monkeypatch.context() as m:
+            m.setattr(goettsche, "general_binomial", expansion)
+            assert [hilbert_euler(e, n) for n in range(21)] == table
+
+
 def test_orbifold_examples():
     for n in range(9):
         assert orbifold_euler(1, n) == len(partitions_of(n))

@@ -252,6 +252,20 @@ def test_a_carry_in_the_product_series_fails_the_identity(monkeypatch,
     assert out == "" and "identity failed" in err
 
 
+@pytest.mark.parametrize("request_args", (
+    "sym --surface k3 --order 10", "hodge --surface k3 --order 8",
+    "goettsche --surface k3 --order 10", "fock --surface k3 --order 10"))
+def test_every_packed_table_takes_its_digit_size_from_series(
+        monkeypatch, capsys, request_args):
+    # one-byte digits carry in each of these K3 tables; a table that sized
+    # its digits anywhere but series.digit_bits would still pass
+    monkeypatch.setattr(series, "digit_bits", lambda total: 8)
+    monkeypatch.setattr(goettsche, "_TABLES", {})
+    assert main(request_args.split()) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "identity failed" in err
+
+
 def rand_count_poly(rng, nvars, max_deg, max_coeff):
     terms = {}
     for _ in range(rng.randint(0, 6)):
