@@ -204,6 +204,8 @@ def cmd_fock(args):
 def cmd_commutators(args):
     from . import selfcheck
     s = resolve_surface(args.surface)
+    if not s.ordinary_degrees:
+        raise ConfigError("surface %r has no classes (--surface)" % s.name)
     ok, detail = selfcheck.check_commutators(trials=args.trials,
                                              seed=args.seed, models=(s,))
     return (0 if ok else 1), [

@@ -13,11 +13,11 @@ Routes for the Poincare polynomial of the n-th Hilbert scheme:
 Their agreement, coefficient by coefficient, is the numerical content of
 the decomposition of the direct image under the support morphism.
 
-The stratum sums (Poincare, Hodge, K-theory, orbifold Euler) are one
+The stratum sums (Poincare, Hodge, K-theory) and the Euler product are one
 convolution over part sizes, on packed polynomials or on integers.  The
-literal walk over partitions stays in stratum_poincare, which the
-regrouping check of stratification sums against the convolution.  Packed
-rows are checked against independent totals by series.checked_rows.
+literal partition walks stay apart: stratum_poincare for the regrouping
+check of stratification, selfcheck's route to the orbifold Euler numbers.
+Packed rows are checked against independent totals by series.checked_rows.
 
 Every table is cached per surface or Euler number, built at the longest
 order asked so far.  Ask *_table(model, N) for rows 0..N: a per-n walk
@@ -200,20 +200,12 @@ def general_binomial(a, k):
 def hilbert_euler_table(euler, order):
     """
     Euler numbers of the Hilbert schemes of points, n = 0..order: the
-    coefficients of prod_m (1 - q^m)^(-e) up to q^order, where e is the
-    Euler number of the surface.  Negative e is allowed (the factor
-    becomes a positive power).
+    coefficients of prod_m (1 - q^m)^(-e) up to q^order, e the Euler number
+    of the surface (negative e allowed), as the strata convolution of
+    C(e+a-1, a), since sum_a C(e+a-1, a) x^a = (1 - x)^(-e).
     """
-    co = [1] + [0] * order
-    for m in range(1, order + 1):
-        new = [0] * (order + 1)
-        for i, c in enumerate(co):
-            if not c:
-                continue
-            for j in range(0, (order - i) // m + 1):
-                new[i + m * j] += c * general_binomial(euler + j - 1, j)
-        co = new
-    return co
+    return _strata_sums([general_binomial(euler + a - 1, a)
+                         for a in range(order + 1)], order)
 
 
 def hilbert_euler(euler, n):
@@ -223,18 +215,12 @@ def hilbert_euler(euler, n):
 
 def orbifold_euler(euler, n):
     """
-    Orbifold Euler number of the n-fold product modulo permutations:
-    sum over partitions of n of the product over multiplicities a_i of
-    C(e + a_i - 1, a_i), the Euler number of the a_i-th symmetric product.
+    Orbifold Euler number of the n-fold product modulo permutations: the
+    sum over partitions of n of prod_i C(e + a_i - 1, a_i).  That sum is
+    the convolution that expands the Euler product, so it reads the Euler
+    table; selfcheck walks the partitions as the second route.
     """
-    return orbifold_euler_table(euler, n)[n]
-
-
-@_cached_table
-def orbifold_euler_table(euler, order):
-    """[orbifold_euler(euler, n) for n in 0..order] from one convolution."""
-    return _strata_sums([general_binomial(euler + a - 1, a)
-                         for a in range(order + 1)], order)
+    return hilbert_euler_table(euler, n)[n]
 
 
 @lru_cache(maxsize=None)

@@ -19,10 +19,10 @@ Conventions fixed here:
     d + 2(i-1); in Hodge mode, bidegree (p + i - 1, q + i - 1).
 
 Invariant: a FockState maps monomials with sorted positive factors to
-nonzero Fraction coefficients.  The public constructors check it; the
-operators and the state arithmetic keep it by construction (insertion at
-the sorted position, removal of one factor, Fraction times an exact
-weight, zeros dropped once) and build results through the unchecked _make.
+nonzero int or Fraction coefficients; the public constructors normalise
+through _base.exact, and the operators keep it by construction (insertion
+at the sorted position, removal of one factor, a coefficient times an
+exact weight, zeros dropped once), building results through _make.
 """
 
 from bisect import bisect_left
@@ -118,21 +118,20 @@ class FockState(Frozen):
         for mono, c in (terms or {}).items():
             if not isinstance(mono, FockMonomial):
                 mono = FockMonomial(mono)
-            c = c if isinstance(c, Fraction) else Fraction(c)
-            clean[mono] = clean.get(mono, Fraction(0)) + c
+            clean[mono] = clean.get(mono, 0) + exact(c)
         object.__setattr__(self, "terms",
-                           {m: c for m, c in clean.items() if c})
+                           {m: exact(c) for m, c in clean.items() if c})
 
     @classmethod
     def _make(cls, terms):
-        # trusted constructor: FockMonomial keys, nonzero Fraction values
+        # trusted constructor: FockMonomial keys, nonzero int/Fraction values
         self = object.__new__(cls)
         object.__setattr__(self, "terms", terms)
         return self
 
     @classmethod
     def vacuum(cls):
-        return cls._make({VACUUM_MONOMIAL: Fraction(1)})
+        return cls._make({VACUUM_MONOMIAL: 1})
 
     @classmethod
     def zero(cls):
@@ -154,7 +153,7 @@ class FockState(Frozen):
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = c if isinstance(c, Fraction) else Fraction(c)
+        c = exact(c)
         return FockState._make({m: v * c for m, v in self.terms.items() if c})
 
     def __eq__(self, other):
@@ -189,14 +188,23 @@ def _weights(model, mode, cls):
             if model.pairing_value(a, cls)}
 
 
-class Create(Frozen):
-    """Creation operator: left multiplication by the generator (mode, class)."""
+class _Operator(Frozen):
+    """A mode operator on one class; subclasses declare (mode, cls) slots."""
 
-    __slots__ = ("mode", "cls")
+    __slots__ = ()
 
     def __init__(self, mode, cls):
         object.__setattr__(self, "mode", int(mode))
         object.__setattr__(self, "cls", int(cls))
+
+    def __repr__(self):
+        return "%s(%d, %d)" % (type(self).__name__, self.mode, self.cls)
+
+
+class Create(_Operator):
+    """Creation operator: left multiplication by the generator (mode, class)."""
+
+    __slots__ = ("mode", "cls")
 
     def parity(self, model):
         return model.class_degree(self.cls) % 2
@@ -219,18 +227,11 @@ class Create(Frozen):
             out[FockMonomial._make(new)] = coeff
         return FockState._make(out)
 
-    def __repr__(self):
-        return "Create(%d, %d)" % (self.mode, self.cls)
 
-
-class Annihilate(Frozen):
+class Annihilate(_Operator):
     """Annihilation operator: contraction super-derivation for (mode, class)."""
 
     __slots__ = ("mode", "cls")
-
-    def __init__(self, mode, cls):
-        object.__setattr__(self, "mode", int(mode))
-        object.__setattr__(self, "cls", int(cls))
 
     def parity(self, model):
         return model.compact_class_degree(self.cls) % 2
@@ -251,9 +252,6 @@ class Annihilate(Frozen):
                 if odd and odd[c]:
                     coeff = -coeff
         return FockState._make({m: c for m, c in out.items() if c})
-
-    def __repr__(self):
-        return "Annihilate(%d, %d)" % (self.mode, self.cls)
 
 
 class Central:
@@ -381,21 +379,18 @@ def random_state(model, level, rng, n_terms=3):
     terms = {}
     for _ in range(n_terms):
         for _attempt in range(50):
-            remaining = level
-            factors = []
-            ok = True
+            remaining, factors = level, []
             while remaining:
                 mode = rng.randint(1, remaining)
                 cls = rng.randrange(len(degs))
                 if degs[cls] % 2 and (mode, cls) in factors:
-                    ok = False
-                    break
+                    break  # an odd class repeated at one mode: try again
                 factors.append((mode, cls))
                 remaining -= mode
-            if ok:
+            else:
                 mono = FockMonomial(sorted(factors))
                 num = rng.choice([-5, -3, -2, -1, 1, 2, 3, 5])
                 den = rng.choice([1, 2, 3])
-                terms[mono] = terms.get(mono, Fraction(0)) + Fraction(num, den)
+                terms[mono] = terms.get(mono, 0) + Fraction(num, den)
                 break
     return FockState(terms)

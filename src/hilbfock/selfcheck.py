@@ -7,7 +7,7 @@ and the CLI turns the battery into a pass/fail table.
 
 import random
 from collections import Counter
-from fractions import Fraction
+from math import prod
 
 from . import heisenberg
 from .partitions import partitions_of
@@ -87,11 +87,9 @@ def check_commutators(trials, seed, models):
                 return False, "%s: [annihilate,annihilate] != 0" % s.name
             mixed = heisenberg.commutator(heisenberg.Annihilate(k, b1),
                                           heisenberg.Create(l, a1), st, s)
-            if k == l:
-                factor = Fraction((-1) ** (k - 1) * k) * s.pairing_value(a1, b1)
-                expect = st.scale(factor)
-            else:
-                expect = heisenberg.FockState.zero()
+            # [a_k(b), a_-l(a)] = delta_kl (-1)^(k-1) k <a, b>
+            weight = (-1) ** (k - 1) * k * s.pairing_value(a1, b1)
+            expect = st.scale(weight if k == l else 0)
             if mixed != expect:
                 return False, "%s: mixed relation failed at k=%d l=%d" % (
                     s.name, k, l)
@@ -125,10 +123,23 @@ def check_punctual(order):
     return True, "n <= %d" % order
 
 
+def _orbifold_rows(euler, order):
+    """
+    Orbifold Euler numbers, n = 0..order, by a literal walk sharing no code
+    with the product: sum over partitions of n of prod_i e(e+1)...(e+a_i-1)
+    / a_i!, each quotient exact at every step of its recurrence.
+    """
+    sym = [1]
+    for a in range(order):
+        sym.append(sym[-1] * (euler + a) // (a + 1))
+    return [sum(prod(sym[ai] for ai in p.multiplicities)
+                for p in partitions_of(n)) for n in range(order + 1)]
+
+
 def check_euler(order):
-    from .goettsche import hilbert_euler_table, orbifold_euler_table
-    return _compare(EULER_RANGE, order, hilbert_euler_table,
-                    orbifold_euler_table, ("n", "product", "orbifold"))
+    from .goettsche import hilbert_euler_table
+    return _compare(EULER_RANGE, order, hilbert_euler_table, _orbifold_rows,
+                    ("n", "product", "orbifold"))
 
 
 def check_ktheory(order):

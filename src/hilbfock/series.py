@@ -94,13 +94,13 @@ class CoeffPoly(Frozen):
         return cls({exps: coeff}, nvars if nvars else len(exps))
 
     def coefficient(self, exps):
-        return Fraction(self.terms.get(tuple(exps), 0))
+        return self.terms.get(tuple(exps), 0)
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
     def constant_value(self):
-        return Fraction(self.terms.get((0,) * self.nvars, 0))
+        return self.terms.get((0,) * self.nvars, 0)
 
     def _check(self, other):
         if self.nvars != other.nvars:

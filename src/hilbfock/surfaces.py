@@ -14,7 +14,7 @@ are identity blocks in the chosen bases.
 
 from fractions import Fraction
 
-from ._base import Frozen
+from ._base import Frozen, exact
 
 
 class MissingHodgeData(ValueError):
@@ -41,14 +41,13 @@ class SurfaceModel(Frozen):
                     % (d, d, betti[d], 4 - d, betti_c[4 - d]))
         if pairing is None:
             pairing = tuple(
-                tuple(tuple(Fraction(1 if i == j else 0)
-                            for j in range(betti_c[4 - d]))
+                tuple(tuple(int(i == j) for j in range(betti_c[4 - d]))
                       for i in range(betti[d]))
                 for d in range(5))
         else:
             from .linalg import matrix, rank
             pairing = tuple(
-                tuple(tuple(Fraction(v) for v in row) for row in block)
+                tuple(tuple(exact(Fraction(v)) for v in row) for row in block)
                 for block in pairing)
             for d, block in enumerate(pairing):
                 if len(block) != betti[d] or any(
@@ -60,7 +59,7 @@ class SurfaceModel(Frozen):
             hodge = {(int(p), int(q)): int(h) for (p, q), h in dict(hodge).items()
                      if int(h)}
             for (p, q), h in hodge.items():
-                if h < 0 or p < 0 or q < 0:
+                if h < 0 or p < 0 or q < 0 or p + q > 4:
                     raise ValueError("bad hodge entry (%d,%d): %d" % (p, q, h))
                 if hodge.get((q, p), 0) != h:
                     raise ValueError("hodge numbers must be symmetric")
@@ -135,7 +134,7 @@ class SurfaceModel(Frozen):
         d = self.class_degree(ord_idx)
         dc = self.compact_class_degree(c_idx)
         if d + dc != 4:
-            return Fraction(0)
+            return 0
         i = ord_idx - sum(self.betti[:d])
         j = c_idx - sum(self.betti_c[:dc])
         return self.pairing[d][i][j]

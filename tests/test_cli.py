@@ -274,6 +274,26 @@ def test_surface_config_errors(tmp_path, capsys):
     assert "hodge" in err
 
 
+def test_hodge_entry_above_degree_4_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "high.surface"
+    cfg.write_text("betti=1,0,1,0,1\nhodge=0,0,1\nhodge=1,1,1\n"
+                   "hodge=2,2,1\nhodge=3,3,5\n")
+    for command in ("euler", "hodge"):
+        code, out, err = run_cli([command, "--surface", str(cfg), "--order",
+                                  "2"], capsys)
+        assert (code, out) == (2, "")
+        assert "bad hodge entry (3,3)" in err
+        assert err.count("\n") == 1
+
+
+def test_commutators_on_a_surface_without_classes_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "empty.surface"
+    cfg.write_text("name=empty\nbetti=0,0,0,0,0\n")
+    code, out, err = run_cli(["commutators", "--surface", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: surface 'empty' has no classes (--surface)\n"
+
+
 def test_selfcheck_failure_exits_1(monkeypatch, capsys):
     def fake_run_all(order, seed=0):
         return [("fake_identity", False, "lhs 1 vs rhs 2")]

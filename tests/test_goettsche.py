@@ -13,10 +13,10 @@ from hilbfock.goettsche import (equivariant_k_dim, equivariant_k_table,
                                 hilbert_poincare_from_strata,
                                 hilbert_poincare_series, hodge_sym,
                                 hodge_sym_table, orbifold_euler,
-                                orbifold_euler_table, punctual_poincare,
-                                strata_poincare_table, stratum_poincare,
-                                sym_poincare, sym_poincare_product,
-                                sym_poincare_table, sym_total_dim)
+                                punctual_poincare, strata_poincare_table,
+                                stratum_poincare, sym_poincare,
+                                sym_poincare_product, sym_poincare_table,
+                                sym_total_dim)
 from hilbfock.partitions import Partition, count_with_length, partitions_of
 from hilbfock.selfcheck import check_goettsche, check_sym_routes
 from hilbfock.series import CoeffPoly, FactorFamily, product_expand
@@ -198,6 +198,20 @@ def test_euler_tables_are_cached(monkeypatch):
             assert [hilbert_euler(e, n) for n in range(21)] == table
 
 
+def test_euler_table_computes_each_binomial_once(monkeypatch):
+    calls = []
+
+    def counting(a, k):
+        calls.append((a, k))
+        return general_binomial(a, k)
+
+    monkeypatch.setattr(goettsche, "_TABLES", {})
+    monkeypatch.setattr(goettsche, "general_binomial", counting)
+    table = hilbert_euler_table(24, 60)
+    assert table[:4] == [1, 24, 324, 3200]
+    assert len(calls) <= 61
+
+
 def test_orbifold_examples():
     for n in range(9):
         assert orbifold_euler(1, n) == len(partitions_of(n))
@@ -371,7 +385,7 @@ TABLES = [
     (strata_poincare_table, hilbert_poincare_from_strata, ABELIAN),
     (hilbert_hodge_table, hilbert_hodge, ABELIAN),
     (equivariant_k_table, equivariant_k_dim, ABELIAN),
-    (orbifold_euler_table, orbifold_euler, 24),
+    (hilbert_euler_table, hilbert_euler, 24),
 ]
 TABLE_IDS = [t[0].__name__ for t in TABLES]
 

@@ -330,7 +330,7 @@ def ref_annihilate(mode, cls, state, model):
 
 def assert_well_formed(state):
     for mono, coeff in state.terms.items():
-        assert type(coeff) is Fraction and coeff != 0
+        assert type(coeff) in (int, Fraction) and coeff != 0
         assert list(mono.factors) == sorted(mono.factors)
         assert all(type(m) is type(c) is int and m >= 1
                    for m, c in mono.factors)
@@ -467,3 +467,30 @@ def test_monomial_hash_is_the_hash_of_its_factors():
     assert {checked: 1}[trusted] == 1
     with pytest.raises(AttributeError):
         checked._hash = 0
+
+
+def test_integer_relations_stay_on_ints():
+    n_ord, n_com = len(ABELIAN.ordinary_degrees), len(ABELIAN.compact_degrees)
+    for mono in enumerate_monomials(ABELIAN, 2):
+        st = FockState({mono: 1})
+        assert type(st.terms[mono]) is int
+        for k in (1, 2, 3):
+            for a in range(n_ord):
+                for b in range(n_com):
+                    got = commutator(Annihilate(k, b), Create(k, a), st,
+                                     ABELIAN)
+                    assert all(type(c) is int for c in got.terms.values())
+                    pairing = ABELIAN.pairing_value(a, b)
+                    assert got == st.scale((-1) ** (k - 1) * k * pairing)
+    assert type(VAC.terms[FockMonomial(())]) is int
+
+
+def test_coefficients_are_normalised_and_floats_refused():
+    mono = FockMonomial(((1, 0),))
+    one = FockState({mono: Fraction(4, 4)})
+    assert type(one.terms[mono]) is int
+    assert FockState({mono: Fraction(1, 2)}).scale(Fraction(6, 3)) == one
+    with pytest.raises(TypeError):
+        FockState({mono: 0.5})
+    with pytest.raises(TypeError):
+        one.scale(2.0)

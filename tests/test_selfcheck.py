@@ -47,7 +47,7 @@ def break_row_3(monkeypatch, module, name, key):
     (selfcheck.check_hodge, goettsche, "hilbert_hodge_table", P2,
      ("p2 n=3: ", "collapsed ", " vs strata ")),
     # the Euler check runs over Euler numbers; 3 is that of P2
-    (selfcheck.check_euler, goettsche, "orbifold_euler_table", P2.euler,
+    (selfcheck.check_euler, selfcheck, "_orbifold_rows", P2.euler,
      ("e=3 n=3: ", "product ", " vs orbifold ")),
 ], ids=["goettsche", "fock", "sym", "ktheory", "hodge", "euler"])
 def test_check_reports_the_first_differing_row(monkeypatch, check, module,
@@ -99,3 +99,24 @@ def test_run_all_holds_every_bound(monkeypatch, order, capped):
     assert received.pop("commutators") == (50, 7, selfcheck.ALL_PRESETS)
     assert received == {name: (capped.get(name, order),)
                         for name in CHECKS if name != "commutators"}
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the other Euler route was called")
+
+
+def test_orbifold_route_shares_no_code_with_the_product(monkeypatch):
+    monkeypatch.setattr(goettsche, "_TABLES", {})
+    tables = {e: goettsche.hilbert_euler_table(e, 12) for e in (-4, 0, 24)}
+    monkeypatch.setattr(goettsche, "_strata_sums", refuse)
+    monkeypatch.setattr(goettsche, "general_binomial", refuse)
+    for e, table in tables.items():
+        assert selfcheck._orbifold_rows(e, 12) == table
+
+
+def test_product_route_walks_no_partitions(monkeypatch):
+    monkeypatch.setattr(goettsche, "_TABLES", {})
+    monkeypatch.setattr(selfcheck, "partitions_of", refuse)
+    assert goettsche.hilbert_euler_table(24, 3) == [1, 24, 324, 3200]
+    with pytest.raises(AssertionError):
+        selfcheck._orbifold_rows(24, 3)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hilbfock.surfaces import ABELIAN, DELTA, K3, P2, P1XP1, SurfaceModel
@@ -38,3 +40,26 @@ def test_hash_slot_cannot_be_assigned():
     with pytest.raises(AttributeError):
         K3._hash = 0
     assert hash(K3) == hash(rebuild(K3))
+
+
+def test_preset_pairing_blocks_are_ints():
+    entries = [v for block in K3.pairing for row in block for v in row]
+    assert len(entries) == 1 + 22 * 22 + 1
+    assert all(type(v) is int for v in entries)
+    assert type(K3.pairing_value(0, 0)) is int
+
+
+def test_supplied_pairing_entries_are_normalised():
+    skew = rebuild(P1XP1, pairing=(((1,),), (), (("1/2", 0), (0, 2.0)), (),
+                                   ((1,),)))
+    assert skew.pairing[2] == ((Fraction(1, 2), 0), (0, 2))
+    assert [type(v) for v in skew.pairing[2][1]] == [int, int]
+
+
+@pytest.mark.parametrize("pq", [(3, 3), (5, 0), (0, 5)])
+def test_hodge_entry_above_degree_4_is_refused(pq):
+    p, q = pq
+    with pytest.raises(ValueError, match="bad hodge entry"):
+        SurfaceModel("x", (1, 0, 1, 0, 1),
+                     hodge={(0, 0): 1, (1, 1): 1, (2, 2): 1, (p, q): 5,
+                            (q, p): 5})
