@@ -134,29 +134,29 @@ def trace_invariant(tr, k, l):
 
 def trace_table(tr, max_total):
     """
-    All invariants Tr(A^k B^l) with k + l <= max_total at once, from cached
-    power lists.  Returns a dict (k, l) -> GaussianRational.
+    All invariants Tr(A^k B^l) with k + l <= max_total at once, from the
+    power lists of A and B on the split form: Tr(A^k B^l) is the sum over
+    the nonzero entries x = A^k[i][j] of x * B^l[j][i].  Returns a dict
+    (k, l) -> GaussianRational.
     """
-    n = tr.n
-    a_pows = [identity(n)]
-    b_pows = [identity(n)]
-    for _ in range(max_total):
-        a_pows.append(mat_mul(a_pows[-1], tr.a))
-        b_pows.append(mat_mul(b_pows[-1], tr.b))
+    a_pows, b_pows = pows = [[linalg._split(identity(tr.n))] for _ in "ab"]
+    dens = []
+    for p, m in zip(pows, (tr.a, tr.b)):
+        s, d = linalg._cleared(m)
+        dens.append(d)
+        for _ in range(max_total):
+            p.append(linalg._matmul(p[-1], s))
     out = {}
     for k in range(max_total + 1):
-        # Tr(A^k B^l) = sum over the nonzero entries x = A^k[i][j] of
-        # x * B^l[j][i]
-        ak = [(i, j, x) for i, row in enumerate(a_pows[k])
-              for j, x in enumerate(row) if not x.is_zero()]
+        ak = [(i, j, *linalg._entry(row, j))
+              for i, row in enumerate(a_pows[k]) for j in linalg._cols(row)]
         for l in range(max_total + 1 - k):
-            bl = b_pows[l]
-            t = ZERO
-            for i, j, x in ak:
-                y = bl[j][i]
-                if not y.is_zero():
-                    t = t + x * y
-            out[(k, l)] = t
+            re = im = 0
+            for i, j, xr, xi in ak:
+                yr, yi = linalg._entry(b_pows[l][j], i)
+                if yr or yi:
+                    re, im = re + xr * yr - xi * yi, im + xr * yi + xi * yr
+            out[(k, l)] = linalg._scalar(re, im, dens[0] ** k * dens[1] ** l)
     return out
 
 
@@ -180,7 +180,8 @@ def support_cycle(tr, traces=None):
     points = {}
     for x, mx in gaussian_rational_roots(char_poly(tr.a)):
         cols = kernel_basis(mat_pow(add_scalar(tr.a, -x), mx))
-        b_restricted = solve_columns(cols, [mat_vec(tr.b, c) for c in cols])
+        b_restricted = solve_columns(
+            cols, tuple(zip(*mat_mul(tr.b, tuple(zip(*cols))))))
         for y, my in gaussian_rational_roots(char_poly(b_restricted)):
             points[(x, y)] = my
     cycle = SupportCycle(points)

@@ -9,11 +9,15 @@ basis kept in reduced row-echelon form.  Rank, kernels, solves and
 inverses fold it over the rows of a matrix (_echelon); invariant_span_dim
 grows a basis with it breadth-first.
 
-Matrices are tuples of tuples of GaussianRational; everything is pure.
+Matrices are tuples of tuples of GaussianRational, and everything is
+pure.  The kernels convert once to a split form: a split row is a pair
+(re, im) of sparse dicts {column: int or Fraction} of the nonzero parts,
+im None for a real row, and a split matrix is a list of split rows.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from itertools import count
+from math import isqrt, lcm, prod
 import re
 
 from ._base import Frozen, IdentityFailed, exact
@@ -62,8 +66,7 @@ class GaussianRational(Frozen):
         n = other.norm_sq()
         if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        inv = Fraction(1) / Fraction(n)
-        return self * other.conjugate() * GaussianRational(inv)
+        return self * other.conjugate() * GaussianRational(Fraction(1) / n)
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -98,7 +101,6 @@ class GaussianRational(Frozen):
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
 
 
 def _coerce(x):
@@ -115,11 +117,7 @@ _FULL = re.compile(r"([+-]?%s)(?:([+-](?:%s)?)i)?" % (_RAT, _RAT))
 
 
 def _parse_rat(s):
-    if s in ("", "+"):
-        return Fraction(1)
-    if s == "-":
-        return Fraction(-1)
-    return Fraction(s)
+    return Fraction(s + "1" if s in ("", "+", "-") else s)
 
 
 def scalar_from_str(token):
@@ -168,60 +166,88 @@ def mat_scale(a, c):
     return tuple(tuple(x * c for x in row) for row in a)
 
 
-def _nonzero_parts(row):
-    # (column, re, im) of each nonzero entry
-    return [(j, y.re, y.im) for j, y in enumerate(row) if not y.is_zero()]
+def _split(a):
+    return [({j: x.re for j, x in enumerate(row) if x.re},
+             {j: x.im for j, x in enumerate(row) if x.im} or None)
+            for row in a]
+
+
+def _join(s, width):
+    out = []
+    for row in s:
+        out.append([ZERO] * width)
+        for j in _cols(row):
+            out[-1][j] = GaussianRational(*_entry(row, j))
+    return tuple(map(tuple, out))
+
+
+def _cleared(a):
+    # (the split form of d*a, with integer parts, and d), d the least
+    # common denominator of the entries of a
+    s = _split(a)
+    d = lcm(*(x.denominator for row in s for part in row if part
+              for x in part.values()))
+    return (s if d == 1 else [tuple(part and {j: int(x * d) for j, x in
+                                              part.items()} for part in row)
+                              for row in s]), d
+
+
+def _scalar(re, im, d=1):
+    # the GaussianRational (re + i im) / d, ZERO itself for zero
+    if d != 1:
+        re, im = Fraction(re, d), Fraction(im, d)
+    return GaussianRational(re, im) if re or im else ZERO
+
+
+def _cols(row):
+    return row[0].keys() | (row[1] or {}).keys()
+
+
+def _entry(row, j):
+    return row[0].get(j, 0), row[1].get(j, 0) if row[1] else 0
+
+
+def _comb(terms):
+    # the split row sum of (xr + i xi) * row over (xr, xi, row) in terms
+    re, im = {}, {}
+    for xr, xi, (rr, ri) in terms:
+        parts = ((re, xr, rr),)
+        if xi or ri:
+            parts += ((im, xi, rr), (im, xr, ri), (re, -xi, ri))
+        for out, x, part in parts:
+            if x and part:
+                for j, y in part.items():
+                    out[j] = out.get(j, 0) + x * y
+    return ({j: x for j, x in re.items() if x},
+            {j: x for j, x in im.items() if x} or None)
+
+
+def _terms(row, b):
+    # the terms of the split row times the split matrix b, for _comb
+    out = [(x, 0, b[j]) for j, x in row[0].items()]
+    return out + [(0, x, b[j]) for j, x in row[1].items()] if row[1] else out
+
+
+def _matmul(x, y):
+    return [_comb(_terms(row, y)) if row[0] or row[1] else row for row in x]
 
 
 def mat_mul(a, b):
-    """
-    The product a * b.  Only pairs of nonzero entries are multiplied: each
-    nonzero x in a row of a scales the precomputed nonzero entries of the
-    matching row of b.
-    """
-    width = len(b[0]) if b else 0
-    b_rows = [_nonzero_parts(row) for row in b]
-    out = []
-    for row in a:
-        re_acc = [0] * width
-        im_acc = [0] * width
-        for x, b_row in zip(row, b_rows):
-            xr, xi = x.re, x.im
-            if not b_row or not (xr or xi):
-                continue
-            for j, yr, yi in b_row:
-                re_acc[j] += xr * yr - xi * yi
-                im_acc[j] += xr * yi + xi * yr
-        out.append(tuple(GaussianRational(r, i) if r or i else ZERO
-                         for r, i in zip(re_acc, im_acc)))
-    return tuple(out)
+    """The product a * b, on the split form: only nonzero parts multiply."""
+    return _join(_matmul(_split(a), _split(b)), len(b[0]) if b else 0)
 
 
 def mat_vec(a, v):
-    v_parts = _nonzero_parts(v)
-    out = []
-    for row in a:
-        re_acc = im_acc = 0
-        for j, yr, yi in v_parts:
-            xr, xi = row[j].re, row[j].im
-            if xr or xi:
-                re_acc += xr * yr - xi * yi
-                im_acc += xr * yi + xi * yr
-        out.append(GaussianRational(re_acc, im_acc) if re_acc or im_acc
-                   else ZERO)
-    return tuple(out)
+    return tuple(row[0] for row in mat_mul(a, [(x,) for x in v]))
 
 
 def mat_pow(a, k):
-    n = len(a)
-    out = identity(n)
-    base = a
+    out, base = _split(identity(len(a))), _split(a)
     while k:
         if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
+            out = _matmul(out, base)
+        base, k = _matmul(base, base), k >> 1
+    return _join(out, len(a))
 
 
 def trace(a):
@@ -229,23 +255,25 @@ def trace(a):
 
 
 def _insert(basis, v):
-    # add v to a reduced row-echelon basis {pivot column: row}: reduce v
-    # against the rows, scale its first nonzero entry to 1 and clear that
-    # column from the other rows; False, basis unchanged, if v is dependent
-    v = list(v)
+    # add the split row v to a reduced row-echelon basis {pivot: split row}:
+    # reduce v against the rows, scale its first nonzero entry to 1 and
+    # clear that column from the other rows; False, basis unchanged, if v
+    # is dependent
     for p, row in basis.items():
-        f = v[p]
-        if not f.is_zero():
-            v = [x - f * y for x, y in zip(v, row)]
-    col = next((j for j, x in enumerate(v) if not x.is_zero()), None)
+        fr, fi = _entry(v, p)
+        if fr or fi:
+            v = _comb([(1, 0, v), (-fr, -fi, row)])
+    col = min(_cols(v), default=None)
     if col is None:
         return False
-    inv = ONE / v[col]
-    v = [x * inv for x in v]
+    xr, xi = _entry(v, col)
+    if (xr, xi) != (1, 0):
+        n = Fraction(xr * xr + xi * xi)
+        v = _comb([(exact(xr / n), exact(-xi / n), v)])
     for p, row in basis.items():
-        f = row[col]
-        if not f.is_zero():
-            basis[p] = [x - f * y for x, y in zip(row, v)]
+        fr, fi = _entry(row, col)
+        if fr or fi:
+            basis[p] = _comb([(1, 0, row), (-fr, -fi, v)])
     basis[col] = v
     return True
 
@@ -253,23 +281,24 @@ def _insert(basis, v):
 def _echelon(rows):
     # (reduced row-echelon rows, their pivot columns), by ascending pivot
     basis = {}
-    for row in rows:
+    for row in _split(rows):
         _insert(basis, row)
     pivots = sorted(basis)
-    return [basis[p] for p in pivots], pivots
+    return list(_join([basis[p] for p in pivots],
+                      len(rows[0]) if rows else 0)), pivots
 
 
 def invariant_span_dim(mats, v):
     """
     The dimension of the smallest subspace that contains v and is invariant
     under every matrix in mats, grown breadth-first: each vector that
-    enlarges the span sends its images under mats to the next round.
+    enlarges the span sends its images m w = w m^T to the next round.
     """
-    basis = {}
-    frontier = [v]
+    cols = [_split(zip(*m)) for m in mats]
+    basis, frontier = {}, _split([v])
     while frontier and len(basis) < len(v):
-        frontier = [mat_vec(m, w) for w in frontier if _insert(basis, w)
-                    for m in mats]
+        frontier = [_comb(_terms(w, c)) for w in frontier
+                    if _insert(basis, w) for c in cols]
     return len(basis)
 
 
@@ -279,14 +308,11 @@ def rank(a):
 
 def kernel_basis(a):
     """Basis of the right kernel, as a list of column vectors."""
-    n_rows = len(a)
-    n_cols = len(a[0]) if n_rows else 0
+    n_cols = len(a[0]) if a else 0
     ech, pivots = _echelon(a)
-    free = [c for c in range(n_cols) if c not in pivots]
     basis = []
-    for fc in free:
-        v = [ZERO] * n_cols
-        v[fc] = ONE
+    for fc in (c for c in range(n_cols) if c not in pivots):
+        v = [ONE if c == fc else ZERO for c in range(n_cols)]
         for r, pc in enumerate(pivots):
             v[pc] = -ech[r][fc]
         basis.append(tuple(v))
@@ -305,8 +331,7 @@ def solve_columns(v_cols, w_cols):
     Solve V * M = W column by column, where V is given by columns and has
     full column rank.  Returns M (len(v_cols) x len(w_cols)).
     """
-    n = len(v_cols[0]) if v_cols else 0
-    k = len(v_cols)
+    n, k = len(v_cols[0]) if v_cols else 0, len(v_cols)
     aug = [[v_cols[j][i] for j in range(k)] + [w[i] for w in w_cols]
            for i in range(n)]
     ech, pivots = _echelon(aug)
@@ -320,16 +345,18 @@ def solve_columns(v_cols, w_cols):
 def char_poly(a):
     """
     Characteristic polynomial det(z*I - A), monic, coefficients ascending,
-    by the trace recursion (exact division by the step index).
+    by the trace recursion (exact division by the step index) on the split
+    form of d A, integral: A M_k = A (A M_(k-1)) + c_k A, and c_k / d^k.
     """
-    n = len(a)
-    coeffs = [ZERO] * n + [ONE]
-    m = identity(n)
+    n, (s, d) = len(a), _cleared(a)
+    coeffs, am = [ZERO] * n + [ONE], s
     for k in range(1, n + 1):
-        am = mat_mul(a, m)
-        ck = -(trace(am) * GaussianRational(Fraction(1, k)))
-        coeffs[n - k] = ck
-        m = add_scalar(am, ck)
+        tr, ti = map(sum, zip(*[_entry(row, i) for i, row in enumerate(am)]))
+        cr, ci = exact(Fraction(-tr, k)), exact(Fraction(-ti, k))
+        coeffs[n - k] = _scalar(cr, ci, d ** k)
+        if k < n:
+            am = [_comb(_terms(row, am) + [(cr, ci, row)])
+                  if row[0] or row[1] else row for row in s]
     return coeffs
 
 
@@ -372,24 +399,20 @@ def _factor(n):
 def _two_squares(p):
     # (a, b) with a*a + b*b == p for a prime p = 1 (mod 4): a square root
     # of -1 mod p, then the Euclidean algorithm on (p, root) down to sqrt(p)
-    c = 2
-    while True:
-        r = pow(c, (p - 1) // 4, p)
-        if r * r % p == p - 1:
-            break
-        c += 1
-    a, b = p, r
+    a, b = p, next(r for r in (pow(c, (p - 1) // 4, p) for c in count(2))
+                   if r * r % p == p - 1)
     while b * b > p:
         a, b = b, a % b
     return b, isqrt(p - b * b)
 
 
-def _powers(q, k):
-    # [q^0, ..., q^k] for a Gaussian integer q given as (re, im)
-    out = [(1, 0)]
-    for _ in range(k):
-        r, i = out[-1]
-        out.append((r * q[0] - i * q[1], r * q[1] + i * q[0]))
+def _times(divisors, q, k):
+    # each Gaussian integer d of divisors times q^0, ..., q^k, all (re, im)
+    out = []
+    for dr, di in divisors:
+        for _ in range(k + 1):
+            out.append((dr, di))
+            dr, di = dr * q[0] - di * q[1], dr * q[1] + di * q[0]
     return out
 
 
@@ -410,14 +433,12 @@ def gaussian_integer_divisors(g):
         raise SpectrumNotSplit(
             "norm %d exceeds the root search bound %d"
             % (n, ROOT_SEARCH_NORM_BOUND))
-    # each entry: the powers 1, q, q^2, ... of one Gaussian prime q in g,
-    # as (re, im) integer pairs
-    prime_powers = []
+    divisors = [(1, 0)]
     for p, e in _factor(n).items():
         if p == 2:
-            prime_powers.append(_powers((1, 1), e))
+            divisors = _times(divisors, (1, 1), e)
         elif p % 4 == 3:
-            prime_powers.append(_powers((p, 0), e // 2))
+            divisors = _times(divisors, (p, 0), e // 2)
         else:
             a, b = _two_squares(p)
             rest = (int(g.re), int(g.im))
@@ -431,79 +452,85 @@ def gaussian_integer_divisors(g):
                         break
                     rest = (re // p, im // p)
                     k += 1
-                prime_powers.append(_powers(q, k))
-    divisors = [(1, 0)]
-    for powers in prime_powers:
-        divisors = [(dr * qr - di * qi, dr * qi + di * qr)
-                    for dr, di in divisors for qr, qi in powers]
-    out = {_canonical_associate(GaussianRational(re, im))
-           for re, im in divisors}
+                divisors = _times(divisors, q, k)
+    out = set()
+    for re, im in divisors:
+        while re <= 0 or im < 0:  # the associate with re > 0, im >= 0
+            re, im = -im, re
+        out.add(GaussianRational(re, im))
     return sorted(out, key=lambda z: (z.norm_sq(), z.re, z.im))
-
-
-def _canonical_associate(z):
-    # the unique unit multiple with re > 0 and im >= 0; None for zero
-    if z.is_zero():
-        return None
-    for u in _UNITS:
-        w = z * u
-        if w.re > 0 and w.im >= 0:
-            return w
-    raise AssertionError("unreachable")
-
-
-_UNITS = (ONE, -ONE, I, -I)
 
 
 def gaussian_rational_roots(p):
     """
     All roots of the polynomial with multiplicity, provided it splits over
     the Gaussian rationals within the configured search; otherwise raises
-    SpectrumNotSplit.  Returns a list of (root, multiplicity).
+    SpectrumNotSplit.  Returns a list of (root, multiplicity).  Each root is
+    found once (_distinct_roots); checked deflations of p count it.
     """
-    # strip leading zeros (highest coefficients)
-    while len(p) > 1 and p[-1].is_zero():
+    while len(p) > 1 and p[-1].is_zero():  # leading zeros
         p = p[:-1]
-    degree = len(p) - 1
-    if degree == 0:
-        return []
-    roots = []
-    work = list(p)
-    # factor out roots at zero
-    while len(work) > 1 and work[0].is_zero():
-        roots.append(ZERO)
-        work = work[1:]
-    candidates = _root_candidates(work)
-    for cand in candidates:
-        while len(work) > 1 and poly_eval(work, cand).is_zero():
-            work, rem = poly_deflate(work, cand)
-            if not rem.is_zero():
-                raise IdentityFailed(
-                    "deflating the root %s left the remainder %s"
-                    % (cand, rem))
-            roots.append(cand)
-    if len(work) > 1:
+    degree, mult = len(p) - 1, {}
+    while len(p) > 1 and p[0].is_zero():  # roots at zero
+        mult[ZERO] = mult.get(ZERO, 0) + 1
+        p = p[1:]
+    for root in _distinct_roots(p) if len(p) > 1 else ():
+        while len(p) > 1 and (div := poly_deflate(p, root))[1].is_zero():
+            p, mult[root] = div[0], mult.get(root, 0) + 1
+        if root not in mult:
+            raise IdentityFailed("the root %s of the square-free part does "
+                                 "not divide the polynomial" % (root,))
+    if len(p) > 1:
         raise SpectrumNotSplit(
             "polynomial of degree %d has %d discoverable roots"
-            % (degree, len(roots)))
-    mult = {}
-    for r in roots:
-        mult[r] = mult.get(r, 0) + 1
+            % (degree, sum(mult.values())))
     return sorted(mult.items(), key=lambda kv: (kv[0].re, kv[0].im))
 
 
-def _root_candidates(p):
-    # clear denominators to a Gaussian-integer polynomial
-    lcm = 1
-    for c in p:
-        for f in (c.re, c.im):
-            lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ip = [c * GaussianRational(lcm) for c in p]
-    lead, const = ip[-1], ip[0]  # both nonzero: the caller strips zero roots
-    cands = set()
-    for num in gaussian_integer_divisors(const):
-        for den in gaussian_integer_divisors(lead):
-            base = num / den
-            for u in _UNITS:
-                cands.add(base * u)
-    return sorted(cands, key=lambda z: (z.norm_sq(), z.re, z.im))
+def _poly_divmod(a, b):
+    # (quotient, highest coefficient first; remainder without leading zeros)
+    a, inv, quot = list(a), ONE / b[-1], []
+    while len(a) >= len(b):
+        quot.append(a.pop() * inv)
+        for j, y in enumerate(b[:-1], len(a) + 1 - len(b)):
+            a[j] = a[j] - quot[-1] * y
+    while a and a[-1].is_zero():
+        a.pop()
+    return quot, a
+
+
+def _distinct_roots(p):
+    # the roots of p, p(0) != 0, that the bounded search finds, each once,
+    # on the square-free part q = p / gcd(p, p') made monic (so cleared, it
+    # has no Gaussian content): a root num/den has num | q(0), den | lead
+    # over Z[i] and lies in Cauchy's bound; Horner tests it on int pairs
+    g, b = p, [c * k for k, c in enumerate(p)][1:]
+    while b:
+        g, b = b, _poly_divmod(g, b)[1]
+    q = _poly_divmod(p, g)[0]
+    q = [c / q[0] for c in q]  # highest first, monic
+    if len(q) == 2:
+        return [-q[1]]
+    lead = lcm(*(f.denominator for c in q for f in (c.re, c.im)))
+    ip = [(int(c.re * lead), int(c.im * lead)) for c in q]
+    # each root has modulus < 1 + max |q_i| <= bound
+    bound = 2 + isqrt(-(-max(c.norm_sq() for c in q[1:]) // 1))
+    nums = gaussian_integer_divisors(GaussianRational(*ip[-1]))
+    roots = set()
+    for den in gaussian_integer_divisors(GaussianRational(lead)):
+        # t[i] = ip[i] den^i, so den^d q(num/den) = sum_i t[i] num^(d-i)
+        t = [(cr * pr - ci * pi, cr * pi + ci * pr) for (cr, ci), (pr, pi)
+             in zip(ip, _times([(1, 0)], (den.re, den.im), len(ip) - 1))]
+        for num in nums:
+            if num.norm_sq() >= bound * bound * den.norm_sq():
+                break  # nums ascend by norm
+            nr, ni = int(num.re), int(num.im)
+            for ur, ui in ((nr, ni), (-ni, nr), (-nr, -ni), (ni, -nr)):
+                ar = ai = 0
+                for cr, ci in t:
+                    ar, ai = ar * ur - ai * ui + cr, ar * ui + ai * ur + ci
+                if not (ar or ai):
+                    roots.add(GaussianRational(ur, ui) / den)
+                    if len(roots) == len(q) - 1:
+                        return roots
+    return roots

@@ -208,7 +208,7 @@ def run_all(order, seed=0):
         ("euler_product_vs_orbifold", check_euler, order),
         ("ktheory_vs_total_betti", check_ktheory, order),
         ("hodge_specialization", check_hodge, order),
-        ("adhm_monomial_triples", check_adhm, min(order, 8)),
+        ("adhm_monomial_triples", check_adhm, min(order, 12)),
         ("leray_regrouping", check_leray, order),
     ]
     return [(name, *check(*args)) for name, check, *args in battery]

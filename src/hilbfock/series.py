@@ -29,6 +29,7 @@ rational data is never packed.
 
 from fractions import Fraction
 from math import comb
+from sys import byteorder
 
 from ._base import Frozen, IdentityFailed, exact
 
@@ -436,12 +437,30 @@ def checked_rows(expand, totals, width=None):
     return [unpack(v, bits, t, width) for v, t in zip(expand(bits), totals)]
 
 
+_WORD = {2: "H", 4: "I", 8: "Q"}  # native formats by byte size
+
+
 def unpack(value, bits, total, width=None):
     """The CoeffPoly (in t, or x, y if width) of a packed int of sum total."""
-    step = bits // 8
-    raw = value.to_bytes(-(-value.bit_length() // bits) * step, "little")
-    digits = raw if step == 1 else [int.from_bytes(raw[k:k + step], "little")
-                                    for k in range(0, len(raw), step)]
+    # each digit is widened by strided copies to `wide` bytes, a power of
+    # two, and read as native words of up to 8 bytes (big-endian hosts read
+    # the reversed bytes): one word per digit, or wide // 8 words joined by
+    # shifts
+    step, count = bits // 8, -(-value.bit_length() // bits)
+    raw = value.to_bytes(count * step, "little")
+    wide = 1 << (step - 1).bit_length()
+    if wide != step:
+        raw, narrow = bytearray(count * wide), raw
+        for b in range(step):
+            raw[b::wide] = narrow[b::step]
+    if wide > 1:
+        word = _WORD[min(wide, 8)]
+        raw = (memoryview(raw[::-1]).cast(word).tolist()[::-1]
+               if byteorder == "big" else memoryview(raw).cast(word).tolist())
+    parts = max(wide // 8, 1)
+    digits = raw[::parts]
+    for j in range(1, parts):
+        digits = [d | w << 64 * j for d, w in zip(digits, raw[j::parts])]
     if sum(digits) != total:
         raise IdentityFailed("packed digits do not sum to %d" % total)
     return CoeffPoly._make({(k,) if width is None else divmod(k, width): c

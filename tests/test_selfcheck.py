@@ -85,7 +85,7 @@ CHECKS = ("goettsche", "fock_character", "sym_routes", "commutators",
 
 @pytest.mark.parametrize("order, capped", [
     (4, {"punctual": 12}),
-    (12, {"adhm": 8}),
+    (12, {}),
 ])
 def test_run_all_holds_every_bound(monkeypatch, order, capped):
     received = {}

@@ -326,6 +326,30 @@ def test_pack_layout_and_empty_values():
     assert unpack(7 << 8 * 9, bits, 7, width) == CoeffPoly({(1, 4): 7}, 2)
 
 
+def per_digit(value, step, count):
+    """The digits of a packed int, one int.from_bytes per digit."""
+    raw = value.to_bytes(count * step, "little")
+    return [int.from_bytes(raw[k * step:(k + 1) * step], "little")
+            for k in range(count)]
+
+
+@pytest.mark.parametrize("step", range(1, 10))
+def test_unpack_matches_a_per_digit_oracle(step):
+    bits, rng = 8 * step, random.Random(step)
+    for count in (1, 2, 3, 7, 40):
+        value = rng.randrange(1 << bits * (count - 1), 1 << bits * count)
+        if count == 3:  # full, zero and top digits
+            value = ((1 << bits) - 1) | 1 << bits * 2
+        digits = per_digit(value, step, count)
+        total = sum(digits)
+        assert unpack(value, bits, total) == CoeffPoly(
+            {(k,): c for k, c in enumerate(digits) if c})
+        assert unpack(value, bits, total, 3) == CoeffPoly(
+            {divmod(k, 3): c for k, c in enumerate(digits) if c}, 2)
+        with pytest.raises(IdentityFailed):
+            unpack(value, bits, total + 1)
+
+
 def test_unpack_with_a_wrong_total_raises_identity_failed():
     poly = CoeffPoly({(0,): 2, (3,): 5})
     value = pack(poly, 8)
