@@ -24,7 +24,6 @@ import argparse
 import sys
 
 from ._base import IdentityFailed
-from .surfaces import PRESETS, SurfaceModel
 
 
 class ConfigError(ValueError):
@@ -67,6 +66,7 @@ def parse_surface_file(path):
     if "betti" not in fields:
         raise ConfigError("%s: missing required field 'betti'" % path)
     hodge = dict(fields["hodge"]) if fields["hodge"] else None
+    from .surfaces import SurfaceModel
     try:
         return SurfaceModel(fields.get("name", path),
                             fields["betti"],
@@ -80,6 +80,7 @@ def parse_surface_file(path):
 def resolve_surface(spec):
     if spec is None:
         raise ConfigError("missing --surface")
+    from .surfaces import PRESETS
     key = spec.lower()
     if key in PRESETS:
         return PRESETS[key]
@@ -104,11 +105,12 @@ def emit(rows, output):
         sys.stdout.write(text)
 
 
-def build_parser():
+def build_parser(argv):
     """
     One declaration per subcommand: its help, its options, the least value
-    of each count option and its handler.  main calls this on every run,
-    so a cmd_* rebound in this module is the one that runs.
+    of each count option and its handler.  Only the subcommand argv[0]
+    names gets its options (all do if it names none, as for --help).  main
+    calls this on every run, so a cmd_* rebound here is the one that runs.
     """
     ap = argparse.ArgumentParser(
         prog="hilbfock",
@@ -118,19 +120,14 @@ def build_parser():
     def count(name, least, **kw):
         return "--" + name, least, dict(kw, type=int)
 
-    surface = ("--surface", None, {
-        "required": True, "help": "preset name (%s) or config file"
-        % ", ".join(sorted(set(PRESETS)))})
+    surface = ("--surface", None, {"required": True})
     order = count("order", 0, required=True)
     output = ("--output", None, {"default": None})
     seed = count("seed", None, default=0)
+    declared = {}  # name: (subparser, handler, options)
 
     def add(name, handler, help, *options):
-        p = sub.add_parser(name, help=help)
-        for flag, _, kw in options:
-            p.add_argument(flag, **kw)
-        p.set_defaults(handler=handler, least={
-            flag[2:]: low for flag, low, _ in options if low is not None})
+        declared[name] = sub.add_parser(name, help=help), handler, options
 
     add("goettsche", cmd_goettsche, "Poincare polynomials of the Hilbert "
         "schemes, product route", surface, order, output)
@@ -157,6 +154,16 @@ def build_parser():
     # a selfcheck of order 0 checks nothing
     add("selfcheck", cmd_selfcheck, "run every cross-identity",
         count("order", 1, required=True), output, seed)
+    for name in [argv[0]] if argv and argv[0] in declared else declared:
+        p, handler, options = declared[name]
+        for flag, _, kw in options:
+            if flag == "--surface":  # only its preset list loads surfaces
+                from .surfaces import PRESETS
+                kw = dict(kw, help="preset name (%s) or config file"
+                          % ", ".join(sorted(set(PRESETS))))
+            p.add_argument(flag, **kw)
+        p.set_defaults(handler=handler, least={
+            flag[2:]: low for flag, low, _ in options if low is not None})
     return ap
 
 
@@ -269,7 +276,8 @@ def cmd_selfcheck(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         for name, low in args.least.items():
             if getattr(args, name) < low:

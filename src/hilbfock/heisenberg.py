@@ -74,10 +74,11 @@ class FockMonomial(Frozen):
 
     @classmethod
     def _make(cls, factors):
-        # trusted constructor: factors already a sorted tuple of int pairs
+        # trusted constructor: factors already a sorted tuple of int pairs;
+        # the slot descriptors set the slots past Frozen's guard
         self = object.__new__(cls)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "_hash", hash(factors))
+        _set_factors(self, factors)
+        _set_hash(self, hash(factors))
         return self
 
     @property
@@ -126,7 +127,7 @@ class FockState(Frozen):
     def _make(cls, terms):
         # trusted constructor: FockMonomial keys, nonzero int/Fraction values
         self = object.__new__(cls)
-        object.__setattr__(self, "terms", terms)
+        _set_terms(self, terms)
         return self
 
     @classmethod
@@ -164,6 +165,11 @@ class FockState(Frozen):
             return "0"
         return " + ".join("%s*%r" % (c, m) for m, c in sorted(
             self.terms.items(), key=lambda kv: kv[0].factors))
+
+
+_set_factors = FockMonomial.factors.__set__
+_set_hash = FockMonomial._hash.__set__
+_set_terms = FockState.terms.__set__
 
 
 def _check_mode_class(mode, cls, n_classes):
@@ -212,19 +218,20 @@ class Create(_Operator):
     def apply(self, state, model):
         _check_mode_class(self.mode, self.cls, len(model.ordinary_degrees))
         odd = _odd(model)
+        signed = odd[self.cls]  # an even factor is inserted with no sign
         key = (self.mode, self.cls)
+        make = FockMonomial._make
         out = {}
         for mono, coeff in state.terms.items():
             factors = mono.factors
             pos = bisect_left(factors, key)
-            if odd[self.cls]:
+            if signed:
                 if factors[pos:pos + 1] == (key,):
                     continue
                 if sum(odd[c] for _, c in factors[:pos]) % 2:
                     coeff = -coeff
             # insertion is injective: no two terms land on one monomial
-            new = factors[:pos] + (key,) + factors[pos:]
-            out[FockMonomial._make(new)] = coeff
+            out[make(factors[:pos] + (key,) + factors[pos:])] = coeff
         return FockState._make(out)
 
 
@@ -240,18 +247,30 @@ class Annihilate(_Operator):
         _check_mode_class(self.mode, self.cls, len(model.compact_degrees))
         odd = _odd(model) if self.parity(model) else None
         weights = _weights(model, self.mode, self.cls)
-        i = self.mode
+        # the factors at this mode lie between these keys in sort order
+        first, past = (self.mode,), (self.mode + 1,)
+        make = FockMonomial._make
         out = {}
+        merged = False  # two contributions met: only then can one cancel
         for mono, coeff in state.terms.items():
             factors = mono.factors
-            for s, (m, c) in enumerate(factors):
-                if m == i and c in weights:
-                    new = FockMonomial._make(factors[:s] + factors[s + 1:])
+            lo = bisect_left(factors, first)
+            hi = bisect_left(factors, past, lo)
+            if odd and lo < hi and sum(odd[c] for _, c in factors[:lo]) % 2:
+                coeff = -coeff
+            for s in range(lo, hi):
+                c = factors[s][1]
+                if c in weights:
+                    new = make(factors[:s] + factors[s + 1:])
                     val = coeff * weights[c]
-                    out[new] = out[new] + val if new in out else val
+                    if new in out:
+                        val += out[new]
+                        merged = True
+                    out[new] = val
                 if odd and odd[c]:
                     coeff = -coeff
-        return FockState._make({m: c for m, c in out.items() if c})
+        return FockState._make(
+            {m: c for m, c in out.items() if c} if merged else out)
 
 
 class Central:
@@ -271,11 +290,13 @@ class Central:
 
 def commutator(op1, op2, state, model):
     """Supercommutator op1 op2 - (-1)^(|op1||op2|) op2 op1 applied to state."""
-    a = op1.apply(op2.apply(state, model), model)
-    b = op2.apply(op1.apply(state, model), model)
-    if op1.parity(model) * op2.parity(model) % 2:
-        return a + b
-    return a - b
+    terms = dict(op1.apply(op2.apply(state, model), model).terms)
+    sign = 1 if op1.parity(model) * op2.parity(model) % 2 else -1
+    for m, c in op2.apply(op1.apply(state, model), model).terms.items():
+        c = terms.pop(m, 0) + sign * c
+        if c:
+            terms[m] = c
+    return FockState._make(terms)
 
 
 def stratum_class(nu, model=None):
@@ -306,14 +327,9 @@ def degree_of(state, model, hodge=False):
     """
     if hodge and model.hodge is None:
         raise MissingHodgeData("model %r carries no Hodge data" % model.name)
-    seen = None
-    for mono in state.terms:
-        d = mono.bidegree(model) if hodge else mono.degree(model)
-        if seen is None:
-            seen = d
-        elif seen != d:
-            return MIXED
-    return seen
+    degs = {mono.bidegree(model) if hodge else mono.degree(model)
+            for mono in state.terms}
+    return MIXED if len(degs) > 1 else next(iter(degs), None)
 
 
 def _level_table(model, order, bits=0):

@@ -6,7 +6,8 @@ variable (t) or two (x, y).  Integer values are kept as machine integers
 and only promoted to Fraction when a denominator appears, so the common
 all-integer computations stay fast.  Series carry a hard truncation
 order; combining series of different orders is an error rather than a
-silent re-truncation.
+silent re-truncation.  Every product of sparse polynomials, alone or as
+series coefficients, runs through one term-product kernel, _mul_into.
 
 Infinite products of the shape prod_{m>=1} (1 +- t^(c*m+d) q^m)^(+-w) are
 expanded by binomial / negative-binomial expansion of each factor; factors
@@ -47,6 +48,24 @@ class UnknownVariable(KeyError):
 
 
 _VARS = {1: ("t",), 2: ("x", "y")}
+
+
+def _mul_into(bucket, a, b, nvars):
+    """Add the product of term dicts a, b to bucket, zeros kept; return it."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = bucket.get
+    if nvars == 1:
+        for (i,), c in a.items():
+            for (j,), d in b.items():
+                e = (i + j,)
+                bucket[e] = get(e, 0) + c * d
+    else:
+        for (i, k), c in a.items():
+            for (j, l), d in b.items():
+                e = (i + j, k + l)
+                bucket[e] = get(e, 0) + c * d
+    return bucket
 
 
 class CoeffPoly(Frozen):
@@ -137,15 +156,7 @@ class CoeffPoly(Frozen):
             return CoeffPoly._make({e: v * c for e, v in self.terms.items()},
                                    self.nvars)
         self._check(other)
-        terms = {}
-        if len(self.terms) > len(other.terms):
-            a, b = other, self
-        else:
-            a, b = self, other
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
+        terms = _mul_into({}, self.terms, other.terms, self.nvars)
         return CoeffPoly._make({e: c for e, c in terms.items() if c},
                                self.nvars)
 
@@ -278,15 +289,9 @@ class QTSeries(Frozen):
         for i, a in enumerate(self.coeffs):
             if not a.terms:
                 continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not b.terms:
-                    continue
-                bucket = acc[i + j]
-                for e1, c1 in a.terms.items():
-                    for e2, c2 in b.terms.items():
-                        e = tuple(x + y for x, y in zip(e1, e2))
-                        bucket[e] = bucket.get(e, 0) + c1 * c2
+            for j, b in enumerate(other.coeffs[:self.order + 1 - i]):
+                if b.terms:
+                    _mul_into(acc[i + j], a.terms, b.terms, nvars)
         coeffs = [CoeffPoly._make({e: c for e, c in d.items() if c}, nvars)
                   for d in acc]
         return QTSeries(self.order, coeffs, nvars)

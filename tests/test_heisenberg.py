@@ -494,3 +494,47 @@ def test_coefficients_are_normalised_and_floats_refused():
         FockState({mono: 0.5})
     with pytest.raises(TypeError):
         one.scale(2.0)
+
+
+def composed_commutator(op1, op2, st, model):
+    """op1 op2 - (-1)^(|op1||op2|) op2 op1 from two compositions, + and
+    scale."""
+    sign = (-1) ** (op1.parity(model) * op2.parity(model))
+    return (op1.apply(op2.apply(st, model), model)
+            + op2.apply(op1.apply(st, model), model).scale(-sign))
+
+
+@pytest.mark.parametrize("model", PRESETS + (SKEW,), ids=lambda m: m.name)
+def test_commutator_equals_its_two_compositions(model):
+    rng = random.Random(53)
+    ops = [op for op, _ in operators_of(model, max_mode=3)] + [Central()]
+    cancelled = 0
+    for level in range(1, 5):
+        for _ in range(3):
+            st = random_state(model, level, rng, n_terms=4)
+            pairs = [(rng.choice(ops), rng.choice(ops)) for _ in range(40)]
+            # creators supercommute: every term of these pairs cancels
+            last = len(model.ordinary_degrees) - 1
+            pairs += [(Create(1, 0), Create(level, last)), (ops[0], ops[0])]
+            for op1, op2 in pairs:
+                got = commutator(op1, op2, st, model)
+                assert got.terms == composed_commutator(op1, op2, st,
+                                                        model).terms
+                assert_well_formed(got)
+                if not op1.apply(op2.apply(st, model), model).is_zero():
+                    cancelled += got.terms == {}
+    assert cancelled >= 4
+
+
+@pytest.mark.parametrize("model", PRESETS + (SKEW,), ids=lambda m: m.name)
+def test_trusted_monomials_equal_checked_ones(model):
+    rng = random.Random(59)
+    for level in range(1, 5):
+        st = random_state(model, level, rng, n_terms=4)
+        for op, _ in operators_of(model, max_mode=level):
+            for mono, coeff in op.apply(st, model).terms.items():
+                checked = FockMonomial(mono.factors)
+                assert type(mono) is FockMonomial
+                assert mono == checked and checked == mono
+                assert hash(mono) == hash(checked)
+                assert {checked: coeff}[mono] == coeff

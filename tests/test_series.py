@@ -361,3 +361,86 @@ def test_unpack_with_a_wrong_total_raises_identity_failed():
     carried = pack(CoeffPoly({(0,): 300}), 8)
     with pytest.raises(IdentityFailed):
         unpack(carried, 8, 300)
+
+
+# A plain-dict reference for the sparse product, sharing no code with the
+# kernel in series: every pair of terms, exponents added per variable.
+def dict_product(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(sum, zip(ea, eb)))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def signed_terms(rng, nvars, integral):
+    """Random terms: negative values, Fractions unless integral, and each
+    term often paired with its negative one degree up, so products cancel."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        e = tuple(rng.randint(0, 3) for _ in range(nvars))
+        c = rng.choice((-3, -2, -1, 1, 2, 5))
+        if not integral and rng.random() < 0.5:
+            c = Fraction(c, rng.choice((2, 3, 6)))
+        terms[e] = c
+        if rng.random() < 0.4:  # (1 - t) style pairs make terms cancel
+            terms[tuple(x + 1 for x in e)] = -c
+    return terms
+
+
+def assert_product_terms(got, want, integral):
+    assert got == want
+    assert all(c != 0 for c in got.values())
+    if integral:
+        assert all(type(c) is int for c in got.values())
+
+
+@pytest.mark.parametrize("nvars", (1, 2))
+@pytest.mark.parametrize("integral", (True, False), ids=("int", "fraction"))
+def test_coeffpoly_product_matches_the_dict_reference(nvars, integral):
+    rng = random.Random(90 + nvars + 2 * integral)
+    for _ in range(150):
+        a = signed_terms(rng, nvars, integral)
+        b = signed_terms(rng, nvars, integral)
+        got = CoeffPoly(a, nvars) * CoeffPoly(b, nvars)
+        assert_product_terms(got.terms, dict_product(a, b), integral)
+    one, t = ((0,) * nvars), ((1,) * nvars)
+    diff = CoeffPoly({one: 1, t: -1}, nvars)
+    total = CoeffPoly({one: 1, t: 1}, nvars)
+    # (1 - t)(1 + t): the middle terms cancel and leave no zero behind
+    assert (diff * total).terms == {one: 1, (2,) * nvars: -1}
+
+
+@pytest.mark.parametrize("nvars", (1, 2))
+@pytest.mark.parametrize("integral", (True, False), ids=("int", "fraction"))
+def test_qtseries_product_matches_the_dict_reference(nvars, integral):
+    rng = random.Random(80 + nvars + 2 * integral)
+    for _ in range(40):
+        order = rng.randint(0, 5)
+        a = [signed_terms(rng, nvars, integral) for _ in range(order + 1)]
+        b = [signed_terms(rng, nvars, integral) for _ in range(order + 1)]
+        got = (QTSeries(order, [CoeffPoly(t, nvars) for t in a], nvars)
+               * QTSeries(order, [CoeffPoly(t, nvars) for t in b], nvars))
+        for k in range(order + 1):
+            want = {}
+            for i in range(k + 1):
+                for e, c in dict_product(a[i], b[k - i]).items():
+                    want[e] = want.get(e, 0) + c
+            assert_product_terms(got.coeffs[k].terms,
+                                 {e: c for e, c in want.items() if c},
+                                 integral)
+
+
+def test_both_products_run_through_the_one_kernel(monkeypatch):
+    def broken(bucket, a, b, nvars):
+        raise RuntimeError("kernel called")
+
+    monkeypatch.setattr(series, "_mul_into", broken)
+    for nvars in (1, 2):
+        p = CoeffPoly({(1,) * nvars: 2}, nvars)
+        with pytest.raises(RuntimeError, match="kernel called"):
+            p * p
+        s = QTSeries(2, [p, p], nvars)
+        with pytest.raises(RuntimeError, match="kernel called"):
+            s * s
