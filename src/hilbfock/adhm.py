@@ -18,9 +18,9 @@ from . import linalg
 from ._base import Frozen
 from .linalg import (GaussianRational, IdentityFailed, SpectrumNotSplit,
                      ZERO, ONE, add_scalar, char_poly, gaussian_rational_roots,
-                     identity, invariant_span_dim, kernel_basis, mat_mul,
-                     mat_pow, mat_scale, mat_vec, matrix, scalar_from_str,
-                     scalar_to_str, solve_columns, trace)
+                     invariant_span_dim, kernel_basis, mat_mul, mat_pow,
+                     mat_vec, matrix, power_traces, scalar_from_str,
+                     scalar_to_str, solve_columns)
 
 
 class NotCommuting(ValueError):
@@ -44,9 +44,7 @@ class MatrixTriple(Frozen):
     __slots__ = ("n", "a", "b", "v", "commuting")
 
     def __init__(self, a, b, v):
-        a = matrix(a)
-        b = matrix(b)
-        v = tuple(linalg._coerce(x) for x in v)
+        a, b, (v,) = matrix(a), matrix(b), matrix([v])
         n = len(v)
         for m in (a, b):
             if len(m) != n or any(len(row) != n for row in m):
@@ -129,35 +127,16 @@ def trace_invariant(tr, k, l):
     """The conjugation invariant Tr(A^k B^l)."""
     if k < 0 or l < 0:
         raise ValueError("exponents must be non-negative")
-    return trace(mat_mul(mat_pow(tr.a, k), mat_pow(tr.b, l)))
+    m = mat_mul(mat_pow(tr.a, k), mat_pow(tr.b, l))
+    return sum((m[i][i] for i in range(tr.n)), ZERO)
 
 
 def trace_table(tr, max_total):
     """
-    All invariants Tr(A^k B^l) with k + l <= max_total at once, from the
-    power lists of A and B on the split form: Tr(A^k B^l) is the sum over
-    the nonzero entries x = A^k[i][j] of x * B^l[j][i].  Returns a dict
-    (k, l) -> GaussianRational.
+    All invariants Tr(A^k B^l) with k + l <= max_total at once, as a dict
+    (k, l) -> GaussianRational: linalg.power_traces on A and B.
     """
-    a_pows, b_pows = pows = [[linalg._split(identity(tr.n))] for _ in "ab"]
-    dens = []
-    for p, m in zip(pows, (tr.a, tr.b)):
-        s, d = linalg._cleared(m)
-        dens.append(d)
-        for _ in range(max_total):
-            p.append(linalg._matmul(p[-1], s))
-    out = {}
-    for k in range(max_total + 1):
-        ak = [(i, j, *linalg._entry(row, j))
-              for i, row in enumerate(a_pows[k]) for j in linalg._cols(row)]
-        for l in range(max_total + 1 - k):
-            re = im = 0
-            for i, j, xr, xi in ak:
-                yr, yi = linalg._entry(b_pows[l][j], i)
-                if yr or yi:
-                    re, im = re + xr * yr - xi * yi, im + xr * yi + xi * yr
-            out[(k, l)] = linalg._scalar(re, im, dens[0] ** k * dens[1] ** l)
-    return out
+    return power_traces(tr.a, tr.b, max_total)
 
 
 def support_cycle(tr, traces=None):
@@ -215,19 +194,11 @@ def in_bidisk(tr, cycle=None):
     return True
 
 
-def _is_rational_square(f):
-    p, q = f.numerator, f.denominator
-    rp, rq = isqrt(p), isqrt(q)
-    if rp * rp == p and rq * rq == q:
-        return Fraction(rp, rq)
-    return None
-
-
 def _sqrt_upper(s, precision):
     """A rational r with sqrt(s) <= r < sqrt(s) + precision, s in [0, 1)."""
-    exact = _is_rational_square(s)
-    if exact is not None:
-        return exact
+    p, q = isqrt(s.numerator), isqrt(s.denominator)
+    if p * p == s.numerator and q * q == s.denominator:
+        return Fraction(p, q)
     lo, hi = Fraction(0), Fraction(1)
     while hi - lo > precision:
         mid = (lo + hi) / 2
@@ -240,8 +211,8 @@ def _sqrt_upper(s, precision):
 
 def retract(tr, precision=Fraction(1, 10 ** 6)):
     """
-    Rescale a bidisk triple to the whole plane: multiply A and B by
-    1/(1 - phi) where phi is the largest eigenvalue modulus of A and B.
+    Rescale a bidisk triple to the whole plane: the torus action at (s, s)
+    with s = 1/(1 - phi), phi the largest eigenvalue modulus of A and B.
     When phi^2 is a perfect rational square the scale is exact; otherwise
     phi is replaced by a one-sided rational upper approximation within
     `precision` (so the computed scale is >= the exact one).  Commuting,
@@ -257,15 +228,17 @@ def retract(tr, precision=Fraction(1, 10 ** 6)):
         raise NotInBidisk("largest squared eigenvalue modulus is %s" % phi_sq)
     phi = _sqrt_upper(phi_sq, precision)
     scale = Fraction(1) / (Fraction(1) - phi)
-    return MatrixTriple(mat_scale(tr.a, scale), mat_scale(tr.b, scale), tr.v)
+    return torus_scale(scale, scale, tr)
 
 
 def torus_scale(l1, l2, tr):
     """The torus action (l1, l2) . (A, B, v) = (l1 A, l2 B, v)."""
-    l1, l2 = linalg._coerce(l1), linalg._coerce(l2)
+    ((l1, l2),) = matrix([(l1, l2)])
     if l1.is_zero() or l2.is_zero():
         raise ZeroScalar("torus scalars must be nonzero")
-    return MatrixTriple(mat_scale(tr.a, l1), mat_scale(tr.b, l2), tr.v)
+    a, b = (tuple(tuple(x * c for x in row) for row in m)
+            for c, m in ((l1, tr.a), (l2, tr.b)))
+    return MatrixTriple(a, b, tr.v)
 
 
 def staircase_cells(mu):
@@ -304,7 +277,7 @@ def from_monomial_ideal(mu):
 def staircase_weight_matrix(mu, l1, l2):
     """The diagonal matrix of torus weights l1^x l2^y over the staircase."""
     cells = staircase_cells(mu)
-    l1, l2 = linalg._coerce(l1), linalg._coerce(l2)
+    ((l1, l2),) = matrix([(l1, l2)])
     n = len(cells)
     g = [[ZERO] * n for _ in range(n)]
     for i, (x, y) in enumerate(cells):

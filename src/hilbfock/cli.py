@@ -18,6 +18,8 @@ Surface configuration files are flat key=value lines:
     betti_c=1,0,2,0,1        (optional, defaults to betti)
     euler=4                  (optional, checked against betti)
     hodge=0,0,1              (optional, repeatable: p,q,h)
+
+A repeated key, or a repeated hodge=p,q, is an error.
 """
 
 import argparse
@@ -36,7 +38,7 @@ def parse_surface_file(path):
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError("cannot read surface file %s: %s" % (path, exc))
-    fields = {"hodge": []}
+    fields, hodge = {}, {}
     for ln, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -46,32 +48,33 @@ def parse_surface_file(path):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        table, slot = fields, key
         try:
-            if key == "name":
-                fields["name"] = value
-            elif key in ("betti", "betti_c"):
-                fields[key] = [int(x) for x in value.split(",")]
+            if key in ("betti", "betti_c"):
+                value = [int(x) for x in value.split(",")]
             elif key == "euler":
-                fields["euler"] = int(value)
+                value = int(value)
             elif key == "hodge":
-                p, q, h = (int(x) for x in value.split(","))
-                fields["hodge"].append(((p, q), h))
-            else:
+                p, q, value = (int(x) for x in value.split(","))
+                table, slot, key = hodge, (p, q), "hodge=%d,%d" % (p, q)
+            elif key != "name":
                 raise ConfigError("%s:%d: unknown field %r" % (path, ln, key))
         except ValueError as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError("%s:%d: bad value for %r: %s"
                               % (path, ln, key, exc))
+        if slot in table:
+            raise ConfigError("%s:%d: duplicate field %r" % (path, ln, key))
+        table[slot] = value
     if "betti" not in fields:
         raise ConfigError("%s: missing required field 'betti'" % path)
-    hodge = dict(fields["hodge"]) if fields["hodge"] else None
     from .surfaces import SurfaceModel
     try:
         return SurfaceModel(fields.get("name", path),
                             fields["betti"],
                             betti_c=fields.get("betti_c"),
-                            hodge=hodge,
+                            hodge=hodge or None,
                             euler=fields.get("euler"))
     except ValueError as exc:
         raise ConfigError("%s: %s" % (path, exc))

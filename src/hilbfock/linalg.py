@@ -12,7 +12,9 @@ grows a basis with it breadth-first.
 Matrices are tuples of tuples of GaussianRational, and everything is
 pure.  The kernels convert once to a split form: a split row is a pair
 (re, im) of sparse dicts {column: int or Fraction} of the nonzero parts,
-im None for a real row, and a split matrix is a list of split rows.
+im None for a real row, and a split matrix is a list of split rows.  No
+other module sees that form: power_traces, for one, takes two matrices
+and returns each trace Tr(A^k B^l) as a GaussianRational.
 """
 
 from fractions import Fraction
@@ -161,11 +163,6 @@ def add_scalar(a, c):
                  for i, row in enumerate(a))
 
 
-def mat_scale(a, c):
-    c = _coerce(c)
-    return tuple(tuple(x * c for x in row) for row in a)
-
-
 def _split(a):
     return [({j: x.re for j, x in enumerate(row) if x.re},
              {j: x.im for j, x in enumerate(row) if x.im} or None)
@@ -250,8 +247,32 @@ def mat_pow(a, k):
     return _join(out, len(a))
 
 
-def trace(a):
-    return sum((a[i][i] for i in range(len(a))), ZERO)
+def power_traces(a, b, max_total):
+    """
+    All Tr(A^k B^l) with k + l <= max_total at once, from the power lists
+    of A and B on the split form: Tr(A^k B^l) is the sum over the nonzero
+    entries x = A^k[i][j] of x * B^l[j][i].  Returns a dict
+    (k, l) -> GaussianRational.
+    """
+    a_pows, b_pows = pows = [[_split(identity(len(a)))] for _ in "ab"]
+    dens = []
+    for p, m in zip(pows, (a, b)):
+        s, d = _cleared(m)
+        dens.append(d)
+        for _ in range(max_total):
+            p.append(_matmul(p[-1], s))
+    out = {}
+    for k in range(max_total + 1):
+        ak = [(i, j, *_entry(row, j))
+              for i, row in enumerate(a_pows[k]) for j in _cols(row)]
+        for l in range(max_total + 1 - k):
+            re = im = 0
+            for i, j, xr, xi in ak:
+                yr, yi = _entry(b_pows[l][j], i)
+                if yr or yi:
+                    re, im = re + xr * yr - xi * yi, im + xr * yi + xi * yr
+            out[(k, l)] = _scalar(re, im, dens[0] ** k * dens[1] ** l)
+    return out
 
 
 def _insert(basis, v):
@@ -364,22 +385,17 @@ def char_poly(a):
 # polynomials (coefficients ascending, GaussianRational)
 
 
-def poly_eval(p, z):
-    out = ZERO
-    for c in reversed(p):
-        out = out * z + c
-    return out
-
-
-def poly_deflate(p, r):
-    """Divide p by (z - r) synthetically; returns (quotient, remainder)."""
-    d = len(p) - 1
-    q = [ZERO] * d
-    acc = p[d]
-    for i in range(d - 1, -1, -1):
-        q[i] = acc
-        acc = p[i] + acc * r
-    return q, acc
+def _poly_divmod(a, b):
+    # (quotient, remainder without leading zeros) of a by b, by long division
+    a, inv = list(a), ONE / b[-1]
+    quot = [ZERO] * (len(a) + 1 - len(b))
+    for i in range(len(quot) - 1, -1, -1):
+        c = quot[i] = a.pop() * inv
+        for j, y in enumerate(b[:-1], i):
+            a[j] = a[j] - c * y
+    while a and a[-1].is_zero():
+        a.pop()
+    return quot, a
 
 
 def _factor(n):
@@ -466,7 +482,7 @@ def gaussian_rational_roots(p):
     All roots of the polynomial with multiplicity, provided it splits over
     the Gaussian rationals within the configured search; otherwise raises
     SpectrumNotSplit.  Returns a list of (root, multiplicity).  Each root is
-    found once (_distinct_roots); checked deflations of p count it.
+    found once (_distinct_roots); exact divisions of p by z - root count it.
     """
     while len(p) > 1 and p[-1].is_zero():  # leading zeros
         p = p[:-1]
@@ -475,7 +491,7 @@ def gaussian_rational_roots(p):
         mult[ZERO] = mult.get(ZERO, 0) + 1
         p = p[1:]
     for root in _distinct_roots(p) if len(p) > 1 else ():
-        while len(p) > 1 and (div := poly_deflate(p, root))[1].is_zero():
+        while len(p) > 1 and not (div := _poly_divmod(p, [-root, ONE]))[1]:
             p, mult[root] = div[0], mult.get(root, 0) + 1
         if root not in mult:
             raise IdentityFailed("the root %s of the square-free part does "
@@ -487,18 +503,6 @@ def gaussian_rational_roots(p):
     return sorted(mult.items(), key=lambda kv: (kv[0].re, kv[0].im))
 
 
-def _poly_divmod(a, b):
-    # (quotient, highest coefficient first; remainder without leading zeros)
-    a, inv, quot = list(a), ONE / b[-1], []
-    while len(a) >= len(b):
-        quot.append(a.pop() * inv)
-        for j, y in enumerate(b[:-1], len(a) + 1 - len(b)):
-            a[j] = a[j] - quot[-1] * y
-    while a and a[-1].is_zero():
-        a.pop()
-    return quot, a
-
-
 def _distinct_roots(p):
     # the roots of p, p(0) != 0, that the bounded search finds, each once,
     # on the square-free part q = p / gcd(p, p') made monic (so cleared, it
@@ -508,7 +512,7 @@ def _distinct_roots(p):
     while b:
         g, b = b, _poly_divmod(g, b)[1]
     q = _poly_divmod(p, g)[0]
-    q = [c / q[0] for c in q]  # highest first, monic
+    q = [c / q[-1] for c in reversed(q)]  # highest first, monic
     if len(q) == 2:
         return [-q[1]]
     lead = lcm(*(f.denominator for c in q for f in (c.re, c.im)))

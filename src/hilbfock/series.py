@@ -68,6 +68,14 @@ def _mul_into(bucket, a, b, nvars):
     return bucket
 
 
+def _exact_terms(terms):
+    # terms through exact when a coefficient is a Fraction, which a sum or
+    # product of operands that hold Fractions may leave integral
+    if Fraction in map(type, terms.values()):
+        return {e: exact(c) for e, c in terms.items()}
+    return terms
+
+
 class CoeffPoly(Frozen):
     """Sparse polynomial: map from exponent tuple to nonzero exact rational."""
 
@@ -137,7 +145,7 @@ class CoeffPoly(Frozen):
                 terms[e] = v
             elif e in terms:
                 del terms[e]
-        return CoeffPoly._make(terms, self.nvars)
+        return CoeffPoly._make(_exact_terms(terms), self.nvars)
 
     def __neg__(self):
         return CoeffPoly._make({e: -c for e, c in self.terms.items()},
@@ -153,12 +161,12 @@ class CoeffPoly(Frozen):
             c = exact(other)
             if not c:
                 return CoeffPoly.zero(self.nvars)
-            return CoeffPoly._make({e: v * c for e, v in self.terms.items()},
-                                   self.nvars)
-        self._check(other)
-        terms = _mul_into({}, self.terms, other.terms, self.nvars)
-        return CoeffPoly._make({e: c for e, c in terms.items() if c},
-                               self.nvars)
+            terms = {e: v * c for e, v in self.terms.items()}
+        else:
+            self._check(other)
+            terms = _mul_into({}, self.terms, other.terms, self.nvars)
+            terms = {e: c for e, c in terms.items() if c}
+        return CoeffPoly._make(_exact_terms(terms), self.nvars)
 
     __rmul__ = __mul__
 
@@ -292,9 +300,9 @@ class QTSeries(Frozen):
             for j, b in enumerate(other.coeffs[:self.order + 1 - i]):
                 if b.terms:
                     _mul_into(acc[i + j], a.terms, b.terms, nvars)
-        coeffs = [CoeffPoly._make({e: c for e, c in d.items() if c}, nvars)
-                  for d in acc]
-        return QTSeries(self.order, coeffs, nvars)
+        return QTSeries(self.order, [
+            CoeffPoly._make(_exact_terms({e: c for e, c in d.items() if c}),
+                            nvars) for d in acc], nvars)
 
     __rmul__ = __mul__
 

@@ -17,8 +17,8 @@ from hilbfock.linalg import (GaussianRational, IdentityFailed,
                              SpectrumNotSplit, char_poly,
                              gaussian_integer_divisors,
                              gaussian_rational_roots, identity, invert,
-                             kernel_basis, mat_mul, poly_deflate, poly_eval,
-                             rank, scalar_from_str, scalar_to_str)
+                             kernel_basis, mat_mul, rank, scalar_from_str,
+                             scalar_to_str)
 
 G = GaussianRational
 
@@ -105,15 +105,6 @@ def test_kernel_and_rank():
     (v,) = kernel_basis(a)
     assert all((sum((x * y for x, y in zip(row, v)), G(0))).is_zero()
                for row in a)
-
-
-def test_poly_deflate():
-    # z^2 - 3z + 2 = (z - 1)(z - 2)
-    p = [G(2), G(-3), G(1)]
-    q, rem = poly_deflate(p, G(1))
-    assert rem.is_zero()
-    assert q == [G(-2), G(1)]
-    assert poly_eval(p, G(2)).is_zero()
 
 
 def plain_mat_mul(a, b):

@@ -274,6 +274,24 @@ def test_surface_config_errors(tmp_path, capsys):
     assert "hodge" in err
 
 
+@pytest.mark.parametrize("first, again, field", [
+    ("name=a", "name=b", "'name'"),
+    ("betti=1,0,1,0,1", "betti=1,0,2,0,1", "'betti'"),
+    ("betti_c=1,0,1,0,1", "betti_c=1,0,2,0,1", "'betti_c'"),
+    ("euler=3", "euler=3", "'euler'"),
+    ("hodge=1,1,1", "hodge=1,1,1", "'hodge=1,1'"),
+])
+def test_repeated_surface_key_exits_2(tmp_path, capsys, first, again, field):
+    cfg = tmp_path / "twice.surface"
+    base = "" if field == "'betti'" else "betti=1,0,1,0,1\n"
+    cfg.write_text("%s%s\n%s\n" % (base, first, again))
+    line = cfg.read_text().count("\n")  # the repeat is the last line
+    code, out, err = run_cli(["euler", "--surface", str(cfg), "--order",
+                              "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: %s:%d: duplicate field %s\n" % (cfg, line, field)
+
+
 def test_hodge_entry_above_degree_4_exits_2(tmp_path, capsys):
     cfg = tmp_path / "high.surface"
     cfg.write_text("betti=1,0,1,0,1\nhodge=0,0,1\nhodge=1,1,1\n"

@@ -1,0 +1,52 @@
+"""
+The split-row form of the matrix kernels belongs to linalg alone: no other
+module imports or reads a _-prefixed linalg name.
+"""
+
+import ast
+from pathlib import Path
+
+import hilbfock
+
+SRC = Path(hilbfock.__file__).parent
+
+
+def private_linalg_uses(tree):
+    """(line, name) of every _-prefixed linalg name a module imports or reads."""
+    aliases, out = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            for alias in node.names:
+                if module in (".linalg", "hilbfock.linalg"):
+                    if alias.name.startswith("_"):
+                        out.append((node.lineno, alias.name))
+                elif module in (".", "hilbfock") and alias.name == "linalg":
+                    aliases.add(alias.asname or "linalg")
+        elif isinstance(node, ast.Import):
+            aliases.update(alias.asname for alias in node.names
+                           if alias.name == "hilbfock.linalg" and alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            out.append((node.lineno, node.attr))
+    return out
+
+
+def test_the_detector_sees_each_kind_of_use():
+    code = ("from . import linalg\n"
+            "from .linalg import _cols, matrix\n"
+            "import hilbfock.linalg as la\n"
+            "linalg._split(a)\n"
+            "la._entry(r, 0)\n"
+            "linalg.mat_mul(a, b)\n")
+    assert private_linalg_uses(ast.parse(code)) == [
+        (2, "_cols"), (4, "_split"), (5, "_entry")]
+
+
+def test_no_module_but_linalg_uses_a_private_linalg_name():
+    found = {path.name: uses
+             for path in sorted(SRC.glob("*.py")) if path.name != "linalg.py"
+             if (uses := private_linalg_uses(ast.parse(path.read_text())))}
+    assert found == {}

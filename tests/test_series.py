@@ -64,6 +64,37 @@ def test_ring_axioms_random():
         assert a * QTSeries.one(4) == a
 
 
+def _canonical(p):
+    # no stored coefficient is an integral Fraction, and p prints as the
+    # constructor, which normalises every coefficient, renders it
+    assert not any(isinstance(c, Fraction) and c.denominator == 1
+                   for c in p.terms.values()), p.terms
+    assert str(p) == str(CoeffPoly(p.terms, p.nvars))
+    return p
+
+
+def test_fraction_arithmetic_keeps_integral_coefficients_int():
+    half = CoeffPoly({(1,): Fraction(1, 2)})
+    assert str(half * CoeffPoly({(1,): 4})) == "2t^2"
+    assert str(CoeffPoly({(1,): Fraction(3, 2)}) * 2) == "3t"
+    assert str(half + half) == "t"
+    rng = random.Random(16)
+    for _ in range(200):
+        a, b, c = (rand_poly(rng) for _ in range(3))
+        k = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        for lhs, rhs in ((a + b, b + a), (a * b * c, c * (b * a)),
+                         (a * k, k * a), (a * (b + c), a * b + a * c),
+                         (a + b - b, a)):
+            assert lhs == rhs
+            assert str(_canonical(lhs)) == str(_canonical(rhs))
+    for _ in range(30):
+        a, b = rand_series(rng, 3), rand_series(rng, 3)
+        k = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        for product in (a * b, a * k):
+            for coeff in product.coeffs:
+                _canonical(coeff)
+
+
 def test_series_mul_example():
     # (1 - q) * sum p(n) q^n has coefficients p(n) - p(n-1)
     N = 12
