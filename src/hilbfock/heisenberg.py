@@ -18,21 +18,23 @@ Conventions fixed here:
   * A factor (mode i, class of degree d) has cohomological degree
     d + 2(i-1); in Hodge mode, bidegree (p + i - 1, q + i - 1).
 
-Invariant: a FockState maps monomials with sorted positive factors to
-nonzero int or Fraction coefficients; the public constructors normalise
-through _base.exact, and the operators keep it by construction (insertion
-at the sorted position, removal of one factor, a coefficient times an
-exact weight, zeros dropped once), building results through _make.
+Invariant: a FockState maps raw factor tuples, sorted tuples of (mode >= 1,
+class >= 0) int pairs, to nonzero int or Fraction coefficients.  Its public
+constructor checks keys through FockMonomial and values through exact; the
+operators keep it by construction (tuple slices insert at the sorted
+position or drop one factor, a coefficient times an exact weight, zeros
+dropped once), and only the .terms view wraps keys into FockMonomials.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 
 from ._base import Frozen, exact
 from .partitions import multiplicity_factorial
 from .series import QTSeries, checked_rows, packed_monomial, super_power_table
-from .surfaces import MissingHodgeData
+from .surfaces import DELTA, MissingHodgeData
 
 
 class UnknownClass(IndexError):
@@ -58,10 +60,10 @@ MIXED = _Mixed()
 class FockMonomial(Frozen):
     """A normal-ordered product of creation factors (mode, class index)."""
 
-    __slots__ = ("factors", "_hash")
+    __slots__ = ("factors",)
 
     def __init__(self, factors):
-        factors = tuple((int(m), int(c)) for m, c in factors)
+        factors = tuple((index(m), index(c)) for m, c in factors)
         for i, (m, c) in enumerate(factors):
             if m < 1:
                 raise ModeNonPositive("mode %d must be positive" % m)
@@ -70,15 +72,12 @@ class FockMonomial(Frozen):
             if i and factors[i - 1] > (m, c):
                 raise ValueError("factors must be sorted: %r" % (factors,))
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "_hash", hash(factors))
 
     @classmethod
     def _make(cls, factors):
-        # trusted constructor: factors already a sorted tuple of int pairs;
-        # the slot descriptors set the slots past Frozen's guard
+        # trusted: a sorted tuple of int pairs, set past Frozen's guard
         self = object.__new__(cls)
         _set_factors(self, factors)
-        _set_hash(self, hash(factors))
         return self
 
     @property
@@ -86,97 +85,92 @@ class FockMonomial(Frozen):
         return sum(m for m, _ in self.factors)
 
     def degree(self, model):
-        return sum(model.class_degree(c) + 2 * (m - 1) for m, c in self.factors)
+        return _degree(self.factors, model, False)
 
     def bidegree(self, model):
-        bidegs = model.class_bidegrees
-        p = sum(bidegs[c][0] + m - 1 for m, c in self.factors)
-        q = sum(bidegs[c][1] + m - 1 for m, c in self.factors)
-        return (p, q)
+        return _degree(self.factors, model, True)
 
     def __eq__(self, other):
         return isinstance(other, FockMonomial) and self.factors == other.factors
 
     def __hash__(self):
-        return self._hash
+        return hash(self.factors)
 
     def __repr__(self):
-        if not self.factors:
-            return "1"
-        return "".join("a%d[%d]" % (m, c) for m, c in self.factors)
+        return "".join("a%d[%d]" % (m, c) for m, c in self.factors) or "1"
 
 
-VACUUM_MONOMIAL = FockMonomial(())
+def _degree(factors, model, hodge):
+    if hodge:
+        bidegs = model.class_bidegrees
+        return (sum(bidegs[c][0] + m - 1 for m, c in factors),
+                sum(bidegs[c][1] + m - 1 for m, c in factors))
+    return sum(model.class_degree(c) + 2 * (m - 1) for m, c in factors)
 
 
 class FockState(Frozen):
     """Finite rational linear combination of Fock monomials."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         clean = {}
         for mono, c in (terms or {}).items():
-            if not isinstance(mono, FockMonomial):
-                mono = FockMonomial(mono)
-            clean[mono] = clean.get(mono, 0) + exact(c)
-        object.__setattr__(self, "terms",
-                           {m: exact(c) for m, c in clean.items() if c})
+            key = (mono if isinstance(mono, FockMonomial)
+                   else FockMonomial(mono)).factors
+            clean[key] = clean.get(key, 0) + exact(c)
+        _set_terms(self, {k: exact(c) for k, c in clean.items() if c})
 
-    @classmethod
-    def _make(cls, terms):
-        # trusted constructor: FockMonomial keys, nonzero int/Fraction values
-        self = object.__new__(cls)
-        _set_terms(self, terms)
-        return self
+    @property
+    def terms(self):
+        """{FockMonomial: coefficient}, built afresh on each read."""
+        make = FockMonomial._make
+        return {make(k): c for k, c in self._terms.items()}
 
     @classmethod
     def vacuum(cls):
-        return cls._make({VACUUM_MONOMIAL: 1})
+        return _state({(): 1})
 
     @classmethod
     def zero(cls):
-        return cls._make({})
+        return _state({})
 
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in terms:
-                c += terms.pop(m)
+        terms = dict(self._terms)
+        for k, c in other._terms.items():
+            if k in terms:
+                c += terms.pop(k)
             if c:
-                terms[m] = c
-        return FockState._make(terms)
+                terms[k] = c
+        return _state(terms)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
         c = exact(c)
-        return FockState._make({m: v * c for m, v in self.terms.items() if c})
+        return _state({k: v * c for k, v in self._terms.items() if c})
 
     def __eq__(self, other):
-        return isinstance(other, FockState) and self.terms == other.terms
+        return isinstance(other, FockState) and self._terms == other._terms
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
         return " + ".join("%s*%r" % (c, m) for m, c in sorted(
-            self.terms.items(), key=lambda kv: kv[0].factors))
+            self.terms.items(), key=lambda kv: kv[0].factors)) or "0"
 
 
 _set_factors = FockMonomial.factors.__set__
-_set_hash = FockMonomial._hash.__set__
-_set_terms = FockState.terms.__set__
+_set_terms = FockState._terms.__set__
 
 
-def _check_mode_class(mode, cls, n_classes):
-    if mode < 1:
-        raise ModeNonPositive("mode %d must be positive" % mode)
-    if not 0 <= cls < n_classes:
-        raise UnknownClass("class index %d outside 0..%d" % (cls, n_classes - 1))
+def _state(terms):
+    # trusted: the FockState of a well-formed key dict (module docstring)
+    self = object.__new__(FockState)
+    _set_terms(self, terms)
+    return self
 
 
 @lru_cache(maxsize=None)
@@ -186,12 +180,14 @@ def _odd(model):
 
 
 @lru_cache(maxsize=None)
-def _weights(model, mode, cls):
-    """{alpha: (-1)^(mode-1) * mode * <alpha, cls>} over nonzero pairings."""
+def _contraction(model, mode, cls):
+    """(odd flags if cls is odd else None, {alpha: weight}) where the
+    weight (-1)^(mode-1) * mode * <alpha, cls> is nonzero."""
     norm = (-1) ** (mode - 1) * mode
-    return {a: exact(norm * model.pairing_value(a, cls))
-            for a in range(len(model.ordinary_degrees))
-            if model.pairing_value(a, cls)}
+    return (_odd(model) if model.compact_class_degree(cls) % 2 else None,
+            {a: exact(norm * model.pairing_value(a, cls))
+             for a in range(len(model.ordinary_degrees))
+             if model.pairing_value(a, cls)})
 
 
 class _Operator(Frozen):
@@ -200,8 +196,11 @@ class _Operator(Frozen):
     __slots__ = ()
 
     def __init__(self, mode, cls):
-        object.__setattr__(self, "mode", int(mode))
-        object.__setattr__(self, "cls", int(cls))
+        mode = index(mode)
+        if mode < 1:
+            raise ModeNonPositive("mode %d must be positive" % mode)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "cls", index(cls))
 
     def __repr__(self):
         return "%s(%d, %d)" % (type(self).__name__, self.mode, self.cls)
@@ -216,14 +215,15 @@ class Create(_Operator):
         return model.class_degree(self.cls) % 2
 
     def apply(self, state, model):
-        _check_mode_class(self.mode, self.cls, len(model.ordinary_degrees))
+        cls = self.cls
+        key = (self.mode, cls)
         odd = _odd(model)
-        signed = odd[self.cls]  # an even factor is inserted with no sign
-        key = (self.mode, self.cls)
-        make = FockMonomial._make
+        if not 0 <= cls < len(odd):
+            raise UnknownClass("class index %d outside 0..%d"
+                               % (cls, len(odd) - 1))
+        signed = odd[cls]  # an even factor is inserted with no sign
         out = {}
-        for mono, coeff in state.terms.items():
-            factors = mono.factors
+        for factors, coeff in state._terms.items():
             pos = bisect_left(factors, key)
             if signed:
                 if factors[pos:pos + 1] == (key,):
@@ -231,8 +231,8 @@ class Create(_Operator):
                 if sum(odd[c] for _, c in factors[:pos]) % 2:
                     coeff = -coeff
             # insertion is injective: no two terms land on one monomial
-            out[make(factors[:pos] + (key,) + factors[pos:])] = coeff
-        return FockState._make(out)
+            out[factors[:pos] + (key,) + factors[pos:]] = coeff
+        return _state(out)
 
 
 class Annihilate(_Operator):
@@ -244,16 +244,16 @@ class Annihilate(_Operator):
         return model.compact_class_degree(self.cls) % 2
 
     def apply(self, state, model):
-        _check_mode_class(self.mode, self.cls, len(model.compact_degrees))
-        odd = _odd(model) if self.parity(model) else None
-        weights = _weights(model, self.mode, self.cls)
+        mode, cls = self.mode, self.cls
+        if not 0 <= cls < len(model.compact_degrees):
+            raise UnknownClass("class index %d outside 0..%d"
+                               % (cls, len(model.compact_degrees) - 1))
         # the factors at this mode lie between these keys in sort order
-        first, past = (self.mode,), (self.mode + 1,)
-        make = FockMonomial._make
+        first, past = (mode,), (mode + 1,)
+        odd, weights = _contraction(model, mode, cls)
         out = {}
         merged = False  # two contributions met: only then can one cancel
-        for mono, coeff in state.terms.items():
-            factors = mono.factors
+        for factors, coeff in state._terms.items():
             lo = bisect_left(factors, first)
             hi = bisect_left(factors, past, lo)
             if odd and lo < hi and sum(odd[c] for _, c in factors[:lo]) % 2:
@@ -261,7 +261,7 @@ class Annihilate(_Operator):
             for s in range(lo, hi):
                 c = factors[s][1]
                 if c in weights:
-                    new = make(factors[:s] + factors[s + 1:])
+                    new = factors[:s] + factors[s + 1:]
                     val = coeff * weights[c]
                     if new in out:
                         val += out[new]
@@ -269,8 +269,7 @@ class Annihilate(_Operator):
                     out[new] = val
                 if odd and odd[c]:
                     coeff = -coeff
-        return FockState._make(
-            {m: c for m, c in out.items() if c} if merged else out)
+        return _state({k: c for k, c in out.items() if c} if merged else out)
 
 
 class Central:
@@ -290,25 +289,26 @@ class Central:
 
 def commutator(op1, op2, state, model):
     """Supercommutator op1 op2 - (-1)^(|op1||op2|) op2 op1 applied to state."""
-    terms = dict(op1.apply(op2.apply(state, model), model).terms)
+    first = op1.apply(op2.apply(state, model), model)
+    second = op2.apply(op1.apply(state, model), model)._terms
+    if not second:
+        return first
+    terms = dict(first._terms)
     sign = 1 if op1.parity(model) * op2.parity(model) % 2 else -1
-    for m, c in op2.apply(op1.apply(state, model), model).terms.items():
-        c = terms.pop(m, 0) + sign * c
+    for k, c in second.items():
+        c = terms.pop(k, 0) + sign * c
         if c:
-            terms[m] = c
-    return FockState._make(terms)
+            terms[k] = c
+    return _state(terms)
 
 
-def stratum_class(nu, model=None):
+def stratum_class(nu, model=DELTA):
     """
     The Fock representative of the closure of the stratum of a partition
     on the one-class model: the product of creation operators at the parts
     applied to the vacuum, divided by the multiplicity factorial.  Lives in
     level n and degree 2*drop.
     """
-    if model is None:
-        from .surfaces import DELTA
-        model = DELTA
     degs = model.ordinary_degrees
     if len(degs) != 1 or degs[0] != 0:
         raise WrongModel(
@@ -327,8 +327,7 @@ def degree_of(state, model, hodge=False):
     """
     if hodge and model.hodge is None:
         raise MissingHodgeData("model %r carries no Hodge data" % model.name)
-    degs = {mono.bidegree(model) if hodge else mono.degree(model)
-            for mono in state.terms}
+    degs = {_degree(factors, model, hodge) for factors in state._terms}
     return MIXED if len(degs) > 1 else next(iter(degs), None)
 
 

@@ -30,6 +30,7 @@ rational data is never packed.
 
 from fractions import Fraction
 from math import comb
+from operator import index
 from sys import byteorder
 
 from ._base import Frozen, IdentityFailed, exact
@@ -86,12 +87,12 @@ class CoeffPoly(Frozen):
             raise ValueError("nvars must be 1 or 2")
         clean = {}
         for exps, c in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(index, exps))
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError("bad exponent tuple %r" % (exps,))
             c = exact(c)
             if c:
-                clean[exps] = clean.get(exps, 0) + c
+                clean[exps] = exact(clean[exps] + c) if exps in clean else c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
 

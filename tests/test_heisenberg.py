@@ -334,6 +334,18 @@ def assert_well_formed(state):
         assert list(mono.factors) == sorted(mono.factors)
         assert all(type(m) is type(c) is int and m >= 1
                    for m, c in mono.factors)
+    # the internal key dict, and the .terms view rebuilding it one-to-one
+    keys = state._terms
+    for factors, coeff in keys.items():
+        assert type(factors) is tuple and list(factors) == sorted(factors)
+        assert all(type(pair) is tuple and len(pair) == 2
+                   and type(pair[0]) is type(pair[1]) is int and pair[0] >= 1
+                   for pair in factors)
+        assert type(coeff) in (int, Fraction) and coeff != 0
+    view = state.terms
+    assert all(type(mono) is FockMonomial for mono in view)
+    assert len(view) == len(keys)
+    assert {mono.factors: c for mono, c in view.items()} == keys
 
 
 def operators_of(model, max_mode=4):
@@ -538,3 +550,46 @@ def test_trusted_monomials_equal_checked_ones(model):
                 assert mono == checked and checked == mono
                 assert hash(mono) == hash(checked)
                 assert {checked: coeff}[mono] == coeff
+
+
+def test_non_integral_fock_indices_are_refused():
+    with pytest.raises(TypeError):
+        FockMonomial(((1.5, 0),))
+    with pytest.raises(TypeError):
+        FockMonomial(((2, Fraction(1)),))
+    with pytest.raises(TypeError):
+        Create(2.7, 0)
+    with pytest.raises(TypeError):
+        Annihilate(1, 0.5)
+    with pytest.raises(TypeError):
+        FockState({((1, 0),): 1, ((1.5, 0),): -1})
+    with pytest.raises(ModeNonPositive):
+        Annihilate(0, 0)
+    assert Create(True, 0).mode == 1 and type(Create(True, 0).mode) is int
+
+
+def test_commutator_applies_four_times_and_builds_no_monomial(monkeypatch):
+    st = FockState({((1, 0), (1, 5)): Fraction(3, 2)})
+    counts = {"apply": 0, "_make": 0, "__init__": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for cls in (Create, Annihilate):
+        monkeypatch.setattr(cls, "apply", counted("apply", cls.apply))
+    monkeypatch.setattr(FockMonomial, "_make", classmethod(
+        counted("_make", FockMonomial._make.__func__)))
+    monkeypatch.setattr(FockMonomial, "__init__",
+                        counted("__init__", FockMonomial.__init__))
+    got = commutator(Annihilate(1, 23), Create(1, 0), st, K3)
+    assert counts == {"apply": 4, "_make": 0, "__init__": 0}
+    zero = commutator(Annihilate(2, 23), Create(1, 0), st, K3)
+    assert counts == {"apply": 8, "_make": 0, "__init__": 0}
+    monkeypatch.undo()
+    assert got.terms == {FockMonomial(((1, 0), (1, 5))): Fraction(3, 2)}
+    assert all(type(mono) is FockMonomial for mono in got.terms)
+    assert zero.terms == {} and repr(got) == "3/2*a1[0]a1[5]"
+    assert_well_formed(got)

@@ -1,6 +1,8 @@
 """
 The split-row form of the matrix kernels belongs to linalg alone: no other
-module imports or reads a _-prefixed linalg name.
+module imports or reads a _-prefixed linalg name.  The raw factor-tuple
+keys of a FockState belong to heisenberg alone: no other module reads the
+_terms field or calls FockMonomial._make.
 """
 
 import ast
@@ -49,4 +51,39 @@ def test_no_module_but_linalg_uses_a_private_linalg_name():
     found = {path.name: uses
              for path in sorted(SRC.glob("*.py")) if path.name != "linalg.py"
              if (uses := private_linalg_uses(ast.parse(path.read_text())))}
+    assert found == {}
+
+
+def fock_key_uses(tree):
+    """(line, name) of every read of a _terms field or FockMonomial._make."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        if node.attr == "_terms":
+            out.append((node.lineno, "_terms"))
+        elif node.attr == "_make" and (
+                getattr(node.value, "id", None) == "FockMonomial"
+                or getattr(node.value, "attr", None) == "FockMonomial"):
+            out.append((node.lineno, "FockMonomial._make"))
+    return sorted(out)
+
+
+def test_the_key_detector_sees_each_kind_of_use():
+    code = ("from .heisenberg import FockMonomial\n"
+            "import hilbfock as hf\n"
+            "keys = state._terms\n"
+            "FockMonomial._make(((1, 0),))\n"
+            "make = hf.FockMonomial._make\n"
+            "CoeffPoly._make({}, 1)\n"
+            "state.terms\n")
+    assert fock_key_uses(ast.parse(code)) == [
+        (3, "_terms"), (4, "FockMonomial._make"), (5, "FockMonomial._make")]
+
+
+def test_no_module_but_heisenberg_reads_fock_keys():
+    found = {path.name: uses
+             for path in sorted(SRC.glob("*.py"))
+             if path.name != "heisenberg.py"
+             if (uses := fock_key_uses(ast.parse(path.read_text())))}
     assert found == {}

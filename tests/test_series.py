@@ -95,6 +95,24 @@ def test_fraction_arithmetic_keeps_integral_coefficients_int():
                 _canonical(coeff)
 
 
+class _One:
+    """Integral, but neither equal to nor hashing like the int 1."""
+
+    def __index__(self):
+        return 1
+
+
+def test_coeffpoly_refuses_non_integral_exponents_and_normalises_merges():
+    for bad in (1.5, 1.0, Fraction(1, 1)):
+        with pytest.raises(TypeError):
+            CoeffPoly({(bad,): Fraction(1, 2), (1,): Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        CoeffPoly({(0, 2.5): 1}, nvars=2)
+    merged = CoeffPoly({(1,): Fraction(1, 2), (_One(),): Fraction(1, 2)})
+    assert merged.terms == {(1,): 1} and type(merged.terms[(1,)]) is int
+    assert not CoeffPoly({(1,): Fraction(1, 2), (_One(),): Fraction(-1, 2)})
+
+
 def test_series_mul_example():
     # (1 - q) * sum p(n) q^n has coefficients p(n) - p(n-1)
     N = 12
