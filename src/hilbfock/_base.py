@@ -22,11 +22,12 @@ class Frozen:
 
 def exact(c):
     """
-    Normalize an exact rational: int stays int, integral Fraction demotes,
-    so arithmetic stays on machine integers until a denominator appears.
+    Normalize an exact rational: int stays int, a bool, int subclass or
+    integral Fraction becomes its plain int numerator, so arithmetic stays
+    on machine integers until a denominator appears.
     """
-    if isinstance(c, int):
+    if type(c) is int:
         return c
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
+    if isinstance(c, (int, Fraction)):
+        return c.numerator if c.denominator == 1 else c
     raise TypeError("exact rational expected, got %r" % (c,))

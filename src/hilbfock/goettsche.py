@@ -21,14 +21,17 @@ Packed rows are checked against independent totals by series.checked_rows.
 
 Every table is cached per surface or Euler number, built at the longest
 order asked so far.  Ask *_table(model, N) for rows 0..N: a per-n walk
-(sym_poincare(model, n) for n = 0, 1, ..) rebuilds it at each new n.
+(sym_poincare(model, n) for n = 0, 1, ..) rebuilds it at each new n; the
+Newton rows of sym_poincare_product grow one at a time instead.
 """
 
 from functools import lru_cache, wraps
 from math import comb
 
-from .series import (CoeffPoly, FactorFamily, QTSeries, checked_rows, pack,
-                     packed_monomial, product_expand, super_power_table)
+from ._base import IdentityFailed
+from .series import (CoeffPoly, FactorFamily, QTSeries, _mul_into,
+                     checked_rows, pack, packed_monomial, product_expand,
+                     super_power_table)
 
 
 def goettsche_families(model):
@@ -102,18 +105,28 @@ def sym_poincare(model, m):
 
 def sym_poincare_product(model, m):
     """
-    Independent route to sym_poincare: coefficient of q^m in the product
-    over degrees d of (1 + t^d q)^(b_d) for odd d and (1 - t^d q)^(-b_d)
-    for even d, expanded through the series layer.
+    Independent route to sym_poincare: the q^m coefficient H_m of
+    prod_d (1 - (-1)^d t^d q)^(-(-1)^d b_d), by Newton's identity
+    m H_m = sum_{i=1..m} P_i H_(m-i) with P_i = sum_d s b_d t^(d i), where
+    s = -1 for odd d at even i, else 1.  A remainder raises IdentityFailed.
     """
-    out = QTSeries.one(m)
-    for d in range(5):
-        w = model.betti[d]
-        if not w:
-            continue
-        fam = FactorFamily(1 if d % 2 else -1, w, ((0, d),))
-        out = out * fam.factor_series(1, m)
-    return out.coeff(m)
+    if m < 0:
+        raise ValueError("order must be non-negative")
+    rows = _TABLES.get((sym_poincare_product, model), [{(0,): 1}])
+    if m >= len(rows):
+        rows, b = list(rows), model.betti  # extend a copy, then store it
+        power = [{(d * i,): (-1) ** (d * i + d) * b[d] for d in range(5)
+                  if b[d]} for i in range(m + 1)]
+        for n in range(len(rows), m + 1):
+            acc = {}
+            for i in range(1, n + 1):
+                _mul_into(acc, power[i], rows[n - i], 1)
+            row = {e: divmod(c, n) for e, c in acc.items()}
+            if any(r for _, r in row.values()):
+                raise IdentityFailed("Newton's identity fails at m = %d" % n)
+            rows.append({e: h for e, (h, _) in row.items() if h})
+        _TABLES[sym_poincare_product, model] = rows
+    return CoeffPoly._make(dict(rows[m]), 1)  # callers get their own terms
 
 
 def stratum_poincare(model, a):

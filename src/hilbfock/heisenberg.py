@@ -24,6 +24,8 @@ constructor checks keys through FockMonomial and values through exact; the
 operators keep it by construction (tuple slices insert at the sorted
 position or drop one factor, a coefficient times an exact weight, zeros
 dropped once), and only the .terms view wraps keys into FockMonomials.
+Operators read the model through one cached record per (model, mode, class)
+that checks the class: once warm, they call no SurfaceModel method.
 """
 
 from bisect import bisect_left
@@ -180,9 +182,22 @@ def _odd(model):
 
 
 @lru_cache(maxsize=None)
+def _insertion(model, mode, cls):
+    """(odd flags if cls is odd else None, the factor (mode, cls))."""
+    odd = _odd(model)
+    if not 0 <= cls < len(odd):
+        raise UnknownClass("class index %d outside 0..%d"
+                           % (cls, len(odd) - 1))
+    return (odd if odd[cls] else None), (mode, cls)
+
+
+@lru_cache(maxsize=None)
 def _contraction(model, mode, cls):
     """(odd flags if cls is odd else None, {alpha: weight}) where the
     weight (-1)^(mode-1) * mode * <alpha, cls> is nonzero."""
+    if not 0 <= cls < len(model.compact_degrees):
+        raise UnknownClass("class index %d outside 0..%d"
+                           % (cls, len(model.compact_degrees) - 1))
     norm = (-1) ** (mode - 1) * mode
     return (_odd(model) if model.compact_class_degree(cls) % 2 else None,
             {a: exact(norm * model.pairing_value(a, cls))
@@ -212,20 +227,14 @@ class Create(_Operator):
     __slots__ = ("mode", "cls")
 
     def parity(self, model):
-        return model.class_degree(self.cls) % 2
+        return 0 if _insertion(model, self.mode, self.cls)[0] is None else 1
 
     def apply(self, state, model):
-        cls = self.cls
-        key = (self.mode, cls)
-        odd = _odd(model)
-        if not 0 <= cls < len(odd):
-            raise UnknownClass("class index %d outside 0..%d"
-                               % (cls, len(odd) - 1))
-        signed = odd[cls]  # an even factor is inserted with no sign
+        odd, key = _insertion(model, self.mode, self.cls)
         out = {}
         for factors, coeff in state._terms.items():
             pos = bisect_left(factors, key)
-            if signed:
+            if odd:  # an even factor is inserted with no sign
                 if factors[pos:pos + 1] == (key,):
                     continue
                 if sum(odd[c] for _, c in factors[:pos]) % 2:
@@ -241,16 +250,12 @@ class Annihilate(_Operator):
     __slots__ = ("mode", "cls")
 
     def parity(self, model):
-        return model.compact_class_degree(self.cls) % 2
+        return 0 if _contraction(model, self.mode, self.cls)[0] is None else 1
 
     def apply(self, state, model):
-        mode, cls = self.mode, self.cls
-        if not 0 <= cls < len(model.compact_degrees):
-            raise UnknownClass("class index %d outside 0..%d"
-                               % (cls, len(model.compact_degrees) - 1))
+        odd, weights = _contraction(model, self.mode, self.cls)
         # the factors at this mode lie between these keys in sort order
-        first, past = (mode,), (mode + 1,)
-        odd, weights = _contraction(model, mode, cls)
+        first, past = (self.mode,), (self.mode + 1,)
         out = {}
         merged = False  # two contributions met: only then can one cancel
         for factors, coeff in state._terms.items():

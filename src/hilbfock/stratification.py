@@ -58,12 +58,13 @@ def stalk_table(nu):
     The stalk dimensions over the stratum of nu: in degree 2h, the number
     of partition tuples over nu whose merged partition has drop h.
     """
-    if nu.n < 1:
+    n = nu.n  # Partition.n sums the parts on each read
+    if n < 1:
         raise ValueError("partition must be non-empty")
-    rows = [0] * nu.n
+    rows = [0] * n
     pools = [[len(b) for b in partitions_of(v)] for v in nu]
     for lengths in product(*pools):
-        rows[nu.n - sum(lengths)] += 1
+        rows[n - sum(lengths)] += 1
     return StalkTable(nu, rows)
 
 

@@ -50,3 +50,12 @@ def test_exact_normalises_rationals():
     assert exact(Fraction(1, 2)) == Fraction(1, 2)
     with pytest.raises(TypeError):
         exact(0.5)
+
+
+def test_exact_turns_bools_into_plain_ints():
+    assert type(exact(True)) is int and exact(True) == 1
+    assert type(exact(Fraction(True))) is int
+    (c,) = CoeffPoly({(1,): True}).terms.values()
+    assert type(c) is int and c == 1
+    (c,) = FockState({((1, 0),): True}).terms.values()
+    assert type(c) is int and c == 1

@@ -4,7 +4,8 @@ from math import comb, factorial
 
 import pytest
 
-from hilbfock import goettsche
+from hilbfock import goettsche, series
+from hilbfock._base import IdentityFailed
 from hilbfock.cli import main
 from hilbfock.goettsche import (equivariant_k_dim, equivariant_k_table,
                                 general_binomial, hilbert_euler,
@@ -19,7 +20,7 @@ from hilbfock.goettsche import (equivariant_k_dim, equivariant_k_table,
                                 sym_total_dim)
 from hilbfock.partitions import Partition, count_with_length, partitions_of
 from hilbfock.selfcheck import check_goettsche, check_sym_routes
-from hilbfock.series import CoeffPoly, FactorFamily, product_expand
+from hilbfock.series import CoeffPoly, FactorFamily, QTSeries, product_expand
 from hilbfock.surfaces import (ABELIAN, DELTA, K3, P2, P1XP1,
                                MissingHodgeData, SurfaceModel)
 
@@ -435,6 +436,71 @@ def test_a_caller_cannot_change_a_cached_table(monkeypatch):
     rows = sym_poincare_table(P2, 4)
     rows[2] = None
     assert sym_poincare_table(P2, 4)[2] == sym_poincare_product(P2, 2)
+
+
+def test_newton_walk_builds_each_row_once(monkeypatch):
+    calls = []
+    real = goettsche._mul_into
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(goettsche, "_TABLES", {})
+    monkeypatch.setattr(goettsche, "_mul_into", counting)
+    walks = {model: [sym_poincare_product(model, m) for m in range(13)]
+             for model in (P2, ABELIAN)}
+    # row n takes one product P_i * H_(n-i) for each i = 1..n
+    assert len(calls) == 2 * sum(range(13))
+    for model, walk in walks.items():
+        for m in (12, 0, 7, 3, 12):
+            assert sym_poincare_product(model, m) == walk[m]
+    assert len(calls) == 2 * sum(range(13))
+    walks[P2][2].terms.clear()  # a caller's copy, not the cached row
+    assert sym_poincare_product(P2, 2) == sym_poincare(P2, 2)
+    assert sym_poincare_product(P2, 13) == sym_poincare(P2, 13)
+
+
+def test_newton_route_shares_no_code_with_the_stepping_kernel(monkeypatch):
+    monkeypatch.setattr(goettsche, "_TABLES", {})
+    recorded = sym_poincare_table(ABELIAN, 8)
+    monkeypatch.setattr(goettsche, "_TABLES", {})
+
+    def shared(*args, **kwargs):
+        raise AssertionError("the Newton route reached shared code")
+
+    for owner, name in ((goettsche, "super_power_table"),
+                        (series, "super_power_table"),
+                        (goettsche, "sym_poincare_table"),
+                        (QTSeries, "__mul__"),
+                        (FactorFamily, "factor_series")):
+        monkeypatch.setattr(owner, name, shared)
+    assert sym_poincare_product(P2, 2) == CoeffPoly(
+        {(0,): 1, (2,): 1, (4,): 2, (6,): 1, (8,): 1})
+    assert [sym_poincare_product(ABELIAN, m) for m in range(9)] == recorded
+
+
+def test_each_newton_row_checks_its_division(monkeypatch):
+    monkeypatch.setattr(goettsche, "_TABLES", {})
+    good = [sym_poincare_product(K3, m) for m in range(5)]
+    real = goettsche._mul_into
+    bumped = []
+
+    def bumping(bucket, a, b, nvars):
+        real(bucket, a, b, nvars)
+        if not bumped:  # one coefficient, once: m H_m is off by 1
+            bumped.append(next(iter(bucket)))
+            bucket[bumped[0]] += 1
+        return bucket
+
+    monkeypatch.setattr(goettsche, "_mul_into", bumping)
+    assert sym_poincare_product(K3, 4) == good[4]  # cached rows: no product
+    with pytest.raises(IdentityFailed, match="m = 5"):
+        sym_poincare_product(K3, 6)
+    assert bumped
+    monkeypatch.setattr(goettsche, "_mul_into", real)
+    # the failed extension stored nothing
+    assert sym_poincare_product(K3, 6) == sym_poincare(K3, 6)
 
 
 def test_the_only_lru_cache_is_on_sym_total_dim():

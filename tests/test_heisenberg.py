@@ -593,3 +593,35 @@ def test_commutator_applies_four_times_and_builds_no_monomial(monkeypatch):
     assert all(type(mono) is FockMonomial for mono in got.terms)
     assert zero.terms == {} and repr(got) == "3/2*a1[0]a1[5]"
     assert_well_formed(got)
+
+
+def test_warm_operators_call_no_surface_model_method(monkeypatch):
+    # (model, mode, created class, annihilated class, parity, <a, b>)
+    cases = ((K3, 1, 5, 5, 0, 1), (ABELIAN, 2, 1, 11, 1, 1))
+    states = {K3: FockState({((1, 0), (1, 5), (2, 7)): Fraction(3, 2),
+                             ((1, 5), (1, 5)): -1}),
+              ABELIAN: FockState({((1, 2), (2, 1), (2, 3)): 2,
+                                  ((1, 0), (2, 1)): Fraction(-1, 3)})}
+    for model, k, a, b, _, pair in cases:
+        st = states[model]
+        got = commutator(Annihilate(k, b), Create(k, a), st, model)
+        assert got == st.scale((-1) ** (k - 1) * k * pair)
+
+    def refused(*args):
+        raise AssertionError("a warm operator called the model")
+
+    for name in ("class_degree", "compact_class_degree", "pairing_value"):
+        monkeypatch.setattr(SurfaceModel, name, refused)
+    for model, k, a, b, parity, pair in cases:
+        st, scalar = states[model], (-1) ** (k - 1) * k * pair
+        create, annihilate = Create(k, a), Annihilate(k, b)
+        assert commutator(annihilate, create, st, model) == st.scale(scalar)
+        assert create.parity(model) == annihilate.parity(model) == parity
+        assert type(create.parity(model)) is int
+        once = Annihilate(k, b).apply(Create(k, a).apply(VAC, model), model)
+        assert once == VAC.scale(scalar)
+        for _ in range(2):  # a failed lookup is not cached
+            with pytest.raises(UnknownClass):
+                Create(k, len(model.ordinary_degrees)).parity(model)
+            with pytest.raises(UnknownClass):
+                Annihilate(k, -1).apply(st, model)
