@@ -13,6 +13,7 @@ scalar is written without internal whitespace as "a/b", "c/di" or
 
 from fractions import Fraction
 from math import isqrt
+from types import MappingProxyType
 
 from . import linalg
 from ._base import Frozen
@@ -82,7 +83,7 @@ class SupportCycle(Frozen):
                 raise ValueError("negative multiplicity")
             if m:
                 pts[(x, y)] = pts.get((x, y), 0) + m
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", MappingProxyType(pts))
 
     @property
     def total(self):

@@ -289,9 +289,6 @@ def main(argv=None):
         code, rows = args.handler(args)
         emit(rows, args.output)
         return code
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except IdentityFailed as exc:
         print("error: a verified identity failed: %s" % exc, file=sys.stderr)
         return 1

@@ -126,7 +126,7 @@ def sym_poincare_product(model, m):
                 raise IdentityFailed("Newton's identity fails at m = %d" % n)
             rows.append({e: h for e, (h, _) in row.items() if h})
         _TABLES[sym_poincare_product, model] = rows
-    return CoeffPoly._make(dict(rows[m]), 1)  # callers get their own terms
+    return CoeffPoly._make(rows[m], 1)
 
 
 def stratum_poincare(model, a):

@@ -19,18 +19,18 @@ Conventions fixed here:
     d + 2(i-1); in Hodge mode, bidegree (p + i - 1, q + i - 1).
 
 Invariant: a FockState maps raw factor tuples, sorted tuples of (mode >= 1,
-class >= 0) int pairs, to nonzero int or Fraction coefficients.  Its public
-constructor checks keys through FockMonomial and values through exact; the
-operators keep it by construction (tuple slices insert at the sorted
-position or drop one factor, a coefficient times an exact weight, zeros
-dropped once), and only the .terms view wraps keys into FockMonomials.
-Operators read the model through one cached record per (model, mode, class)
-that checks the class: once warm, they call no SurfaceModel method.
+class >= 0) int pairs, to nonzero coefficients, ints when integral, else
+Fractions.  Its public constructor checks keys through FockMonomial and
+values through exact; the operators keep it by construction (tuple slices
+insert at the sorted position or drop one factor, a product or sum that
+may hold a Fraction goes through exact, zeros dropped once), and only the
+.terms view wraps keys into FockMonomials.
+Operators read the model's class parities and pairing columns, fields fixed
+at its construction: they call no SurfaceModel method and hash no model.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
 from operator import index
 
 from ._base import Frozen, exact
@@ -144,7 +144,7 @@ class FockState(Frozen):
         terms = dict(self._terms)
         for k, c in other._terms.items():
             if k in terms:
-                c += terms.pop(k)
+                c = exact(c + terms.pop(k))
             if c:
                 terms[k] = c
         return _state(terms)
@@ -154,7 +154,7 @@ class FockState(Frozen):
 
     def scale(self, c):
         c = exact(c)
-        return _state({k: v * c for k, v in self._terms.items() if c})
+        return _state({k: exact(v * c) for k, v in self._terms.items() if c})
 
     def __eq__(self, other):
         return isinstance(other, FockState) and self._terms == other._terms
@@ -175,34 +175,12 @@ def _state(terms):
     return self
 
 
-@lru_cache(maxsize=None)
-def _odd(model):
-    """Odd flag of each ordinary class, by flat index."""
-    return tuple(bool(d % 2) for d in model.ordinary_degrees)
-
-
-@lru_cache(maxsize=None)
-def _insertion(model, mode, cls):
-    """(odd flags if cls is odd else None, the factor (mode, cls))."""
-    odd = _odd(model)
-    if not 0 <= cls < len(odd):
+def _parity(cls, parities):
+    """The parity of class cls; UnknownClass outside the basis."""
+    if not 0 <= cls < len(parities):
         raise UnknownClass("class index %d outside 0..%d"
-                           % (cls, len(odd) - 1))
-    return (odd if odd[cls] else None), (mode, cls)
-
-
-@lru_cache(maxsize=None)
-def _contraction(model, mode, cls):
-    """(odd flags if cls is odd else None, {alpha: weight}) where the
-    weight (-1)^(mode-1) * mode * <alpha, cls> is nonzero."""
-    if not 0 <= cls < len(model.compact_degrees):
-        raise UnknownClass("class index %d outside 0..%d"
-                           % (cls, len(model.compact_degrees) - 1))
-    norm = (-1) ** (mode - 1) * mode
-    return (_odd(model) if model.compact_class_degree(cls) % 2 else None,
-            {a: exact(norm * model.pairing_value(a, cls))
-             for a in range(len(model.ordinary_degrees))
-             if model.pairing_value(a, cls)})
+                           % (cls, len(parities) - 1))
+    return parities[cls]
 
 
 class _Operator(Frozen):
@@ -227,17 +205,18 @@ class Create(_Operator):
     __slots__ = ("mode", "cls")
 
     def parity(self, model):
-        return 0 if _insertion(model, self.mode, self.cls)[0] is None else 1
+        return _parity(self.cls, model.ordinary_parities)
 
     def apply(self, state, model):
-        odd, key = _insertion(model, self.mode, self.cls)
+        parities = model.ordinary_parities
+        odd, key = _parity(self.cls, parities), (self.mode, self.cls)
         out = {}
         for factors, coeff in state._terms.items():
             pos = bisect_left(factors, key)
             if odd:  # an even factor is inserted with no sign
                 if factors[pos:pos + 1] == (key,):
                     continue
-                if sum(odd[c] for _, c in factors[:pos]) % 2:
+                if sum(parities[c] for _, c in factors[:pos]) % 2:
                     coeff = -coeff
             # insertion is injective: no two terms land on one monomial
             out[factors[:pos] + (key,) + factors[pos:]] = coeff
@@ -250,29 +229,34 @@ class Annihilate(_Operator):
     __slots__ = ("mode", "cls")
 
     def parity(self, model):
-        return 0 if _contraction(model, self.mode, self.cls)[0] is None else 1
+        return _parity(self.cls, model.compact_parities)
 
     def apply(self, state, model):
-        odd, weights = _contraction(model, self.mode, self.cls)
+        parities, mode = model.ordinary_parities, self.mode
+        odd = _parity(self.cls, model.compact_parities)
+        column = model.pairing_columns[self.cls]
+        norm = (-1) ** (mode - 1) * mode
         # the factors at this mode lie between these keys in sort order
-        first, past = (self.mode,), (self.mode + 1,)
+        first, past = (mode,), (mode + 1,)
         out = {}
         merged = False  # two contributions met: only then can one cancel
         for factors, coeff in state._terms.items():
             lo = bisect_left(factors, first)
             hi = bisect_left(factors, past, lo)
-            if odd and lo < hi and sum(odd[c] for _, c in factors[:lo]) % 2:
+            if lo == hi:
+                continue
+            if odd and sum(parities[c] for _, c in factors[:lo]) % 2:
                 coeff = -coeff
             for s in range(lo, hi):
                 c = factors[s][1]
-                if c in weights:
+                if c in column:
                     new = factors[:s] + factors[s + 1:]
-                    val = coeff * weights[c]
+                    val = coeff * (norm * column[c])
                     if new in out:
                         val += out[new]
                         merged = True
-                    out[new] = val
-                if odd and odd[c]:
+                    out[new] = val if type(val) is int else exact(val)
+                if odd and parities[c]:
                     coeff = -coeff
         return _state({k: c for k, c in out.items() if c} if merged else out)
 
@@ -301,7 +285,7 @@ def commutator(op1, op2, state, model):
     terms = dict(first._terms)
     sign = 1 if op1.parity(model) * op2.parity(model) % 2 else -1
     for k, c in second.items():
-        c = terms.pop(k, 0) + sign * c
+        c = exact(terms.pop(k, 0) + sign * c)
         if c:
             terms[k] = c
     return _state(terms)
@@ -368,8 +352,8 @@ def enumerate_monomials(model, n):
     All level-n monomials, listed explicitly.  Exponential in n; meant for
     small levels (cross-checks and sampling), not for production counts.
     """
-    degs = model.ordinary_degrees
-    gens = [(mode, cls) for mode in range(1, n + 1) for cls in range(len(degs))]
+    odd = model.ordinary_parities
+    gens = [(mode, cls) for mode in range(1, n + 1) for cls in range(len(odd))]
 
     out = []
 
@@ -381,8 +365,7 @@ def enumerate_monomials(model, n):
             mode, cls = gens[gi]
             if mode > remaining:
                 continue
-            odd = degs[cls] % 2
-            nxt = gi if not odd else gi + 1
+            nxt = gi + odd[cls]
             rec(nxt, remaining - mode, acc + ((mode, cls),))
 
     rec(0, n, ())
@@ -395,15 +378,15 @@ def random_state(model, level, rng, n_terms=3):
     monomials with small random rational coefficients.  Sampling is by
     random walk over generators; it need not be uniform.
     """
-    degs = model.ordinary_degrees
+    odd = model.ordinary_parities
     terms = {}
     for _ in range(n_terms):
         for _attempt in range(50):
             remaining, factors = level, []
             while remaining:
                 mode = rng.randint(1, remaining)
-                cls = rng.randrange(len(degs))
-                if degs[cls] % 2 and (mode, cls) in factors:
+                cls = rng.randrange(len(odd))
+                if odd[cls] and (mode, cls) in factors:
                     break  # an odd class repeated at one mode: try again
                 factors.append((mode, cls))
                 remaining -= mode

@@ -32,6 +32,7 @@ from fractions import Fraction
 from math import comb
 from operator import index
 from sys import byteorder
+from types import MappingProxyType
 
 from ._base import Frozen, IdentityFailed, exact
 
@@ -94,14 +95,16 @@ class CoeffPoly(Frozen):
             if c:
                 clean[exps] = exact(clean[exps] + c) if exps in clean else c
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
+        object.__setattr__(self, "terms", MappingProxyType(
+            {e: c for e, c in clean.items() if c}))
 
     @classmethod
     def _make(cls, terms, nvars):
-        # trusted constructor: terms already normalized and zero-free
+        # trusted constructor: terms already normalized and zero-free; the
+        # read-only view lets a cached table hand out its own rows
         self = object.__new__(cls)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", MappingProxyType(terms))
         return self
 
     @classmethod

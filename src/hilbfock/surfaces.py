@@ -5,7 +5,10 @@ A SurfaceModel records the ordinary and compact-support Betti numbers in
 degrees 0..4, the pairing between degree d and compact degree 4-d, and an
 optional Hodge bigrading.  Cohomology classes get flat indices: ordinary
 classes are numbered degree by degree, compact-support classes likewise.
-The parity of a class is its degree mod 2.
+The parity of a class is its degree mod 2.  Derived at construction, so
+outside equality and the hash: ordinary_parities and compact_parities in
+flat order, and pairing_columns, for each compact class a read-only
+{ordinary index: nonzero pairing}.
 
 Shipped presets: the open bidisk/affine-plane model ("delta"), the
 projective plane, the quadric, a K3 and an abelian surface.  All pairings
@@ -13,6 +16,7 @@ are identity blocks in the chosen bases.
 """
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from ._base import Frozen, exact
 
@@ -24,7 +28,8 @@ class MissingHodgeData(ValueError):
 class SurfaceModel(Frozen):
     # ordinary_degrees, compact_degrees: each class's degree, flat order
     __slots__ = ("name", "betti", "betti_c", "pairing", "hodge", "euler",
-                 "ordinary_degrees", "compact_degrees", "_bidegrees", "_hash")
+                 "ordinary_degrees", "compact_degrees", "ordinary_parities",
+                 "compact_parities", "pairing_columns", "_bidegrees", "_hash")
 
     def __init__(self, name, betti, betti_c=None, pairing=None, hodge=None,
                  euler=None):
@@ -80,19 +85,23 @@ class SurfaceModel(Frozen):
         object.__setattr__(self, "pairing", pairing)
         object.__setattr__(self, "hodge", hodge)
         object.__setattr__(self, "euler", e)
-        object.__setattr__(self, "ordinary_degrees", tuple(
-            d for d in range(5) for _ in range(betti[d])))
-        object.__setattr__(self, "compact_degrees", tuple(
-            d for d in range(5) for _ in range(betti_c[d])))
-        bidegs = None
-        if hodge is not None:
-            table = dict(hodge)
-            out = []
-            for d in range(5):
-                for (p, q) in sorted(pq for pq in table if sum(pq) == d):
-                    out.extend([(p, q)] * table[(p, q)])
-            bidegs = tuple(out)
-        object.__setattr__(self, "_bidegrees", bidegs)
+        degrees = tuple(d for d in range(5) for _ in range(betti[d]))
+        compact = tuple(d for d in range(5) for _ in range(betti_c[d]))
+        object.__setattr__(self, "ordinary_degrees", degrees)
+        object.__setattr__(self, "compact_degrees", compact)
+        object.__setattr__(self, "ordinary_parities",
+                           tuple(d % 2 for d in degrees))
+        object.__setattr__(self, "compact_parities",
+                           tuple(d % 2 for d in compact))
+        # compact class j of degree dc pairs with the rows of block 4 - dc
+        object.__setattr__(self, "pairing_columns", tuple(
+            MappingProxyType({sum(betti[:4 - dc]) + i: row[j]
+                              for i, row in enumerate(pairing[4 - dc])
+                              if row[j]})
+            for dc in range(5) for j in range(betti_c[dc])))
+        object.__setattr__(self, "_bidegrees", None if hodge is None else tuple(
+            pq for pq, h in sorted(hodge, key=lambda kv: (sum(kv[0]), kv[0]))
+            for _ in range(h)))
         # hashed once: every cache lookup would otherwise rehash the pairing
         object.__setattr__(self, "_hash", hash(self._key()))
 
@@ -131,13 +140,9 @@ class SurfaceModel(Frozen):
 
     def pairing_value(self, ord_idx, c_idx):
         """Pairing of ordinary class ord_idx with compact class c_idx."""
-        d = self.class_degree(ord_idx)
-        dc = self.compact_class_degree(c_idx)
-        if d + dc != 4:
-            return 0
-        i = ord_idx - sum(self.betti[:d])
-        j = c_idx - sum(self.betti_c[:dc])
-        return self.pairing[d][i][j]
+        self.class_degree(ord_idx)  # both raise IndexError out of range
+        self.compact_class_degree(c_idx)
+        return self.pairing_columns[c_idx].get(ord_idx, 0)
 
     @property
     def class_bidegrees(self):

@@ -498,3 +498,10 @@ def test_triple_file_round_trip():
         read_triple("")
     with pytest.raises(ValueError):
         read_triple("x 1 1 1")
+
+
+def test_support_cycle_points_are_read_only():
+    cycle = support_cycle(from_monomial_ideal((2, 1)))
+    with pytest.raises(TypeError):
+        cycle.points[(G(1), G(1))] = 1
+    assert cycle == SupportCycle({(G(0), G(0)): 3})

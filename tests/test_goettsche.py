@@ -456,7 +456,8 @@ def test_newton_walk_builds_each_row_once(monkeypatch):
         for m in (12, 0, 7, 3, 12):
             assert sym_poincare_product(model, m) == walk[m]
     assert len(calls) == 2 * sum(range(13))
-    walks[P2][2].terms.clear()  # a caller's copy, not the cached row
+    with pytest.raises(TypeError):  # the cached row is read-only
+        walks[P2][2].terms[(0,)] = 99
     assert sym_poincare_product(P2, 2) == sym_poincare(P2, 2)
     assert sym_poincare_product(P2, 13) == sym_poincare(P2, 13)
 
@@ -661,3 +662,13 @@ def test_surface_without_even_classes_has_total_dims():
         assert sym_poincare(odd, n) == oracle_sym(odd, n)
         assert equivariant_k_dim(odd, n) == \
             series.coeff(n).specialize({"t": 1}).constant_value()
+
+
+def test_cached_rows_are_read_only():
+    want = str(sym_poincare(P2, 2))
+    with pytest.raises(TypeError):
+        sym_poincare_table(P2, 4)[2].terms[(0,)] = 99
+    with pytest.raises(TypeError):
+        sym_poincare_product(P2, 2).terms[(0,)] = 99
+    assert str(sym_poincare(P2, 2)) == want == "1 + t^2 + 2t^4 + t^6 + t^8"
+    assert str(sym_poincare_product(P2, 2)) == want

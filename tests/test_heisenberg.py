@@ -625,3 +625,46 @@ def test_warm_operators_call_no_surface_model_method(monkeypatch):
                 Create(k, len(model.ordinary_degrees)).parity(model)
             with pytest.raises(UnknownClass):
                 Annihilate(k, -1).apply(st, model)
+
+
+def test_cold_operators_call_no_surface_model_method(monkeypatch):
+    # fresh models: nothing keyed by them can be warm
+    abelian = SurfaceModel("abelian-cold", ABELIAN.betti,
+                           hodge=dict(ABELIAN.hodge))
+    skew = SurfaceModel("skew-cold", SKEW.betti, pairing=SKEW.pairing)
+    # (model, mode, created class, annihilated class, parity, <a, b>)
+    cases = ((abelian, 2, 1, 11, 1, 1), (skew, 2, 1, 2, 0, Fraction(1, 2)))
+    st = FockState({((1, 0), (1, 1), (2, 3)): Fraction(3, 2),
+                    ((1, 2), (2, 0)): -1})
+
+    def refused(*args):
+        raise AssertionError("an operator called the model")
+
+    for name in ("__hash__", "__eq__", "class_degree", "compact_class_degree",
+                 "pairing_value"):
+        monkeypatch.setattr(SurfaceModel, name, refused)
+    for model, k, a, b, parity, pair in cases:
+        create, annihilate = Create(k, a), Annihilate(k, b)
+        n_ord = len(model.ordinary_degrees)
+        got = commutator(annihilate, create, st, model)
+        assert got == st.scale((-1) ** (k - 1) * k * pair)
+        assert commutator(Create(1, 0), create, st, model).is_zero()
+        assert create.parity(model) == annihilate.parity(model) == parity
+        with pytest.raises(UnknownClass, match="outside 0..%d" % (n_ord - 1)):
+            Create(k, n_ord).parity(model)
+        with pytest.raises(UnknownClass):
+            Annihilate(k, -1).apply(st, model)
+
+
+def test_contraction_skips_a_class_foreign_to_the_model():
+    # the pairing columns hold only the nonzero entries, so a factor whose
+    # class the model does not have contracts to nothing
+    assert Annihilate(1, 0).apply(FockState({((1, 5),): 1}), P2).is_zero()
+
+
+def test_integral_results_are_stored_as_ints():
+    m = ((1, 0),)
+    st = FockState({m: Fraction(1, 2)})
+    for got in (st.scale(2), st + st, FockState({m: Fraction(3, 2)}) - st,
+                commutator(Annihilate(2, 2), Create(2, 0), st, P2)):
+        assert [type(c) for c in got.terms.values()] == [int], got
