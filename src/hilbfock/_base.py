@@ -10,7 +10,8 @@ class IdentityFailed(ArithmeticError):
 class Frozen:
     """
     Base of the immutable value classes.  Subclasses declare __slots__ and
-    set each slot once, in __init__, through object.__setattr__; any later
+    set each slot once, in __init__, through object.__setattr__ (the Fock
+    classes call the slot descriptor's __set__ directly); any later
     assignment raises AttributeError.
     """
 

@@ -27,6 +27,9 @@ may hold a Fraction goes through exact, zeros dropped once), and only the
 .terms view wraps keys into FockMonomials.
 Operators read the model's class parities and pairing columns, fields fixed
 at its construction: they call no SurfaceModel method and hash no model.
+Each checks its class (UnknownClass), then returns a zero state as it is.
+A FockState is not tied to a model: an even operator passes a factor of
+a class the model lacks through; an odd one reading its parity raises.
 """
 
 from bisect import bisect_left
@@ -78,8 +81,7 @@ class FockMonomial(Frozen):
     @classmethod
     def _make(cls, factors):
         # trusted: a sorted tuple of int pairs, set past Frozen's guard
-        self = object.__new__(cls)
-        _set_factors(self, factors)
+        _set_factors(self := object.__new__(cls), factors)
         return self
 
     @property
@@ -164,17 +166,6 @@ class FockState(Frozen):
             self.terms.items(), key=lambda kv: kv[0].factors)) or "0"
 
 
-_set_factors = FockMonomial.factors.__set__
-_set_terms = FockState._terms.__set__
-
-
-def _state(terms):
-    # trusted: the FockState of a well-formed key dict (module docstring)
-    self = object.__new__(FockState)
-    _set_terms(self, terms)
-    return self
-
-
 def _parity(cls, parities):
     """The parity of class cls; UnknownClass outside the basis."""
     if not 0 <= cls < len(parities):
@@ -184,81 +175,106 @@ def _parity(cls, parities):
 
 
 class _Operator(Frozen):
-    """A mode operator on one class; subclasses declare (mode, cls) slots."""
+    """A mode operator on one class."""
 
-    __slots__ = ()
+    __slots__ = ("mode", "cls")
 
     def __init__(self, mode, cls):
         mode = index(mode)
         if mode < 1:
             raise ModeNonPositive("mode %d must be positive" % mode)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "cls", index(cls))
+        _set_mode(self, mode)
+        _set_cls(self, index(cls))
 
     def __repr__(self):
         return "%s(%d, %d)" % (type(self).__name__, self.mode, self.cls)
 
 
+_set_factors = FockMonomial.factors.__set__
+_set_terms = FockState._terms.__set__
+_set_mode, _set_cls = _Operator.mode.__set__, _Operator.cls.__set__
+
+
+def _state(terms):
+    # trusted: the FockState of a well-formed key dict (module docstring)
+    _set_terms(self := object.__new__(FockState), terms)
+    return self
+
+
 class Create(_Operator):
     """Creation operator: left multiplication by the generator (mode, class)."""
 
-    __slots__ = ("mode", "cls")
+    __slots__ = ()
 
     def parity(self, model):
         return _parity(self.cls, model.ordinary_parities)
 
     def apply(self, state, model):
-        parities = model.ordinary_parities
-        odd, key = _parity(self.cls, parities), (self.mode, self.cls)
-        out = {}
-        for factors, coeff in state._terms.items():
-            pos = bisect_left(factors, key)
-            if odd:  # an even factor is inserted with no sign
-                if factors[pos:pos + 1] == (key,):
-                    continue
-                if sum(parities[c] for _, c in factors[:pos]) % 2:
+        parities, cls, terms = model.ordinary_parities, self.cls, state._terms
+        if not 0 <= cls < len(parities):
+            _parity(cls, parities)
+        if not terms:
+            return state
+        odd, key, out = parities[cls], (self.mode, cls), {}
+        try:
+            for factors, coeff in terms.items():
+                pos = bisect_left(factors, key)
+                if odd and factors[pos:pos + 1] == (key,):
+                    continue  # an odd factor repeated at one mode
+                if odd and sum(parities[c] for _, c in factors[:pos]) % 2:
                     coeff = -coeff
-            # insertion is injective: no two terms land on one monomial
-            out[factors[:pos] + (key,) + factors[pos:]] = coeff
-        return _state(out)
+                # insertion is injective: no two terms land on one monomial
+                out[factors[:pos] + (key,) + factors[pos:]] = coeff
+        except IndexError:  # a class outside the basis; the largest raises
+            _parity(max(c for f in terms for _, c in f), parities)
+        _set_terms(result := object.__new__(FockState), out)
+        return result
 
 
 class Annihilate(_Operator):
     """Annihilation operator: contraction super-derivation for (mode, class)."""
 
-    __slots__ = ("mode", "cls")
+    __slots__ = ()
 
     def parity(self, model):
         return _parity(self.cls, model.compact_parities)
 
     def apply(self, state, model):
-        parities, mode = model.ordinary_parities, self.mode
-        odd = _parity(self.cls, model.compact_parities)
-        column = model.pairing_columns[self.cls]
-        norm = (-1) ** (mode - 1) * mode
+        compact, cls, terms = model.compact_parities, self.cls, state._terms
+        if not 0 <= cls < len(compact):
+            _parity(cls, compact)
+        if not terms:
+            return state
+        parities, mode, odd = model.ordinary_parities, self.mode, compact[cls]
+        column = model.pairing_columns[cls]
+        norm = mode if mode & 1 else -mode  # (-1)^(mode-1) * mode
         # the factors at this mode lie between these keys in sort order
-        first, past = (mode,), (mode + 1,)
-        out = {}
+        first, past, out = (mode,), (mode + 1,), {}
         merged = False  # two contributions met: only then can one cancel
-        for factors, coeff in state._terms.items():
-            lo = bisect_left(factors, first)
-            hi = bisect_left(factors, past, lo)
-            if lo == hi:
-                continue
-            if odd and sum(parities[c] for _, c in factors[:lo]) % 2:
-                coeff = -coeff
-            for s in range(lo, hi):
-                c = factors[s][1]
-                if c in column:
-                    new = factors[:s] + factors[s + 1:]
-                    val = coeff * (norm * column[c])
-                    if new in out:
-                        val += out[new]
-                        merged = True
-                    out[new] = val if type(val) is int else exact(val)
-                if odd and parities[c]:
+        try:
+            for factors, coeff in terms.items():
+                lo = bisect_left(factors, first)
+                hi = bisect_left(factors, past, lo)
+                if lo == hi:
+                    continue
+                if odd and sum(parities[c] for _, c in factors[:lo]) % 2:
                     coeff = -coeff
-        return _state({k: c for k, c in out.items() if c} if merged else out)
+                for s in range(lo, hi):
+                    c = factors[s][1]
+                    if c in column:
+                        new = factors[:s] + factors[s + 1:]
+                        val = coeff * (norm * column[c])
+                        if new in out:
+                            val += out[new]
+                            merged = True
+                        out[new] = val if type(val) is int else exact(val)
+                    if odd and parities[c]:
+                        coeff = -coeff
+        except IndexError:  # a class outside the basis; the largest raises
+            _parity(max(c for f in terms for _, c in f), parities)
+        _set_terms(result := object.__new__(FockState),
+                   {k: c for k, c in out.items() if c} if merged else out)
+        return result
 
 
 class Central:

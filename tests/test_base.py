@@ -34,7 +34,9 @@ VALUES = (
 def test_value_classes_are_immutable(make):
     value = make()
     name = type(value).__name__
-    first = type(value).__slots__[0]
+    # the first slot declared along the MRO (operators inherit theirs)
+    first = next(slot for klass in type(value).__mro__
+                 for slot in vars(klass).get("__slots__", ()))
     before = getattr(value, first)
     with pytest.raises(AttributeError, match="%s is immutable" % name):
         setattr(value, first, None)

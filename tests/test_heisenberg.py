@@ -356,9 +356,14 @@ def operators_of(model, max_mode=4):
             yield Annihilate(mode, cls), ref_annihilate
 
 
-@pytest.mark.parametrize("model", (P2, P1XP1, ABELIAN), ids=lambda m: m.name)
-def test_operators_match_reference_on_every_basis_monomial(model):
-    basis = [FockState({mono: 1}) for level in range(4)
+# (model, top level): K3 is the heaviest preset, DELTA the deepest cheap one
+BASIS_LEVELS = ((P2, 3), (P1XP1, 3), (ABELIAN, 3), (K3, 2), (DELTA, 6))
+
+
+@pytest.mark.parametrize("model, top", BASIS_LEVELS,
+                         ids=[model.name for model, _ in BASIS_LEVELS])
+def test_operators_match_reference_on_every_basis_monomial(model, top):
+    basis = [FockState({mono: 1}) for level in range(top + 1)
              for mono in enumerate_monomials(model, level)]
     ops = list(operators_of(model))
     assert len(ops) == 4 * (len(model.ordinary_degrees)
@@ -668,3 +673,34 @@ def test_integral_results_are_stored_as_ints():
     for got in (st.scale(2), st + st, FockState({m: Fraction(3, 2)}) - st,
                 commutator(Annihilate(2, 2), Create(2, 0), st, P2)):
         assert [type(c) for c in got.terms.values()] == [int], got
+
+
+def test_odd_operator_reading_a_foreign_class_raises_unknown_class():
+    # a FockState is not tied to a model: an odd operator that reads the
+    # parity of a factor the model lacks refuses it, an even one passes it
+    st = FockState({((1, 20), (2, 0)): 1})
+    for op in (Annihilate(2, 12), Create(2, 1)):  # odd, right of (1, 20)
+        assert op.parity(ABELIAN) == 1
+        with pytest.raises(UnknownClass, match="class index 20 outside 0..15"):
+            op.apply(st, ABELIAN)
+    assert Create(2, 0).apply(st, ABELIAN).terms == {
+        FockMonomial(((1, 20), (2, 0), (2, 0))): 1}
+    assert Annihilate(2, 15).apply(st, ABELIAN).terms == {
+        FockMonomial(((1, 20),)): -2}
+    # an odd factor inserted left of the foreign one reads no parity of it
+    assert Create(1, 1).apply(st, ABELIAN).terms == {
+        FockMonomial(((1, 1), (1, 20), (2, 0))): 1}
+
+
+@pytest.mark.parametrize("model", PRESETS, ids=lambda m: m.name)
+def test_every_operator_maps_the_zero_state_to_zero(model):
+    zero = FockState.zero()
+    for op, _ in operators_of(model):
+        assert op.apply(zero, model).is_zero(), op
+    assert Central().apply(zero, model).is_zero()
+    # the class check comes before the zero state is handed back
+    n_ord, n_comp = len(model.ordinary_degrees), len(model.compact_degrees)
+    for op in (Create(1, n_ord), Create(2, -1), Annihilate(1, n_comp),
+               Annihilate(3, -1)):
+        with pytest.raises(UnknownClass, match="outside 0.."):
+            op.apply(zero, model)
