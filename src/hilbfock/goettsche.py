@@ -15,7 +15,7 @@ the decomposition of the direct image under the support morphism.
 
 The stratum sums (Poincare, Hodge, K-theory) and the Euler product are one
 convolution over part sizes, on packed polynomials or on integers.  The
-literal partition walks stay apart: stratum_poincare for the regrouping
+literal partition walks stay apart: stratum_product for the regrouping
 check of stratification, selfcheck's route to the orbifold Euler numbers.
 Packed rows are checked against independent totals by series.checked_rows.
 
@@ -46,7 +46,7 @@ def goettsche_families(model):
     return [FactorFamily(sign, w, (exp,)) for sign, w, exp in specs if w]
 
 
-_TABLES = {}  # the longest table built so far, per (builder, surface)
+_TABLES = {}  # longest table per (builder, surface); one value per (f, *args)
 
 
 def _cached_table(build):
@@ -135,11 +135,23 @@ def stratum_poincare(model, a):
     partition in multiplicity notation: one factor per multiplicity a_i
     (zero multiplicities contribute a point factor).
     """
-    out = CoeffPoly.one()
-    for ai in a.multiplicities:
-        if ai:
-            out = out * sym_poincare(model, ai)
-    return out
+    return CoeffPoly({(d,): c for d, c in enumerate(
+        stratum_product(model, a.signature))})
+
+
+def stratum_product(model, signature):
+    """
+    The product of sym_poincare(model, m) over a Partition.signature, as its
+    coefficients of t^0, t^1, ..: built once per surface and signature.
+    """
+    row = _TABLES.get((stratum_product, model, signature))
+    if row is None:
+        out = CoeffPoly.one()
+        for m in signature:
+            out = out * sym_poincare(model, m)
+        row = _TABLES[stratum_product, model, signature] = tuple(
+            out.coefficient((d,)) for d in range(out.total_degree() + 1))
+    return row
 
 
 def _strata_sums(f, order, w=1):
@@ -187,16 +199,19 @@ def punctual_poincare(n):
     t^(2 drop).  Top coefficient sits at t^(2(n-1)) and equals 1.  Counted
     by length l = n - drop, with the recurrence
     p(k, l) = p(k-1, l-1) + p(k-l, l) for partitions of k into l parts
-    (remove a part 1, or subtract 1 from every part).
+    (remove a part 1, or subtract 1 from every part).  Computed once per n.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    p = [[1] + [0] * n]
-    for k in range(1, n + 1):
-        p.append([0] + [p[k - 1][l - 1] + p[k - l][l] for l in range(1, k + 1)]
-                 + [0] * (n - k))
-    return CoeffPoly._make({(2 * (n - l),): p[n][l] for l in range(1, n + 1)},
-                           1)
+    poly = _TABLES.get((punctual_poincare, n))
+    if poly is None:
+        p = [[1] + [0] * n]
+        for k in range(1, n + 1):
+            p.append([0] + [p[k - 1][l - 1] + p[k - l][l]
+                            for l in range(1, k + 1)] + [0] * (n - k))
+        poly = _TABLES[punctual_poincare, n] = CoeffPoly._make(
+            {(2 * (n - l),): p[n][l] for l in range(1, n + 1)}, 1)
+    return poly
 
 
 def general_binomial(a, k):

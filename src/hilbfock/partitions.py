@@ -13,9 +13,11 @@ len(p) blocks summing to the parts of p.  Geometrically this is closure
 containment of the diagonal strata of the n-th symmetric product.
 """
 
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 from math import factorial
+from types import MappingProxyType
 
 from ._base import Frozen
 
@@ -68,6 +70,11 @@ class Partition(Frozen):
             a[p - 1] += 1
         return tuple(a)
 
+    @property
+    def signature(self):
+        """The sorted nonzero multiplicities; their sum is the length."""
+        return tuple(sorted(a for a in self.multiplicities if a))
+
     def __eq__(self, other):
         return isinstance(other, Partition) and self.nu == other.nu
 
@@ -90,6 +97,13 @@ def partitions_of(n):
     if n < 0:
         raise ValueError("n must be non-negative")
     return tuple(Partition(p) for p in _raw_partitions(n, n))
+
+
+@lru_cache(maxsize=None)
+def partition_census(n):
+    """{(length, signature): count} over partitions_of(n), in one walk."""
+    return MappingProxyType(Counter((p.length, p.signature)
+                                    for p in partitions_of(n)))
 
 
 @lru_cache(maxsize=None)
@@ -204,6 +218,15 @@ def splittings(host):
     """All partition tuples over the parts of `host`, in deterministic order."""
     pools = [partitions_of(v) for v in host.nu]
     return [PartitionTuple(host, combo) for combo in product(*pools)]
+
+
+@lru_cache(maxsize=None)
+def splitting_drops(host):
+    """The number of partition tuples over host with drop h, h = 0..n-1."""
+    n = host.n
+    lengths = Counter(map(sum, product(*([len(b) for b in partitions_of(v)]
+                                          for v in host.nu))))
+    return tuple(lengths[n - h] for h in range(n))
 
 
 def splittings_merging_to(target, host):

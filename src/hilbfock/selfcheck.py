@@ -2,7 +2,9 @@
 Cross-identity battery: every identity the library asserts between two
 independently computed quantities, run over the shipped presets up to a
 given order.  Each check returns (ok, detail), run_all names the rows,
-and the CLI turns the battery into a pass/fail table.
+and the CLI turns the battery into a pass/fail table.  The partition
+walks stay literal; a summand that reads only the length and signature of
+a partition is taken once per class of the census of n, times its count.
 """
 
 import random
@@ -10,7 +12,7 @@ from collections import Counter
 from math import prod
 
 from . import heisenberg
-from .partitions import partitions_of
+from .partitions import partition_census, partitions_of
 from .series import CoeffPoly
 from .surfaces import ABELIAN, DELTA, K3, P2, P1XP1
 
@@ -132,8 +134,9 @@ def _orbifold_rows(euler, order):
     sym = [1]
     for a in range(order):
         sym.append(sym[-1] * (euler + a) // (a + 1))
-    return [sum(prod(sym[ai] for ai in p.multiplicities)
-                for p in partitions_of(n)) for n in range(order + 1)]
+    return [sum(count * prod(sym[a] for a in signature)
+                for (_, signature), count in partition_census(n).items())
+            for n in range(order + 1)]
 
 
 def check_euler(order):
@@ -184,8 +187,10 @@ def check_adhm(order):
 
 
 def check_leray(order):
+    from .goettsche import strata_poincare_table
     from .stratification import global_degeneration_check
     for s in ALL_PRESETS:
+        strata_poincare_table(s, order)  # one table; each n reads its row
         for n in range(order + 1):
             if not global_degeneration_check(s, n):
                 return False, "%s n=%d" % (s.name, n)

@@ -6,15 +6,17 @@ the stalk dimension table over a stratum, and the two dimension identities
 that express the degeneration of the associated spectral sequence.
 
 Everything here is a dimension count over partitions; no sheaf data
-structure exists, by design.
+structure exists, by design.  The walks stay literal: a stalk table counts
+every partition tuple over its stratum, once per partition, and the
+regrouping walks the census of n, one stratum product per signature.
 """
 
-from itertools import product
+from collections import Counter
 
 from ._base import Frozen
 from .goettsche import (hilbert_poincare_from_strata, punctual_poincare,
-                        stratum_poincare)
-from .partitions import partitions_of
+                        stratum_product)
+from .partitions import partition_census, partitions_of, splitting_drops
 from .series import CoeffPoly
 
 
@@ -58,14 +60,9 @@ def stalk_table(nu):
     The stalk dimensions over the stratum of nu: in degree 2h, the number
     of partition tuples over nu whose merged partition has drop h.
     """
-    n = nu.n  # Partition.n sums the parts on each read
-    if n < 1:
+    if nu.n < 1:
         raise ValueError("partition must be non-empty")
-    rows = [0] * n
-    pools = [[len(b) for b in partitions_of(v)] for v in nu]
-    for lengths in product(*pools):
-        rows[n - sum(lengths)] += 1
-    return StalkTable(nu, rows)
+    return StalkTable(nu, splitting_drops(nu))
 
 
 def local_fiber_check(nu):
@@ -91,10 +88,8 @@ def global_degeneration_check(model, n):
     if n < 0:
         raise ValueError("n must be non-negative")
     lhs = hilbert_poincare_from_strata(model, n)
-    levels = [CoeffPoly.zero()] * (n + 1)  # the strata by h = n - length
-    for a in partitions_of(n):
-        levels[n - a.length] += stratum_poincare(model, a)
-    rhs = CoeffPoly.zero()
-    for h, level in enumerate(levels):
-        rhs = rhs + CoeffPoly.monomial((2 * h,)) * level
-    return lhs == rhs
+    rhs = Counter()  # each census class at h = n - length, shifted by t^(2h)
+    for (length, signature), count in partition_census(n).items():
+        for d, c in enumerate(stratum_product(model, signature)):
+            rhs[2 * (n - length) + d] += count * c
+    return lhs == CoeffPoly({(e,): c for e, c in rhs.items()})

@@ -1,0 +1,36 @@
+from collections import Counter
+
+import pytest
+
+from hilbfock import goettsche, partitions
+
+# Every lru_cache of the package; with goettsche._TABLES these are all its
+# module-level caches (tests/test_layering.py pins that set).
+LRU_CACHES = (partitions.partitions_of, partitions._raw_partitions,
+              partitions._fill, partitions.partition_census,
+              partitions.splitting_drops, goettsche.sym_total_dim)
+
+
+@pytest.fixture
+def reset_caches(monkeypatch):
+    """Empty every module-level cache; call the value to empty them again."""
+    def reset():
+        monkeypatch.setattr(goettsche, "_TABLES", {})
+        for cached in LRU_CACHES:
+            cached.cache_clear()
+    reset()
+    return reset
+
+
+@pytest.fixture
+def table_writes(monkeypatch, reset_caches):
+    """From empty caches on, a Counter of the writes to each _TABLES key."""
+    writes = Counter()
+
+    class CountedWrites(dict):
+        def __setitem__(self, key, value):
+            writes[key] += 1
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(goettsche, "_TABLES", CountedWrites())
+    return writes

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -139,6 +140,34 @@ def test_supercommuting_exhaustive_small_models():
                         else:
                             expect = FockState.zero()
                         assert got == expect
+
+
+@pytest.mark.parametrize("model", PRESETS, ids=lambda m: m.name)
+def test_relations_on_every_basis_monomial_to_level_3(model):
+    # Every basis monomial of level <= 3 meets every mode pair k, l <= 4.
+    # The class pairs step by 17, prime to each preset's count of pairs, so
+    # across the monomials each mode pair meets every class pair as well.
+    basis = [FockState({mono: 1}) for level in range(4)
+             for mono in enumerate_monomials(model, level)]
+    ordinary = range(len(model.ordinary_degrees))
+    compact = range(len(model.compact_degrees))
+    pairs = [list(product(ordinary, ordinary)),
+             list(product(compact, compact)), list(product(ordinary, compact))]
+    seen = [set(), set(), set()]
+    for i, st in enumerate(basis):
+        for k, l in product(range(1, 5), repeat=2):
+            (a1, a2), (b1, b2), (a, b) = (
+                kind[(17 * i + 4 * k + l) % len(kind)] for kind in pairs)
+            for met, classes in zip(seen, ((a1, a2), (b1, b2), (a, b))):
+                met.add((k, l, classes))
+            assert commutator(Create(k, a1), Create(l, a2), st,
+                              model).is_zero()
+            assert commutator(Annihilate(k, b1), Annihilate(l, b2), st,
+                              model).is_zero()
+            weight = (-1) ** (k - 1) * k * model.pairing_value(a, b)
+            assert commutator(Annihilate(k, b), Create(l, a), st,
+                              model) == st.scale(weight if k == l else 0)
+    assert [len(met) for met in seen] == [16 * len(kind) for kind in pairs]
 
 
 def test_annihilation_sign_through_odd_factor():

@@ -2,10 +2,12 @@
 The split-row form of the matrix kernels belongs to linalg alone: no other
 module imports or reads a _-prefixed linalg name.  The raw factor-tuple
 keys of a FockState belong to heisenberg alone: no other module reads the
-_terms field or calls FockMonomial._make.
+_terms field or calls FockMonomial._make.  Every module-level cache is
+listed here, so a new one cannot be added without this file knowing.
 """
 
 import ast
+from importlib import import_module
 from pathlib import Path
 
 import hilbfock
@@ -87,3 +89,86 @@ def test_no_module_but_heisenberg_reads_fock_keys():
              if path.name != "heisenberg.py"
              if (uses := fock_key_uses(ast.parse(path.read_text())))}
     assert found == {}
+
+
+MUTATORS = {"setdefault", "update", "pop", "popitem", "clear", "append",
+            "extend", "insert", "add"}
+
+
+def module_caches(tree):
+    """
+    The caches a module defines: each function decorated with lru_cache or
+    cache, and each module-level dict, list or set that code writes into.
+    """
+    containers = {target.id for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and isinstance(node.value, (ast.Dict, ast.DictComp,
+                                              ast.List, ast.Set))
+                  for target in node.targets if isinstance(target, ast.Name)}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                dec = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(dec, "id", getattr(dec, "attr", None)) in (
+                        "lru_cache", "cache"):
+                    out.add(node.name)
+        elif isinstance(node, ast.Subscript) and isinstance(
+                node.ctx, (ast.Store, ast.Del)):
+            if getattr(node.value, "id", None) in containers:
+                out.add(node.value.id)
+        elif isinstance(node, ast.Attribute) and node.attr in MUTATORS:
+            if getattr(node.value, "id", None) in containers:
+                out.add(node.value.id)
+    return out
+
+
+def test_the_cache_detector_sees_each_kind_of_cache():
+    code = ("import functools\n"
+            "from functools import lru_cache\n"
+            "A = {}\n"
+            "B = []\n"
+            "C = {1: 2}\n"
+            "D = {}\n"
+            "@lru_cache(maxsize=None)\n"
+            "def f(n): return n\n"
+            "@functools.cache\n"
+            "def g(n): return n\n"
+            "def h(n):\n"
+            "    A[n] = n\n"
+            "    B.append(n)\n"
+            "    return C[n] + D.get(n, 0)\n")
+    assert module_caches(ast.parse(code)) == {"A", "B", "f", "g"}
+
+
+CACHES = {"goettsche._TABLES", "goettsche.sym_total_dim", "partitions._fill",
+          "partitions._raw_partitions", "partitions.partition_census",
+          "partitions.partitions_of", "partitions.splitting_drops"}
+
+
+def test_every_module_level_cache_is_listed():
+    found = {"%s.%s" % (path.stem, name)
+             for path in sorted(SRC.glob("*.py"))
+             for name in module_caches(ast.parse(path.read_text()))}
+    assert found == CACHES
+
+
+def cache_sizes():
+    """{name: number of entries} of every cache in CACHES, read now."""
+    sizes = {}
+    for name in sorted(CACHES):
+        module, attr = name.split(".")
+        cache = getattr(import_module("hilbfock." + module), attr)
+        sizes[name] = (len(cache) if isinstance(cache, dict)
+                       else cache.cache_info().currsize)
+    return sizes
+
+
+def test_the_reset_empties_every_cache(reset_caches):
+    from hilbfock import selfcheck
+    from hilbfock.partitions import Partition, refines
+    selfcheck.run_all(4)
+    assert refines(Partition((1, 1)), Partition((2,)))
+    assert all(cache_sizes().values()), cache_sizes()
+    reset_caches()
+    assert cache_sizes() == dict.fromkeys(CACHES, 0)

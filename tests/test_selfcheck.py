@@ -7,11 +7,13 @@ the battery prints the same table with assertions stripped (python -O).
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import hilbfock
-from hilbfock import goettsche, heisenberg, selfcheck
+from hilbfock import (goettsche, heisenberg, partitions, selfcheck,
+                      stratification)
 from hilbfock.series import QTSeries
 from hilbfock.surfaces import P2
 
@@ -114,9 +116,78 @@ def test_orbifold_route_shares_no_code_with_the_product(monkeypatch):
         assert selfcheck._orbifold_rows(e, 12) == table
 
 
-def test_product_route_walks_no_partitions(monkeypatch):
-    monkeypatch.setattr(goettsche, "_TABLES", {})
+def test_product_route_walks_no_partitions(monkeypatch, reset_caches):
+    # the orbifold route reaches partitions_of through the census, built anew
     monkeypatch.setattr(selfcheck, "partitions_of", refuse)
+    monkeypatch.setattr(partitions, "partitions_of", refuse)
     assert goettsche.hilbert_euler_table(24, 3) == [1, 24, 324, 3200]
     with pytest.raises(AssertionError):
         selfcheck._orbifold_rows(24, 3)
+
+
+def test_leray_walk_shares_no_code_with_the_convolution(monkeypatch,
+                                                        reset_caches):
+    lhs = {s: goettsche.strata_poincare_table(s, 10)
+           for s in selfcheck.ALL_PRESETS}
+    for name in ("_strata_sums", "general_binomial", "product_expand"):
+        monkeypatch.setattr(goettsche, name, refuse)
+    assert selfcheck.check_leray(10) == (True, "5 presets, n <= 10")
+    assert all(goettsche.strata_poincare_table(s, 10) == rows
+               for s, rows in lhs.items())
+
+
+# each fault changes the census of 5 only: (5) dropped, or the class of
+# (4,1) and (3,2), length 2 and signature (1, 1), counted three times
+CENSUS_FAULTS = {"drop": ((1, (1,)), -1), "off_by_one": ((2, (1, 1)), 1)}
+
+
+@pytest.mark.parametrize("fault", CENSUS_FAULTS)
+def test_a_census_fault_fails_both_walks_at_its_row(monkeypatch, fault):
+    key, step = CENSUS_FAULTS[fault]
+    census = partitions.partition_census
+
+    def faulty(n):
+        rows = dict(census(n))
+        if n == 5:
+            rows[key] += step
+            if not rows[key]:
+                del rows[key]
+        return rows
+
+    for module in (selfcheck, stratification):
+        monkeypatch.setattr(module, "partition_census", faulty)
+    assert selfcheck.check_leray(8) == (False, "delta n=5")
+    euler = goettsche.hilbert_euler(-10, 5)
+    term = step * (-10) ** len(key[1])  # prod of C(e + a - 1, a), a = 1
+    assert selfcheck.check_euler(8) == (
+        False, "e=-10 n=5: product %d vs orbifold %d" % (euler, euler + term))
+
+
+def test_leray_builds_each_stratum_product_once(monkeypatch, table_writes):
+    factors = Counter()
+    sym_poincare = goettsche.sym_poincare
+
+    def counted(model, m):
+        factors[model] += 1
+        return sym_poincare(model, m)
+
+    monkeypatch.setattr(goettsche, "sym_poincare", counted)
+    assert selfcheck.check_leray(8) == (True, "5 presets, n <= 8")
+    assert selfcheck.check_leray(10) == (True, "5 presets, n <= 10")
+    signatures = {p.signature for n in range(11)
+                  for p in partitions.partitions_of(n)}
+    products = Counter({key[1:]: count for key, count in table_writes.items()
+                        if key[0] is goettsche.stratum_product})
+    assert products == Counter({(s, sig): 1 for s in selfcheck.ALL_PRESETS
+                                for sig in signatures})
+    assert factors == Counter({s: sum(map(len, signatures))
+                               for s in selfcheck.ALL_PRESETS})
+
+
+def test_each_census_is_built_once(reset_caches):
+    assert selfcheck.check_euler(6)[0]
+    assert selfcheck.check_leray(8)[0]
+    assert selfcheck.check_euler(10)[0]
+    info = partitions.partition_census.cache_info()
+    assert (info.misses, info.currsize) == (11, 11)
+    assert info.hits > 0

@@ -1,8 +1,13 @@
+from collections import Counter
+from math import prod
+
 import pytest
 
+from hilbfock import partitions
 from hilbfock.goettsche import punctual_poincare
 from hilbfock.partitions import (Partition, partitions_of, refines,
                                  splittings_merging_to, splittings_with_drop)
+from hilbfock.selfcheck import check_local_stalks, check_punctual
 from hilbfock.series import CoeffPoly
 from hilbfock.stratification import (StalkTable, global_degeneration_check,
                                      local_fiber_check, stalk_table,
@@ -106,3 +111,31 @@ def test_global_degeneration_trivial_cases():
     for model in PRESETS:
         assert global_degeneration_check(model, 0)
         assert global_degeneration_check(model, 1)
+
+
+def test_stalk_tuples_are_enumerated_once_per_partition(monkeypatch,
+                                                         reset_caches):
+    product = partitions.product
+    hosts = Counter()
+
+    def counted(*pools):
+        hosts[tuple(len(pool) for pool in pools)] += 1  # p(v) for each part v
+        return product(*pools)
+
+    monkeypatch.setattr(partitions, "product", counted)
+    assert check_local_stalks(8) == (True, "all strata, n <= 8")
+    strata = [nu for n in range(1, 9) for nu in partitions_of(n)]
+    assert all(local_fiber_check(nu) for nu in strata)
+    assert all(stalk_table(nu).poincare()
+               == prod(map(punctual_poincare, nu), start=CoeffPoly.one())
+               for nu in strata)
+    assert hosts == Counter({tuple(len(partitions_of(v)) for v in nu): 1
+                             for nu in strata})
+
+
+def test_each_punctual_polynomial_is_computed_once(table_writes):
+    assert check_punctual(12)[0]
+    assert check_local_stalks(8)[0]
+    assert check_punctual(10)[0]
+    assert table_writes == Counter({(punctual_poincare, n): 1
+                                    for n in range(1, 13)})
