@@ -11,13 +11,15 @@ Routes for the Poincare polynomial of the n-th Hilbert scheme:
     (hilbert_poincare_from_strata).
 
 Their agreement, coefficient by coefficient, is the numerical content of
-the decomposition of the direct image under the support morphism.
+the decomposition of the direct image under the support morphism.  So is
+that of hilbert_hodge_table (a product) and strata_hodge_table in x, y.
 
 The stratum sums (Poincare, Hodge, K-theory) and the Euler product are one
 convolution over part sizes, on packed polynomials or on integers.  The
 literal partition walks stay apart: stratum_product for the regrouping
 check of stratification, selfcheck's route to the orbifold Euler numbers.
-Packed rows are checked against independent totals by series.checked_rows.
+Packed rows are checked against independent totals by series.checked_rows;
+the packed Newton rows of sym_poincare_product by their remainders too.
 
 Every table is cached per surface or Euler number, built at the longest
 order asked so far.  Ask *_table(model, N) for rows 0..N: a per-n walk
@@ -25,13 +27,14 @@ order asked so far.  Ask *_table(model, N) for rows 0..N: a per-n walk
 Newton rows of sym_poincare_product grow one at a time instead.
 """
 
+from collections import Counter
 from functools import lru_cache, wraps
 from math import comb
 
 from ._base import IdentityFailed
-from .series import (CoeffPoly, FactorFamily, QTSeries, _mul_into,
-                     checked_rows, pack, packed_monomial, product_expand,
-                     super_power_table)
+from .series import (CoeffPoly, FactorFamily, QTSeries, checked_rows,
+                     digit_bits, pack, packed_monomial, product_expand,
+                     super_power_table, unpack)
 
 
 def goettsche_families(model):
@@ -108,25 +111,30 @@ def sym_poincare_product(model, m):
     Independent route to sym_poincare: the q^m coefficient H_m of
     prod_d (1 - (-1)^d t^d q)^(-(-1)^d b_d), by Newton's identity
     m H_m = sum_{i=1..m} P_i H_(m-i) with P_i = sum_d s b_d t^(d i), where
-    s = -1 for odd d at even i, else 1.  A remainder raises IdentityFailed.
+    s = -1 for odd d at even i, else 1, each P_i H_(m-i) summed as shifted
+    copies of a packed row as wide as sym_total_dim needs so far (repacked
+    as it grows); a remainder or a wrong digit total raises IdentityFailed.
     """
     if m < 0:
         raise ValueError("order must be non-negative")
-    rows = _TABLES.get((sym_poincare_product, model), [{(0,): 1}])
+    bits, packed, rows = _TABLES.get((sym_poincare_product, model),
+                                     (8, (1,), (CoeffPoly.one(),)))
     if m >= len(rows):
-        rows, b = list(rows), model.betti  # extend a copy, then store it
-        power = [{(d * i,): (-1) ** (d * i + d) * b[d] for d in range(5)
-                  if b[d]} for i in range(m + 1)]
-        for n in range(len(rows), m + 1):
-            acc = {}
-            for i in range(1, n + 1):
-                _mul_into(acc, power[i], rows[n - i], 1)
-            row = {e: divmod(c, n) for e, c in acc.items()}
-            if any(r for _, r in row.values()):
+        totals = [sym_total_dim(model, n) for n in range(len(rows), m + 1)]
+        packed, rows, b = list(packed), list(rows), model.betti
+        if digit_bits(max(totals)) > bits:
+            bits = digit_bits(max(totals))
+            packed = [pack(p, bits) for p in rows]
+        for n, total in enumerate(totals, len(rows)):
+            h, r = divmod(sum((-1) ** (d * i + d) * b[d] * h << bits * d * i
+                              for i, h in enumerate(reversed(packed), 1)
+                              for d in range(5) if b[d]), n)
+            if r or h < 0:
                 raise IdentityFailed("Newton's identity fails at m = %d" % n)
-            rows.append({e: h for e, (h, _) in row.items() if h})
-        _TABLES[sym_poincare_product, model] = rows
-    return CoeffPoly._make(rows[m], 1)
+            packed.append(h)
+            rows.append(unpack(h, bits, total))
+        _TABLES[sym_poincare_product, model] = bits, tuple(packed), tuple(rows)
+    return rows[m]
 
 
 def stratum_poincare(model, a):
@@ -305,16 +313,25 @@ def hodge_sym(model, m):
 
 
 def hilbert_hodge(model, n):
-    """
-    Hodge polynomial sum_{p,q} h^{p,q} x^p y^q of the n-th Hilbert scheme:
-    stratum sum of bigraded symmetric powers, each stratum shifted by
-    (xy)^drop (the weight-twist mismatch between the two sides).
-    """
+    """Hodge polynomial sum h^{p,q} x^p y^q of the n-th Hilbert scheme."""
     return hilbert_hodge_table(model, n)[n]
 
 
 @_cached_table
 def hilbert_hodge_table(model, order):
-    """[hilbert_hodge(model, n) for n in 0..order] from one hodge_sym table."""
+    """
+    [hilbert_hodge(model, n) for n in 0..order] from the Goettsche-Soergel
+    product prod_m prod_(p,q) (1 - (-1)^(p+q) x^(p+m-1) y^(q+m-1) q^m)
+    ^(-(-1)^(p+q) h^(p,q)), h^(p,q) counted from class_bidegrees.
+    """
+    return list(product_expand([
+        FactorFamily(1 if (p + q) % 2 else -1, h, ((1, p - 1), (1, q - 1)))
+        for (p, q), h in Counter(model.class_bidegrees).items()],
+        order, nvars=2).coeffs)
+
+
+@_cached_table
+def strata_hodge_table(model, order):
+    """hilbert_hodge_table as the sum of hodge_sym strata times (xy)^drop."""
     return _strata_table(model, order, hodge_sym_table(model, order), (1, 1),
                          _hodge_width(model, order))

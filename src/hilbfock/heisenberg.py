@@ -37,7 +37,6 @@ from fractions import Fraction
 from operator import index
 
 from ._base import Frozen, exact
-from .partitions import multiplicity_factorial
 from .series import QTSeries, checked_rows, packed_monomial, super_power_table
 from .surfaces import DELTA, MissingHodgeData
 
@@ -314,6 +313,7 @@ def stratum_class(nu, model=DELTA):
     applied to the vacuum, divided by the multiplicity factorial.  Lives in
     level n and degree 2*drop.
     """
+    from .partitions import multiplicity_factorial
     degs = model.ordinary_degrees
     if len(degs) != 1 or degs[0] != 0:
         raise WrongModel(

@@ -10,8 +10,10 @@ silent re-truncation.  Every product of sparse polynomials, alone or as
 series coefficients, runs through one term-product kernel, _mul_into.
 
 Infinite products of the shape prod_{m>=1} (1 +- t^(c*m+d) q^m)^(+-w) are
-expanded by binomial / negative-binomial expansion of each factor; factors
-with m > N cannot touch coefficients up to q^N, so the product is finite.
+expanded by multiplying by each (1 + u q^m)^w and dividing by each
+(1 - u q^m)^w; factors with m > N cannot touch coefficients up to q^N, so
+the product is finite.  Its coefficient sums come in closed form from the
+logarithmic derivative of prod_m (1 - q^m)^(-a) (1 + q^m)^b.
 
 Graded super-symmetric powers (symmetric products, their Hodge
 refinement, the Fock character and level dimensions) all come from one
@@ -24,8 +26,10 @@ Dimension counts and the product are stepped on one packed int per q-power
 at bits*(p*width + q), so an int product is a polynomial product.  No digit
 may carry: bits is whole bytes above an exact total that bounds every
 coefficient, width exceeds every y-exponent the table reaches, and unpack
-raises IdentityFailed unless the digits sum to that total.  Signed or
-rational data is never packed.
+raises IdentityFailed unless the digits sum to that total.  Evaluation at
+2^bits is a ring map, so a signed sum, as in a division step, is exactly
+its polynomial's value, and a finished row, with digits in [0, 2^bits),
+unpacks without carry.  Rational data is never packed.
 """
 
 from fractions import Fraction
@@ -378,10 +382,10 @@ def product_expand(families, order, nvars=None):
     Expand prod_{m>=1} prod_{f in families} f(m) exactly to the given order.
     The empty product is the constant series 1.
 
-    One packed int per q-power: each factor sum_j C_j u^j q^(jm) is applied
-    rows from the top down, so every row reads the old rows below it.  Each
-    factor has constant term 1 and non-negative coefficients, so a partial
-    product is at most the final row, whose sum sizes the digits: no carry.
+    One packed int per q-power, sized and checked by _product_totals.  Row
+    k is multiplied by (1 + u q^m)^w from the top down, or divided by
+    (1 - u q^m)^w from the bottom up, in min(w, k/m) terms sign^(j+1) C(w, j)
+    u^j q^(jm): each row reads the old, or the new, rows below it.
     """
     families = list(families)
     if nvars is None:
@@ -397,19 +401,41 @@ def product_expand(families, order, nvars=None):
     def expand(bits):
         rows = [1] + [0] * order
         for f in families:
-            w = f.weight
+            w, sign = f.weight, f.sign
             for m in range(1, order + 1):
                 u = [c * m + d for c, d in f.exps]
                 # u^j sits j * shift bits up, as in packed_monomial
                 shift = bits * (u[0] if width is None else u[0] * width + u[1])
-                jmax = order // m if f.sign == -1 else min(order // m, w)
-                binom = [comb(w, j) if f.sign == 1 else comb(w + j - 1, j)
-                         for j in range(1, jmax + 1)]
-                for k in range(order, m - 1, -1):
+                binom = [sign ** (j + 1) * comb(w, j)
+                         for j in range(1, min(w, order // m) + 1)]
+                for k in (range(order, m - 1, -1) if sign == 1
+                          else range(m, order + 1)):
                     rows[k] += sum(c * rows[k - j * m] << j * shift
                                    for j, c in enumerate(binom[:k // m], 1))
         return rows
-    return QTSeries(order, checked_rows(expand, expand(0), width), nvars)
+    return QTSeries(order, checked_rows(
+        expand, _product_totals(families, order), width), nvars)
+
+
+def _product_totals(families, order):
+    """
+    The coefficient sums T_n of the product, those of prod_m (1 - q^m)^(-a)
+    (1 + q^m)^b for the weight sums a, b of the - and + families: q d/dq of
+    its log gives n T_n = sum_k s_k T_(n-k), where
+    s_k = sum_(m|k) m (a - (-1)^(k/m) b).
+    """
+    a, b = (sum(f.weight for f in families if f.sign == sg) for sg in (-1, 1))
+    s = [0] * (order + 1)
+    for m in range(1, order + 1):
+        for j, k in enumerate(range(m, order + 1, m), 1):
+            s[k] += m * (a - (-1) ** j * b)
+    totals = [1]
+    for n in range(1, order + 1):
+        t, r = divmod(sum(s[k] * totals[n - k] for k in range(1, n + 1)), n)
+        if r:
+            raise IdentityFailed("coefficient sum not integral at q^%d" % n)
+        totals.append(t)
+    return totals
 
 
 def super_power_table(gens, order, one, zero):

@@ -14,10 +14,7 @@ regrouping walks the census of n, one stratum product per signature.
 from collections import Counter
 
 from ._base import Frozen
-from .goettsche import (hilbert_poincare_from_strata, punctual_poincare,
-                        stratum_product)
 from .partitions import partition_census, partitions_of, splitting_drops
-from .series import CoeffPoly
 
 
 class StalkTable(Frozen):
@@ -36,6 +33,7 @@ class StalkTable(Frozen):
 
     def poincare(self):
         """Sum of rows[h] t^(2h), the stalk Poincare polynomial."""
+        from .series import CoeffPoly
         return CoeffPoly({(2 * h,): r for h, r in enumerate(self.rows)})
 
     def __repr__(self):
@@ -72,6 +70,8 @@ def local_fiber_check(nu):
     product of the punctual polynomials of the parts.  Both sides are
     computed independently (tuple enumeration vs polynomial product).
     """
+    from .goettsche import punctual_poincare
+    from .series import CoeffPoly
     lhs = stalk_table(nu).poincare()
     rhs = CoeffPoly.one()
     for part in nu:
@@ -85,6 +85,8 @@ def global_degeneration_check(model, n):
     polynomial of the n-th Hilbert scheme equals the sum over h of
     t^(2h) times the total stratum polynomial in length n - h.
     """
+    from .goettsche import hilbert_poincare_from_strata, stratum_product
+    from .series import CoeffPoly
     if n < 0:
         raise ValueError("n must be non-negative")
     lhs = hilbert_poincare_from_strata(model, n)

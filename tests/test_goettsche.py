@@ -11,6 +11,7 @@ from hilbfock.goettsche import (equivariant_k_dim, equivariant_k_table,
                                 general_binomial, hilbert_euler,
                                 hilbert_euler_table,
                                 hilbert_hodge, hilbert_hodge_table,
+                                strata_hodge_table,
                                 hilbert_poincare_from_strata,
                                 hilbert_poincare_series, hodge_sym,
                                 hodge_sym_table, orbifold_euler,
@@ -286,7 +287,8 @@ def test_hodge_collapse_to_poincare(model):
         assert collapsed == hilbert_poincare_from_strata(model, n)
 
 
-# independent full-resolution route: the Goettsche-Soergel product
+# the Goettsche-Soergel product, written out from model.hodge, against the
+# strata route in full resolution:
 # prod_m prod_{p,q} (1 - (-1)^(p+q) x^(p+m-1) y^(q+m-1) q^m)^(-(-1)^(p+q) h^{p,q})
 @pytest.mark.parametrize("model,order", ((P2, 6), (P1XP1, 6), (ABELIAN, 6),
                                          (K3, 5)),
@@ -296,8 +298,7 @@ def test_hodge_product_formula_full_bigrading(model, order):
                              ((1, p - 1), (1, q - 1)))
                 for (p, q), h in model.hodge]
     series = product_expand(families, order, nvars=2)
-    for n in range(order + 1):
-        assert series.coeff(n) == hilbert_hodge(model, n)
+    assert list(series.coeffs) == strata_hodge_table(model, order)
 
 
 def test_hodge_requires_data():
@@ -440,22 +441,23 @@ def test_a_caller_cannot_change_a_cached_table(monkeypatch):
 
 def test_newton_walk_builds_each_row_once(monkeypatch):
     calls = []
-    real = goettsche._mul_into
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(acc, n):
+        calls.append(n)
+        return divmod(acc, n)
 
     monkeypatch.setattr(goettsche, "_TABLES", {})
-    monkeypatch.setattr(goettsche, "_mul_into", counting)
+    # the module-level name shadows the builtin inside goettsche
+    monkeypatch.setattr(goettsche, "divmod", counting, raising=False)
     walks = {model: [sym_poincare_product(model, m) for m in range(13)]
              for model in (P2, ABELIAN)}
-    # row n takes one product P_i * H_(n-i) for each i = 1..n
-    assert len(calls) == 2 * sum(range(13))
+    # row n is one packed sum divided once by n, even where a wider digit
+    # repacks the rows below it
+    assert calls == list(range(1, 13)) * 2
     for model, walk in walks.items():
         for m in (12, 0, 7, 3, 12):
             assert sym_poincare_product(model, m) == walk[m]
-    assert len(calls) == 2 * sum(range(13))
+    assert calls == list(range(1, 13)) * 2
     with pytest.raises(TypeError):  # the cached row is read-only
         walks[P2][2].terms[(0,)] = 99
     assert sym_poincare_product(P2, 2) == sym_poincare(P2, 2)
@@ -484,24 +486,32 @@ def test_newton_route_shares_no_code_with_the_stepping_kernel(monkeypatch):
 def test_each_newton_row_checks_its_division(monkeypatch):
     monkeypatch.setattr(goettsche, "_TABLES", {})
     good = [sym_poincare_product(K3, m) for m in range(5)]
-    real = goettsche._mul_into
     bumped = []
 
-    def bumping(bucket, a, b, nvars):
-        real(bucket, a, b, nvars)
-        if not bumped:  # one coefficient, once: m H_m is off by 1
-            bumped.append(next(iter(bucket)))
-            bucket[bumped[0]] += 1
-        return bucket
+    def bumping(acc, n):
+        if not bumped:  # once: the packed m H_m is off by 1
+            bumped.append(n)
+            acc += 1
+        return divmod(acc, n)
 
-    monkeypatch.setattr(goettsche, "_mul_into", bumping)
-    assert sym_poincare_product(K3, 4) == good[4]  # cached rows: no product
+    monkeypatch.setattr(goettsche, "divmod", bumping, raising=False)
+    assert sym_poincare_product(K3, 4) == good[4]  # cached rows: no division
     with pytest.raises(IdentityFailed, match="m = 5"):
         sym_poincare_product(K3, 6)
-    assert bumped
-    monkeypatch.setattr(goettsche, "_mul_into", real)
+    assert bumped == [5]
+    monkeypatch.delattr(goettsche, "divmod")
     # the failed extension stored nothing
     assert sym_poincare_product(K3, 6) == sym_poincare(K3, 6)
+
+
+def test_newton_rows_are_checked_against_their_totals(monkeypatch):
+    monkeypatch.setattr(goettsche, "_TABLES", {})
+    real = goettsche.sym_total_dim
+    monkeypatch.setattr(goettsche, "sym_total_dim",
+                        lambda model, m: real(model, m) + (m == 3))
+    with pytest.raises(IdentityFailed, match="do not sum to 11"):
+        sym_poincare_product(P2, 4)
+    assert goettsche._TABLES == {}
 
 
 def test_the_only_lru_cache_is_on_sym_total_dim():
@@ -510,10 +520,18 @@ def test_the_only_lru_cache_is_on_sym_total_dim():
     assert cached == ["sym_total_dim"]
 
 
-def test_hodge_request_builds_one_stepping_table(monkeypatch, capsys):
+def test_hodge_request_expands_one_product(monkeypatch, capsys):
     orders = count_stepping_tables(monkeypatch)
+    expanded = []
+    real = goettsche.product_expand
+
+    def counting(families, order, nvars=None):
+        expanded.append(order)
+        return real(families, order, nvars)
+
+    monkeypatch.setattr(goettsche, "product_expand", counting)
     assert main(["hodge", "--surface", "k3", "--order", "10"]) == 0
-    assert orders == [10]
+    assert (orders, expanded) == ([], [10])
     assert len(capsys.readouterr().out.splitlines()) == 12
 
 
@@ -527,7 +545,7 @@ def test_selfcheck_builds_one_symmetric_product_table_per_preset(monkeypatch):
 def test_strata_sums_share_one_table_per_model(monkeypatch):
     orders = count_stepping_tables(monkeypatch)
     for model in (P2, ABELIAN):
-        rows = hilbert_hodge_table(model, 7)
+        rows = strata_hodge_table(model, 7)
         assert rows == [hilbert_hodge(model, n) for n in range(8)]
         assert [hodge_sym(model, m) for m in range(8)] == [
             oracle_hodge_sym(model, m) for m in range(8)]
@@ -537,8 +555,8 @@ def test_strata_sums_share_one_table_per_model(monkeypatch):
     assert orders == [7, 7, 7, 7]
     # a longer order rebuilds once; shorter ones then read the longer table
     assert hodge_sym(P2, 9) == oracle_hodge_sym(P2, 9)
-    assert hilbert_hodge_table(P2, 7) == [hilbert_hodge(P2, n)
-                                          for n in range(8)]
+    assert strata_hodge_table(P2, 7) == [hilbert_hodge(P2, n)
+                                         for n in range(8)]
     assert orders == [7, 7, 7, 7, 9]
 
 
@@ -590,7 +608,7 @@ def test_strata_convolution_matches_partition_walk(model):
         assert hilbert_poincare_from_strata(model, n) == walk_poincare(model, n)
         assert equivariant_k_dim(model, n) == walk_k_dim(model, n)
     if model.has_hodge:
-        table = hilbert_hodge_table(model, 12)
+        table = strata_hodge_table(model, 12)
         assert table == [walk_hodge(model, n) for n in range(13)]
 
 

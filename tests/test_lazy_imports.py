@@ -80,10 +80,11 @@ def loaded_after(argv):
       "selfcheck"}),
     (["hodge", "--surface", "p2", "--order", "2"], {"goettsche", "series"},
      {"linalg", "adhm", "heisenberg", "stratification", "selfcheck"}),
-    (["strata", "--n", "4", "--h", "2"], {"stratification", "goettsche"},
-     {"linalg", "adhm", "heisenberg", "selfcheck"}),
+    (["strata", "--n", "4", "--h", "2"], {"stratification", "partitions"},
+     {"linalg", "adhm", "heisenberg", "selfcheck", "goettsche", "series"}),
     (["fock", "--surface", "delta", "--order", "3"], {"heisenberg", "series"},
-     {"linalg", "adhm", "goettsche", "stratification", "selfcheck"}),
+     {"linalg", "adhm", "goettsche", "stratification", "selfcheck",
+      "partitions"}),
     # the relation battery lives in selfcheck but needs only the Fock layer
     (["commutators", "--surface", "abelian", "--trials", "3"],
      {"heisenberg", "series", "partitions", "selfcheck"},

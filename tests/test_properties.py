@@ -1,5 +1,6 @@
 """Property tests, run where hypothesis is installed (the test extra)."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from hilbfock.adhm import MatrixTriple, read_triple, write_triple  # noqa: E402
-from hilbfock.linalg import GaussianRational  # noqa: E402
+from hilbfock.adhm import (MatrixTriple, from_monomial_ideal,  # noqa: E402
+                           read_triple, support_cycle, trace_table,
+                           write_triple)
+from hilbfock.linalg import GaussianRational, invert  # noqa: E402
 from hilbfock.partitions import Partition, partitions_of, refines  # noqa: E402
 from hilbfock.series import CoeffPoly  # noqa: E402
 
@@ -97,3 +100,70 @@ def test_coeffpoly_ring_laws_are_exact(triple):
         assert_exact(result)
     assert all(left == right
                for left, right in zip(results[::2], results[1::2]))
+
+
+UNITS = (GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
+         GaussianRational(0, -1))
+
+
+def unimodular(seed, n):
+    """
+    A seeded n x n Gaussian-integer matrix of unit determinant: a diagonal
+    of units, row additions row_i += c row_j, then a row permutation.
+    """
+    rng = random.Random(seed)
+    g = [[rng.choice(UNITS) if i == j else GaussianRational(0)
+          for j in range(n)] for i in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
+        g[i] = [x + c * y for x, y in zip(g[i], g[j])]
+    rng.shuffle(g)
+    return g
+
+
+def assert_conjugation_keeps_support_and_traces(tr, seed):
+    g = unimodular(seed, tr.n)
+    # unit determinant: the inverse has Gaussian-integer entries too
+    assert all(z.re.denominator == z.im.denominator == 1
+               for row in invert(g) for z in row)
+    conj = tr.conjugate_by(g)
+    assert trace_table(conj, tr.n) == trace_table(tr, tr.n)
+    assert support_cycle(conj) == support_cycle(tr)
+
+
+@EXAMPLES
+@given(st.integers(1, 5).flatmap(lambda n: st.sampled_from(partitions_of(n))),
+       st.integers(0, 2 ** 32))
+def test_conjugation_keeps_monomial_support_and_traces(mu, seed):
+    assert_conjugation_keeps_support_and_traces(from_monomial_ideal(mu), seed)
+
+
+points = st.tuples(*[st.builds(GaussianRational, st.builds(
+    Fraction, st.integers(-3, 3), st.sampled_from([1, 2])),
+    st.integers(-1, 1))] * 2)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(1, 3).flatmap(
+    lambda n: st.sampled_from(partitions_of(n))), points),
+    min_size=1, max_size=3, unique_by=lambda block: block[1]),
+    st.integers(0, 2 ** 32))
+def test_conjugation_keeps_block_sum_support_and_traces(blocks, seed):
+    """Monomial triples moved to distinct points, summed block-diagonally."""
+    n = sum(mu.n for mu, _ in blocks)
+    zero = GaussianRational(0)
+    a = [[zero] * n for _ in range(n)]
+    b = [[zero] * n for _ in range(n)]
+    v = []
+    for mu, (x, y) in blocks:
+        tr, off = from_monomial_ideal(mu), len(v)
+        for i in range(tr.n):
+            for j in range(tr.n):
+                a[off + i][off + j] = tr.a[i][j] + (x if i == j else zero)
+                b[off + i][off + j] = tr.b[i][j] + (y if i == j else zero)
+        v += tr.v
+    tr = MatrixTriple(a, b, v)
+    assert support_cycle(tr).points == {
+        point: mu.n for mu, point in blocks}
+    assert_conjugation_keeps_support_and_traces(tr, seed)

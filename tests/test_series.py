@@ -238,23 +238,28 @@ def factor_chain(families, order, nvars):
 
 
 def rand_family(rng, nvars):
-    # d may be negative (down to -c), which keeps c*m + d >= 0 for m >= 1
+    # d may be negative (down to -c), which keeps c*m + d >= 0 for m >= 1;
+    # weights up to 24 put w both below and above k/m in the division
     exps = []
     for _ in range(nvars):
         c = rng.randint(0, 3)
         exps.append((c, rng.randint(-c, 3)))
-    return FactorFamily(rng.choice((1, -1)), rng.randint(0, 3), exps)
+    return FactorFamily(rng.choice((1, -1)), rng.randint(0, 24), exps)
 
 
 # weight 0, both signs, and a negative d in each variable: the packed index
-# width must follow the largest exponent, c + max(d, 0) per unit of q
+# width must follow the largest exponent, c + max(d, 0) per unit of q; the
+# weights 22 and 24 (K3's b2 and Euler number) exceed k/m at small m only
 FIXED_FAMILIES = {
     1: [FactorFamily(1, 0, ((2, 1),)), FactorFamily(-1, 2, ((3, -3),)),
-        FactorFamily(1, 3, ((1, -1),)), FactorFamily(-1, 1, ((0, 2),))],
+        FactorFamily(1, 3, ((1, -1),)), FactorFamily(-1, 1, ((0, 2),)),
+        FactorFamily(-1, 22, ((2, 0),)), FactorFamily(1, 24, ((1, 1),))],
     2: [FactorFamily(1, 0, ((1, 1), (1, 1))),
         FactorFamily(-1, 2, ((2, -2), (0, 1))),
         FactorFamily(1, 3, ((0, 2), (3, -2))),
-        FactorFamily(-1, 1, ((1, -1), (1, -1)))],
+        FactorFamily(-1, 1, ((1, -1), (1, -1))),
+        FactorFamily(-1, 22, ((1, 0), (1, 0))),
+        FactorFamily(1, 24, ((0, 1), (1, -1)))],
 }
 
 
@@ -269,6 +274,38 @@ def test_product_expand_matches_factor_chain(nvars):
             fams = [rand_family(rng, nvars) for _ in range(rng.randint(1, 3))]
             assert product_expand(fams, order, nvars) == \
                 factor_chain(fams, order, nvars)
+
+
+def coefficient_sums(series):
+    return [c.specialize(dict.fromkeys(("x", "y") if series.nvars == 2
+                                       else ("t",), 1)).constant_value()
+            for c in series.coeffs]
+
+
+@pytest.mark.parametrize("nvars", (1, 2))
+def test_closed_form_totals_are_the_coefficient_sums(nvars):
+    rng = random.Random(70 + nvars)
+    assert series._product_totals([], 9) == [1] + [0] * 9
+    for order in range(11):
+        for _ in range(2):
+            fams = [rand_family(rng, nvars) for _ in range(rng.randint(1, 3))]
+            assert series._product_totals(fams, order) == coefficient_sums(
+                factor_chain(fams, order, nvars))
+
+
+def test_a_corrupted_total_fails_the_identity(monkeypatch):
+    real = series._product_totals
+
+    def corrupted(families, order):
+        totals = real(families, order)
+        totals[6] += 1
+        return totals
+
+    families = goettsche_families(K3)
+    product_expand(families, 8)
+    monkeypatch.setattr(series, "_product_totals", corrupted)
+    with pytest.raises(IdentityFailed, match="do not sum to"):
+        product_expand(families, 8)
 
 
 def crossed(*args, **kwargs):
