@@ -93,7 +93,7 @@ def resolve_surface(spec):
 def _parse_partition(text, flag):
     from .partitions import Partition
     try:
-        parts = [int(x) for x in text.split(",") if x.strip()]
+        parts = [int(x) for x in text.split(",")]  # an empty field fails
         return Partition(sorted(parts, reverse=True))
     except ValueError as exc:
         raise ConfigError("bad partition for %s: %s" % (flag, exc))
@@ -239,10 +239,7 @@ def cmd_adhm(args):
         except (OSError, ValueError) as exc:
             raise ConfigError("--triple: %s" % exc)
     else:
-        mu = _parse_partition(args.mu, "--mu")
-        if not mu.n:
-            raise ConfigError("--mu: the partition is empty")
-        tr = adhm.from_monomial_ideal(mu)
+        tr = adhm.from_monomial_ideal(_parse_partition(args.mu, "--mu"))
     commuting = adhm.is_commuting(tr)
     rows = [("key", "value"), ("size", tr.n), ("commuting", commuting)]
     if not commuting:

@@ -21,20 +21,20 @@ check of stratification, selfcheck's route to the orbifold Euler numbers.
 Packed rows are checked against independent totals by series.checked_rows;
 the packed Newton rows of sym_poincare_product by their remainders too.
 
-Every table is cached per surface or Euler number, built at the longest
-order asked so far.  Ask *_table(model, N) for rows 0..N: a per-n walk
-(sym_poincare(model, n) for n = 0, 1, ..) rebuilds it at each new n; the
-Newton rows of sym_poincare_product grow one at a time instead.
+Every table is cached per surface or Euler number, at the longest order
+asked so far.  Those a per-n walk reads (sym, Newton, strata, K, Euler)
+keep the state their kernel goes on from, so the walk computes each row
+once; those packed to a width set by their order are rebuilt.
 """
 
 from collections import Counter
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 from math import comb
 
 from ._base import IdentityFailed
-from .series import (CoeffPoly, FactorFamily, QTSeries, checked_rows,
-                     digit_bits, pack, packed_monomial, product_expand,
-                     super_power_table, unpack)
+from .series import (CoeffPoly, FactorFamily, QTSeries, checked_rows, pack,
+                     packed_monomial, product_expand, respace,
+                     super_power_table)
 
 
 def goettsche_families(model):
@@ -49,28 +49,45 @@ def goettsche_families(model):
     return [FactorFamily(sign, w, (exp,)) for sign, w, exp in specs if w]
 
 
-_TABLES = {}  # longest table per (builder, surface); one value per (f, *args)
+_TABLES = {}  # (rows, state) per (builder, surface); one value per (f, *args)
 
 
 def _cached_table(build):
     """
-    build(model, order) as a cached table of rows 0..order: built once per
-    surface, at the longest order asked so far, and sliced for shorter ones.
+    build(model, order, kept) as a cached table of rows 0..order; kept, the
+    (rows, state) of the longest build or None, stays unchanged.
     """
     @wraps(build)
     def table(model, order):
         if order < 0:
             raise ValueError("order must be non-negative")
-        rows = _TABLES.get((build, model))
-        if rows is None or order >= len(rows):
-            rows = _TABLES[build, model] = build(model, order)
-        return rows[:order + 1]
+        kept = _TABLES.get((build, model))
+        if kept is None or order >= len(kept[0]):
+            kept = _TABLES[build, model] = build(model, order, kept)
+        return kept[0][:order + 1]
     return table
 
 
+def _grown(kept, order, total, start, step, width=None):
+    """
+    A packed table at order, (rows, (bits, state)), from kept or from row 0
+    and state start: step(bits, state, n) gives packed rows ending in rows
+    n..order and a new state, re-spaced first if wider digits are needed.
+    """
+    rows, (bits, state) = kept or ([CoeffPoly.one(2 if width else 1)],
+                                   (8, start))
+    n, grown = len(rows), []
+    def expand(wider):
+        packed, moved = step(wider, respace(state, bits, wider), n)
+        grown[:] = wider, moved
+        return packed[n - order - 1:]
+    totals = [total(m) for m in range(n, order + 1)]
+    return rows + checked_rows(expand, totals, width, bits, n), tuple(grown)
+
+
 @_cached_table
-def _product_table(model, order):
-    return product_expand(goettsche_families(model), order, nvars=1).coeffs
+def _product_table(model, order, kept):
+    return product_expand(goettsche_families(model), order, 1).coeffs, None
 
 
 def hilbert_poincare_series(model, order):
@@ -78,18 +95,20 @@ def hilbert_poincare_series(model, order):
     return QTSeries(order, _product_table(model, order))
 
 
-def _sym_table(model, order, degrees, width=None):
-    """One packed stepping pass; row m unpacked against sym_total_dim(m)."""
-    def expand(bits):
+def _sym_table(model, order, kept, width=None):
+    """The stepping kernel, keeping a row per class; sym_total_dim totals."""
+    exps = model.class_bidegrees if width else [*zip(model.ordinary_degrees)]
+    def step(bits, last, n):
         gens = ((packed_monomial(e, bits, width), 1, sum(e) % 2)
-                for e in degrees)
-        return super_power_table(gens, order, 1, 0)
-    return checked_rows(expand, [sym_total_dim(model, m)
-                                 for m in range(order + 1)], width)
+                for e in exps)
+        last = list(last)
+        return super_power_table(gens, order + 1 - n, 1, 0, last), last
+    return _grown(kept, order, partial(sym_total_dim, model),
+                  [1] * len(exps), step, width)
 
 
 @_cached_table
-def sym_poincare_table(model, order):
+def sym_poincare_table(model, order, kept):
     """
     The list [sym_poincare(model, m) for m in 0..order], from one pass of
     the stepping kernel: the Poincare polynomials of the symmetric
@@ -98,7 +117,7 @@ def sym_poincare_table(model, order):
     repeat freely, odd classes at most once), which enumerates the same
     multisets as the naive count without materializing them.
     """
-    return _sym_table(model, order, [(d,) for d in model.ordinary_degrees])
+    return _sym_table(model, order, kept)
 
 
 def sym_poincare(model, m):
@@ -112,29 +131,26 @@ def sym_poincare_product(model, m):
     prod_d (1 - (-1)^d t^d q)^(-(-1)^d b_d), by Newton's identity
     m H_m = sum_{i=1..m} P_i H_(m-i) with P_i = sum_d s b_d t^(d i), where
     s = -1 for odd d at even i, else 1, each P_i H_(m-i) summed as shifted
-    copies of a packed row as wide as sym_total_dim needs so far (repacked
-    as it grows); a remainder or a wrong digit total raises IdentityFailed.
+    copies of a packed row, the rows kept as the table's state; a remainder
+    or a wrong digit total raises IdentityFailed.
     """
-    if m < 0:
-        raise ValueError("order must be non-negative")
-    bits, packed, rows = _TABLES.get((sym_poincare_product, model),
-                                     (8, (1,), (CoeffPoly.one(),)))
-    if m >= len(rows):
-        totals = [sym_total_dim(model, n) for n in range(len(rows), m + 1)]
-        packed, rows, b = list(packed), list(rows), model.betti
-        if digit_bits(max(totals)) > bits:
-            bits = digit_bits(max(totals))
-            packed = [pack(p, bits) for p in rows]
-        for n, total in enumerate(totals, len(rows)):
+    return _newton_table(model, m)[m]
+
+
+@_cached_table
+def _newton_table(model, order, kept):
+    b = model.betti
+    def step(bits, packed, n):
+        packed = list(packed)
+        for m in range(n, order + 1):
             h, r = divmod(sum((-1) ** (d * i + d) * b[d] * h << bits * d * i
                               for i, h in enumerate(reversed(packed), 1)
-                              for d in range(5) if b[d]), n)
+                              for d in range(5) if b[d]), m)
             if r or h < 0:
-                raise IdentityFailed("Newton's identity fails at m = %d" % n)
+                raise IdentityFailed("Newton's identity fails at m = %d" % m)
             packed.append(h)
-            rows.append(unpack(h, bits, total))
-        _TABLES[sym_poincare_product, model] = bits, tuple(packed), tuple(rows)
-    return rows[m]
+        return packed, packed
+    return _grown(kept, order, partial(sym_total_dim, model), [1], step)
 
 
 def stratum_poincare(model, a):
@@ -162,35 +178,38 @@ def stratum_product(model, signature):
     return row
 
 
-def _strata_sums(f, order, w=1):
+def _strata_sums(term, order, shift=0, state=None):
     """
-    Sum over partitions of n of w^drop prod_i f[a_i], for n <= order
-    (f[0] = 1): part size i multiplies in sum_a f[a] w^((i-1)a) q^(ia).
+    Sum over partitions of n of w^drop prod_i f[a_i], n <= order, and the
+    state [f, parts] it extends on copies: f[a] = term(a), f[0] = 1, w =
+    2^shift, parts[i] the product over j <= i of sum_a f[a] w^((j-1)a) q^(ja).
     """
-    out = [1] + [0] * order
+    f, kept = state or ([], [[1]])
+    f = f + [term(a) for a in range(len(f), order + 1)]
+    parts = [[1] + [0] * order]
     for i in range(1, order + 1):
-        terms = [f[a] * w ** ((i - 1) * a) for a in range(order // i + 1)]
-        for n in range(order, i - 1, -1):
-            out[n] += sum(terms[a] * out[n - i * a]
-                          for a in range(1, n // i + 1))
-    return out
+        below, s = parts[i - 1], shift * (i - 1)
+        col = kept[i][:] if i < len(kept) else below[:i]
+        parts.append(col)
+        for n in range(len(col), order + 1):
+            col.append(below[n] + sum(f[a] * below[n - i * a] << s * a
+                                      for a in range(1, n // i + 1)))
+    return [col[n] for n, col in enumerate(parts)], [f, parts]
 
 
-def _strata_table(model, order, table, twist, width=None):
-    """
-    The strata sums over the rows 0..order of a symmetric-power table,
-    each stratum times twist^drop; the K table sizes and checks the digits.
-    """
-    def expand(bits):
-        return _strata_sums([pack(p, bits, width) for p in table], order,
-                            packed_monomial(twist, bits, width))
-    return checked_rows(expand, equivariant_k_table(model, order), width)
+def _strata_table(model, order, kept, sym, width=None):
+    """Strata sums of a sym table times t^(2 drop) or (xy)^drop; K totals."""
+    def step(bits, state, n):
+        return _strata_sums(lambda a: pack(sym[a], bits, width), order,
+                            bits * (2 if width is None else width + 1), state)
+    return _grown(kept, order, equivariant_k_table(model, order).__getitem__,
+                  [[], [[1]]], step, width)
 
 
 @_cached_table
-def strata_poincare_table(model, order):
+def strata_poincare_table(model, order, kept):
     """[hilbert_poincare_from_strata(model, n) for n in 0..order]."""
-    return _strata_table(model, order, sym_poincare_table(model, order), (2,))
+    return _strata_table(model, order, kept, sym_poincare_table(model, order))
 
 
 def hilbert_poincare_from_strata(model, n):
@@ -233,15 +252,15 @@ def general_binomial(a, k):
 
 
 @_cached_table
-def hilbert_euler_table(euler, order):
+def hilbert_euler_table(euler, order, kept):
     """
     Euler numbers of the Hilbert schemes of points, n = 0..order: the
     coefficients of prod_m (1 - q^m)^(-e) up to q^order, e the Euler number
     of the surface (negative e allowed), as the strata convolution of
     C(e+a-1, a), since sum_a C(e+a-1, a) x^a = (1 - x)^(-e).
     """
-    return _strata_sums([general_binomial(euler + a - 1, a)
-                         for a in range(order + 1)], order)
+    return _strata_sums(lambda a: general_binomial(euler + a - 1, a), order,
+                        0, kept and kept[1])
 
 
 def hilbert_euler(euler, n):
@@ -286,10 +305,10 @@ def equivariant_k_dim(model, n):
 
 
 @_cached_table
-def equivariant_k_table(model, order):
+def equivariant_k_table(model, order, kept):
     """[equivariant_k_dim(model, n) for n in 0..order] from one convolution."""
-    return _strata_sums([sym_total_dim(model, a) for a in range(order + 1)],
-                        order)
+    return _strata_sums(partial(sym_total_dim, model), order, 0,
+                        kept and kept[1])
 
 
 def _hodge_width(model, order):
@@ -298,10 +317,9 @@ def _hodge_width(model, order):
 
 
 @_cached_table
-def hodge_sym_table(model, order):
+def hodge_sym_table(model, order, kept):
     """The list [hodge_sym(model, m) for m in 0..order], from one pass."""
-    return _sym_table(model, order, model.class_bidegrees,
-                      _hodge_width(model, order))
+    return _sym_table(model, order, None, _hodge_width(model, order))[0], None
 
 
 def hodge_sym(model, m):
@@ -318,7 +336,7 @@ def hilbert_hodge(model, n):
 
 
 @_cached_table
-def hilbert_hodge_table(model, order):
+def hilbert_hodge_table(model, order, kept):
     """
     [hilbert_hodge(model, n) for n in 0..order] from the Goettsche-Soergel
     product prod_m prod_(p,q) (1 - (-1)^(p+q) x^(p+m-1) y^(q+m-1) q^m)
@@ -327,11 +345,11 @@ def hilbert_hodge_table(model, order):
     return list(product_expand([
         FactorFamily(1 if (p + q) % 2 else -1, h, ((1, p - 1), (1, q - 1)))
         for (p, q), h in Counter(model.class_bidegrees).items()],
-        order, nvars=2).coeffs)
+        order, nvars=2).coeffs), None
 
 
 @_cached_table
-def strata_hodge_table(model, order):
+def strata_hodge_table(model, order, kept):
     """hilbert_hodge_table as the sum of hodge_sym strata times (xy)^drop."""
-    return _strata_table(model, order, hodge_sym_table(model, order), (1, 1),
-                         _hodge_width(model, order))
+    return _strata_table(model, order, None, hodge_sym_table(model, order),
+                         _hodge_width(model, order))[0], None

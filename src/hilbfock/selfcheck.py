@@ -187,10 +187,8 @@ def check_adhm(order):
 
 
 def check_leray(order):
-    from .goettsche import strata_poincare_table
     from .stratification import global_degeneration_check
     for s in ALL_PRESETS:
-        strata_poincare_table(s, order)  # one table; each n reads its row
         for n in range(order + 1):
             if not global_degeneration_check(s, n):
                 return False, "%s n=%d" % (s.name, n)

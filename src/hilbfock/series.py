@@ -19,7 +19,7 @@ Graded super-symmetric powers (symmetric products, their Hodge
 refinement, the Fock character and level dimensions) all come from one
 stepping kernel, super_power_table: each generator multiplies the
 truncated table by 1/(1 - w q^s) when even and by (1 + w q^s) when odd,
-in place.
+in place, or, from the kept rows of a shorter table, only on new rows.
 
 Dimension counts and the product are stepped on one packed int per q-power
 (Kronecker substitution): t^e is the digit at bit bits*e, x^p y^q the one
@@ -29,7 +29,8 @@ coefficient, width exceeds every y-exponent the table reaches, and unpack
 raises IdentityFailed unless the digits sum to that total.  Evaluation at
 2^bits is a ring map, so a signed sum, as in a division step, is exactly
 its polynomial's value, and a finished row, with digits in [0, 2^bits),
-unpacks without carry.  Rational data is never packed.
+unpacks without carry.  A kept state is re-spaced (respace) when a longer
+table needs wider digits.  Rational data is never packed.
 """
 
 from fractions import Fraction
@@ -438,7 +439,7 @@ def _product_totals(families, order):
     return totals
 
 
-def super_power_table(gens, order, one, zero):
+def super_power_table(gens, order, one, zero, last=None):
     """
     Graded super-symmetric powers, one generator at a time: the list
     table[0..order] of the truncated product over gens of 1/(1 - w q^s)
@@ -446,12 +447,19 @@ def super_power_table(gens, order, one, zero):
     (w, s, odd) triples.  The step table[j] += w * table[j - s] runs
     upward for an even generator, so it may repeat, and downward for an
     odd one, so it is used at most once.  Works for any ring in which
-    one, zero and the weights add and multiply.
+    one, zero and the weights add and multiply.  With last (all s = 1) it
+    goes on from a kept row N: last[c] is row N as the step of generator c
+    reads it (through c if even, else before c), moved on in place.
     """
     table = [one] + [zero] * order
-    for w, s, odd in gens:
+    for c, (w, s, odd) in enumerate(gens):
+        if last is not None:
+            table[0] = last[c]
+            last[c] = table[-1]
         for j in range(order, s - 1, -1) if odd else range(s, order + 1):
             table[j] = table[j] + w * table[j - s]
+        if last is not None and not odd:
+            last[c] = table[-1]
     return table
 
 
@@ -471,31 +479,49 @@ def pack(poly, bits, width=None):
                for e, c in poly.terms.items())
 
 
-def checked_rows(expand, totals, width=None):
+def _widen(raw, step, wide):
+    """Little-endian digits of step bytes each as digits of wide bytes."""
+    out = bytearray(len(raw) // step * wide)
+    for b in range(step):
+        out[b::wide] = raw[b::step]
+    return out
+
+
+def respace(state, bits, wider):
+    """Nested lists of packed ints, each digit moved to wider bits if wider."""
+    if wider == bits or not state or isinstance(state[0], list):
+        return state if wider == bits else [respace(v, bits, wider)
+                                            for v in state]
+    size = (max(state).bit_length() // bits + 1) * (bits // 8)
+    raw = _widen(b"".join(v.to_bytes(size, "little") for v in state),
+                 bits // 8, wider // 8)
+    return [int.from_bytes(raw[k:k + len(raw) // len(state)], "little")
+            for k in range(0, len(raw), len(raw) // len(state))]
+
+
+def checked_rows(expand, totals, width=None, bits=8, first=0):
     """
-    The rows of a packed pass expand(bits), unpacked: the caller's exact
-    coefficient sum of each row (totals) sizes the digits and checks it.
+    Rows first, .. of a packed pass expand(bits), unpacked: the exact sums
+    of the rows (totals) size the digits, at least bits, and check them.
     """
-    bits = digit_bits(max(totals))
-    return [unpack(v, bits, t, width) for v, t in zip(expand(bits), totals)]
+    bits = max(bits, digit_bits(max(totals, default=0)))
+    return [unpack(v, bits, t, width, n)
+            for n, (v, t) in enumerate(zip(expand(bits), totals), first)]
 
 
 _WORD = {2: "H", 4: "I", 8: "Q"}  # native formats by byte size
 
 
-def unpack(value, bits, total, width=None):
+def unpack(value, bits, total, width=None, row=None):
     """The CoeffPoly (in t, or x, y if width) of a packed int of sum total."""
-    # each digit is widened by strided copies to `wide` bytes, a power of
-    # two, and read as native words of up to 8 bytes (big-endian hosts read
-    # the reversed bytes): one word per digit, or wide // 8 words joined by
-    # shifts
+    # each digit is widened to `wide` bytes, a power of two, and read as
+    # native words of up to 8 bytes (big-endian hosts read the reversed
+    # bytes): one word per digit, or wide // 8 words joined by shifts
     step, count = bits // 8, -(-value.bit_length() // bits)
     raw = value.to_bytes(count * step, "little")
     wide = 1 << (step - 1).bit_length()
     if wide != step:
-        raw, narrow = bytearray(count * wide), raw
-        for b in range(step):
-            raw[b::wide] = narrow[b::step]
+        raw = _widen(raw, step, wide)
     if wide > 1:
         word = _WORD[min(wide, 8)]
         raw = (memoryview(raw[::-1]).cast(word).tolist()[::-1]
@@ -505,7 +531,8 @@ def unpack(value, bits, total, width=None):
     for j in range(1, parts):
         digits = [d | w << 64 * j for d, w in zip(digits, raw[j::parts])]
     if sum(digits) != total:
-        raise IdentityFailed("packed digits do not sum to %d" % total)
+        at = "" if row is None else " in row %d" % row
+        raise IdentityFailed("packed digits do not sum to %d%s" % (total, at))
     return CoeffPoly._make({(k,) if width is None else divmod(k, width): c
                             for k, c in enumerate(digits) if c},
                            1 if width is None else 2)

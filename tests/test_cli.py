@@ -154,11 +154,14 @@ def test_adhm_root_search_triple(tmp_path, capsys):
                    "trace[1,0]\t720720\n")
 
 
-def test_adhm_empty_partition_exits_2(capsys):
-    code, out, err = run_cli(["adhm", "--mu", ","], capsys)
+@pytest.mark.parametrize("mu", [",", "2,,1", "2,1,", " "],
+                         ids=["only_comma", "inner_empty", "trailing_empty",
+                              "blank"])
+def test_adhm_empty_partition_exits_2(capsys, mu):
+    code, out, err = run_cli(["adhm", "--mu", mu], capsys)
     assert code == 2
     assert out == ""
-    assert err.count("\n") == 1 and "--mu" in err
+    assert err.count("\n") == 1 and "bad partition for --mu" in err
 
 
 def test_adhm_identity_failure_exits_1(monkeypatch, capsys):

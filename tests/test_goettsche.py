@@ -362,9 +362,9 @@ def count_stepping_tables(monkeypatch):
     orders = []
     real = goettsche.super_power_table
 
-    def counting(gens, order, one, zero):
+    def counting(gens, order, one, zero, last=None):
         orders.append(order)
-        return real(gens, order, one, zero)
+        return real(gens, order, one, zero, last)
 
     monkeypatch.setattr(goettsche, "_TABLES", {})
     monkeypatch.setattr(goettsche, "super_power_table", counting)
@@ -652,9 +652,9 @@ def test_ktheory_request_builds_one_k_table(monkeypatch, capsys):
     built = []
     real = goettsche._strata_sums
 
-    def counting(f, order, w=1):
+    def counting(term, order, shift=0, state=None):
         built.append(order)
-        return real(f, order, w)
+        return real(term, order, shift, state)
 
     monkeypatch.setattr(goettsche, "_TABLES", {})
     monkeypatch.setattr(goettsche, "_strata_sums", counting)

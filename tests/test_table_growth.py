@@ -1,0 +1,199 @@
+"""
+Tables that grow: a per-n walk extends each cached table row by row from
+the state its kernel keeps, instead of rebuilding it at every n.  The
+grown rows must equal the rows of one build at the final order, across
+the digit widths where the kept packed state is re-spaced, and a failed
+growth must leave the kept table as it was.
+"""
+
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from copy import deepcopy
+
+import pytest
+
+from hilbfock import goettsche
+from hilbfock._base import IdentityFailed
+from hilbfock.goettsche import (equivariant_k_dim, equivariant_k_table,
+                                hilbert_euler, hilbert_euler_table,
+                                hilbert_poincare_from_strata,
+                                strata_poincare_table, sym_poincare,
+                                sym_poincare_product, sym_poincare_table)
+from hilbfock.selfcheck import ALL_PRESETS, EULER_RANGE
+from hilbfock.surfaces import K3, P2
+
+
+def newton_rows(model, order):
+    return [sym_poincare_product(model, m) for m in range(order + 1)]
+
+
+# every growing table of a surface, with its per-n reader
+GROWING = [
+    (sym_poincare_table, sym_poincare),
+    (goettsche._newton_table, sym_poincare_product),
+    (strata_poincare_table, hilbert_poincare_from_strata),
+    (equivariant_k_table, equivariant_k_dim),
+]
+GROWING_IDS = [reader.__name__ for _, reader in GROWING]
+
+
+@pytest.fixture
+def row_steps(monkeypatch, reset_caches):
+    """
+    From empty caches on, the rows each kernel computes: a Counter of
+    ("strata", n) for the part-size convolution, the row counts of each
+    continued stepping pass under "stepping", and the Newton rows, one per
+    division by n, as ("newton", n).
+    """
+    steps = Counter()
+    strata, stepping = goettsche._strata_sums, goettsche.super_power_table
+
+    def counted_strata(term, order, *rest):  # rest: shift, state
+        state = rest[1] if len(rest) > 1 else None
+        start = len(state[0]) if state else 0  # f has one entry per row
+        steps.update(("strata", n) for n in range(start, order + 1))
+        return strata(term, order, *rest)
+
+    def counted_stepping(gens, order, *rest):  # rest: one, zero, last
+        steps["stepping"] += order
+        return stepping(gens, order, *rest)
+
+    def counted_divmod(acc, n):
+        steps["newton", n] += 1
+        return divmod(acc, n)
+
+    monkeypatch.setattr(goettsche, "_strata_sums", counted_strata)
+    monkeypatch.setattr(goettsche, "super_power_table", counted_stepping)
+    # the module-level name shadows the builtin inside goettsche
+    monkeypatch.setattr(goettsche, "divmod", counted_divmod, raising=False)
+    return steps
+
+
+def rows_once(kind, lo, hi, tables=1):
+    return Counter({(kind, n): tables for n in range(lo, hi + 1)})
+
+
+@pytest.mark.parametrize("model", (P2, K3), ids=lambda m: m.name)
+def test_a_walk_of_both_sym_routes_computes_each_row_once(row_steps, model):
+    walk = [sym_poincare(model, m) for m in range(31)]
+    assert newton_rows(model, 30) == walk
+    assert row_steps == Counter({"stepping": 30}) + rows_once("newton", 1, 30)
+    walk += [sym_poincare(model, m) for m in range(31, 41)]
+    assert newton_rows(model, 40) == walk
+    assert row_steps == Counter({"stepping": 40}) + rows_once("newton", 1, 40)
+    assert walk == sym_poincare_table(model, 40)
+
+
+def test_a_k_walk_convolves_each_row_once(row_steps):
+    walk = [equivariant_k_dim(K3, n) for n in range(31)]
+    assert row_steps == rows_once("strata", 0, 30)
+    walk += [equivariant_k_dim(K3, n) for n in range(31, 41)]
+    assert row_steps == rows_once("strata", 0, 40)
+    assert walk == equivariant_k_table(K3, 40)
+
+
+def test_a_strata_walk_convolves_each_row_once(row_steps):
+    # the strata table and the K table of its totals grow side by side
+    walk = [hilbert_poincare_from_strata(K3, n) for n in range(31)]
+    assert row_steps == rows_once("strata", 0, 30, 2) + Counter(
+        {"stepping": 30})
+    walk += [hilbert_poincare_from_strata(K3, n) for n in range(31, 41)]
+    assert row_steps == rows_once("strata", 0, 40, 2) + Counter(
+        {"stepping": 40})
+    assert walk == strata_poincare_table(K3, 40)
+
+
+def test_an_euler_walk_convolves_each_row_once(row_steps):
+    walk = [hilbert_euler(-4, n) for n in range(31)]
+    assert row_steps == rows_once("strata", 0, 30)
+    walk += [hilbert_euler(-4, n) for n in range(31, 41)]
+    assert row_steps == rows_once("strata", 0, 40)
+    assert walk == hilbert_euler_table(-4, 40)
+
+
+@pytest.mark.parametrize("table, reader", GROWING, ids=GROWING_IDS)
+@pytest.mark.parametrize("model", ALL_PRESETS, ids=lambda m: m.name)
+def test_grown_rows_equal_one_shot_rows(monkeypatch, reset_caches, model,
+                                        table, reader):
+    widened = []
+    respace = goettsche.respace
+
+    def counted(state, bits, wider):
+        widened.append(wider > bits)
+        return respace(state, bits, wider)
+
+    monkeypatch.setattr(goettsche, "respace", counted)
+    walk = [reader(model, n) for n in range(41)]
+    reset_caches()
+    assert walk == list(table(model, 40))
+    if model is K3 and table is not equivariant_k_table:
+        # K3's totals pass several byte boundaries by n = 40
+        assert widened.count(True) >= 3
+
+
+def test_grown_euler_rows_equal_one_shot_rows(reset_caches):
+    walks = {e: [hilbert_euler(e, n) for n in range(41)] for e in EULER_RANGE}
+    reset_caches()
+    assert walks == {e: hilbert_euler_table(e, 40) for e in EULER_RANGE}
+
+
+def kept(table, model):
+    return goettsche._TABLES[getattr(table, "__wrapped__", table), model]
+
+
+@pytest.mark.parametrize("reader, table, patched", [
+    (sym_poincare, sym_poincare_table, "sym_total_dim"),
+    (sym_poincare_product, goettsche._newton_table, "sym_total_dim"),
+    (hilbert_poincare_from_strata, strata_poincare_table,
+     "equivariant_k_table"),
+], ids=["stepping", "newton", "strata"])
+def test_a_corrupted_total_fails_its_row_and_keeps_the_table(
+        monkeypatch, reset_caches, reader, table, patched):
+    want = [reader(K3, n) for n in range(13)]
+    reset_caches()
+    walk = [reader(K3, n) for n in range(7)]
+    before = kept(table, K3)
+    snapshot = list(before[0]), deepcopy(before[1])
+    real = getattr(goettsche, patched)
+
+    def corrupted(model, n):
+        if patched == "sym_total_dim":
+            return real(model, n) + (n == 7)
+        rows = real(model, n)
+        return rows[:7] + [rows[7] + 1] + rows[8:] if n >= 7 else rows
+
+    with monkeypatch.context() as m:
+        m.setattr(goettsche, patched, corrupted)
+        with pytest.raises(IdentityFailed, match="in row 7$"):
+            reader(K3, 7)
+        # the kept table is the same value, unchanged: no row of the failed
+        # growth and no half-moved state
+        assert kept(table, K3) is before
+        assert (before[0], before[1]) == snapshot
+    walk += [reader(K3, n) for n in range(7, 13)]
+    assert walk == want
+
+
+def test_concurrent_walks_read_the_right_rows(reset_caches):
+    # the cache takes no lock: a growth copies what it extends, so threads
+    # that grow one table side by side each read rows equal to one build
+    tables = [(table, reader, model) for table, reader in GROWING
+              for model in (P2, K3)]
+    want = [list(table(model, 24)) for table, _, model in tables]
+
+    def walk(reader, model):
+        return [reader(model, n) for n in range(25)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            for _ in range(10):
+                reset_caches()
+                walks = [pool.submit(walk, reader, model)
+                         for _ in range(3) for _, reader, model in tables]
+                got = [w.result(timeout=120) for w in walks]
+                assert got == want * 3
+    finally:
+        sys.setswitchinterval(interval)
