@@ -4,8 +4,8 @@ then data rows) to stdout or --output; series are rendered one q-power per
 row with polynomials in a fixed monomial order, so output is
 byte-deterministic for fixed inputs.
 
-Exit codes: 0 success, 1 a verified identity failed, 2 usage or
-configuration error, 3 an internal error (the traceback goes to stderr).
+Exit codes: 0 success, 1 a verified identity failed, 2 usage, configuration
+or out-of-memory error, 3 an internal error (the traceback goes to stderr).
 
 Each cmd_* imports its own layer, so a request loads only the modules its
 subcommand uses, and returns (exit code, rows); main writes the rows, so
@@ -112,8 +112,8 @@ def build_parser(argv):
     """
     One declaration per subcommand: its help, its options, the least value
     of each count option and its handler.  Only the subcommand argv[0]
-    names gets its options (all do if it names none, as for --help).  main
-    calls this on every run, so a cmd_* rebound here is the one that runs.
+    names is built (all are if it names none, as for --help).  main calls
+    this on every run, so a cmd_* rebound here is the one that runs.
     """
     ap = argparse.ArgumentParser(
         prog="hilbfock",
@@ -127,10 +127,10 @@ def build_parser(argv):
     order = count("order", 0, required=True)
     output = ("--output", None, {"default": None})
     seed = count("seed", None, default=0)
-    declared = {}  # name: (subparser, handler, options)
+    declared = {}  # name: (handler, help, *options)
 
-    def add(name, handler, help, *options):
-        declared[name] = sub.add_parser(name, help=help), handler, options
+    def add(name, *declaration):
+        declared[name] = declaration
 
     add("goettsche", cmd_goettsche, "Poincare polynomials of the Hilbert "
         "schemes, product route", surface, order, output)
@@ -158,7 +158,8 @@ def build_parser(argv):
     add("selfcheck", cmd_selfcheck, "run every cross-identity",
         count("order", 1, required=True), output, seed)
     for name in [argv[0]] if argv and argv[0] in declared else declared:
-        p, handler, options = declared[name]
+        handler, help, *options = declared[name]
+        p = sub.add_parser(name, help=help)
         for flag, _, kw in options:
             if flag == "--surface":  # only its preset list loads surfaces
                 from .surfaces import PRESETS
@@ -291,6 +292,9 @@ def main(argv=None):
         return 1
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory: --order is too large", file=sys.stderr)
         return 2
     except Exception:
         import traceback

@@ -22,9 +22,9 @@ Packed rows are checked against independent totals by series.checked_rows;
 the packed Newton rows of sym_poincare_product by their remainders too.
 
 Every table is cached per surface or Euler number, at the longest order
-asked so far.  Those a per-n walk reads (sym, Newton, strata, K, Euler)
-keep the state their kernel goes on from, so the walk computes each row
-once; those packed to a width set by their order are rebuilt.
+asked so far.  Those a per-n walk reads (products, sym, Newton, strata,
+K, Euler) keep the state their kernel goes on from, so the walk computes
+each row once; hodge_sym_table and strata_hodge_table are rebuilt.
 """
 
 from collections import Counter
@@ -32,8 +32,8 @@ from functools import lru_cache, partial, wraps
 from math import comb
 
 from ._base import IdentityFailed
-from .series import (CoeffPoly, FactorFamily, QTSeries, checked_rows, pack,
-                     packed_monomial, product_expand, respace,
+from .series import (CoeffPoly, FactorFamily, QTSeries, _product_totals,
+                     checked_rows, pack, product_expand, respace,
                      super_power_table)
 
 
@@ -70,24 +70,35 @@ def _cached_table(build):
 
 def _grown(kept, order, total, start, step, width=None):
     """
-    A packed table at order, (rows, (bits, state)), from kept or from row 0
-    and state start: step(bits, state, n) gives packed rows ending in rows
-    n..order and a new state, re-spaced first if wider digits are needed.
+    A packed table at order, (rows, (bits, width, state)), from kept or from
+    row 0 and state start: step(bits, state, n) gives packed rows ending in
+    rows n..order and a new state, re-laid and re-spaced first as they need.
     """
-    rows, (bits, state) = kept or ([CoeffPoly.one(2 if width else 1)],
-                                   (8, start))
+    rows, (bits, was, state) = kept or ([CoeffPoly.one(2 if width else 1)],
+                                        (8, width, start))
     n, grown = len(rows), []
     def expand(wider):
-        packed, moved = step(wider, respace(state, bits, wider), n)
-        grown[:] = wider, moved
+        laid = state if was == width else respace(  # x-blocks as digits
+            state, bits * was, bits * width)
+        packed, moved = step(wider, respace(laid, bits, wider), n)
+        grown[:] = wider, width, moved
         return packed[n - order - 1:]
     totals = [total(m) for m in range(n, order + 1)]
     return rows + checked_rows(expand, totals, width, bits, n), tuple(grown)
 
 
+def _grown_product(families, order, kept, width=None):
+    """A product table grown by product_expand, its packed rows the state."""
+    def step(bits, packed, n):
+        packed = product_expand(families, order, packed=(bits, width, packed))
+        return packed, packed
+    return _grown(kept, order, _product_totals(families, order).__getitem__,
+                  [1], step, width)
+
+
 @_cached_table
 def _product_table(model, order, kept):
-    return product_expand(goettsche_families(model), order, 1).coeffs, None
+    return _grown_product(goettsche_families(model), order, kept)
 
 
 def hilbert_poincare_series(model, order):
@@ -97,14 +108,15 @@ def hilbert_poincare_series(model, order):
 
 def _sym_table(model, order, kept, width=None):
     """The stepping kernel, keeping a row per class; sym_total_dim totals."""
-    exps = model.class_bidegrees if width else [*zip(model.ordinary_degrees)]
+    ks = ([p * width + q for p, q in model.class_bidegrees] if width
+          else model.ordinary_degrees)  # the digit of each class
     def step(bits, last, n):
-        gens = ((packed_monomial(e, bits, width), 1, sum(e) % 2)
-                for e in exps)
+        gens = [(1 << bits * k, 1, odd)
+                for k, odd in zip(ks, model.ordinary_parities)]
         last = list(last)
         return super_power_table(gens, order + 1 - n, 1, 0, last), last
-    return _grown(kept, order, partial(sym_total_dim, model),
-                  [1] * len(exps), step, width)
+    return _grown(kept, order, partial(sym_total_dim, model), [1] * len(ks),
+                  step, width)
 
 
 @_cached_table
@@ -141,11 +153,13 @@ def sym_poincare_product(model, m):
 def _newton_table(model, order, kept):
     b = model.betti
     def step(bits, packed, n):
+        p = [[(s ** d * c, bits * d) for d, c in enumerate(b) if c]
+             for s in (-1, 1)]  # P_i's (coefficient, shift / i), i even, odd
         packed = list(packed)
         for m in range(n, order + 1):
-            h, r = divmod(sum((-1) ** (d * i + d) * b[d] * h << bits * d * i
+            h, r = divmod(sum(c * h << e * i
                               for i, h in enumerate(reversed(packed), 1)
-                              for d in range(5) if b[d]), m)
+                              for c, e in p[i % 2]), m)
             if r or h < 0:
                 raise IdentityFailed("Newton's identity fails at m = %d" % m)
             packed.append(h)
@@ -342,10 +356,10 @@ def hilbert_hodge_table(model, order, kept):
     product prod_m prod_(p,q) (1 - (-1)^(p+q) x^(p+m-1) y^(q+m-1) q^m)
     ^(-(-1)^(p+q) h^(p,q)), h^(p,q) counted from class_bidegrees.
     """
-    return list(product_expand([
+    return _grown_product([
         FactorFamily(1 if (p + q) % 2 else -1, h, ((1, p - 1), (1, q - 1)))
         for (p, q), h in Counter(model.class_bidegrees).items()],
-        order, nvars=2).coeffs), None
+        order, kept, _hodge_width(model, order))
 
 
 @_cached_table

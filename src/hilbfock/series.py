@@ -10,8 +10,8 @@ silent re-truncation.  Every product of sparse polynomials, alone or as
 series coefficients, runs through one term-product kernel, _mul_into.
 
 Infinite products of the shape prod_{m>=1} (1 +- t^(c*m+d) q^m)^(+-w) are
-expanded by multiplying by each (1 + u q^m)^w and dividing by each
-(1 - u q^m)^w; factors with m > N cannot touch coefficients up to q^N, so
+expanded row by row from their logarithmic derivative, each row from the
+rows below it; factors with m > N cannot touch coefficients up to q^N, so
 the product is finite.  Its coefficient sums come in closed form from the
 logarithmic derivative of prod_m (1 - q^m)^(-a) (1 + q^m)^b.
 
@@ -30,7 +30,8 @@ raises IdentityFailed unless the digits sum to that total.  Evaluation at
 2^bits is a ring map, so a signed sum, as in a division step, is exactly
 its polynomial's value, and a finished row, with digits in [0, 2^bits),
 unpacks without carry.  A kept state is re-spaced (respace) when a longer
-table needs wider digits.  Rational data is never packed.
+table needs wider digits or, in x, y, a wider width.  Rational data is
+never packed.
 """
 
 from fractions import Fraction
@@ -378,44 +379,55 @@ class FactorFamily(Frozen):
         return QTSeries(order, coeffs, nvars)
 
 
-def product_expand(families, order, nvars=None):
+def product_expand(families, order, nvars=None, packed=None):
     """
-    Expand prod_{m>=1} prod_{f in families} f(m) exactly to the given order.
-    The empty product is the constant series 1.
-
-    One packed int per q-power, sized and checked by _product_totals.  Row
-    k is multiplied by (1 + u q^m)^w from the top down, or divided by
-    (1 - u q^m)^w from the bottom up, in min(w, k/m) terms sign^(j+1) C(w, j)
-    u^j q^(jm): each row reads the old, or the new, rows below it.
+    Expand prod_{m>=1} prod_{f in families} f(m) exactly to the given order,
+    a QTSeries (the empty product is 1), or from packed = (bits, width, rows),
+    packed rows 0..n-1 of it, to the packed rows 0..order.  By q d/dq log,
+    n F_n sums H_j T_j(n) over j and the slopes c: for U of exponents c,
+    u_f(m) = U^(m-1) u_f(1), H_j = sum_f e w_f u_f(1)^j (e = 1 if f divides,
+    else (-1)^(j+1)) and T_j(n) = sum_(m>=1) m U^((m-1)j) F_(n-mj).
     """
     families = list(families)
     if nvars is None:
         nvars = families[0].nvars if families else 1
+    if any(f.nvars != nvars for f in families):
+        raise ValueError("families in different variables")
+    if packed is None:
+        # at q^k the y-exponent j(c m + d) is at most k (c + max(d, 0))
+        width = None if nvars == 1 else order * max(
+            (c + max(d, 0) for f in families for c, d in f.exps[1:]),
+            default=0) + 1
+        return QTSeries(order, checked_rows(
+            lambda bits: product_expand(families, order, nvars,
+                                        (bits, width, [1])),
+            _product_totals(families, order), width), nvars)
+    bits, width, rows = packed
+    def shift(exps):  # bit offset of the packed monomial, as packed_monomial
+        return bits * (exps[0] if width is None else exps[0] * width + exps[1])
+    slopes = {}  # c: the (sign, weight, shift of u_f(1)) of its families
     for f in families:
-        if f.nvars != nvars:
-            raise ValueError("families in different variables")
-    # at q^k the y-exponent j(c m + d) is at most k (c + max(d, 0))
-    width = None if nvars == 1 else order * max(
-        (c + max(d, 0) for f in families for c, d in f.exps[1:]),
-        default=0) + 1
-
-    def expand(bits):
-        rows = [1] + [0] * order
-        for f in families:
-            w, sign = f.weight, f.sign
-            for m in range(1, order + 1):
-                u = [c * m + d for c, d in f.exps]
-                # u^j sits j * shift bits up, as in packed_monomial
-                shift = bits * (u[0] if width is None else u[0] * width + u[1])
-                binom = [sign ** (j + 1) * comb(w, j)
-                         for j in range(1, min(w, order // m) + 1)]
-                for k in (range(order, m - 1, -1) if sign == 1
-                          else range(m, order + 1)):
-                    rows[k] += sum(c * rows[k - j * m] << j * shift
-                                   for j, c in enumerate(binom[:k // m], 1))
-        return rows
-    return QTSeries(order, checked_rows(
-        expand, _product_totals(families, order), width), nvars)
+        slopes.setdefault(tuple(c for c, _ in f.exps), []).append(
+            (f.sign, f.weight, shift([c + d for c, d in f.exps])))
+    # (j, shift of U^j, the (coefficient, shift) terms of H_j)
+    terms = [(j, shift(c) * j, [(w if sign < 0 or j % 2 else -w, e * j)
+                                for sign, w, e in fs if w])
+             for c, fs in slopes.items() for j in range(1, order + 1)]
+    rows = list(rows)
+    for n in range(len(rows), order + 1):
+        acc = 0
+        for j, s, h in terms:
+            if j <= n:
+                t = rows[n - j]
+                for m in range(2, n // j + 1):
+                    t += m * rows[n - m * j] << s * (m - 1)
+                for c, e in h:
+                    acc += (t if c == 1 else c * t) << e
+        row, r = divmod(acc, n)
+        if r or row < 0:
+            raise IdentityFailed("product log-derivative fails at q^%d" % n)
+        rows.append(row)
+    return rows
 
 
 def _product_totals(families, order):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 from hilbfock import adhm
 from hilbfock.adhm import (MatrixTriple, from_monomial_ideal, trace_invariant,
                            write_triple)
-from hilbfock.cli import main, parse_surface_file
+from hilbfock.cli import build_parser, main, parse_surface_file
 from hilbfock.linalg import GaussianRational, matrix, scalar_from_str
 from hilbfock.partitions import Partition
 
@@ -359,6 +360,38 @@ def test_adhm_request_multiplies_a_and_b_once_each_way(monkeypatch, capsys):
     assert code == 0
     assert "commuting\tTrue" in out.splitlines()
     assert len(products) == 2
+
+
+def test_running_out_of_memory_exits_2_with_one_line(monkeypatch, capsys):
+    from hilbfock import goettsche
+
+    def exhausted(model, order):
+        raise MemoryError
+
+    monkeypatch.setattr(goettsche, "hilbert_poincare_series", exhausted)
+    code, out, err = run_cli(["goettsche", "--surface", "k3", "--order",
+                              "100000000000"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: --order is too large\n"
+
+
+def test_a_table_request_builds_only_its_own_subparser(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    argv = ["euler", "--surface", "k3", "--order", "20"]
+    assert build_parser(argv).parse_args(argv).order == 20
+    assert built == ["hilbfock", "hilbfock euler"]
+    # --help, no argument and an unknown name list every subcommand
+    for argv in (["--help"], [], ["bogus"]):
+        built.clear()
+        build_parser(argv)
+        assert len(built) == 12
 
 
 def test_internal_error_exits_3_with_a_traceback(monkeypatch, capsys):

@@ -525,9 +525,9 @@ def test_hodge_request_expands_one_product(monkeypatch, capsys):
     expanded = []
     real = goettsche.product_expand
 
-    def counting(families, order, nvars=None):
+    def counting(families, order, nvars=None, packed=None):
         expanded.append(order)
-        return real(families, order, nvars)
+        return real(families, order, nvars, packed)
 
     monkeypatch.setattr(goettsche, "product_expand", counting)
     assert main(["hodge", "--surface", "k3", "--order", "10"]) == 0

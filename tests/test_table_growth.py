@@ -2,8 +2,9 @@
 Tables that grow: a per-n walk extends each cached table row by row from
 the state its kernel keeps, instead of rebuilding it at every n.  The
 grown rows must equal the rows of one build at the final order, across
-the digit widths where the kept packed state is re-spaced, and a failed
-growth must leave the kept table as it was.
+the digit widths where the kept packed state is re-spaced and the y-widths
+where kept rows in x, y are re-laid, and a failed growth must leave the
+kept table as it was.
 """
 
 import sys
@@ -17,10 +18,14 @@ from hilbfock import goettsche
 from hilbfock._base import IdentityFailed
 from hilbfock.goettsche import (equivariant_k_dim, equivariant_k_table,
                                 hilbert_euler, hilbert_euler_table,
+                                hilbert_hodge, hilbert_hodge_table,
                                 hilbert_poincare_from_strata,
+                                hilbert_poincare_series,
                                 strata_poincare_table, sym_poincare,
                                 sym_poincare_product, sym_poincare_table)
-from hilbfock.selfcheck import ALL_PRESETS, EULER_RANGE
+from hilbfock.selfcheck import (ALL_PRESETS, EULER_RANGE, HODGE_PRESETS,
+                                check_goettsche)
+from hilbfock.series import FactorFamily
 from hilbfock.surfaces import K3, P2
 
 
@@ -28,12 +33,17 @@ def newton_rows(model, order):
     return [sym_poincare_product(model, m) for m in range(order + 1)]
 
 
-# every growing table of a surface, with its per-n reader
+def product_row(model, n):
+    return hilbert_poincare_series(model, n).coeff(n)
+
+
+# every growing table of a surface in one variable, with its per-n reader
 GROWING = [
     (sym_poincare_table, sym_poincare),
     (goettsche._newton_table, sym_poincare_product),
     (strata_poincare_table, hilbert_poincare_from_strata),
     (equivariant_k_table, equivariant_k_dim),
+    (goettsche._product_table, product_row),
 ]
 GROWING_IDS = [reader.__name__ for _, reader in GROWING]
 
@@ -43,11 +53,12 @@ def row_steps(monkeypatch, reset_caches):
     """
     From empty caches on, the rows each kernel computes: a Counter of
     ("strata", n) for the part-size convolution, the row counts of each
-    continued stepping pass under "stepping", and the Newton rows, one per
-    division by n, as ("newton", n).
+    continued stepping pass under "stepping", the Newton rows, one per
+    division by n, as ("newton", n), and the product rows as ("product", n).
     """
     steps = Counter()
     strata, stepping = goettsche._strata_sums, goettsche.super_power_table
+    product = goettsche.product_expand
 
     def counted_strata(term, order, *rest):  # rest: shift, state
         state = rest[1] if len(rest) > 1 else None
@@ -63,7 +74,13 @@ def row_steps(monkeypatch, reset_caches):
         steps["newton", n] += 1
         return divmod(acc, n)
 
+    def counted_product(families, order, nvars=None, packed=None):
+        start = len(packed[2]) if packed else 1  # row 0 is the constant 1
+        steps.update(("product", n) for n in range(start, order + 1))
+        return product(families, order, nvars, packed)
+
     monkeypatch.setattr(goettsche, "_strata_sums", counted_strata)
+    monkeypatch.setattr(goettsche, "product_expand", counted_product)
     monkeypatch.setattr(goettsche, "super_power_table", counted_stepping)
     # the module-level name shadows the builtin inside goettsche
     monkeypatch.setattr(goettsche, "divmod", counted_divmod, raising=False)
@@ -104,6 +121,25 @@ def test_a_strata_walk_convolves_each_row_once(row_steps):
     assert walk == strata_poincare_table(K3, 40)
 
 
+@pytest.mark.parametrize("model", (P2, K3), ids=lambda m: m.name)
+def test_a_product_series_walk_computes_each_row_once(row_steps, model):
+    walk = [hilbert_poincare_series(model, n) for n in range(31)]
+    assert row_steps == rows_once("product", 1, 30)
+    walk += [hilbert_poincare_series(model, n) for n in range(31, 41)]
+    assert row_steps == rows_once("product", 1, 40)
+    top = hilbert_poincare_series(model, 40)
+    assert walk == [top.truncate(n) for n in range(41)]
+
+
+@pytest.mark.parametrize("model", (P2, K3), ids=lambda m: m.name)
+def test_a_hodge_walk_computes_each_product_row_once(row_steps, model):
+    walk = [hilbert_hodge(model, n) for n in range(13)]
+    assert row_steps == rows_once("product", 1, 12)
+    walk += [hilbert_hodge(model, n) for n in range(13, 17)]
+    assert row_steps == rows_once("product", 1, 16)
+    assert walk == hilbert_hodge_table(model, 16)
+
+
 def test_an_euler_walk_convolves_each_row_once(row_steps):
     walk = [hilbert_euler(-4, n) for n in range(31)]
     assert row_steps == rows_once("strata", 0, 30)
@@ -132,6 +168,21 @@ def test_grown_rows_equal_one_shot_rows(monkeypatch, reset_caches, model,
         assert widened.count(True) >= 3
 
 
+@pytest.mark.parametrize("model", HODGE_PRESETS, ids=lambda m: m.name)
+def test_grown_hodge_rows_equal_one_shot_rows(reset_caches, model):
+    walk, packings = [], []
+    for n in range(17):
+        walk.append(hilbert_hodge(model, n))
+        bits, width, _ = kept(hilbert_hodge_table, model)[1]
+        packings.append((bits, width))
+    reset_caches()
+    assert walk == hilbert_hodge_table(model, 16)
+    # the kept rows were re-laid at every growth, since the y-width grows
+    # with the order, and re-spaced at least once, as the totals grow
+    bits, widths = zip(*packings)
+    assert widths == tuple(sorted(set(widths))) and len(set(bits)) >= 2
+
+
 def test_grown_euler_rows_equal_one_shot_rows(reset_caches):
     walks = {e: [hilbert_euler(e, n) for n in range(41)] for e in EULER_RANGE}
     reset_caches()
@@ -147,7 +198,9 @@ def kept(table, model):
     (sym_poincare_product, goettsche._newton_table, "sym_total_dim"),
     (hilbert_poincare_from_strata, strata_poincare_table,
      "equivariant_k_table"),
-], ids=["stepping", "newton", "strata"])
+    (product_row, goettsche._product_table, "_product_totals"),
+    (hilbert_hodge, hilbert_hodge_table, "_product_totals"),
+], ids=["stepping", "newton", "strata", "product", "hodge"])
 def test_a_corrupted_total_fails_its_row_and_keeps_the_table(
         monkeypatch, reset_caches, reader, table, patched):
     want = [reader(K3, n) for n in range(13)]
@@ -178,7 +231,9 @@ def test_a_corrupted_total_fails_its_row_and_keeps_the_table(
 def test_concurrent_walks_read_the_right_rows(reset_caches):
     # the cache takes no lock: a growth copies what it extends, so threads
     # that grow one table side by side each read rows equal to one build
-    tables = [(table, reader, model) for table, reader in GROWING
+    tables = [(table, reader, model)
+              for table, reader in GROWING + [(hilbert_hodge_table,
+                                               hilbert_hodge)]
               for model in (P2, K3)]
     want = [list(table(model, 24)) for table, _, model in tables]
 
@@ -197,3 +252,21 @@ def test_concurrent_walks_read_the_right_rows(reset_caches):
                 assert got == want * 3
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_strata_catch_a_wrong_product_whose_totals_agree(monkeypatch,
+                                                         reset_caches):
+    # the digit totals read only the weights and signs of the families; a
+    # family moved from t^(2m) to t^(2m+1) keeps them, so only the strata
+    # route sees the wrong S_k
+    assert check_goettsche(6) == (True, "5 presets, n <= 6")
+    reset_caches()
+    real = goettsche.goettsche_families
+
+    def moved(model):
+        return [FactorFamily(f.sign, f.weight, ((2, 1),))
+                if f.exps == ((2, 0),) else f for f in real(model)]
+
+    monkeypatch.setattr(goettsche, "goettsche_families", moved)
+    assert check_goettsche(6) == (
+        False, "p2 n=1: product 1 + t^3 + t^4 vs strata 1 + t^2 + t^4")
