@@ -15,13 +15,13 @@ from fractions import Fraction
 from math import isqrt
 from types import MappingProxyType
 
-from . import linalg
 from ._base import Frozen
 from .linalg import (GaussianRational, IdentityFailed, SpectrumNotSplit,
-                     ZERO, ONE, add_scalar, char_poly, gaussian_rational_roots,
-                     invariant_span_dim, kernel_basis, mat_mul, mat_pow,
-                     mat_vec, matrix, power_traces, scalar_from_str,
-                     scalar_to_str, solve_columns)
+                     ZERO, affine_rows, char_poly_rows,
+                     gaussian_rational_roots, invert, join_rows, mat_mul,
+                     mat_pow, mat_vec, matrix, mul_rows, parse_rows,
+                     pow_rows, power_traces, restrict_rows, scalar_to_str,
+                     span_dim_rows, split_rows)
 
 
 class NotCommuting(ValueError):
@@ -38,34 +38,45 @@ class ZeroScalar(ValueError):
 
 class MatrixTriple(Frozen):
     """
-    A matrix pair with marked vector: (A, B, v), all of size n.  `commuting`
-    is whether AB = BA, computed once here.
+    A matrix pair with marked vector: (A, B, v), all of size n, given as
+    GaussianRational, int or Fraction entries.  The checks run on `cols`,
+    (A^T, B^T, v) split once (linalg): A w is the row product w A^T, and
+    the transposes have the traces, characteristic polynomials and joint
+    spectrum of A and B.  `commuting` is whether AB = BA.
     """
 
-    __slots__ = ("n", "a", "b", "v", "commuting")
+    __slots__ = ("n", "cols", "commuting")
 
-    def __init__(self, a, b, v):
-        a, b, (v,) = matrix(a), matrix(b), matrix([v])
+    def __new__(cls, a, b, v):
         n = len(v)
         for m in (a, b):
             if len(m) != n or any(len(row) != n for row in m):
                 raise ValueError("matrices must be %d x %d" % (n, n))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "commuting", mat_mul(a, b) == mat_mul(b, a))
+        return cls.of_cols(split_rows(zip(*a)), split_rows(zip(*b)),
+                           split_rows([v])[0])
+
+    @classmethod
+    def of_cols(cls, a, b, v):
+        """The triple of A^T = a and B^T = b (split matrices) and v."""
+        tr = object.__new__(cls)
+        object.__setattr__(tr, "n", len(a))
+        object.__setattr__(tr, "cols", (a, b, v))
+        object.__setattr__(tr, "commuting", mul_rows(a, b) == mul_rows(b, a))
+        return tr
+
+    a = property(lambda self: tuple(zip(*join_rows(self.cols[0], self.n))))
+    b = property(lambda self: tuple(zip(*join_rows(self.cols[1], self.n))))
+    v = property(lambda self: join_rows([self.cols[2]], self.n)[0])
 
     def __eq__(self, other):
-        return (isinstance(other, MatrixTriple) and self.a == other.a
-                and self.b == other.b and self.v == other.v)
+        return isinstance(other, MatrixTriple) and self.cols == other.cols
 
     def __repr__(self):
         return "MatrixTriple(n=%d)" % self.n
 
     def conjugate_by(self, g):
         """G (A, B, v) G^-1 with the vector transformed as G v."""
-        gi = linalg.invert(g)
+        gi = invert(g)
         return MatrixTriple(mat_mul(mat_mul(g, self.a), gi),
                             mat_mul(mat_mul(g, self.b), gi),
                             mat_vec(g, self.v))
@@ -77,12 +88,9 @@ class SupportCycle(Frozen):
     __slots__ = ("points",)
 
     def __init__(self, points):
-        pts = {}
-        for (x, y), m in dict(points).items():
-            if m < 0:
-                raise ValueError("negative multiplicity")
-            if m:
-                pts[(x, y)] = pts.get((x, y), 0) + m
+        pts = {point: m for point, m in dict(points).items() if m}
+        if any(m < 0 for m in pts.values()):
+            raise ValueError("negative multiplicity")
         object.__setattr__(self, "points", MappingProxyType(pts))
 
     @property
@@ -91,22 +99,17 @@ class SupportCycle(Frozen):
 
     def power_sum(self, k, l):
         """Sum over the cycle of x^k y^l with multiplicity."""
-        out = ZERO
-        for (x, y), m in self.points.items():
-            if not (k and x.is_zero() or l and y.is_zero()):  # else 0^k = 0
-                out = out + x ** k * y ** l * GaussianRational(m)
-        return out
+        return sum((x ** k * y ** l * m for (x, y), m in self.points.items()
+                    if not (k and x.is_zero() or l and y.is_zero())), ZERO)
 
     def __eq__(self, other):
         return isinstance(other, SupportCycle) and self.points == other.points
 
     def __repr__(self):
-        bits = []
-        for (x, y), m in sorted(self.points.items(),
-                                key=lambda kv: (kv[0][0].re, kv[0][0].im,
-                                                kv[0][1].re, kv[0][1].im)):
-            bits.append("%d*(%s,%s)" % (m, scalar_to_str(x), scalar_to_str(y)))
-        return " + ".join(bits) if bits else "0"
+        return " + ".join(
+            "%d*(%s,%s)" % (m, scalar_to_str(x), scalar_to_str(y))
+            for (x, y), m in sorted(self.points.items(), key=lambda kv: (
+                kv[0][0].re, kv[0][0].im, kv[0][1].re, kv[0][1].im))) or "0"
 
 
 def is_commuting(tr):
@@ -114,18 +117,14 @@ def is_commuting(tr):
 
 
 def is_stable(tr):
-    """
-    Cyclicity of v: the smallest subspace that contains v and is invariant
-    under A and B is the whole space, i.e. the words in A and B applied to
-    v span it (linalg.invariant_span_dim).
-    """
+    """Cyclicity of v: the words in A and B applied to v span the space."""
     if not tr.commuting:
         raise NotCommuting("triple does not commute")
-    return invariant_span_dim((tr.a, tr.b), tr.v) == tr.n
+    return span_dim_rows(tr.cols[:2], tr.cols[2]) == tr.n
 
 
 def trace_invariant(tr, k, l):
-    """The conjugation invariant Tr(A^k B^l)."""
+    """The conjugation invariant Tr(A^k B^l), by plain matrix products."""
     if k < 0 or l < 0:
         raise ValueError("exponents must be non-negative")
     m = mat_mul(mat_pow(tr.a, k), mat_pow(tr.b, l))
@@ -133,36 +132,31 @@ def trace_invariant(tr, k, l):
 
 
 def trace_table(tr, max_total):
-    """
-    All invariants Tr(A^k B^l) with k + l <= max_total at once, as a dict
-    (k, l) -> GaussianRational: linalg.power_traces on A and B.
-    """
-    return power_traces(tr.a, tr.b, max_total)
+    """All Tr(A^k B^l), k + l <= max_total: linalg.power_traces."""
+    return power_traces(*tr.cols[:2], max_total)
 
 
 def support_cycle(tr, traces=None):
     """
     The support of the triple with multiplicities: split the space into
-    the generalized eigenspaces ker (A - x)^mx of A and restrict B to each;
-    (x, y) gets the multiplicity of y that the root search returns for the
-    restriction, the dimension of the joint piece.  Both characteristic
-    polynomials must split over the Gaussian rationals (SpectrumNotSplit).
+    the generalized eigenspaces ker (A - x)^mx of A and restrict B to each
+    (on the transposes); (x, y) gets the multiplicity of y that the root
+    search returns for the restriction, the dimension of the joint piece.
+    Both characteristic polynomials must split over the Gaussian rationals
+    (SpectrumNotSplit).
 
     Self-check: the multiplicities sum to n, and the power sums of the
     cycle equal the trace invariants in all bidegrees k + l <= n, which
     verifies every point and multiplicity; raises IdentityFailed otherwise.
-    `traces` is the triple's `trace_table(tr, tr.n)` when the caller
-    already has it; otherwise it is computed here.
+    `traces` is the triple's `trace_table(tr, tr.n)` if the caller has it.
     """
     if not tr.commuting:
         raise NotCommuting("triple does not commute")
-    n = tr.n
+    n, (a, b, _) = tr.n, tr.cols
     points = {}
-    for x, mx in gaussian_rational_roots(char_poly(tr.a)):
-        cols = kernel_basis(mat_pow(add_scalar(tr.a, -x), mx))
-        b_restricted = solve_columns(
-            cols, tuple(zip(*mat_mul(tr.b, tuple(zip(*cols))))))
-        for y, my in gaussian_rational_roots(char_poly(b_restricted)):
+    for x, mx in gaussian_rational_roots(char_poly_rows(a)):
+        block = restrict_rows(b, pow_rows(affine_rows(a, 1, -x), mx))
+        for y, my in gaussian_rational_roots(char_poly_rows(block)):
             points[(x, y)] = my
     cycle = SupportCycle(points)
     if cycle.total != n:
@@ -170,29 +164,21 @@ def support_cycle(tr, traces=None):
                              % (cycle.total, n))
     if traces is None:
         traces = trace_table(tr, n)
-    for k in range(n + 1):
-        for l in range(n + 1 - k):
-            power_sum = cycle.power_sum(k, l)
-            if power_sum != traces[(k, l)]:
-                raise IdentityFailed(
-                    "support/trace mismatch at (%d, %d): power sum %s, "
-                    "trace %s" % (k, l, power_sum, traces[(k, l)]))
+    for (k, l), trace in traces.items():
+        if (power_sum := cycle.power_sum(k, l)) != trace:
+            raise IdentityFailed("support/trace mismatch at (%d, %d): power "
+                                 "sum %s, trace %s" % (k, l, power_sum, trace))
     return cycle
 
 
 def in_bidisk(tr, cycle=None):
     """
-    Whether every support point has both coordinates of modulus < 1.
-    `cycle` is the triple's `support_cycle` when the caller already has it;
-    otherwise it is computed here.
+    Whether every support point has both coordinates of modulus < 1;
+    `cycle` is the triple's `support_cycle` if the caller has it.
     """
     if cycle is None:
         cycle = support_cycle(tr)
-    one = Fraction(1)
-    for (x, y) in cycle.points:
-        if x.norm_sq() >= one or y.norm_sq() >= one:
-            return False
-    return True
+    return all(x.norm_sq() < 1 and y.norm_sq() < 1 for x, y in cycle.points)
 
 
 def _sqrt_upper(s, precision):
@@ -200,14 +186,8 @@ def _sqrt_upper(s, precision):
     p, q = isqrt(s.numerator), isqrt(s.denominator)
     if p * p == s.numerator and q * q == s.denominator:
         return Fraction(p, q)
-    lo, hi = Fraction(0), Fraction(1)
-    while hi - lo > precision:
-        mid = (lo + hi) / 2
-        if mid * mid < s:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    d = int(1 / precision) + 1  # (isqrt(floor(s d^2)) + 1) / d is within 1/d
+    return Fraction(isqrt(s.numerator * d * d // s.denominator) + 1, d)
 
 
 def retract(tr, precision=Fraction(1, 10 ** 6)):
@@ -221,14 +201,11 @@ def retract(tr, precision=Fraction(1, 10 ** 6)):
     """
     if precision <= 0:
         raise ValueError("precision must be positive")
-    cycle = support_cycle(tr)
-    phi_sq = Fraction(0)
-    for (x, y) in cycle.points:
-        phi_sq = max(phi_sq, x.norm_sq(), y.norm_sq())
+    phi_sq = max((z.norm_sq() for point in support_cycle(tr).points
+                  for z in point), default=0)
     if phi_sq >= 1:
         raise NotInBidisk("largest squared eigenvalue modulus is %s" % phi_sq)
-    phi = _sqrt_upper(phi_sq, precision)
-    scale = Fraction(1) / (Fraction(1) - phi)
+    scale = 1 / (1 - _sqrt_upper(phi_sq, precision))
     return torus_scale(scale, scale, tr)
 
 
@@ -237,21 +214,25 @@ def torus_scale(l1, l2, tr):
     ((l1, l2),) = matrix([(l1, l2)])
     if l1.is_zero() or l2.is_zero():
         raise ZeroScalar("torus scalars must be nonzero")
-    a, b = (tuple(tuple(x * c for x in row) for row in m)
-            for c, m in ((l1, tr.a), (l2, tr.b)))
-    return MatrixTriple(a, b, tr.v)
+    a, b, v = tr.cols
+    return MatrixTriple.of_cols(affine_rows(a, l1, 0), affine_rows(b, l2, 0),
+                                v)
 
 
 def staircase_cells(mu):
     """
     The staircase of a partition: row i gives the y-degree bound for
     x-degree i-1, so the cells are (i-1, j) for j < mu_i, listed sorted.
+    Raises ValueError unless mu has parts, positive and weakly decreasing.
     """
-    cells = []
-    for i, part in enumerate(mu):
-        for j in range(part):
-            cells.append((i, j))
-    return sorted(cells)
+    mu = tuple(mu)
+    if not mu:
+        raise ValueError("a partition needs at least one part")
+    for before, part in zip(mu[:1] + mu, mu):
+        if not 0 < part <= before:
+            raise ValueError("bad part %r in %r: parts must be positive and "
+                             "weakly decreasing" % (part, mu))
+    return sorted((i, j) for i, part in enumerate(mu) for j in range(part))
 
 
 def from_monomial_ideal(mu):
@@ -262,28 +243,19 @@ def from_monomial_ideal(mu):
     """
     cells = staircase_cells(mu)
     index = {c: i for i, c in enumerate(cells)}
-    n = len(cells)
-    a = [[ZERO] * n for _ in range(n)]
-    b = [[ZERO] * n for _ in range(n)]
-    for (x, y), j in index.items():
-        if (x + 1, y) in index:
-            a[index[(x + 1, y)]][j] = ONE
-        if (x, y + 1) in index:
-            b[index[(x, y + 1)]][j] = ONE
-    v = [ZERO] * n
-    v[index[(0, 0)]] = ONE
-    return MatrixTriple(a, b, v)
+    # the column of x^a y^b in A has a 1 at x^(a+1) y^b, in B at x^a y^(b+1)
+    a, b = ([({index[(x + dx, y + dy)]: 1} if (x + dx, y + dy) in index
+              else {}, None) for x, y in cells] for dx, dy in ((1, 0), (0, 1)))
+    return MatrixTriple.of_cols(a, b, ({index[(0, 0)]: 1}, None))
 
 
 def staircase_weight_matrix(mu, l1, l2):
     """The diagonal matrix of torus weights l1^x l2^y over the staircase."""
     cells = staircase_cells(mu)
     ((l1, l2),) = matrix([(l1, l2)])
-    n = len(cells)
-    g = [[ZERO] * n for _ in range(n)]
-    for i, (x, y) in enumerate(cells):
-        g[i][i] = l1 ** x * l2 ** y
-    return matrix(g)
+    return tuple(tuple(l1 ** x * l2 ** y if i == j else ZERO
+                       for j in range(len(cells)))
+                 for i, (x, y) in enumerate(cells))
 
 
 def read_triple(text):
@@ -301,18 +273,13 @@ def read_triple(text):
     if len(tokens) != need:
         raise ValueError("expected %d tokens for size %d, got %d"
                          % (need, n, len(tokens)))
-    vals = [scalar_from_str(t) for t in tokens[1:]]
-    a = [vals[i * n:(i + 1) * n] for i in range(n)]
-    b = [vals[n * n + i * n:n * n + (i + 1) * n] for i in range(n)]
-    v = vals[2 * n * n:]
-    return MatrixTriple(a, b, v)
+    # column j of a row-major block starting at s: every n-th token from s + j
+    a, b = (parse_rows(tokens[s + j:s + n * n:n] for j in range(n))
+            for s in (1, 1 + n * n))
+    return MatrixTriple.of_cols(a, b, parse_rows([tokens[1 + 2 * n * n:]])[0])
 
 
 def write_triple(tr):
     """Render a triple in its text format."""
-    lines = [str(tr.n)]
-    for m in (tr.a, tr.b):
-        for row in m:
-            lines.append(" ".join(scalar_to_str(x) for x in row))
-    lines.append(" ".join(scalar_to_str(x) for x in tr.v))
-    return "\n".join(lines) + "\n"
+    rows = [" ".join(map(scalar_to_str, row)) for row in tr.a + tr.b + (tr.v,)]
+    return "\n".join([str(tr.n)] + rows) + "\n"

@@ -91,10 +91,11 @@ def resolve_surface(spec):
 
 
 def _parse_partition(text, flag):
-    from .partitions import Partition
+    # the monomial-ideal triple of the comma-separated parts, in any order
+    from .adhm import from_monomial_ideal
     try:
         parts = [int(x) for x in text.split(",")]  # an empty field fails
-        return Partition(sorted(parts, reverse=True))
+        return from_monomial_ideal(sorted(parts, reverse=True))
     except ValueError as exc:
         raise ConfigError("bad partition for %s: %s" % (flag, exc))
 
@@ -240,7 +241,7 @@ def cmd_adhm(args):
         except (OSError, ValueError) as exc:
             raise ConfigError("--triple: %s" % exc)
     else:
-        tr = adhm.from_monomial_ideal(_parse_partition(args.mu, "--mu"))
+        tr = _parse_partition(args.mu, "--mu")
     commuting = adhm.is_commuting(tr)
     rows = [("key", "value"), ("size", tr.n), ("commuting", commuting)]
     if not commuting:

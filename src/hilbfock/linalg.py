@@ -4,17 +4,13 @@ linear algebra the commuting-matrix model needs: products, powers,
 echelon/kernel/inverse, characteristic polynomials, and a bounded root
 search for polynomials that split over the Gaussian rationals.
 
+The kernels run on split rows, the form adhm keeps its triples in: a
+split row is a pair (re, im) of sparse dicts {column: int or Fraction} of
+the nonzero parts, im None for a real row, and a split matrix is a list
+of split rows.  The matrix helpers (mat_mul, rank, char_poly, ...) are
+thin wrappers that take and return tuples of tuples of GaussianRational.
 All row reduction is one routine, _insert, which adds one vector to a
-basis kept in reduced row-echelon form.  Rank, kernels, solves and
-inverses fold it over the rows of a matrix (_echelon); invariant_span_dim
-grows a basis with it breadth-first.
-
-Matrices are tuples of tuples of GaussianRational, and everything is
-pure.  The kernels convert once to a split form: a split row is a pair
-(re, im) of sparse dicts {column: int or Fraction} of the nonzero parts,
-im None for a real row, and a split matrix is a list of split rows.  No
-other module sees that form: power_traces, for one, takes two matrices
-and returns each trace Tr(A^k B^l) as a GaussianRational.
+basis kept in reduced row-echelon form.  Everything is pure.
 """
 
 from fractions import Fraction
@@ -47,14 +43,8 @@ class GaussianRational(Frozen):
         other = _coerce(other)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        other = _coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
+        return self + -_coerce(other)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -89,8 +79,6 @@ class GaussianRational(Frozen):
         return not self.re and not self.im
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
         return (isinstance(other, GaussianRational)
                 and self.re == other.re and self.im == other.im)
 
@@ -119,19 +107,23 @@ _FULL = re.compile(r"([+-]?%s)(?:([+-](?:%s)?)i)?" % (_RAT, _RAT))
 
 
 def _parse_rat(s):
-    return Fraction(s + "1" if s in ("", "+", "-") else s)
+    return exact(Fraction(s + "1" if s in ("", "+", "-") else s))
+
+
+def _parse(token):
+    # the exact (re, im) of a scalar token
+    m = _IMAG_ONLY.fullmatch(token)
+    if m:
+        return 0, _parse_rat(m.group(1))
+    m = _FULL.fullmatch(token)
+    if m:
+        return _parse_rat(m.group(1)), _parse_rat(m.group(2) or "0")
+    raise ValueError("cannot parse scalar %r" % (token,))
 
 
 def scalar_from_str(token):
     """Parse "a/b", "c/di" or "a/b+c/di" (no whitespace inside a token)."""
-    m = _IMAG_ONLY.fullmatch(token)
-    if m:
-        return GaussianRational(0, _parse_rat(m.group(1)))
-    m = _FULL.fullmatch(token)
-    if m:
-        im = _parse_rat(m.group(2)) if m.group(2) is not None else Fraction(0)
-        return GaussianRational(Fraction(m.group(1)), im)
-    raise ValueError("cannot parse scalar %r" % (token,))
+    return GaussianRational(*_parse(token))
 
 
 def scalar_to_str(z):
@@ -144,44 +136,33 @@ def scalar_to_str(z):
 
 
 # ---------------------------------------------------------------------------
-# matrices
+# matrices: the split-row kernels, then the GaussianRational helpers
 
 
-def matrix(rows):
-    return tuple(tuple(_coerce(v) for v in row) for row in rows)
+def _row(pairs):
+    # the split row of a list of exact (re, im) pairs
+    return ({j: x for j, (x, _) in enumerate(pairs) if x},
+            {j: y for j, (_, y) in enumerate(pairs) if y} or None)
 
 
-def identity(n):
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n))
-                 for i in range(n))
+def split_rows(rows):
+    """The split matrix of rows of GaussianRational, int or Fraction."""
+    return [_row([(z.re, z.im) for z in map(_coerce, row)]) for row in rows]
 
 
-def add_scalar(a, c):
-    """a + c*I for a square matrix a."""
-    c = _coerce(c)
-    return tuple(tuple(x + c if i == j else x for j, x in enumerate(row))
-                 for i, row in enumerate(a))
+def parse_rows(rows):
+    """The split matrix of rows of scalar tokens (see scalar_from_str)."""
+    return [_row([_parse(token) for token in row]) for row in rows]
 
 
-def _split(a):
-    return [({j: x.re for j, x in enumerate(row) if x.re},
-             {j: x.im for j, x in enumerate(row) if x.im} or None)
-            for row in a]
+def join_rows(s, width):
+    """The GaussianRational matrix of a split matrix with `width` columns."""
+    return tuple(tuple(_scalar(*_entry(row, j)) for j in range(width))
+                 for row in s)
 
 
-def _join(s, width):
-    out = []
-    for row in s:
-        out.append([ZERO] * width)
-        for j in _cols(row):
-            out[-1][j] = GaussianRational(*_entry(row, j))
-    return tuple(map(tuple, out))
-
-
-def _cleared(a):
-    # (the split form of d*a, with integer parts, and d), d the least
-    # common denominator of the entries of a
-    s = _split(a)
+def _cleared(s):
+    # (d s, with integer parts, and d), d the least common denominator of s
     d = lcm(*(x.denominator for row in s for part in row if part
               for x in part.values()))
     return (s if d == 1 else [tuple(part and {j: int(x * d) for j, x in
@@ -205,7 +186,10 @@ def _entry(row, j):
 
 
 def _comb(terms):
-    # the split row sum of (xr + i xi) * row over (xr, xi, row) in terms
+    # the split row sum of (xr + i xi) * row over (xr, xi, row) in terms;
+    # a lone row with factor 1 is itself (rows are never changed in place)
+    if len(terms) == 1 and terms[0][:2] == (1, 0):
+        return terms[0][2]
     re, im = {}, {}
     for xr, xi, (rr, ri) in terms:
         parts = ((re, xr, rr),)
@@ -225,42 +209,39 @@ def _terms(row, b):
     return out + [(0, x, b[j]) for j, x in row[1].items()] if row[1] else out
 
 
-def _matmul(x, y):
+def mul_rows(x, y):
+    """The product x y of split matrices: only nonzero parts multiply."""
     return [_comb(_terms(row, y)) if row[0] or row[1] else row for row in x]
 
 
-def mat_mul(a, b):
-    """The product a * b, on the split form: only nonzero parts multiply."""
-    return _join(_matmul(_split(a), _split(b)), len(b[0]) if b else 0)
+def pow_rows(s, k):
+    """The k-th power of a square split matrix, by repeated squaring."""
+    if not k:
+        return affine_rows(s, 0, 1)
+    half = pow_rows(mul_rows(s, s), k >> 1)
+    return mul_rows(half, s) if k & 1 else half
 
 
-def mat_vec(a, v):
-    return tuple(row[0] for row in mat_mul(a, [(x,) for x in v]))
-
-
-def mat_pow(a, k):
-    out, base = _split(identity(len(a))), _split(a)
-    while k:
-        if k & 1:
-            out = _matmul(out, base)
-        base, k = _matmul(base, base), k >> 1
-    return _join(out, len(a))
+def affine_rows(s, c, d):
+    """c s + d I for a square split matrix s and scalars c and d."""
+    c, d = _coerce(c), _coerce(d)
+    return [_comb([(c.re, c.im, row), (d.re, d.im, ({i: 1}, None))])
+            for i, row in enumerate(s)]
 
 
 def power_traces(a, b, max_total):
     """
-    All Tr(A^k B^l) with k + l <= max_total at once, from the power lists
-    of A and B on the split form: Tr(A^k B^l) is the sum over the nonzero
-    entries x = A^k[i][j] of x * B^l[j][i].  Returns a dict
-    (k, l) -> GaussianRational.
+    All Tr(A^k B^l), k + l <= max_total, of square split matrices at once:
+    the sum over the nonzero entries x = A^k[i][j] of x * B^l[j][i], on the
+    power lists of d A and e B, integral.  A dict (k, l) -> GaussianRational.
     """
-    a_pows, b_pows = pows = [[_split(identity(len(a)))] for _ in "ab"]
+    a_pows, b_pows = pows = [[affine_rows(a, 0, 1)] for _ in "ab"]
     dens = []
     for p, m in zip(pows, (a, b)):
         s, d = _cleared(m)
         dens.append(d)
         for _ in range(max_total):
-            p.append(_matmul(p[-1], s))
+            p.append(mul_rows(p[-1], s))
     out = {}
     for k in range(max_total + 1):
         ak = [(i, j, *_entry(row, j))
@@ -299,28 +280,100 @@ def _insert(basis, v):
     return True
 
 
-def _echelon(rows):
-    # (reduced row-echelon rows, their pivot columns), by ascending pivot
+def _kernel(s, width):
+    # (w, free): the columns of the split matrix w are a basis of the right
+    # kernel of s, one per free column f of its echelon basis: 1 at f, 0 at
+    # the other free columns, minus the echelon row p at f at each pivot p
     basis = {}
-    for row in _split(rows):
+    for row in s:
         _insert(basis, row)
-    pivots = sorted(basis)
-    return list(_join([basis[p] for p in pivots],
-                      len(rows[0]) if rows else 0)), pivots
+    free = [c for c in range(width) if c not in basis]
+    at = {c: i for i, c in enumerate(free)}
+    return [({at[c]: 1}, None) if c in at else
+            tuple(part and {at[j]: -x for j, x in part.items() if j != c}
+                  for part in basis[c]) for c in range(width)], free
 
 
-def invariant_span_dim(mats, v):
+def restrict_rows(b, k):
     """
-    The dimension of the smallest subspace that contains v and is invariant
-    under every matrix in mats, grown breadth-first: each vector that
-    enlarges the span sends its images m w = w m^T to the next round.
+    The split matrix of b on the right kernel of the square split matrix
+    k, which b must preserve, in the basis of kernel_basis: a kernel
+    vector's coordinates are its entries at the free columns.
     """
-    cols = [_split(zip(*m)) for m in mats]
-    basis, frontier = {}, _split([v])
-    while frontier and len(basis) < len(v):
+    w, free = _kernel(k, len(k))
+    return mul_rows([b[c] for c in free], w)
+
+
+def span_dim_rows(cols, v):
+    """
+    The dimension of the smallest subspace that contains the split row v
+    and is invariant under each m with m^T in cols, grown breadth-first:
+    each vector w that enlarges it sends m w = w m^T to the next round.
+    """
+    basis, frontier = {}, [v]
+    while frontier and len(basis) < len(cols[0]):
         frontier = [_comb(_terms(w, c)) for w in frontier
                     if _insert(basis, w) for c in cols]
     return len(basis)
+
+
+def char_poly_rows(s):
+    """
+    det(z*I - A) of a square split matrix, monic, GaussianRational
+    coefficients ascending, by the trace recursion (exact division by the
+    step index) on d A, integral: A M_k = A (A M_(k-1) + c_k I), c_k / d^k.
+    """
+    n, (s, d) = len(s), _cleared(s)
+    coeffs, am = [ZERO] * n + [ONE], s
+    for k in range(1, n + 1):
+        tr, ti = map(sum, zip(*[_entry(row, i) for i, row in enumerate(am)]))
+        cr, ci = exact(Fraction(-tr, k)), exact(Fraction(-ti, k))
+        coeffs[n - k] = _scalar(cr, ci, d ** k)
+        if k < n:
+            am = mul_rows(s, affine_rows(am, 1, _scalar(cr, ci))
+                          if cr or ci else am)
+    return coeffs
+
+
+def matrix(rows):
+    return tuple(tuple(_coerce(v) for v in row) for row in rows)
+
+
+def identity(n):
+    return tuple(tuple(ONE if i == j else ZERO for j in range(n))
+                 for i in range(n))
+
+
+def mat_mul(a, b):
+    return join_rows(mul_rows(split_rows(a), split_rows(b)),
+                     len(b[0]) if b else 0)
+
+
+def mat_vec(a, v):
+    return tuple(row[0] for row in mat_mul(a, [(x,) for x in v]))
+
+
+def mat_pow(a, k):
+    return join_rows(pow_rows(split_rows(a), k), len(a))
+
+
+def char_poly(a):
+    return char_poly_rows(split_rows(a))
+
+
+def invariant_span_dim(mats, v):
+    return span_dim_rows([split_rows(zip(*m)) for m in mats],
+                         split_rows([v])[0])
+
+
+def _echelon(rows):
+    # (reduced row-echelon rows, their pivot columns), by ascending pivot
+    basis = {}
+    for row in split_rows(rows):
+        _insert(basis, row)
+    pivots = sorted(basis)
+    return list(join_rows([basis[p] for p in pivots],
+                          len(rows[0]) if rows else 0)), pivots
 
 
 def rank(a):
@@ -329,15 +382,8 @@ def rank(a):
 
 def kernel_basis(a):
     """Basis of the right kernel, as a list of column vectors."""
-    n_cols = len(a[0]) if a else 0
-    ech, pivots = _echelon(a)
-    basis = []
-    for fc in (c for c in range(n_cols) if c not in pivots):
-        v = [ONE if c == fc else ZERO for c in range(n_cols)]
-        for r, pc in enumerate(pivots):
-            v[pc] = -ech[r][fc]
-        basis.append(tuple(v))
-    return basis
+    w, free = _kernel(split_rows(a), len(a[0]) if a else 0)
+    return list(zip(*join_rows(w, len(free))))
 
 
 def invert(a):
@@ -361,24 +407,6 @@ def solve_columns(v_cols, w_cols):
     if len(pivots) > k:
         raise ValueError("system is inconsistent")
     return tuple(tuple(ech[i][k:]) for i in range(k))
-
-
-def char_poly(a):
-    """
-    Characteristic polynomial det(z*I - A), monic, coefficients ascending,
-    by the trace recursion (exact division by the step index) on the split
-    form of d A, integral: A M_k = A (A M_(k-1)) + c_k A, and c_k / d^k.
-    """
-    n, (s, d) = len(a), _cleared(a)
-    coeffs, am = [ZERO] * n + [ONE], s
-    for k in range(1, n + 1):
-        tr, ti = map(sum, zip(*[_entry(row, i) for i, row in enumerate(am)]))
-        cr, ci = exact(Fraction(-tr, k)), exact(Fraction(-ti, k))
-        coeffs[n - k] = _scalar(cr, ci, d ** k)
-        if k < n:
-            am = [_comb(_terms(row, am) + [(cr, ci, row)])
-                  if row[0] or row[1] else row for row in s]
-    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,19 @@ def test_monomial_triples_commute_and_stable_to_ten():
             assert is_stable(tr)
 
 
+@pytest.mark.parametrize("mu, message", [
+    ((2, 0, 1), "bad part 0 in (2, 0, 1)"),
+    ((), "a partition needs at least one part"),
+    ((0,), "bad part 0 in (0,)"),
+    ((1, 2), "bad part 2 in (1, 2)"),
+], ids=["inner_zero", "empty", "only_zero", "increasing"])
+def test_from_monomial_ideal_rejects_a_non_partition(mu, message):
+    with pytest.raises(ValueError) as info:
+        from_monomial_ideal(mu)
+    assert type(info.value) is ValueError  # not NotCommuting
+    assert str(info.value).startswith(message)
+
+
 def test_monomial_staircase_convention():
     assert staircase_cells(Partition((2,))) == \
         [(0, 0), (0, 1)]

@@ -155,9 +155,9 @@ def test_adhm_root_search_triple(tmp_path, capsys):
                    "trace[1,0]\t720720\n")
 
 
-@pytest.mark.parametrize("mu", [",", "2,,1", "2,1,", " "],
+@pytest.mark.parametrize("mu", [",", "2,,1", "2,1,", " ", "2,0,1", "-1"],
                          ids=["only_comma", "inner_empty", "trailing_empty",
-                              "blank"])
+                              "blank", "zero_part", "negative_part"])
 def test_adhm_empty_partition_exits_2(capsys, mu):
     code, out, err = run_cli(["adhm", "--mu", mu], capsys)
     assert code == 2
@@ -346,16 +346,16 @@ def test_console_entry_point():
 
 def test_adhm_request_multiplies_a_and_b_once_each_way(monkeypatch, capsys):
     # the commutation test runs once per triple, not once per caller
-    tr = from_monomial_ideal(Partition((3, 3, 1)))
-    real_mat_mul = adhm.mat_mul
+    a, b, _ = from_monomial_ideal(Partition((3, 3, 1))).cols
+    real_mul_rows = adhm.mul_rows
     products = []
 
     def counting(x, y):
-        if (x, y) in ((tr.a, tr.b), (tr.b, tr.a)):
+        if (x, y) in ((a, b), (b, a)):
             products.append((x, y))
-        return real_mat_mul(x, y)
+        return real_mul_rows(x, y)
 
-    monkeypatch.setattr(adhm, "mat_mul", counting)
+    monkeypatch.setattr(adhm, "mul_rows", counting)
     code, out, _ = run_cli(["adhm", "--mu", "3,3,1"], capsys)
     assert code == 0
     assert "commuting\tTrue" in out.splitlines()

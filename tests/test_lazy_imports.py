@@ -75,9 +75,9 @@ def loaded_after(argv):
 
 
 @pytest.mark.parametrize("argv, needed, unneeded", [
-    (["adhm", "--mu", "2,1"], {"linalg", "adhm", "partitions"},
-     {"series", "surfaces", "goettsche", "heisenberg", "stratification",
-      "selfcheck"}),
+    (["adhm", "--mu", "2,1"], {"linalg", "adhm"},
+     {"partitions", "series", "surfaces", "goettsche", "heisenberg",
+      "stratification", "selfcheck"}),
     (["hodge", "--surface", "p2", "--order", "2"], {"goettsche", "series"},
      {"linalg", "adhm", "heisenberg", "stratification", "selfcheck"}),
     (["strata", "--n", "4", "--h", "2"], {"stratification", "partitions"},
@@ -89,8 +89,14 @@ def loaded_after(argv):
     (["commutators", "--surface", "abelian", "--trials", "3"],
      {"heisenberg", "series", "partitions", "selfcheck"},
      {"linalg", "adhm", "goettsche", "stratification"}),
+    (["adhm", "--triple", "{triple}"], {"linalg", "adhm"},
+     {"partitions", "series", "surfaces", "goettsche", "heisenberg",
+      "stratification", "selfcheck"}),
 ])
-def test_request_loads_only_its_layers(argv, needed, unneeded):
+def test_request_loads_only_its_layers(argv, needed, unneeded, tmp_path):
+    triple = tmp_path / "triple.txt"
+    triple.write_text("2\n0 0\n1 0\n0 0\n1/2 0\n1 0\n")
+    argv = [str(triple) if arg == "{triple}" else arg for arg in argv]
     loaded = loaded_after(argv) & ALL_LAYERS
     assert needed <= loaded
     assert not loaded & unneeded
