@@ -1,6 +1,6 @@
 """The frozen value base, the exact normaliser and IdentityFailed."""
 
-from fractions import Fraction
+import sys
 
 
 class IdentityFailed(ArithmeticError):
@@ -21,6 +21,15 @@ class Frozen:
         raise AttributeError("%s is immutable" % type(self).__name__)
 
 
+def rational_types():
+    """
+    The exact rational types, for isinstance: int, and Fraction once
+    fractions is loaded.  No value can be a Fraction before that, so the
+    integer tables never load rational arithmetic.
+    """
+    return int, getattr(sys.modules.get("fractions"), "Fraction", ())
+
+
 def exact(c):
     """
     Normalize an exact rational: int stays int, a bool, int subclass or
@@ -29,6 +38,8 @@ def exact(c):
     """
     if type(c) is int:
         return c
-    if isinstance(c, (int, Fraction)):
+    # rational_types, inlined because exact runs on every coefficient
+    fractions = sys.modules.get("fractions")
+    if isinstance(c, int) or fractions and isinstance(c, fractions.Fraction):
         return c.numerator if c.denominator == 1 else c
     raise TypeError("exact rational expected, got %r" % (c,))

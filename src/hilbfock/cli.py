@@ -282,9 +282,14 @@ def main(argv=None):
     args = build_parser(argv).parse_args(argv)
     try:
         for name, low in args.least.items():
-            if getattr(args, name) < low:
+            value = getattr(args, name)
+            if value < low:
                 raise ConfigError("--%s must be at least %d, got %d"
-                                  % (name, low, getattr(args, name)))
+                                  % (name, low, value))
+            # --order and --n size a list of rows 0..size, which must fit
+            if name in ("order", "n") and value >= sys.maxsize:
+                raise ConfigError("--%s must be below %d, got %d"
+                                  % (name, sys.maxsize, value))
         code, rows = args.handler(args)
         emit(rows, args.output)
         return code

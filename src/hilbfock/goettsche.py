@@ -354,12 +354,23 @@ def hilbert_hodge_table(model, order, kept):
     """
     [hilbert_hodge(model, n) for n in 0..order] from the Goettsche-Soergel
     product prod_m prod_(p,q) (1 - (-1)^(p+q) x^(p+m-1) y^(q+m-1) q^m)
-    ^(-(-1)^(p+q) h^(p,q)), h^(p,q) counted from class_bidegrees.
+    ^(-(-1)^(p+q) h^(p,q)), h^(p,q) counted from class_bidegrees.  With
+    only h^(p,p) it is a product in w = xy: expanded at x = 1, its packed
+    rows are as short as in one variable, and y^k is read back as x^k y^k.
     """
-    return _grown_product([
-        FactorFamily(1 if (p + q) % 2 else -1, h, ((1, p - 1), (1, q - 1)))
-        for (p, q), h in Counter(model.class_bidegrees).items()],
+    hodge = Counter(model.class_bidegrees)
+    diagonal = all(p == q for p, q in hodge)
+    rows, state = _grown_product([
+        FactorFamily(1 if (p + q) % 2 else -1, h,
+                     ((0, 0) if diagonal else (1, p - 1), (1, q - 1)))
+        for (p, q), h in hodge.items()],
         order, kept, _hodge_width(model, order))
+    if diagonal:
+        n = len(kept[0]) if kept else 0
+        rows[n:] = [CoeffPoly._make(
+            {(k, k): c for (_, k), c in row.terms.items()}, 2)
+            for row in rows[n:]]
+    return rows, state
 
 
 @_cached_table

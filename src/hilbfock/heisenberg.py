@@ -33,7 +33,6 @@ a class the model lacks through; an odd one reading its parity raises.
 """
 
 from bisect import bisect_left
-from fractions import Fraction
 from operator import index
 
 from ._base import Frozen, exact
@@ -313,6 +312,7 @@ def stratum_class(nu, model=DELTA):
     applied to the vacuum, divided by the multiplicity factorial.  Lives in
     level n and degree 2*drop.
     """
+    from fractions import Fraction
     from .partitions import multiplicity_factorial
     degs = model.ordinary_degrees
     if len(degs) != 1 or degs[0] != 0:
@@ -394,6 +394,7 @@ def random_state(model, level, rng, n_terms=3):
     monomials with small random rational coefficients.  Sampling is by
     random walk over generators; it need not be uniform.
     """
+    from fractions import Fraction
     odd = model.ordinary_parities
     terms = {}
     for _ in range(n_terms):

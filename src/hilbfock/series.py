@@ -34,13 +34,12 @@ table needs wider digits or, in x, y, a wider width.  Rational data is
 never packed.
 """
 
-from fractions import Fraction
 from math import comb
 from operator import index
 from sys import byteorder
 from types import MappingProxyType
 
-from ._base import Frozen, IdentityFailed, exact
+from ._base import Frozen, IdentityFailed, exact, rational_types
 
 
 class OrderMismatch(ValueError):
@@ -79,7 +78,8 @@ def _mul_into(bucket, a, b, nvars):
 def _exact_terms(terms):
     # terms through exact when a coefficient is a Fraction, which a sum or
     # product of operands that hold Fractions may leave integral
-    if Fraction in map(type, terms.values()):
+    fraction = rational_types()[1]
+    if fraction and fraction in map(type, terms.values()):
         return {e: exact(c) for e, c in terms.items()}
     return terms
 
@@ -181,7 +181,7 @@ class CoeffPoly(Frozen):
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, rational_types()):
             other = CoeffPoly.constant(other, self.nvars)
         return (isinstance(other, CoeffPoly) and self.nvars == other.nvars
                 and self.terms == other.terms)

@@ -15,7 +15,6 @@ projective plane, the quadric, a K3 and an abelian surface.  All pairings
 are identity blocks in the chosen bases.
 """
 
-from fractions import Fraction
 from types import MappingProxyType
 
 from ._base import Frozen, exact
@@ -50,6 +49,7 @@ class SurfaceModel(Frozen):
                       for i in range(betti[d]))
                 for d in range(5))
         else:
+            from fractions import Fraction
             from .linalg import matrix, rank
             pairing = tuple(
                 tuple(tuple(exact(Fraction(v)) for v in row) for row in block)

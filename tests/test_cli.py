@@ -210,6 +210,25 @@ def test_count_below_least_value_exits_2(args, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [
+    [command, *surface, "--order", "99999999999999999999"]
+    for command, surface in (
+        ("goettsche", ["--surface", "p2"]), ("sym", ["--surface", "p2"]),
+        ("punctual", []), ("euler", ["--surface", "k3"]),
+        ("hodge", ["--surface", "p2"]), ("fock", ["--surface", "p2"]),
+        ("ktheory", ["--surface", "k3"]), ("selfcheck", []))] + [
+    ["strata", "--h", "1", "--n", "99999999999999999999"],
+    # rows 0..sys.maxsize are one more than a list holds
+    ["goettsche", "--surface", "p2", "--order", str(sys.maxsize)],
+], ids=" ".join)
+def test_a_size_no_list_can_hold_exits_2(args):
+    proc = subprocess.run([sys.executable, "-m", "hilbfock", *args],
+                          capture_output=True, text=True, timeout=5)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: %s must be below %d, got %s\n" % (
+        args[-2], sys.maxsize, args[-1])
+
+
 def test_output_deterministic(tmp_path, capsys):
     f1 = tmp_path / "a.tsv"
     f2 = tmp_path / "b.tsv"

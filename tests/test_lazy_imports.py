@@ -1,8 +1,9 @@
 """
 The package loads its modules on demand: top-level names resolve on first
 access, and a CLI request imports only the layers its subcommand uses.
-Import sets are read in fresh interpreters, so earlier tests cannot leak
-modules into them.
+Integer tables load no rational arithmetic (fractions), which is imported
+only where a rational can appear.  Import sets are read in fresh
+interpreters, so earlier tests cannot leak modules into them.
 """
 
 import importlib
@@ -61,17 +62,22 @@ def fresh_python(code):
     return proc.stdout
 
 
-def loaded_after(argv):
-    """The hilbfock modules a fresh interpreter holds after one request."""
+def modules_after(argv):
+    """The modules a fresh interpreter holds after one request."""
     out = fresh_python(
         "import contextlib, io, sys\n"
         "from hilbfock import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(%r)\n"
         "assert code == 0, code\n"
-        "print(' '.join(m[len('hilbfock.'):] for m in sys.modules\n"
-        "               if m.startswith('hilbfock.')))\n" % (argv,))
+        "print(' '.join(sys.modules))\n" % (argv,))
     return set(out.split())
+
+
+def loaded_after(argv):
+    """The hilbfock modules a fresh interpreter holds after one request."""
+    return {m[len("hilbfock."):] for m in modules_after(argv)
+            if m.startswith("hilbfock.")}
 
 
 @pytest.mark.parametrize("argv, needed, unneeded", [
@@ -107,6 +113,70 @@ def test_importing_the_cli_loads_no_layer_beyond_surfaces():
         "import sys\nimport hilbfock.cli\n"
         "print(' '.join(m for m in sys.modules if m.startswith('hilbfock')))")
     assert set(out.split()) == {"hilbfock", "hilbfock._base", "hilbfock.cli"}
+
+
+# the rational arithmetic stack: fractions imports decimal and numbers
+RATIONAL = {"fractions", "decimal", "numbers"}
+
+
+def test_importing_the_cli_loads_no_rational_arithmetic():
+    out = fresh_python("import sys\nimport hilbfock.cli\n"
+                       "print(' '.join(sys.modules))")
+    assert not set(out.split()) & RATIONAL
+
+
+@pytest.mark.parametrize("argv", [
+    ["goettsche", "--surface", "k3", "--order", "4"],
+    ["sym", "--surface", "abelian", "--order", "4"],
+    ["punctual", "--order", "4"],
+    ["euler", "--surface", "p2", "--order", "4"],
+    ["hodge", "--surface", "p2", "--order", "4"],
+    ["hodge", "--surface", "k3", "--order", "4"],
+    ["fock", "--surface", "abelian", "--order", "4"],
+    ["ktheory", "--surface", "p1xp1", "--order", "4"],
+    ["strata", "--n", "4", "--h", "2"],
+], ids=" ".join)
+def test_integer_tables_load_no_rational_arithmetic(argv):
+    assert not modules_after(argv) & RATIONAL
+
+
+@pytest.mark.parametrize("argv", [
+    ["adhm", "--mu", "2,1"],
+    ["commutators", "--surface", "p2", "--trials", "2"],
+], ids=" ".join)
+def test_rational_requests_load_fractions(argv):
+    # the positive control: the check above can fail
+    assert "fractions" in modules_after(argv)
+
+
+def test_exact_keeps_its_rules_with_fractions_loaded_on_demand():
+    out = fresh_python(
+        "import sys\n"
+        "from hilbfock._base import exact\n"
+        "from hilbfock.heisenberg import FockMonomial, FockState\n"
+        "from hilbfock.series import CoeffPoly\n"
+        "one, mono = CoeffPoly.one(), FockMonomial([(1, 0)])\n"
+        "def rejects(f, value):\n"
+        "    try:\n"
+        "        f(value)\n"
+        "    except TypeError:\n"
+        "        return True\n"
+        "    return False\n"
+        "print(rejects(exact, 0.5), rejects(exact, '1'),\n"
+        "      rejects(lambda c: FockState({mono: c}), 0.5),\n"
+        "      exact(True) == 1 and type(exact(True)) is int,\n"
+        "      one == 1, one != 1.0, 'fractions' in sys.modules)\n"
+        "from fractions import Fraction\n"
+        "two, half = exact(Fraction(4, 2)), exact(Fraction(1, 2))\n"
+        "print(type(two) is int and two == 2,\n"
+        "      type(half) is Fraction and half == Fraction(1, 2),\n"
+        "      rejects(exact, 0.5),\n"
+        "      FockState({mono: Fraction(3, 3)}) == FockState({mono: 1}),\n"
+        "      one == 1, one == Fraction(1), one != 1.0,\n"
+        "      CoeffPoly({(0,): Fraction(1, 2)}) * 2 == one)\n")
+    before, after = (line.split() for line in out.splitlines())
+    assert before == ["True"] * 6 + ["False"]
+    assert after == ["True"] * 8
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["hodge", "--help"]])
