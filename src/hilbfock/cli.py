@@ -280,16 +280,21 @@ def cmd_selfcheck(args):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
+    size = "the request"  # what is too large when memory runs out
     try:
         for name, low in args.least.items():
             value = getattr(args, name)
             if value < low:
                 raise ConfigError("--%s must be at least %d, got %d"
                                   % (name, low, value))
-            # --order and --n size a list of rows 0..size, which must fit
-            if name in ("order", "n") and value >= sys.maxsize:
-                raise ConfigError("--%s must be below %d, got %d"
-                                  % (name, sys.maxsize, value))
+            # --order and --n size a table of at least that many rows (or
+            # partitions), whose list must fit: it is claimed before any row
+            if name in ("order", "n"):
+                size = "--" + name
+                if value >= sys.maxsize:
+                    raise ConfigError("%s must be below %d, got %d"
+                                      % (size, sys.maxsize, value))
+                [None] * (value + 1)
         code, rows = args.handler(args)
         emit(rows, args.output)
         return code
@@ -300,7 +305,7 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except MemoryError:
-        print("error: out of memory: --order is too large", file=sys.stderr)
+        print("error: out of memory: %s is too large" % size, file=sys.stderr)
         return 2
     except Exception:
         import traceback

@@ -18,8 +18,8 @@ The stratum sums (Poincare, Hodge, K-theory) and the Euler product are one
 convolution over part sizes, on packed polynomials or on integers.  The
 literal partition walks stay apart: stratum_product for the regrouping
 check of stratification, selfcheck's route to the orbifold Euler numbers.
-Packed rows are checked against independent totals by series.checked_rows;
-the packed Newton rows of sym_poincare_product by their remainders too.
+Packed rows, laid out by series from exponents, are checked against
+independent totals by series.checked_rows, Newton rows by remainders too.
 
 Every table is cached per surface or Euler number, at the longest order
 asked so far.  Those a per-n walk reads (products, sym, Newton, strata,
@@ -29,12 +29,12 @@ each row once; hodge_sym_table and strata_hodge_table are rebuilt.
 
 from collections import Counter
 from functools import lru_cache, partial, wraps
-from math import comb
+from math import comb, prod
 
 from ._base import IdentityFailed
 from .series import (CoeffPoly, FactorFamily, QTSeries, _product_totals,
-                     checked_rows, pack, product_expand, respace,
-                     super_power_table)
+                     checked_rows, digit_offset, pack, product_expand, relay,
+                     respace, super_power_table)
 
 
 def goettsche_families(model):
@@ -78,9 +78,8 @@ def _grown(kept, order, total, start, step, width=None):
                                         (8, width, start))
     n, grown = len(rows), []
     def expand(wider):
-        laid = state if was == width else respace(  # x-blocks as digits
-            state, bits * was, bits * width)
-        packed, moved = step(wider, respace(laid, bits, wider), n)
+        packed, moved = step(
+            wider, respace(relay(state, bits, was, width), bits, wider), n)
         grown[:] = wider, width, moved
         return packed[n - order - 1:]
     totals = [total(m) for m in range(n, order + 1)]
@@ -108,14 +107,13 @@ def hilbert_poincare_series(model, order):
 
 def _sym_table(model, order, kept, width=None):
     """The stepping kernel, keeping a row per class; sym_total_dim totals."""
-    ks = ([p * width + q for p, q in model.class_bidegrees] if width
-          else model.ordinary_degrees)  # the digit of each class
+    exps = model.class_bidegrees if width else list(zip(model.ordinary_degrees))
     def step(bits, last, n):
-        gens = [(1 << bits * k, 1, odd)
-                for k, odd in zip(ks, model.ordinary_parities)]
+        gens = [(digit_offset(e, bits, width), 1, odd)
+                for e, odd in zip(exps, model.ordinary_parities)]
         last = list(last)
-        return super_power_table(gens, order + 1 - n, 1, 0, last), last
-    return _grown(kept, order, partial(sym_total_dim, model), [1] * len(ks),
+        return super_power_table(gens, order + 1 - n, last), last
+    return _grown(kept, order, partial(sym_total_dim, model), [1] * len(exps),
                   step, width)
 
 
@@ -153,8 +151,8 @@ def sym_poincare_product(model, m):
 def _newton_table(model, order, kept):
     b = model.betti
     def step(bits, packed, n):
-        p = [[(s ** d * c, bits * d) for d, c in enumerate(b) if c]
-             for s in (-1, 1)]  # P_i's (coefficient, shift / i), i even, odd
+        p = [[(s ** d * c, digit_offset((d,), bits)) for d, c in enumerate(b)
+              if c] for s in (-1, 1)]  # P_i's (coeff, offset / i), i even, odd
         packed = list(packed)
         for m in range(n, order + 1):
             h, r = divmod(sum(c * h << e * i
@@ -184,9 +182,8 @@ def stratum_product(model, signature):
     """
     row = _TABLES.get((stratum_product, model, signature))
     if row is None:
-        out = CoeffPoly.one()
-        for m in signature:
-            out = out * sym_poincare(model, m)
+        out = prod((sym_poincare(model, m) for m in signature),
+                   start=CoeffPoly.one())
         row = _TABLES[stratum_product, model, signature] = tuple(
             out.coefficient((d,)) for d in range(out.total_degree() + 1))
     return row
@@ -215,7 +212,8 @@ def _strata_table(model, order, kept, sym, width=None):
     """Strata sums of a sym table times t^(2 drop) or (xy)^drop; K totals."""
     def step(bits, state, n):
         return _strata_sums(lambda a: pack(sym[a], bits, width), order,
-                            bits * (2 if width is None else width + 1), state)
+                            digit_offset((1, 1) if width else (2,), bits,
+                                         width), state)
     return _grown(kept, order, equivariant_k_table(model, order).__getitem__,
                   [[], [[1]]], step, width)
 

@@ -36,7 +36,7 @@ from bisect import bisect_left
 from operator import index
 
 from ._base import Frozen, exact
-from .series import QTSeries, checked_rows, packed_monomial, super_power_table
+from .series import QTSeries, checked_rows, digit_offset, super_power_table
 from .surfaces import DELTA, MissingHodgeData
 
 
@@ -338,9 +338,9 @@ def degree_of(state, model, hodge=False):
 
 def _level_table(model, order, bits=0):
     """One stepping pass, t^degree packed at bits per digit (0: counts)."""
-    gens = ((packed_monomial((d + 2 * (mode - 1),), bits), mode, d % 2)
+    gens = ((digit_offset((d + 2 * (mode - 1),), bits), mode, d % 2)
             for mode in range(1, order + 1) for d in model.ordinary_degrees)
-    return super_power_table(gens, order, 1, 0)
+    return super_power_table(gens, order)
 
 
 def graded_character(model, order):

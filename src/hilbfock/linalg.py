@@ -231,27 +231,30 @@ def affine_rows(s, c, d):
 
 def power_traces(a, b, max_total):
     """
-    All Tr(A^k B^l), k + l <= max_total, of square split matrices at once:
-    the sum over the nonzero entries x = A^k[i][j] of x * B^l[j][i], on the
-    power lists of d A and e B, integral.  A dict (k, l) -> GaussianRational.
+    All Tr(A^k B^l), k + l <= max_total, of square split matrices at once,
+    integral on the power lists of d A and e B: the entries of each power,
+    laid out once as {(i, j): (re, im)} with B's transposed, multiply on
+    the keys two such dicts share.  A dict (k, l) -> GaussianRational.
     """
-    a_pows, b_pows = pows = [[affine_rows(a, 0, 1)] for _ in "ab"]
-    dens = []
-    for p, m in zip(pows, (a, b)):
+    entries, dens = [], []
+    for m, swap in ((a, False), (b, True)):
         s, d = _cleared(m)
         dens.append(d)
+        pows = [affine_rows(m, 0, 1)]
         for _ in range(max_total):
-            p.append(mul_rows(p[-1], s))
+            pows.append(mul_rows(pows[-1], s))
+        entries.append([{(j, i) if swap else (i, j):
+                         (re.get(j, 0), im.get(j, 0) if im else 0)
+                         for i, (re, im) in enumerate(p) if re or im
+                         for j in (re.keys() | im.keys() if im else re)}
+                        for p in pows])
     out = {}
-    for k in range(max_total + 1):
-        ak = [(i, j, *_entry(row, j))
-              for i, row in enumerate(a_pows[k]) for j in _cols(row)]
-        for l in range(max_total + 1 - k):
+    for k, ak in enumerate(entries[0]):
+        for l, bl in enumerate(entries[1][:max_total + 1 - k]):
             re = im = 0
-            for i, j, xr, xi in ak:
-                yr, yi = _entry(b_pows[l][j], i)
-                if yr or yi:
-                    re, im = re + xr * yr - xi * yi, im + xr * yi + xi * yr
+            for key in ak.keys() & bl.keys():
+                (xr, xi), (yr, yi) = ak[key], bl[key]
+                re, im = re + xr * yr - xi * yi, im + xr * yi + xi * yr
             out[(k, l)] = _scalar(re, im, dens[0] ** k * dens[1] ** l)
     return out
 

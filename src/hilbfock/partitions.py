@@ -16,7 +16,7 @@ containment of the diagonal strata of the n-th symmetric product.
 from collections import Counter
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, prod
 from types import MappingProxyType
 
 from ._base import Frozen
@@ -124,10 +124,7 @@ def count_with_length(n, l):
 
 def multiplicity_factorial(p):
     """Product of the factorials of the multiplicities a_i."""
-    out = 1
-    for a in p.multiplicities:
-        out *= factorial(a)
-    return out
+    return prod(map(factorial, p.multiplicities))
 
 
 def refines(finer, coarser):
@@ -187,12 +184,8 @@ class PartitionTuple(Frozen):
         The partition of n whose i-th multiplicity is the sum of the i-th
         multiplicities of the components.  Always refines the host.
         """
-        n = self.host.n
-        a = [0] * n
-        for b in self.parts:
-            for p in b.nu:
-                a[p - 1] += 1
-        return Partition.from_multiplicities(a)
+        return Partition(sorted((p for b in self.parts for p in b.nu),
+                                reverse=True))
 
     @property
     def total_length(self):

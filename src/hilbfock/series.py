@@ -15,23 +15,22 @@ rows below it; factors with m > N cannot touch coefficients up to q^N, so
 the product is finite.  Its coefficient sums come in closed form from the
 logarithmic derivative of prod_m (1 - q^m)^(-a) (1 + q^m)^b.
 
-Graded super-symmetric powers (symmetric products, their Hodge
-refinement, the Fock character and level dimensions) all come from one
-stepping kernel, super_power_table: each generator multiplies the
-truncated table by 1/(1 - w q^s) when even and by (1 + w q^s) when odd,
-in place, or, from the kept rows of a shorter table, only on new rows.
-
 Dimension counts and the product are stepped on one packed int per q-power
-(Kronecker substitution): t^e is the digit at bit bits*e, x^p y^q the one
-at bits*(p*width + q), so an int product is a polynomial product.  No digit
-may carry: bits is whole bytes above an exact total that bounds every
-coefficient, width exceeds every y-exponent the table reaches, and unpack
-raises IdentityFailed unless the digits sum to that total.  Evaluation at
-2^bits is a ring map, so a signed sum, as in a division step, is exactly
-its polynomial's value, and a finished row, with digits in [0, 2^bits),
-unpacks without carry.  A kept state is re-spaced (respace) when a longer
-table needs wider digits or, in x, y, a wider width.  Rational data is
-never packed.
+(Kronecker substitution), in a layout only this module knows: digit_offset
+puts t^e at bit bits*e and x^p y^q at bits*(p*width + q), so an int product
+is a polynomial product, a monomial times a row is a shift, and callers
+give exponents.  No digit may carry: bits is whole bytes above an exact
+total that bounds every coefficient, width exceeds every y-exponent the
+table reaches, and unpack raises IdentityFailed unless the digits sum to
+that total.  Evaluation at 2^bits is a ring map, so a signed sum, as in a
+division step, is exactly its polynomial's value, and a finished row, with
+digits in [0, 2^bits), unpacks without carry.  A kept state is re-spaced
+(respace) for wider digits, re-laid (relay) for a wider width.  Rational
+data is never packed.  The graded super-symmetric powers (symmetric
+products, their Hodge refinement, the Fock character, level dimensions)
+come from one stepping kernel, super_power_table: a generator at offset k
+steps the table by 1/(1 - 2^k q^s) if even, (1 + 2^k q^s) if odd, a shift
+and an add per row, in place, or going on from a shorter table's rows.
 """
 
 from math import comb
@@ -403,15 +402,13 @@ def product_expand(families, order, nvars=None, packed=None):
                                         (bits, width, [1])),
             _product_totals(families, order), width), nvars)
     bits, width, rows = packed
-    def shift(exps):  # bit offset of the packed monomial, as packed_monomial
-        return bits * (exps[0] if width is None else exps[0] * width + exps[1])
-    slopes = {}  # c: the (sign, weight, shift of u_f(1)) of its families
-    for f in families:
-        slopes.setdefault(tuple(c for c, _ in f.exps), []).append(
-            (f.sign, f.weight, shift([c + d for c, d in f.exps])))
-    # (j, shift of U^j, the (coefficient, shift) terms of H_j)
-    terms = [(j, shift(c) * j, [(w if sign < 0 or j % 2 else -w, e * j)
-                                for sign, w, e in fs if w])
+    slopes = {}  # offset of U: the (sign, weight, offset of u_f(1)) of its
+    for f in families:  # families, u_f(1) being U times the monomial of d
+        c, d = (digit_offset(e, bits, width) for e in zip(*f.exps))
+        slopes.setdefault(c, []).append((f.sign, f.weight, c + d))
+    # (j, offset of U^j, the (coefficient, offset) terms of H_j)
+    terms = [(j, c * j, [(w if sign < 0 or j % 2 else -w, e * j)
+                         for sign, w, e in fs if w])
              for c, fs in slopes.items() for j in range(1, order + 1)]
     rows = list(rows)
     for n in range(len(rows), order + 1):
@@ -451,25 +448,23 @@ def _product_totals(families, order):
     return totals
 
 
-def super_power_table(gens, order, one, zero, last=None):
+def super_power_table(gens, order, last=None):
     """
-    Graded super-symmetric powers, one generator at a time: the list
-    table[0..order] of the truncated product over gens of 1/(1 - w q^s)
-    for even generators and (1 + w q^s) for odd ones.  gens yields
-    (w, s, odd) triples.  The step table[j] += w * table[j - s] runs
-    upward for an even generator, so it may repeat, and downward for an
-    odd one, so it is used at most once.  Works for any ring in which
-    one, zero and the weights add and multiply.  With last (all s = 1) it
-    goes on from a kept row N: last[c] is row N as the step of generator c
-    reads it (through c if even, else before c), moved on in place.
+    Graded super-symmetric powers on packed ints: table[0..order] of the
+    product over gens, (k, s, odd) with k a bit offset (0: plain counts),
+    of 1/(1 - 2^k q^s) if even, (1 + 2^k q^s) if odd.  table[j] +=
+    table[j - s] << k runs upward if even, so it may repeat, and downward
+    if odd, used at most once.  With last (all s = 1) it goes on from kept
+    row N: last[c] is row N as generator c's step reads it (through c if
+    even, else before c), moved on in place.
     """
-    table = [one] + [zero] * order
-    for c, (w, s, odd) in enumerate(gens):
+    table = [1] + [0] * order
+    for c, (k, s, odd) in enumerate(gens):
         if last is not None:
             table[0] = last[c]
             last[c] = table[-1]
         for j in range(order, s - 1, -1) if odd else range(s, order + 1):
-            table[j] = table[j] + w * table[j - s]
+            table[j] = table[j] + (table[j - s] << k)
         if last is not None and not odd:
             last[c] = table[-1]
     return table
@@ -480,15 +475,14 @@ def digit_bits(total):
     return 8 * max(1, (total.bit_length() + 7) // 8)
 
 
-def packed_monomial(exps, bits, width=None):
-    """The packed int of t^e, or of x^p y^q when width is given."""
-    return 1 << bits * (exps[0] if width is None else exps[0] * width + exps[1])
+def digit_offset(exps, bits, width=None):
+    """Bit offset of the digit of t^e, or of x^p y^q when width is given."""
+    return bits * (exps[0] if width is None else exps[0] * width + exps[1])
 
 
 def pack(poly, bits, width=None):
     """The packed int of a CoeffPoly with coefficients in 0..2^bits - 1."""
-    return sum(c * packed_monomial(e, bits, width)
-               for e, c in poly.terms.items())
+    return sum(c << digit_offset(e, bits, width) for e, c in poly.terms.items())
 
 
 def _widen(raw, step, wide):
@@ -509,6 +503,11 @@ def respace(state, bits, wider):
                  bits // 8, wider // 8)
     return [int.from_bytes(raw[k:k + len(raw) // len(state)], "little")
             for k in range(0, len(raw), len(raw) // len(state))]
+
+
+def relay(state, bits, width, wider):
+    """respace in x, y: each x-block of width digits moved to wider digits."""
+    return respace(state, bits * width, bits * wider) if width else state
 
 
 def checked_rows(expand, totals, width=None, bits=8, first=0):

@@ -229,6 +229,26 @@ def test_a_size_no_list_can_hold_exits_2(args):
         args[-2], sys.maxsize, args[-1])
 
 
+@pytest.mark.parametrize("args", [
+    ["sym", "--surface", "p2", "--order"], ["punctual", "--order"],
+    ["euler", "--surface", "p2", "--order"],
+    ["ktheory", "--surface", "k3", "--order"], ["strata", "--h", "1", "--n"],
+], ids=" ".join)
+def test_a_size_no_memory_can_hold_fails_at_once(args):
+    # each of these once built its table a small allocation at a time, so
+    # it grew for as long as memory lasted; the child alone gets 1 GiB
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "hilbfock", *args, str(sys.maxsize - 1)],
+        capture_output=True, text=True, timeout=5, preexec_fn=limit)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: out of memory: %s is too large\n" % args[-1]
+
+
 def test_output_deterministic(tmp_path, capsys):
     f1 = tmp_path / "a.tsv"
     f2 = tmp_path / "b.tsv"

@@ -362,9 +362,9 @@ def count_stepping_tables(monkeypatch):
     orders = []
     real = goettsche.super_power_table
 
-    def counting(gens, order, one, zero, last=None):
+    def counting(gens, order, last=None):
         orders.append(order)
-        return real(gens, order, one, zero, last)
+        return real(gens, order, last)
 
     monkeypatch.setattr(goettsche, "_TABLES", {})
     monkeypatch.setattr(goettsche, "super_power_table", counting)

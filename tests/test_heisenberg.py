@@ -494,10 +494,10 @@ def test_fock_request_makes_one_plain_and_one_packed_pass(monkeypatch,
     passes = []
     real = heisenberg.super_power_table
 
-    def counting(gens, order, one, zero):
+    def counting(gens, order):
         gens = list(gens)
-        passes.append((order, all(w == 1 for w, _, _ in gens)))
-        return real(gens, order, one, zero)
+        passes.append((order, all(k == 0 for k, _, _ in gens)))
+        return real(gens, order)
 
     monkeypatch.setattr(heisenberg, "super_power_table", counting)
     assert main(["fock", "--surface", "abelian", "--order", "12"]) == 0

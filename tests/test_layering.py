@@ -1,6 +1,7 @@
 """
-The split-row form of the matrix kernels belongs to linalg alone: no other
-module imports or reads a _-prefixed linalg name.  The raw factor-tuple
+The packed layout belongs to series alone: no other module turns a digit
+width into a bit offset.  The split-row form of the matrix kernels belongs
+to linalg alone: no other module imports or reads a _-prefixed linalg name.  The raw factor-tuple
 keys of a FockState belong to heisenberg alone: no other module reads the
 _terms field or calls FockMonomial._make.  Every module-level cache is
 listed here, so a new one cannot be added without this file knowing.
@@ -13,6 +14,50 @@ from pathlib import Path
 import hilbfock
 
 SRC = Path(hilbfock.__file__).parent
+
+
+def names_outside_calls(node):
+    """The names in an expression, except inside the calls it makes."""
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif not isinstance(node, ast.Call):
+        for child in ast.iter_child_nodes(node):
+            yield from names_outside_calls(child)
+
+
+def layout_arithmetic(tree):
+    """(line, op) of every * or << with the name bits in an operand."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp):
+            operands = node.left, node.right
+        elif isinstance(node, ast.AugAssign):
+            operands = node.target, node.value
+        else:
+            continue
+        if isinstance(node.op, (ast.Mult, ast.LShift)) and any(
+                "bits" in names_outside_calls(x) for x in operands):
+            out.add((node.lineno, type(node.op).__name__))
+    return sorted(out)
+
+
+def test_the_layout_detector_sees_each_kind_of_arithmetic():
+    code = ("a = 1 << bits * k\n"
+            "b = bits * (p * width + q)\n"
+            "c <<= bits\n"
+            "d = digit_offset((p, q), bits, width) * j\n"
+            "e = c << digit_offset((2,), bits)\n"
+            "f = bits + 8\n"
+            "g = digit_bits(total) * 2\n")
+    assert layout_arithmetic(ast.parse(code)) == [
+        (1, "LShift"), (1, "Mult"), (2, "Mult"), (3, "LShift")]
+
+
+def test_no_module_but_series_lays_out_packed_digits():
+    found = {path.name: uses
+             for path in sorted(SRC.glob("*.py")) if path.name != "series.py"
+             if (uses := layout_arithmetic(ast.parse(path.read_text())))}
+    assert found == {}
 
 
 def private_linalg_uses(tree):

@@ -1,6 +1,7 @@
 """Property tests, run where hypothesis is installed (the test extra)."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from hilbfock.adhm import (MatrixTriple, from_monomial_ideal,  # noqa: E402
                            write_triple)
 from hilbfock.linalg import GaussianRational, invert  # noqa: E402
 from hilbfock.partitions import Partition, partitions_of, refines  # noqa: E402
-from hilbfock.series import CoeffPoly  # noqa: E402
+from hilbfock.series import CoeffPoly, super_power_table  # noqa: E402
 
 EXAMPLES = settings(max_examples=60, deadline=None, database=None,
                     derandomize=True)
@@ -167,3 +168,54 @@ def test_conjugation_keeps_block_sum_support_and_traces(blocks, seed):
     assert support_cycle(tr).points == {
         point: mu.n for mu, point in blocks}
     assert_conjugation_keeps_support_and_traces(tr, seed)
+
+
+def stepping_gens(strides):
+    """Up to four (k, s, odd) generators, k an offset of 0..6 8-bit digits."""
+    return st.lists(st.tuples(st.integers(0, 6).map(lambda d: 8 * d),
+                              strides, st.integers(0, 1)), max_size=4)
+
+
+def multiset_digits(gens, order):
+    """
+    Per level 0..order, {digit: count} over the multisets of generators
+    (odd ones at most once) whose strides sum to the level, each multiset
+    at the digit its offsets sum to.
+    """
+    levels = [Counter() for _ in range(order + 1)]
+
+    def walk(c, level, digit):
+        if c == len(gens):
+            levels[level][digit] += 1
+            return
+        k, s, odd = gens[c]
+        for m in range(2 if odd else order + 1):
+            if level + m * s <= order:
+                walk(c + 1, level + m * s, digit + m * k // 8)
+
+    walk(0, 0, 0)
+    return levels
+
+
+def digits(value):
+    """{digit: count} of a packed int of 8-bit digits."""
+    return Counter({d: value >> 8 * d & 255
+                    for d in range((value.bit_length() + 7) // 8)
+                    if value >> 8 * d & 255})
+
+
+@EXAMPLES
+@given(stepping_gens(st.integers(1, 3)), st.integers(0, 6))
+def test_stepping_counts_the_multisets_of_its_generators(gens, order):
+    table = super_power_table(gens, order)
+    assert list(map(digits, table)) == multiset_digits(gens, order)
+
+
+@EXAMPLES
+@given(stepping_gens(st.just(1)), st.integers(0, 6), st.integers(0, 6))
+def test_stepping_grown_through_last_equals_one_build(gens, n, m):
+    n, m = sorted((n, m))
+    last = [1] * len(gens)
+    short = super_power_table(gens, n, last)
+    grown = super_power_table(gens, m - n, last)  # rows n..m
+    assert short + grown[1:] == super_power_table(gens, m)

@@ -10,7 +10,7 @@ from hilbfock.goettsche import goettsche_families
 from hilbfock.partitions import partitions_of
 from hilbfock.series import (CoeffPoly, FactorFamily, IndexOutOfRange,
                              OrderMismatch, QTSeries, UnknownVariable,
-                             digit_bits, pack, packed_monomial,
+                             digit_bits, digit_offset, pack,
                              product_expand, super_power_table, unpack)
 from hilbfock.surfaces import K3
 
@@ -217,15 +217,14 @@ def test_two_variable_family_collapses_to_one_variable():
 
 def test_super_power_table_counts():
     # two even generators repeat freely: multisets of size j
-    assert super_power_table([(1, 1, 0)] * 2, 5, 1, 0) == [1, 2, 3, 4, 5, 6]
+    assert super_power_table([(0, 1, 0)] * 2, 5) == [1, 2, 3, 4, 5, 6]
     # three odd generators are used at most once: subsets of size j
-    assert super_power_table([(1, 1, 1)] * 3, 5, 1, 0) == [1, 3, 3, 1, 0, 0]
+    assert super_power_table([(0, 1, 1)] * 3, 5) == [1, 3, 3, 1, 0, 0]
     # stride 2: the even generator lands on even levels only
-    assert super_power_table([(1, 2, 0)], 5, 1, 0) == [1, 0, 1, 0, 1, 0]
-    t = CoeffPoly.monomial((1,))
-    table = super_power_table([(t, 1, 1), (t, 1, 0)], 2, CoeffPoly.one(),
-                              CoeffPoly.zero())
-    assert table[2] == CoeffPoly({(2,): 2})
+    assert super_power_table([(0, 2, 0)], 5) == [1, 0, 1, 0, 1, 0]
+    # packed: t at offset 8, one odd and one even, gives 2 t^2 at level 2
+    table = super_power_table([(8, 1, 1), (8, 1, 0)], 2)
+    assert unpack(table[2], 8, 2) == CoeffPoly({(2,): 2})
 
 
 # oracle: the product as a chain of QTSeries products of single factors
@@ -402,8 +401,8 @@ def test_digit_bits_are_whole_bytes_above_the_total():
 
 def test_pack_layout_and_empty_values():
     bits, width = 8, 5
-    assert packed_monomial((1, 4), bits, width) == 1 << 8 * 9
-    assert packed_monomial((3,), 0) == 1  # no digits: plain counts
+    assert digit_offset((1, 4), bits, width) == 8 * 9
+    assert digit_offset((3,), 0) == 0  # no digits: plain counts
     assert pack(CoeffPoly({(2,): 3}), bits) == 3 << 16
     assert pack(CoeffPoly({(1, 4): 7}, 2), bits, width) == 7 << 8 * 9
     assert pack(CoeffPoly.zero(2), bits, width) == 0
