@@ -249,15 +249,6 @@ def from_monomial_ideal(mu):
     return MatrixTriple.of_cols(a, b, ({index[(0, 0)]: 1}, None))
 
 
-def staircase_weight_matrix(mu, l1, l2):
-    """The diagonal matrix of torus weights l1^x l2^y over the staircase."""
-    cells = staircase_cells(mu)
-    ((l1, l2),) = matrix([(l1, l2)])
-    return tuple(tuple(l1 ** x * l2 ** y if i == j else ZERO
-                       for j in range(len(cells)))
-                 for i, (x, y) in enumerate(cells))
-
-
 def read_triple(text):
     """Parse a triple from its text format (see the module docstring)."""
     tokens = text.split()

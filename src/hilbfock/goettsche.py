@@ -18,13 +18,13 @@ The stratum sums (Poincare, Hodge, K-theory) and the Euler product are one
 convolution over part sizes, on packed polynomials or on integers.  The
 literal partition walks stay apart: stratum_product for the regrouping
 check of stratification, selfcheck's route to the orbifold Euler numbers.
-Packed rows, laid out by series from exponents, are checked against
-independent totals by series.checked_rows, Newton rows by remainders too.
+Packed rows, laid out by series from exponents, grow through series.grow,
+which sizes, re-lays, re-spaces and checks them against independent totals;
+Newton rows are checked by remainders too.
 
 Every table is cached per surface or Euler number, at the longest order
-asked so far.  Those a per-n walk reads (products, sym, Newton, strata,
-K, Euler) keep the state their kernel goes on from, so the walk computes
-each row once; hodge_sym_table and strata_hodge_table are rebuilt.
+asked so far.  Each keeps the state its kernel goes on from, so a per-n
+walk computes each row once.
 """
 
 from collections import Counter
@@ -32,9 +32,8 @@ from functools import lru_cache, partial, wraps
 from math import comb, prod
 
 from ._base import IdentityFailed
-from .series import (CoeffPoly, FactorFamily, QTSeries, _product_totals,
-                     checked_rows, digit_offset, pack, product_expand, relay,
-                     respace, super_power_table)
+from .series import (CoeffPoly, FactorFamily, QTSeries, digit_offset, grow,
+                     pack, product_table, super_power_table)
 
 
 def goettsche_families(model):
@@ -68,36 +67,9 @@ def _cached_table(build):
     return table
 
 
-def _grown(kept, order, total, start, step, width=None):
-    """
-    A packed table at order, (rows, (bits, width, state)), from kept or from
-    row 0 and state start: step(bits, state, n) gives packed rows ending in
-    rows n..order and a new state, re-laid and re-spaced first as they need.
-    """
-    rows, (bits, was, state) = kept or ([CoeffPoly.one(2 if width else 1)],
-                                        (8, width, start))
-    n, grown = len(rows), []
-    def expand(wider):
-        packed, moved = step(
-            wider, respace(relay(state, bits, was, width), bits, wider), n)
-        grown[:] = wider, width, moved
-        return packed[n - order - 1:]
-    totals = [total(m) for m in range(n, order + 1)]
-    return rows + checked_rows(expand, totals, width, bits, n), tuple(grown)
-
-
-def _grown_product(families, order, kept, width=None):
-    """A product table grown by product_expand, its packed rows the state."""
-    def step(bits, packed, n):
-        packed = product_expand(families, order, packed=(bits, width, packed))
-        return packed, packed
-    return _grown(kept, order, _product_totals(families, order).__getitem__,
-                  [1], step, width)
-
-
 @_cached_table
 def _product_table(model, order, kept):
-    return _grown_product(goettsche_families(model), order, kept)
+    return product_table(goettsche_families(model), order, kept)
 
 
 def hilbert_poincare_series(model, order):
@@ -113,8 +85,8 @@ def _sym_table(model, order, kept, width=None):
                 for e, odd in zip(exps, model.ordinary_parities)]
         last = list(last)
         return super_power_table(gens, order + 1 - n, last), last
-    return _grown(kept, order, partial(sym_total_dim, model), [1] * len(exps),
-                  step, width)
+    return grow(kept, order, partial(sym_total_dim, model), [1] * len(exps),
+                step, width)
 
 
 @_cached_table
@@ -162,7 +134,7 @@ def _newton_table(model, order, kept):
                 raise IdentityFailed("Newton's identity fails at m = %d" % m)
             packed.append(h)
         return packed, packed
-    return _grown(kept, order, partial(sym_total_dim, model), [1], step)
+    return grow(kept, order, partial(sym_total_dim, model), [1], step)
 
 
 def stratum_poincare(model, a):
@@ -214,8 +186,8 @@ def _strata_table(model, order, kept, sym, width=None):
         return _strata_sums(lambda a: pack(sym[a], bits, width), order,
                             digit_offset((1, 1) if width else (2,), bits,
                                          width), state)
-    return _grown(kept, order, equivariant_k_table(model, order).__getitem__,
-                  [[], [[1]]], step, width)
+    return grow(kept, order, equivariant_k_table(model, order).__getitem__,
+                [[], [[1]]], step, width)
 
 
 @_cached_table
@@ -330,8 +302,8 @@ def _hodge_width(model, order):
 
 @_cached_table
 def hodge_sym_table(model, order, kept):
-    """The list [hodge_sym(model, m) for m in 0..order], from one pass."""
-    return _sym_table(model, order, None, _hodge_width(model, order))[0], None
+    """The list [hodge_sym(model, m) for m in 0..order], grown in x, y."""
+    return _sym_table(model, order, kept, _hodge_width(model, order))
 
 
 def hodge_sym(model, m):
@@ -358,7 +330,7 @@ def hilbert_hodge_table(model, order, kept):
     """
     hodge = Counter(model.class_bidegrees)
     diagonal = all(p == q for p, q in hodge)
-    rows, state = _grown_product([
+    rows, state = product_table([
         FactorFamily(1 if (p + q) % 2 else -1, h,
                      ((0, 0) if diagonal else (1, p - 1), (1, q - 1)))
         for (p, q), h in hodge.items()],
@@ -374,5 +346,5 @@ def hilbert_hodge_table(model, order, kept):
 @_cached_table
 def strata_hodge_table(model, order, kept):
     """hilbert_hodge_table as the sum of hodge_sym strata times (xy)^drop."""
-    return _strata_table(model, order, None, hodge_sym_table(model, order),
-                         _hodge_width(model, order))[0], None
+    return _strata_table(model, order, kept, hodge_sym_table(model, order),
+                         _hodge_width(model, order))

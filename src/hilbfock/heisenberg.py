@@ -36,7 +36,7 @@ from bisect import bisect_left
 from operator import index
 
 from ._base import Frozen, exact
-from .series import QTSeries, checked_rows, digit_offset, super_power_table
+from .series import QTSeries, digit_offset, grow, super_power_table
 from .surfaces import DELTA, MissingHodgeData
 
 
@@ -351,9 +351,9 @@ def graded_character(model, order):
     sums over exactly the admissible monomials without listing them: one
     pass with plain counts sizes the digits of one packed pass.
     """
-    return QTSeries(order,
-                    checked_rows(lambda bits: _level_table(model, order, bits),
-                                 _level_table(model, order)))
+    return QTSeries(order, grow(
+        None, order, _level_table(model, order).__getitem__, [],
+        lambda bits, state, n: (_level_table(model, order, bits), state))[0])
 
 
 def level_dim(model, n):

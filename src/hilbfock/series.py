@@ -13,7 +13,8 @@ Infinite products of the shape prod_{m>=1} (1 +- t^(c*m+d) q^m)^(+-w) are
 expanded row by row from their logarithmic derivative, each row from the
 rows below it; factors with m > N cannot touch coefficients up to q^N, so
 the product is finite.  Its coefficient sums come in closed form from the
-logarithmic derivative of prod_m (1 - q^m)^(-a) (1 + q^m)^b.
+logarithmic derivative of prod_m (1 - q^m)^(-a) (1 + q^m)^b.  product_table
+keeps the packed rows to grow from; product_expand returns a QTSeries.
 
 Dimension counts and the product are stepped on one packed int per q-power
 (Kronecker substitution), in a layout only this module knows: digit_offset
@@ -24,8 +25,10 @@ total that bounds every coefficient, width exceeds every y-exponent the
 table reaches, and unpack raises IdentityFailed unless the digits sum to
 that total.  Evaluation at 2^bits is a ring map, so a signed sum, as in a
 division step, is exactly its polynomial's value, and a finished row, with
-digits in [0, 2^bits), unpacks without carry.  A kept state is re-spaced
-(respace) for wider digits, re-laid (relay) for a wider width.  Rational
+digits in [0, 2^bits), unpacks without carry.  Every packed table grows
+through grow, which owns the protocol: the totals of the new rows size the
+digits, the kept state is re-laid for a wider width and re-spaced for wider
+digits (respace), and each new row is unpacked against its total.  Rational
 data is never packed.  The graded super-symmetric powers (symmetric
 products, their Hodge refinement, the Fock character, level dimensions)
 come from one stepping kernel, super_power_table: a generator at offset k
@@ -378,53 +381,59 @@ class FactorFamily(Frozen):
         return QTSeries(order, coeffs, nvars)
 
 
-def product_expand(families, order, nvars=None, packed=None):
+def product_expand(families, order, nvars=None):
     """
     Expand prod_{m>=1} prod_{f in families} f(m) exactly to the given order,
-    a QTSeries (the empty product is 1), or from packed = (bits, width, rows),
-    packed rows 0..n-1 of it, to the packed rows 0..order.  By q d/dq log,
-    n F_n sums H_j T_j(n) over j and the slopes c: for U of exponents c,
-    u_f(m) = U^(m-1) u_f(1), H_j = sum_f e w_f u_f(1)^j (e = 1 if f divides,
-    else (-1)^(j+1)) and T_j(n) = sum_(m>=1) m U^((m-1)j) F_(n-mj).
+    a QTSeries (the empty product is 1), from product_table.
     """
     families = list(families)
     if nvars is None:
         nvars = families[0].nvars if families else 1
     if any(f.nvars != nvars for f in families):
         raise ValueError("families in different variables")
-    if packed is None:
-        # at q^k the y-exponent j(c m + d) is at most k (c + max(d, 0))
-        width = None if nvars == 1 else order * max(
-            (c + max(d, 0) for f in families for c, d in f.exps[1:]),
-            default=0) + 1
-        return QTSeries(order, checked_rows(
-            lambda bits: product_expand(families, order, nvars,
-                                        (bits, width, [1])),
-            _product_totals(families, order), width), nvars)
-    bits, width, rows = packed
-    slopes = {}  # offset of U: the (sign, weight, offset of u_f(1)) of its
-    for f in families:  # families, u_f(1) being U times the monomial of d
-        c, d = (digit_offset(e, bits, width) for e in zip(*f.exps))
-        slopes.setdefault(c, []).append((f.sign, f.weight, c + d))
-    # (j, offset of U^j, the (coefficient, offset) terms of H_j)
-    terms = [(j, c * j, [(w if sign < 0 or j % 2 else -w, e * j)
-                         for sign, w, e in fs if w])
-             for c, fs in slopes.items() for j in range(1, order + 1)]
-    rows = list(rows)
-    for n in range(len(rows), order + 1):
-        acc = 0
-        for j, s, h in terms:
-            if j <= n:
-                t = rows[n - j]
-                for m in range(2, n // j + 1):
-                    t += m * rows[n - m * j] << s * (m - 1)
-                for c, e in h:
-                    acc += (t if c == 1 else c * t) << e
-        row, r = divmod(acc, n)
-        if r or row < 0:
-            raise IdentityFailed("product log-derivative fails at q^%d" % n)
-        rows.append(row)
-    return rows
+    # at q^k the y-exponent j(c m + d) is at most k (c + max(d, 0))
+    width = None if nvars == 1 else order * max(
+        (c + max(d, 0) for f in families for c, d in f.exps[1:]),
+        default=0) + 1
+    return QTSeries(order, product_table(families, order, width=width)[0],
+                    nvars)
+
+
+def product_table(families, order, kept=None, width=None):
+    """
+    The rows 0..order of the product and its state, the packed rows, grown
+    from kept (see grow); width packs x, y.  By q d/dq log, n F_n sums
+    H_j T_j(n) over j and the slopes c: for U of exponents c, u_f(m) =
+    U^(m-1) u_f(1), H_j = sum_f e w_f u_f(1)^j (e = 1 if f divides, else
+    (-1)^(j+1)) and T_j(n) = sum_(m>=1) m U^((m-1)j) F_(n-mj).
+    """
+    def step(bits, rows, start):
+        slopes = {}  # offset of U: the (sign, weight, offset of u_f(1)) of
+        for f in families:  # its families, u_f(1) being U times that of d
+            c, d = (digit_offset(e, bits, width) for e in zip(*f.exps))
+            slopes.setdefault(c, []).append((f.sign, f.weight, c + d))
+        # (j, offset of U^j, the (coefficient, offset) terms of H_j)
+        terms = [(j, c * j, [(w if sign < 0 or j % 2 else -w, e * j)
+                             for sign, w, e in fs if w])
+                 for c, fs in slopes.items() for j in range(1, order + 1)]
+        rows = list(rows)
+        for n in range(start, order + 1):
+            acc = 0
+            for j, s, h in terms:
+                if j <= n:
+                    t = rows[n - j]
+                    for m in range(2, n // j + 1):
+                        t += m * rows[n - m * j] << s * (m - 1)
+                    for c, e in h:
+                        acc += (t if c == 1 else c * t) << e
+            row, r = divmod(acc, n)
+            if r or row < 0:
+                raise IdentityFailed("product log-derivative fails at q^%d"
+                                     % n)
+            rows.append(row)
+        return rows, rows
+    return grow(kept, order, _product_totals(families, order).__getitem__,
+                [1], step, width)
 
 
 def _product_totals(families, order):
@@ -505,19 +514,25 @@ def respace(state, bits, wider):
             for k in range(0, len(raw), len(raw) // len(state))]
 
 
-def relay(state, bits, width, wider):
-    """respace in x, y: each x-block of width digits moved to wider digits."""
-    return respace(state, bits * width, bits * wider) if width else state
-
-
-def checked_rows(expand, totals, width=None, bits=8, first=0):
+def grow(kept, order, total, start, step, width=None):
     """
-    Rows first, .. of a packed pass expand(bits), unpacked: the exact sums
-    of the rows (totals) size the digits, at least bits, and check them.
+    A packed table at order, (rows, (bits, width, state)), grown from kept
+    or from row 0 and state start.  The exact totals total(n) of the new
+    rows size the digits, never narrower than kept; the kept state is
+    re-laid for a wider width and re-spaced for wider digits, and
+    step(bits, state, n) gives packed rows ending in rows n..order and the
+    new state.  Each new row is unpacked against its own total.
     """
-    bits = max(bits, digit_bits(max(totals, default=0)))
-    return [unpack(v, bits, t, width, n)
-            for n, (v, t) in enumerate(zip(expand(bits), totals), first)]
+    rows, (bits, was, state) = kept or ([CoeffPoly.one(2 if width else 1)],
+                                        (8, width, start))
+    n = len(rows)
+    totals = [total(m) for m in range(n, order + 1)]
+    wider = max(bits, digit_bits(max(totals, default=0)))
+    if width:  # each x-block of was digits moved to width digits
+        state = respace(state, bits * was, bits * width)
+    packed, state = step(wider, respace(state, bits, wider), n)
+    return rows + [unpack(v, wider, t, width, m) for m, (v, t) in enumerate(
+        zip(packed[n - order - 1:], totals), n)], (wider, width, state)
 
 
 _WORD = {2: "H", 4: "I", 8: "Q"}  # native formats by byte size

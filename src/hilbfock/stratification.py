@@ -14,7 +14,7 @@ regrouping walks the census of n, one stratum product per signature.
 from collections import Counter
 
 from ._base import Frozen
-from .partitions import partition_census, partitions_of, splitting_drops
+from .partitions import Partition, partition_census, splitting_drops
 
 
 class StalkTable(Frozen):
@@ -43,14 +43,32 @@ class StalkTable(Frozen):
 def support_strata(n, h):
     """
     The strata supporting the direct image in degree 2h: all partitions of
-    n with length at most n - h.  Empty when h >= n.  Odd degrees have no
-    table at all: the odd direct images vanish.
+    n with length at most n - h, in the order of partitions_of(n), their
+    list claimed from its count before any row.  Empty when h >= n.  Odd
+    degrees have no table at all: the odd direct images vanish.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if h < 0:
         raise ValueError("h must be non-negative")
-    return [a for a in partitions_of(n) if a.length <= n - h]
+    most = n - h
+    if most < 1:
+        return []
+    count = [1] + [0] * n  # partitions of k into parts of size <= j
+    for j in range(1, most + 1):
+        for k in range(j, n + 1):
+            count[k] += count[k - j]
+    [None] * count[n]  # claimed first: a list memory cannot hold fails now
+
+    def parts(k, top, slots):  # of k, each part <= top, at most slots parts
+        if not k:
+            yield ()
+        # down to ceil(k / slots): a smaller first part leaves too much
+        for first in range(min(k, top), k and (k - 1) // slots, -1):
+            for rest in parts(k - first, first, slots - 1):
+                yield (first,) + rest
+
+    return [Partition(nu) for nu in parts(n, n, most)]
 
 
 def stalk_table(nu):

@@ -10,9 +10,9 @@ from hilbfock.partitions import Partition, partitions_of
 from hilbfock.adhm import (MatrixTriple, NotCommuting, NotInBidisk,
                            SupportCycle, ZeroScalar, from_monomial_ideal,
                            in_bidisk, is_commuting, is_stable, read_triple,
-                           retract, staircase_cells, staircase_weight_matrix,
-                           support_cycle, torus_scale, trace_invariant,
-                           trace_table, write_triple)
+                           retract, staircase_cells, support_cycle,
+                           torus_scale, trace_invariant, trace_table,
+                           write_triple)
 from hilbfock.linalg import (GaussianRational, IdentityFailed,
                              SpectrumNotSplit, char_poly,
                              gaussian_integer_divisors,
@@ -462,8 +462,11 @@ def test_torus_action():
         torus_scale(G(0), G(1), tr)
     l1, l2 = G(2), G(0, 1)
     scaled = torus_scale(l1, l2, tr)
-    # fixed point: scaling is conjugation by the staircase weight matrix
-    g = staircase_weight_matrix(Partition((2, 1)), l1, l2)
+    # fixed point: scaling is conjugation by the diagonal matrix of torus
+    # weights l1^x l2^y over the staircase cells (x, y)
+    cells = staircase_cells(Partition((2, 1)))
+    g = [[_pow(l1, x) * _pow(l2, y) if i == j else G(0) for j in range(
+        len(cells))] for i, (x, y) in enumerate(cells)]
     conj = tr.conjugate_by(g)
     assert conj.a == scaled.a and conj.b == scaled.b
     # invariants scale by l1^k l2^l

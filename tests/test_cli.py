@@ -249,6 +249,26 @@ def test_a_size_no_memory_can_hold_fails_at_once(args):
     assert proc.stderr == "error: out of memory: %s is too large\n" % args[-1]
 
 
+def limit_child_memory():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("h, code, out, err", [
+    (150, 2, "", "error: out of memory: --n is too large\n"),
+    (199, 0, "partition\n(200)\n", ""),
+])
+def test_strata_claims_only_the_rows_it_lists(h, code, out, err):
+    # 200 has about 4e12 partitions, listed in full before the filter once,
+    # until the child's 1 GiB ran out; those with at most 200 - h parts are
+    # now counted and claimed first, and no other partition is listed
+    proc = subprocess.run(
+        [sys.executable, "-m", "hilbfock", "strata", "--n", "200", "--h",
+         str(h)], capture_output=True, text=True, timeout=5,
+        preexec_fn=limit_child_memory)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
 def test_output_deterministic(tmp_path, capsys):
     f1 = tmp_path / "a.tsv"
     f2 = tmp_path / "b.tsv"

@@ -410,7 +410,7 @@ def test_table_rows_match_per_n_reader(monkeypatch, table, reader, key):
 def count_builds(monkeypatch):
     """Empty the table cache and record every kernel run that builds a table."""
     calls = []
-    for name in ("super_power_table", "_strata_sums", "product_expand"):
+    for name in ("super_power_table", "_strata_sums", "product_table"):
         def counting(*args, _real=getattr(goettsche, name), _name=name,
                      **kwargs):
             calls.append(_name)
@@ -523,13 +523,13 @@ def test_the_only_lru_cache_is_on_sym_total_dim():
 def test_hodge_request_expands_one_product(monkeypatch, capsys):
     orders = count_stepping_tables(monkeypatch)
     expanded = []
-    real = goettsche.product_expand
+    real = goettsche.product_table
 
-    def counting(families, order, nvars=None, packed=None):
+    def counting(families, order, kept=None, width=None):
         expanded.append(order)
-        return real(families, order, nvars, packed)
+        return real(families, order, kept, width)
 
-    monkeypatch.setattr(goettsche, "product_expand", counting)
+    monkeypatch.setattr(goettsche, "product_table", counting)
     assert main(["hodge", "--surface", "k3", "--order", "10"]) == 0
     assert (orders, expanded) == ([], [10])
     assert len(capsys.readouterr().out.splitlines()) == 12
@@ -553,11 +553,12 @@ def test_strata_sums_share_one_table_per_model(monkeypatch):
         assert [hilbert_poincare_from_strata(model, n) for n in range(8)] == [
             hilbert_poincare_series(model, 7).coeff(n) for n in range(8)]
     assert orders == [7, 7, 7, 7]
-    # a longer order rebuilds once; shorter ones then read the longer table
+    # a longer order grows by its new rows; shorter ones then read the
+    # longer table
     assert hodge_sym(P2, 9) == oracle_hodge_sym(P2, 9)
     assert strata_hodge_table(P2, 7) == [hilbert_hodge(P2, n)
                                          for n in range(8)]
-    assert orders == [7, 7, 7, 7, 9]
+    assert orders == [7, 7, 7, 7, 2]
 
 
 # oracles: the per-n partition walks that the convolution over part sizes

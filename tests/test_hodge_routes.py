@@ -45,7 +45,7 @@ def test_the_routes_share_no_code(monkeypatch, reset_caches, model):
             m.setattr(goettsche, name, shared)
         assert hilbert_hodge_table(model, 8) == want
     reset_caches()
-    monkeypatch.setattr(goettsche, "product_expand", shared)
+    monkeypatch.setattr(goettsche, "product_table", shared)
     assert strata_hodge_table(model, 8) == want
 
 

@@ -1,10 +1,12 @@
 """
 The packed layout belongs to series alone: no other module turns a digit
-width into a bit offset.  The split-row form of the matrix kernels belongs
-to linalg alone: no other module imports or reads a _-prefixed linalg name.  The raw factor-tuple
-keys of a FockState belong to heisenberg alone: no other module reads the
-_terms field or calls FockMonomial._make.  Every module-level cache is
-listed here, so a new one cannot be added without this file knowing.
+width into a bit offset.  So does the growth protocol: no other module
+sizes, re-spaces or unpacks packed digits itself.  The split-row form of
+the matrix kernels belongs to linalg alone: no other module imports or
+reads a _-prefixed linalg name.  The raw factor-tuple keys of a FockState
+belong to heisenberg alone: no other module reads the _terms field or
+calls FockMonomial._make.  Every module-level cache is listed here, so a
+new one cannot be added without this file knowing.
 """
 
 import ast
@@ -57,6 +59,43 @@ def test_no_module_but_series_lays_out_packed_digits():
     found = {path.name: uses
              for path in sorted(SRC.glob("*.py")) if path.name != "series.py"
              if (uses := layout_arithmetic(ast.parse(path.read_text())))}
+    assert found == {}
+
+
+PROTOCOL = {"respace", "unpack", "digit_bits"}
+
+
+def protocol_uses(tree):
+    """(line, name) of every import or read of a name in PROTOCOL."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            out.update((node.lineno, alias.name) for alias in node.names
+                       if alias.name in PROTOCOL)
+        elif isinstance(node, ast.Name) and node.id in PROTOCOL:
+            out.add((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in PROTOCOL:
+            out.add((node.lineno, node.attr))
+    return sorted(out)
+
+
+def test_the_protocol_detector_sees_each_kind_of_use():
+    code = ("from .series import grow, respace\n"
+            "from hilbfock.series import unpack as read\n"
+            "state = respace(state, 8, 16)\n"
+            "bits = series.digit_bits(total)\n"
+            "f = unpack\n"
+            "rows, state = grow(kept, order, total, [1], step)\n"
+            "unpacked = pack(poly, bits)\n")
+    assert protocol_uses(ast.parse(code)) == [
+        (1, "respace"), (2, "unpack"), (3, "respace"), (4, "digit_bits"),
+        (5, "unpack")]
+
+
+def test_no_module_but_series_runs_the_growth_protocol():
+    found = {path.name: uses
+             for path in sorted(SRC.glob("*.py")) if path.name != "series.py"
+             if (uses := protocol_uses(ast.parse(path.read_text())))}
     assert found == {}
 
 

@@ -129,7 +129,7 @@ def test_leray_walk_shares_no_code_with_the_convolution(monkeypatch,
                                                         reset_caches):
     lhs = {s: goettsche.strata_poincare_table(s, 10)
            for s in selfcheck.ALL_PRESETS}
-    for name in ("_strata_sums", "general_binomial", "product_expand"):
+    for name in ("_strata_sums", "general_binomial", "product_table"):
         monkeypatch.setattr(goettsche, name, refuse)
     assert selfcheck.check_leray(10) == (True, "5 presets, n <= 10")
     assert all(goettsche.strata_poincare_table(s, 10) == rows

@@ -321,7 +321,7 @@ def test_product_and_character_routes_step_apart(monkeypatch):
     assert product == factor_chain(families, 8, 1)
     monkeypatch.setattr(goettsche, "_TABLES", {})
     for module in (series, goettsche):
-        monkeypatch.setattr(module, "product_expand", crossed)
+        monkeypatch.setattr(module, "product_table", crossed)
     assert heisenberg.graded_character(K3, 8) == product
 
 

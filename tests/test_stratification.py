@@ -25,6 +25,14 @@ def test_support_strata_examples():
         assert support_strata(n, n + 3) == []
 
 
+def test_support_strata_lists_the_filtered_partitions_in_order():
+    # the listing walks only the partitions it keeps; the oracle filters all
+    for n in range(1, 17):
+        for h in range(n + 2):
+            assert support_strata(n, h) == [
+                a for a in partitions_of(n) if a.length <= n - h]
+
+
 def test_support_strata_monotone():
     for n in range(1, 9):
         for h in range(n):

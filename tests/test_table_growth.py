@@ -14,19 +14,20 @@ from copy import deepcopy
 
 import pytest
 
-from hilbfock import goettsche
+from hilbfock import goettsche, series
 from hilbfock._base import IdentityFailed
 from hilbfock.goettsche import (equivariant_k_dim, equivariant_k_table,
                                 hilbert_euler, hilbert_euler_table,
                                 hilbert_hodge, hilbert_hodge_table,
                                 hilbert_poincare_from_strata,
-                                hilbert_poincare_series,
+                                hilbert_poincare_series, hodge_sym,
+                                hodge_sym_table, strata_hodge_table,
                                 strata_poincare_table, sym_poincare,
                                 sym_poincare_product, sym_poincare_table)
 from hilbfock.selfcheck import (ALL_PRESETS, EULER_RANGE, HODGE_PRESETS,
                                 check_goettsche)
 from hilbfock.series import FactorFamily
-from hilbfock.surfaces import K3, P2
+from hilbfock.surfaces import ABELIAN, K3, P2
 
 
 def newton_rows(model, order):
@@ -58,7 +59,7 @@ def row_steps(monkeypatch, reset_caches):
     """
     steps = Counter()
     strata, stepping = goettsche._strata_sums, goettsche.super_power_table
-    product = goettsche.product_expand
+    product = goettsche.product_table
 
     def counted_strata(term, order, *rest):  # rest: shift, state
         state = rest[1] if len(rest) > 1 else None
@@ -66,7 +67,7 @@ def row_steps(monkeypatch, reset_caches):
         steps.update(("strata", n) for n in range(start, order + 1))
         return strata(term, order, *rest)
 
-    def counted_stepping(gens, order, *rest):  # rest: one, zero, last
+    def counted_stepping(gens, order, *rest):  # rest: last
         steps["stepping"] += order
         return stepping(gens, order, *rest)
 
@@ -74,13 +75,13 @@ def row_steps(monkeypatch, reset_caches):
         steps["newton", n] += 1
         return divmod(acc, n)
 
-    def counted_product(families, order, nvars=None, packed=None):
-        start = len(packed[2]) if packed else 1  # row 0 is the constant 1
+    def counted_product(families, order, kept=None, width=None):
+        start = len(kept[0]) if kept else 1  # row 0 is the constant 1
         steps.update(("product", n) for n in range(start, order + 1))
-        return product(families, order, nvars, packed)
+        return product(families, order, kept, width)
 
     monkeypatch.setattr(goettsche, "_strata_sums", counted_strata)
-    monkeypatch.setattr(goettsche, "product_expand", counted_product)
+    monkeypatch.setattr(goettsche, "product_table", counted_product)
     monkeypatch.setattr(goettsche, "super_power_table", counted_stepping)
     # the module-level name shadows the builtin inside goettsche
     monkeypatch.setattr(goettsche, "divmod", counted_divmod, raising=False)
@@ -153,13 +154,13 @@ def test_an_euler_walk_convolves_each_row_once(row_steps):
 def test_grown_rows_equal_one_shot_rows(monkeypatch, reset_caches, model,
                                         table, reader):
     widened = []
-    respace = goettsche.respace
+    respace = series.respace
 
     def counted(state, bits, wider):
         widened.append(wider > bits)
         return respace(state, bits, wider)
 
-    monkeypatch.setattr(goettsche, "respace", counted)
+    monkeypatch.setattr(series, "respace", counted)
     walk = [reader(model, n) for n in range(41)]
     reset_caches()
     assert walk == list(table(model, 40))
@@ -178,6 +179,40 @@ def test_grown_hodge_rows_equal_one_shot_rows(reset_caches, model):
     reset_caches()
     assert walk == hilbert_hodge_table(model, 16)
     # the kept rows were re-laid at every growth, since the y-width grows
+    # with the order, and re-spaced at least once, as the totals grow
+    bits, widths = zip(*packings)
+    assert widths == tuple(sorted(set(widths))) and len(set(bits)) >= 2
+
+
+def test_a_hodge_sym_walk_steps_each_row_once(row_steps):
+    walk = [hodge_sym(K3, m) for m in range(21)]
+    assert row_steps == Counter({"stepping": 20})
+    assert walk == hodge_sym_table(K3, 20)
+
+
+def test_a_strata_hodge_walk_convolves_each_row_once(row_steps):
+    # the Hodge strata table and the K table of its totals grow side by
+    # side, over the bigraded sym table
+    walk = [strata_hodge_table(K3, n)[n] for n in range(17)]
+    assert row_steps == rows_once("strata", 0, 16, 2) + Counter(
+        {"stepping": 16})
+    assert walk == strata_hodge_table(K3, 16)
+
+
+@pytest.mark.parametrize("table, top", [(hodge_sym_table, 20),
+                                        (strata_hodge_table, 16)],
+                         ids=["hodge_sym", "strata_hodge"])
+@pytest.mark.parametrize("model", (K3, ABELIAN), ids=lambda m: m.name)
+def test_grown_second_route_rows_equal_one_shot_rows(reset_caches, model,
+                                                     table, top):
+    walk, packings = [], []
+    for n in range(top + 1):
+        walk.append(table(model, n)[n])
+        bits, width, _ = kept(table, model)[1]
+        packings.append((bits, width))
+    reset_caches()
+    assert walk == table(model, top)
+    # the kept state was re-laid at every growth, since the y-width grows
     # with the order, and re-spaced at least once, as the totals grow
     bits, widths = zip(*packings)
     assert widths == tuple(sorted(set(widths))) and len(set(bits)) >= 2
@@ -208,7 +243,9 @@ def test_a_corrupted_total_fails_its_row_and_keeps_the_table(
     walk = [reader(K3, n) for n in range(7)]
     before = kept(table, K3)
     snapshot = list(before[0]), deepcopy(before[1])
-    real = getattr(goettsche, patched)
+    # the product totals are read inside series.product_table
+    module = series if patched == "_product_totals" else goettsche
+    real = getattr(module, patched)
 
     def corrupted(model, n):
         if patched == "sym_total_dim":
@@ -217,7 +254,7 @@ def test_a_corrupted_total_fails_its_row_and_keeps_the_table(
         return rows[:7] + [rows[7] + 1] + rows[8:] if n >= 7 else rows
 
     with monkeypatch.context() as m:
-        m.setattr(goettsche, patched, corrupted)
+        m.setattr(module, patched, corrupted)
         with pytest.raises(IdentityFailed, match="in row 7$"):
             reader(K3, 7)
         # the kept table is the same value, unchanged: no row of the failed
