@@ -18,10 +18,10 @@ from types import MappingProxyType
 from ._base import Frozen
 from .linalg import (GaussianRational, IdentityFailed, SpectrumNotSplit,
                      ZERO, affine_rows, char_poly_rows,
-                     gaussian_rational_roots, invert, join_rows, mat_mul,
-                     mat_pow, mat_vec, matrix, mul_rows, parse_rows,
-                     pow_rows, power_traces, restrict_rows, scalar_to_str,
-                     span_dim_rows, split_rows)
+                     gaussian_rational_roots, invert, join_rows, matrix,
+                     mul_rows, parse_rows, pow_rows, power_traces,
+                     restrict_rows, scalar_to_str, span_dim_rows, split_rows,
+                     trace_rows)
 
 
 class NotCommuting(ValueError):
@@ -42,7 +42,8 @@ class MatrixTriple(Frozen):
     GaussianRational, int or Fraction entries.  The checks run on `cols`,
     (A^T, B^T, v) split once (linalg): A w is the row product w A^T, and
     the transposes have the traces, characteristic polynomials and joint
-    spectrum of A and B.  `commuting` is whether AB = BA.
+    spectrum of A and B.  `commuting` is whether AB = BA; the grids `a`,
+    `b` and `v` are built anew on each read.
     """
 
     __slots__ = ("n", "cols", "commuting")
@@ -75,11 +76,12 @@ class MatrixTriple(Frozen):
         return "MatrixTriple(n=%d)" % self.n
 
     def conjugate_by(self, g):
-        """G (A, B, v) G^-1 with the vector transformed as G v."""
-        gi = invert(g)
-        return MatrixTriple(mat_mul(mat_mul(g, self.a), gi),
-                            mat_mul(mat_mul(g, self.b), gi),
-                            mat_vec(g, self.v))
+        """G (A, B, v) G^-1, v as G v: on cols, G^-T A^T G^T and v G^T."""
+        if len(g) != self.n or any(len(row) != self.n for row in g):
+            raise ValueError("conjugator must be %d x %d" % (self.n, self.n))
+        gt, git = (split_rows(zip(*m)) for m in (g, invert(g)))
+        a, b = (mul_rows(mul_rows(git, m), gt) for m in self.cols[:2])
+        return MatrixTriple.of_cols(a, b, mul_rows(self.cols[2:], gt)[0])
 
 
 class SupportCycle(Frozen):
@@ -124,11 +126,11 @@ def is_stable(tr):
 
 
 def trace_invariant(tr, k, l):
-    """The conjugation invariant Tr(A^k B^l), by plain matrix products."""
+    """The conjugation invariant Tr(A^k B^l) = Tr((A^T)^k (B^T)^l)."""
     if k < 0 or l < 0:
         raise ValueError("exponents must be non-negative")
-    m = mat_mul(mat_pow(tr.a, k), mat_pow(tr.b, l))
-    return sum((m[i][i] for i in range(tr.n)), ZERO)
+    a, b, _ = tr.cols
+    return trace_rows(mul_rows(pow_rows(a, k), pow_rows(b, l)))
 
 
 def trace_table(tr, max_total):

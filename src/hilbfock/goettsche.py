@@ -18,9 +18,9 @@ The stratum sums (Poincare, Hodge, K-theory) and the Euler product are one
 convolution over part sizes, on packed polynomials or on integers.  The
 literal partition walks stay apart: stratum_product for the regrouping
 check of stratification, selfcheck's route to the orbifold Euler numbers.
-Packed rows, laid out by series from exponents, grow through series.grow,
-which sizes, re-lays, re-spaces and checks them against independent totals;
-Newton rows are checked by remainders too.
+Packed rows grow through series.grow from exponents, independent totals
+and, in x, y, a y-slope; series alone sizes, lays out, re-spaces and
+checks their digits.  Newton rows are checked by remainders too.
 
 Every table is cached per surface or Euler number, at the longest order
 asked so far.  Each keeps the state its kernel goes on from, so a per-n
@@ -32,8 +32,8 @@ from functools import lru_cache, partial, wraps
 from math import comb, prod
 
 from ._base import IdentityFailed
-from .series import (CoeffPoly, FactorFamily, QTSeries, digit_offset, grow,
-                     pack, product_table, super_power_table)
+from .series import (CoeffPoly, FactorFamily, QTSeries, grow, pack,
+                     product_table, super_power_table)
 
 
 def goettsche_families(model):
@@ -77,16 +77,16 @@ def hilbert_poincare_series(model, order):
     return QTSeries(order, _product_table(model, order))
 
 
-def _sym_table(model, order, kept, width=None):
+def _sym_table(model, order, kept, slope=None):
     """The stepping kernel, keeping a row per class; sym_total_dim totals."""
-    exps = model.class_bidegrees if width else list(zip(model.ordinary_degrees))
-    def step(bits, last, n):
-        gens = [(digit_offset(e, bits, width), 1, odd)
+    exps = model.class_bidegrees if slope else list(zip(model.ordinary_degrees))
+    def step(offset, last, n):
+        gens = [(offset(e), 1, odd)
                 for e, odd in zip(exps, model.ordinary_parities)]
         last = list(last)
         return super_power_table(gens, order + 1 - n, last), last
     return grow(kept, order, partial(sym_total_dim, model), [1] * len(exps),
-                step, width)
+                step, slope)
 
 
 @_cached_table
@@ -122,8 +122,8 @@ def sym_poincare_product(model, m):
 @_cached_table
 def _newton_table(model, order, kept):
     b = model.betti
-    def step(bits, packed, n):
-        p = [[(s ** d * c, digit_offset((d,), bits)) for d, c in enumerate(b)
+    def step(offset, packed, n):
+        p = [[(s ** d * c, offset((d,))) for d, c in enumerate(b)
               if c] for s in (-1, 1)]  # P_i's (coeff, offset / i), i even, odd
         packed = list(packed)
         for m in range(n, order + 1):
@@ -180,14 +180,13 @@ def _strata_sums(term, order, shift=0, state=None):
     return [col[n] for n, col in enumerate(parts)], [f, parts]
 
 
-def _strata_table(model, order, kept, sym, width=None):
+def _strata_table(model, order, kept, sym, slope=None):
     """Strata sums of a sym table times t^(2 drop) or (xy)^drop; K totals."""
-    def step(bits, state, n):
-        return _strata_sums(lambda a: pack(sym[a], bits, width), order,
-                            digit_offset((1, 1) if width else (2,), bits,
-                                         width), state)
+    def step(offset, state, n):
+        return _strata_sums(lambda a: pack(sym[a], offset), order,
+                            offset((1, 1) if slope else (2,)), state)
     return grow(kept, order, equivariant_k_table(model, order).__getitem__,
-                [[], [[1]]], step, width)
+                [[], [[1]]], step, slope)
 
 
 @_cached_table
@@ -295,15 +294,15 @@ def equivariant_k_table(model, order, kept):
                         kept and kept[1])
 
 
-def _hodge_width(model, order):
-    """Above every y-exponent of a Hodge table to order: n * max(1, q)."""
-    return order * max([1] + [q for _, q in model.class_bidegrees]) + 1
+def _hodge_slope(model):
+    """The largest y-exponent per power of q of a Hodge table: max(1, q)."""
+    return max([1] + [q for _, q in model.class_bidegrees])
 
 
 @_cached_table
 def hodge_sym_table(model, order, kept):
     """The list [hodge_sym(model, m) for m in 0..order], grown in x, y."""
-    return _sym_table(model, order, kept, _hodge_width(model, order))
+    return _sym_table(model, order, kept, _hodge_slope(model))
 
 
 def hodge_sym(model, m):
@@ -324,27 +323,17 @@ def hilbert_hodge_table(model, order, kept):
     """
     [hilbert_hodge(model, n) for n in 0..order] from the Goettsche-Soergel
     product prod_m prod_(p,q) (1 - (-1)^(p+q) x^(p+m-1) y^(q+m-1) q^m)
-    ^(-(-1)^(p+q) h^(p,q)), h^(p,q) counted from class_bidegrees.  With
-    only h^(p,p) it is a product in w = xy: expanded at x = 1, its packed
-    rows are as short as in one variable, and y^k is read back as x^k y^k.
+    ^(-(-1)^(p+q) h^(p,q)), h^(p,q) counted from class_bidegrees (with
+    only h^(p,p), series packs it in w = xy).
     """
-    hodge = Counter(model.class_bidegrees)
-    diagonal = all(p == q for p, q in hodge)
-    rows, state = product_table([
-        FactorFamily(1 if (p + q) % 2 else -1, h,
-                     ((0, 0) if diagonal else (1, p - 1), (1, q - 1)))
-        for (p, q), h in hodge.items()],
-        order, kept, _hodge_width(model, order))
-    if diagonal:
-        n = len(kept[0]) if kept else 0
-        rows[n:] = [CoeffPoly._make(
-            {(k, k): c for (_, k), c in row.terms.items()}, 2)
-            for row in rows[n:]]
-    return rows, state
+    return product_table([
+        FactorFamily(1 if (p + q) % 2 else -1, h, ((1, p - 1), (1, q - 1)))
+        for (p, q), h in Counter(model.class_bidegrees).items()],
+        order, kept, nvars=2)
 
 
 @_cached_table
 def strata_hodge_table(model, order, kept):
     """hilbert_hodge_table as the sum of hodge_sym strata times (xy)^drop."""
     return _strata_table(model, order, kept, hodge_sym_table(model, order),
-                         _hodge_width(model, order))
+                         _hodge_slope(model))

@@ -36,7 +36,7 @@ from bisect import bisect_left
 from operator import index
 
 from ._base import Frozen, exact
-from .series import QTSeries, digit_offset, grow, super_power_table
+from .series import QTSeries, grow, super_power_table
 from .surfaces import DELTA, MissingHodgeData
 
 
@@ -336,9 +336,9 @@ def degree_of(state, model, hodge=False):
     return MIXED if len(degs) > 1 else next(iter(degs), None)
 
 
-def _level_table(model, order, bits=0):
-    """One stepping pass, t^degree packed at bits per digit (0: counts)."""
-    gens = ((digit_offset((d + 2 * (mode - 1),), bits), mode, d % 2)
+def _level_table(model, order, offset=lambda exps: 0):
+    """One stepping pass, t^degree at offset((degree,)) (all 0: counts)."""
+    gens = ((offset((d + 2 * (mode - 1),)), mode, d % 2)
             for mode in range(1, order + 1) for d in model.ordinary_degrees)
     return super_power_table(gens, order)
 
@@ -353,7 +353,7 @@ def graded_character(model, order):
     """
     return QTSeries(order, grow(
         None, order, _level_table(model, order).__getitem__, [],
-        lambda bits, state, n: (_level_table(model, order, bits), state))[0])
+        lambda offset, *_: (_level_table(model, order, offset), []))[0])
 
 
 def level_dim(model, n):

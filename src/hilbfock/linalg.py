@@ -155,9 +155,9 @@ def parse_rows(rows):
     return [_row([_parse(token) for token in row]) for row in rows]
 
 
-def join_rows(s, width):
-    """The GaussianRational matrix of a split matrix with `width` columns."""
-    return tuple(tuple(_scalar(*_entry(row, j)) for j in range(width))
+def join_rows(s, ncols):
+    """The GaussianRational matrix of a split matrix with `ncols` columns."""
+    return tuple(tuple(_scalar(*_entry(row, j)) for j in range(ncols))
                  for row in s)
 
 
@@ -283,18 +283,18 @@ def _insert(basis, v):
     return True
 
 
-def _kernel(s, width):
+def _kernel(s, ncols):
     # (w, free): the columns of the split matrix w are a basis of the right
     # kernel of s, one per free column f of its echelon basis: 1 at f, 0 at
     # the other free columns, minus the echelon row p at f at each pivot p
     basis = {}
     for row in s:
         _insert(basis, row)
-    free = [c for c in range(width) if c not in basis]
+    free = [c for c in range(ncols) if c not in basis]
     at = {c: i for i, c in enumerate(free)}
     return [({at[c]: 1}, None) if c in at else
             tuple(part and {at[j]: -x for j, x in part.items() if j != c}
-                  for part in basis[c]) for c in range(width)], free
+                  for part in basis[c]) for c in range(ncols)], free
 
 
 def restrict_rows(b, k):
@@ -320,6 +320,11 @@ def span_dim_rows(cols, v):
     return len(basis)
 
 
+def trace_rows(s):
+    """The trace of a square split matrix: its (re, im) diagonal, summed."""
+    return _scalar(*map(sum, zip((0, 0), *map(_entry, s, range(len(s))))))
+
+
 def char_poly_rows(s):
     """
     det(z*I - A) of a square split matrix, monic, GaussianRational
@@ -329,8 +334,8 @@ def char_poly_rows(s):
     n, (s, d) = len(s), _cleared(s)
     coeffs, am = [ZERO] * n + [ONE], s
     for k in range(1, n + 1):
-        tr, ti = map(sum, zip(*[_entry(row, i) for i, row in enumerate(am)]))
-        cr, ci = exact(Fraction(-tr, k)), exact(Fraction(-ti, k))
+        t = trace_rows(am)
+        cr, ci = exact(Fraction(-t.re, k)), exact(Fraction(-t.im, k))
         coeffs[n - k] = _scalar(cr, ci, d ** k)
         if k < n:
             am = mul_rows(s, affine_rows(am, 1, _scalar(cr, ci))
@@ -350,10 +355,6 @@ def identity(n):
 def mat_mul(a, b):
     return join_rows(mul_rows(split_rows(a), split_rows(b)),
                      len(b[0]) if b else 0)
-
-
-def mat_vec(a, v):
-    return tuple(row[0] for row in mat_mul(a, [(x,) for x in v]))
 
 
 def mat_pow(a, k):

@@ -17,23 +17,23 @@ logarithmic derivative of prod_m (1 - q^m)^(-a) (1 + q^m)^b.  product_table
 keeps the packed rows to grow from; product_expand returns a QTSeries.
 
 Dimension counts and the product are stepped on one packed int per q-power
-(Kronecker substitution), in a layout only this module knows: digit_offset
-puts t^e at bit bits*e and x^p y^q at bits*(p*width + q), so an int product
-is a polynomial product, a monomial times a row is a shift, and callers
-give exponents.  No digit may carry: bits is whole bytes above an exact
-total that bounds every coefficient, width exceeds every y-exponent the
-table reaches, and unpack raises IdentityFailed unless the digits sum to
-that total.  Evaluation at 2^bits is a ring map, so a signed sum, as in a
-division step, is exactly its polynomial's value, and a finished row, with
-digits in [0, 2^bits), unpacks without carry.  Every packed table grows
-through grow, which owns the protocol: the totals of the new rows size the
-digits, the kept state is re-laid for a wider width and re-spaced for wider
-digits (respace), and each new row is unpacked against its total.  Rational
-data is never packed.  The graded super-symmetric powers (symmetric
-products, their Hodge refinement, the Fock character, level dimensions)
-come from one stepping kernel, super_power_table: a generator at offset k
-steps the table by 1/(1 - 2^k q^s) if even, (1 + 2^k q^s) if odd, a shift
-and an add per row, in place, or going on from a shorter table's rows.
+(Kronecker substitution), in a layout only this module knows: callers give
+exponents, exact totals and, in x, y, a y-slope (largest y-exponent per
+q-power).  grow hands each step offset(exps), from digit_offset: t^e at bit
+bits*e, x^p y^q at bits*(p*width + q), so an int product is a polynomial
+product and a monomial times a row is a shift.  No digit may carry: bits is
+whole bytes above an exact total that bounds every coefficient, width is
+order * slope + 1, and unpack raises IdentityFailed unless the digits sum
+to that total.  Evaluation at 2^bits is a ring map, so a signed sum, as in
+a division step, is exactly its polynomial's value, and a finished row,
+with digits in [0, 2^bits), unpacks without carry.  grow owns the protocol
+of every packed table: the new rows' totals size the digits, the kept state
+is re-laid for a wider width and re-spaced for wider digits (respace), and
+each new row is unpacked against its total.  Rational data is never packed.
+The graded super-symmetric powers (symmetric products, their Hodge
+refinement, the Fock character, level dimensions) come from one stepping
+kernel, super_power_table: a generator at offset k steps the table by
+1/(1 - 2^k q^s) if even, (1 + 2^k q^s) if odd, a shift and an add per row.
 """
 
 from math import comb
@@ -386,31 +386,31 @@ def product_expand(families, order, nvars=None):
     Expand prod_{m>=1} prod_{f in families} f(m) exactly to the given order,
     a QTSeries (the empty product is 1), from product_table.
     """
-    families = list(families)
-    if nvars is None:
-        nvars = families[0].nvars if families else 1
-    if any(f.nvars != nvars for f in families):
-        raise ValueError("families in different variables")
-    # at q^k the y-exponent j(c m + d) is at most k (c + max(d, 0))
-    width = None if nvars == 1 else order * max(
-        (c + max(d, 0) for f in families for c, d in f.exps[1:]),
-        default=0) + 1
-    return QTSeries(order, product_table(families, order, width=width)[0],
-                    nvars)
+    rows = product_table(families, order, nvars=nvars)[0]
+    return QTSeries(order, rows, rows[0].nvars)
 
 
-def product_table(families, order, kept=None, width=None):
+def product_table(families, order, kept=None, nvars=None):
     """
     The rows 0..order of the product and its state, the packed rows, grown
-    from kept (see grow); width packs x, y.  By q d/dq log, n F_n sums
-    H_j T_j(n) over j and the slopes c: for U of exponents c, u_f(m) =
-    U^(m-1) u_f(1), H_j = sum_f e w_f u_f(1)^j (e = 1 if f divides, else
-    (-1)^(j+1)) and T_j(n) = sum_(m>=1) m U^((m-1)j) F_(n-mj).
+    from kept (see grow); nvars names an empty product's variables.  By
+    q d/dq log, n F_n sums H_j T_j(n) over j and the slopes c: for U of
+    exponents c, u_f(m) = U^(m-1) u_f(1), H_j = sum_f e w_f u_f(1)^j (e = 1
+    if f divides, else (-1)^(j+1)) and T_j(n) = sum_(m>=1) m U^((m-1)j)
+    F_(n-mj).  Equal x- and y-forms make a product in w = xy alone.
     """
-    def step(bits, rows, start):
+    families = list(families)
+    nvars = nvars or (families[0].nvars if families else 1)
+    if any(f.nvars != nvars for f in families):
+        raise ValueError("families in different variables")
+    diagonal = nvars == 2 and all(f.exps[0] == f.exps[1] for f in families)
+    # at q^k the y-exponent j(c m + d) is at most k (c + max(d, 0))
+    slope = None if nvars == 1 or diagonal else max(
+        c + max(d, 0) for f in families for c, d in f.exps[1:])
+    def step(offset, rows, start):
         slopes = {}  # offset of U: the (sign, weight, offset of u_f(1)) of
         for f in families:  # its families, u_f(1) being U times that of d
-            c, d = (digit_offset(e, bits, width) for e in zip(*f.exps))
+            c, d = (offset(e) for e in zip(*f.exps[diagonal:]))  # w: y-form
             slopes.setdefault(c, []).append((f.sign, f.weight, c + d))
         # (j, offset of U^j, the (coefficient, offset) terms of H_j)
         terms = [(j, c * j, [(w if sign < 0 or j % 2 else -w, e * j)
@@ -432,8 +432,10 @@ def product_table(families, order, kept=None, width=None):
                                      % n)
             rows.append(row)
         return rows, rows
-    return grow(kept, order, _product_totals(families, order).__getitem__,
-                [1], step, width)
+    rows, state = grow(kept, order, _product_totals(families, order)
+                       .__getitem__, [1], step, slope)
+    return [r if r.nvars == nvars else CoeffPoly._make(  # w^k as x^k y^k
+        {(k, k): c for (k,), c in r.terms.items()}, 2) for r in rows], state
 
 
 def _product_totals(families, order):
@@ -489,9 +491,9 @@ def digit_offset(exps, bits, width=None):
     return bits * (exps[0] if width is None else exps[0] * width + exps[1])
 
 
-def pack(poly, bits, width=None):
-    """The packed int of a CoeffPoly with coefficients in 0..2^bits - 1."""
-    return sum(c << digit_offset(e, bits, width) for e, c in poly.terms.items())
+def pack(poly, offset):
+    """The packed int of a CoeffPoly, each term at offset(exponents)."""
+    return sum(c << offset(e) for e, c in poly.terms.items())
 
 
 def _widen(raw, step, wide):
@@ -514,15 +516,16 @@ def respace(state, bits, wider):
             for k in range(0, len(raw), len(raw) // len(state))]
 
 
-def grow(kept, order, total, start, step, width=None):
+def grow(kept, order, total, start, step, slope=None):
     """
     A packed table at order, (rows, (bits, width, state)), grown from kept
-    or from row 0 and state start.  The exact totals total(n) of the new
-    rows size the digits, never narrower than kept; the kept state is
-    re-laid for a wider width and re-spaced for wider digits, and
-    step(bits, state, n) gives packed rows ending in rows n..order and the
-    new state.  Each new row is unpacked against its own total.
+    or from row 0 and state start, in x, y if slope is given.  The exact
+    totals total(n) of the new rows size the digits, never narrower than
+    kept; the kept state is re-laid and re-spaced, and step(offset, state,
+    n) gives packed rows ending in rows n..order and the new state.  Each
+    new row is unpacked against its own total.
     """
+    width = None if slope is None else order * slope + 1
     rows, (bits, was, state) = kept or ([CoeffPoly.one(2 if width else 1)],
                                         (8, width, start))
     n = len(rows)
@@ -530,7 +533,8 @@ def grow(kept, order, total, start, step, width=None):
     wider = max(bits, digit_bits(max(totals, default=0)))
     if width:  # each x-block of was digits moved to width digits
         state = respace(state, bits * was, bits * width)
-    packed, state = step(wider, respace(state, bits, wider), n)
+    packed, state = step(lambda exps: digit_offset(exps, wider, width),
+                         respace(state, bits, wider), n)
     return rows + [unpack(v, wider, t, width, m) for m, (v, t) in enumerate(
         zip(packed[n - order - 1:], totals), n)], (wider, width, state)
 

@@ -12,6 +12,7 @@ regrouping walks the census of n, one stratum product per signature.
 """
 
 from collections import Counter
+from sys import getsizeof
 
 from ._base import Frozen
 from .partitions import Partition, partition_census, splitting_drops
@@ -44,8 +45,8 @@ def support_strata(n, h):
     """
     The strata supporting the direct image in degree 2h: all partitions of
     n with length at most n - h, in the order of partitions_of(n), their
-    list claimed from its count before any row.  Empty when h >= n.  Odd
-    degrees have no table at all: the odd direct images vanish.
+    memory claimed from their count before any row.  Empty when h >= n.
+    Odd degrees have no table at all: the odd direct images vanish.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -58,7 +59,10 @@ def support_strata(n, h):
     for j in range(1, most + 1):
         for k in range(j, n + 1):
             count[k] += count[k - j]
-    [None] * count[n]  # claimed first: a list memory cannot hold fails now
+    # claimed first, so rows memory cannot hold fail now: each row is at
+    # most a Partition, a tuple of `most` parts and its list slot, 8 B each
+    bytearray(count[n] * (getsizeof(Partition(())) + getsizeof(())
+                          + 8 * (most + 1)))
 
     def parts(k, top, slots):  # of k, each part <= top, at most slots parts
         if not k:

@@ -275,10 +275,11 @@ def shifted_block_sum(blocks):
     v = []
     for mu, (x, y) in blocks:
         tr, off = from_monomial_ideal(mu), len(v)
+        ta, tb = tr.a, tr.b  # each read builds its grid anew
         for i in range(tr.n):
             for j in range(tr.n):
-                a[off + i][off + j] = tr.a[i][j] + (x if i == j else G(0))
-                b[off + i][off + j] = tr.b[i][j] + (y if i == j else G(0))
+                a[off + i][off + j] = ta[i][j] + (x if i == j else G(0))
+                b[off + i][off + j] = tb[i][j] + (y if i == j else G(0))
         v += tr.v
     return MatrixTriple(a, b, v)
 
@@ -499,6 +500,32 @@ def test_gl_invariance_random():
                 assert trace_invariant(conj, k, l) == trace_invariant(tr, k, l)
         assert support_cycle(conj) == base_cycle
         assert is_stable(conj) == is_stable(tr)
+
+
+def test_conjugate_by_is_the_plain_conjugation():
+    rng = random.Random(13)
+    for n in (1, 2, 3):
+        a, b = ([[rand_scalar(rng) for _ in range(n)] for _ in range(n)]
+                for _ in range(2))
+        v = [rand_scalar(rng) for _ in range(n)]
+        g = rand_invertible(rng, n)
+        gi = invert(g)
+        conj = MatrixTriple(a, b, v).conjugate_by(g)
+        assert conj.a == mat_mul(mat_mul(g, a), gi)
+        assert conj.b == mat_mul(mat_mul(g, b), gi)
+        assert conj.v == tuple(sum((x * y for x, y in zip(row, v)), G(0))
+                               for row in g)
+
+
+@pytest.mark.parametrize("size", (2, 4))
+def test_conjugate_by_a_wrong_size_raises(size):
+    # a 2 x 2 conjugator once returned a 2 x 2 triple, a 4 x 4 one raised
+    # IndexError
+    tr = from_monomial_ideal((2, 1))
+    with pytest.raises(ValueError, match="conjugator must be 3 x 3"):
+        tr.conjugate_by(identity(size))
+    with pytest.raises(ValueError, match="conjugator must be 3 x 3"):
+        tr.conjugate_by([row + (G(0),) for row in identity(3)])
 
 
 def test_triple_file_round_trip():

@@ -256,12 +256,15 @@ def limit_child_memory():
 
 @pytest.mark.parametrize("h, code, out, err", [
     (150, 2, "", "error: out of memory: --n is too large\n"),
+    (193, 2, "", "error: out of memory: --n is too large\n"),
     (199, 0, "partition\n(200)\n", ""),
 ])
 def test_strata_claims_only_the_rows_it_lists(h, code, out, err):
     # 200 has about 4e12 partitions, listed in full before the filter once,
     # until the child's 1 GiB ran out; those with at most 200 - h parts are
-    # now counted and claimed first, and no other partition is listed
+    # now counted and claimed first, and no other partition is listed.  At
+    # h = 193 their 26,366,879 list slots (211 MB) fit, and the listing ran
+    # 40 s before the rows filled the 1 GiB: each row's memory is claimed
     proc = subprocess.run(
         [sys.executable, "-m", "hilbfock", "strata", "--n", "200", "--h",
          str(h)], capture_output=True, text=True, timeout=5,

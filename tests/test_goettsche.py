@@ -525,9 +525,9 @@ def test_hodge_request_expands_one_product(monkeypatch, capsys):
     expanded = []
     real = goettsche.product_table
 
-    def counting(families, order, kept=None, width=None):
+    def counting(families, order, kept=None, nvars=None):
         expanded.append(order)
-        return real(families, order, kept, width)
+        return real(families, order, kept, nvars)
 
     monkeypatch.setattr(goettsche, "product_table", counting)
     assert main(["hodge", "--surface", "k3", "--order", "10"]) == 0

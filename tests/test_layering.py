@@ -1,7 +1,9 @@
 """
 The packed layout belongs to series alone: no other module turns a digit
-width into a bit offset.  So does the growth protocol: no other module
-sizes, re-spaces or unpacks packed digits itself.  The split-row form of
+width into a bit offset, imports digit_offset or takes a bits or width
+parameter; callers give exponents, totals and a y-slope.  So does the
+growth protocol: no other module sizes, re-spaces or unpacks packed digits
+itself.  The split-row form of
 the matrix kernels belongs to linalg alone: no other module imports or
 reads a _-prefixed linalg name.  The raw factor-tuple keys of a FockState
 belong to heisenberg alone: no other module reads the _terms field or
@@ -59,6 +61,46 @@ def test_no_module_but_series_lays_out_packed_digits():
     found = {path.name: uses
              for path in sorted(SRC.glob("*.py")) if path.name != "series.py"
              if (uses := layout_arithmetic(ast.parse(path.read_text())))}
+    assert found == {}
+
+
+def layout_names(tree):
+    """
+    (line, name) of every import or read of digit_offset, and of every
+    parameter named bits or width: the digit layout a caller would know.
+    """
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            out.update((node.lineno, alias.name) for alias in node.names
+                       if alias.name == "digit_offset")
+        elif isinstance(node, (ast.Name, ast.Attribute)) and getattr(
+                node, "id", getattr(node, "attr", None)) == "digit_offset":
+            out.add((node.lineno, "digit_offset"))
+        elif isinstance(node, ast.arg) and node.arg in ("bits", "width"):
+            out.add((node.lineno, node.arg))
+    return sorted(out)
+
+
+def test_the_layout_name_detector_sees_each_kind_of_use():
+    code = ("from .series import digit_offset, grow\n"
+            "from hilbfock import series\n"
+            "e = series.digit_offset((1,), 8)\n"
+            "def step(bits, state, n): pass\n"
+            "f = lambda exps, width=None: 0\n"
+            "def g(*, width): return offset\n"
+            "d = digit_offset\n"
+            "bits, width = 8, 5\n"
+            "offset((2,))\n")
+    assert layout_names(ast.parse(code)) == [
+        (1, "digit_offset"), (3, "digit_offset"), (4, "bits"), (5, "width"),
+        (6, "width"), (7, "digit_offset")]
+
+
+def test_no_module_but_series_names_the_digit_layout():
+    found = {path.name: uses
+             for path in sorted(SRC.glob("*.py")) if path.name != "series.py"
+             if (uses := layout_names(ast.parse(path.read_text())))}
     assert found == {}
 
 

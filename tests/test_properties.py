@@ -159,10 +159,11 @@ def test_conjugation_keeps_block_sum_support_and_traces(blocks, seed):
     v = []
     for mu, (x, y) in blocks:
         tr, off = from_monomial_ideal(mu), len(v)
+        ta, tb = tr.a, tr.b  # each read builds its grid anew
         for i in range(tr.n):
             for j in range(tr.n):
-                a[off + i][off + j] = tr.a[i][j] + (x if i == j else zero)
-                b[off + i][off + j] = tr.b[i][j] + (y if i == j else zero)
+                a[off + i][off + j] = ta[i][j] + (x if i == j else zero)
+                b[off + i][off + j] = tb[i][j] + (y if i == j else zero)
         v += tr.v
     tr = MatrixTriple(a, b, v)
     assert support_cycle(tr).points == {

@@ -359,6 +359,11 @@ def rand_count_poly(rng, nvars, max_deg, max_coeff):
     return CoeffPoly(terms, nvars)
 
 
+def offsets(bits, width=None):
+    """The offset function grow hands its steps, for these digits."""
+    return lambda exps: digit_offset(exps, bits, width)
+
+
 def packed_product(a, b, nvars):
     """a * b through pack, one int product and unpack, digits sized by it."""
     want = a * b
@@ -367,7 +372,8 @@ def packed_product(a, b, nvars):
     # x^p y^q with q below width; the product reaches the sum of the degrees
     width = None if nvars == 1 else max(
         (e[1] for e in want.terms), default=0) + 1
-    return unpack(pack(a, bits, width) * pack(b, bits, width), bits, total,
+    offset = offsets(bits, width)
+    return unpack(pack(a, offset) * pack(b, offset), bits, total,
                   width), want
 
 
@@ -403,9 +409,9 @@ def test_pack_layout_and_empty_values():
     bits, width = 8, 5
     assert digit_offset((1, 4), bits, width) == 8 * 9
     assert digit_offset((3,), 0) == 0  # no digits: plain counts
-    assert pack(CoeffPoly({(2,): 3}), bits) == 3 << 16
-    assert pack(CoeffPoly({(1, 4): 7}, 2), bits, width) == 7 << 8 * 9
-    assert pack(CoeffPoly.zero(2), bits, width) == 0
+    assert pack(CoeffPoly({(2,): 3}), offsets(bits)) == 3 << 16
+    assert pack(CoeffPoly({(1, 4): 7}, 2), offsets(bits, width)) == 7 << 8 * 9
+    assert pack(CoeffPoly.zero(2), offsets(bits, width)) == 0
     assert unpack(0, bits, 0) == CoeffPoly.zero()
     assert unpack(0, bits, 0, width) == CoeffPoly.zero(2)
     assert unpack(7 << 8 * 9, bits, 7, width) == CoeffPoly({(1, 4): 7}, 2)
@@ -437,13 +443,13 @@ def test_unpack_matches_a_per_digit_oracle(step):
 
 def test_unpack_with_a_wrong_total_raises_identity_failed():
     poly = CoeffPoly({(0,): 2, (3,): 5})
-    value = pack(poly, 8)
+    value = pack(poly, offsets(8))
     assert unpack(value, 8, 7) == poly
     for total in (6, 8, 0):
         with pytest.raises(IdentityFailed):
             unpack(value, 8, total)
     # a carry out of a digit changes the digit sum, so it cannot pass
-    carried = pack(CoeffPoly({(0,): 300}), 8)
+    carried = pack(CoeffPoly({(0,): 300}), offsets(8))
     with pytest.raises(IdentityFailed):
         unpack(carried, 8, 300)
 
@@ -529,3 +535,38 @@ def test_both_products_run_through_the_one_kernel(monkeypatch):
         s = QTSeries(2, [p, p], nvars)
         with pytest.raises(RuntimeError, match="kernel called"):
             s * s
+
+
+def dict_series(families, order):
+    """The product of all factor_series as {(k, p, q): c}, by dict_product."""
+    out = {(0, 0, 0): 1}
+    for f in families:
+        for m in range(1, order + 1):
+            factor = {(k,) + e: c for k, poly in enumerate(
+                f.factor_series(m, order).coeffs)
+                for e, c in poly.terms.items()}
+            out = {e: c for e, c in dict_product(out, factor).items()
+                   if e[0] <= order}
+    return out
+
+
+def test_a_product_in_xy_alone_is_stepped_in_one_variable():
+    # equal x- and y-forms make a product in w = xy: series packs it in one
+    # variable, keeps no y-width, and reads each w^k back as x^k y^k
+    families = [FactorFamily(-1, 3, ((1, 0), (1, 0))),
+                FactorFamily(1, 2, ((2, -1), (2, -1))),
+                FactorFamily(-1, 22, ((1, 1), (1, 1))),
+                FactorFamily(1, 0, ((3, 2), (3, 2)))]
+    got = product_expand(families, 10)
+    assert got.nvars == 2
+    assert {(k,) + e: c for k, poly in enumerate(got.coeffs)
+            for e, c in poly.terms.items()} == dict_series(families, 10)
+    kept = series.product_table(families, 4)
+    rows, (_, width, state) = series.product_table(families, 10, kept)
+    assert rows == list(got.coeffs) and kept[0] == rows[:5]
+    assert width is None and kept[1][1] is None
+    # the kept packed rows are those of the one-variable product
+    one = [FactorFamily(f.sign, f.weight, f.exps[:1]) for f in families]
+    assert state == series.product_table(one, 10)[1][2]
+    assert series.product_table([], 3, nvars=2)[0] == [
+        CoeffPoly.one(2)] + [CoeffPoly.zero(2)] * 3
