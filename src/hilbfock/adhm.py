@@ -13,6 +13,7 @@ scalar is written without internal whitespace as "a/b", "c/di" or
 
 from fractions import Fraction
 from math import isqrt
+from sys import getsizeof, maxsize
 from types import MappingProxyType
 
 from ._base import Frozen
@@ -226,6 +227,7 @@ def staircase_cells(mu):
     The staircase of a partition: row i gives the y-degree bound for
     x-degree i-1, so the cells are (i-1, j) for j < mu_i, listed sorted.
     Raises ValueError unless mu has parts, positive and weakly decreasing.
+    The cells' memory is claimed from their count before any is listed.
     """
     mu = tuple(mu)
     if not mu:
@@ -234,6 +236,9 @@ def staircase_cells(mu):
         if not 0 < part <= before:
             raise ValueError("bad part %r in %r: parts must be positive and "
                              "weakly decreasing" % (part, mu))
+    # so a staircase memory cannot hold fails now: each cell is at least a
+    # pair and its list slot (a claim of maxsize bytes or more cannot fit)
+    bytearray(min(sum(mu) * (getsizeof((0, 0)) + 8), maxsize))
     return sorted((i, j) for i, part in enumerate(mu) for j in range(part))
 
 

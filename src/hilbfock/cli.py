@@ -9,7 +9,8 @@ or out-of-memory error, 3 an internal error (the traceback goes to stderr).
 
 Each cmd_* imports its own layer, so a request loads only the modules its
 subcommand uses, and returns (exit code, rows); main writes the rows, so
-stdout stays empty when a request fails.
+stdout stays empty when a request fails.  A request reads its own
+arguments from COMMANDS; argparse loads only for help and usage errors.
 
 Surface configuration files are flat key=value lines:
 
@@ -22,8 +23,8 @@ Surface configuration files are flat key=value lines:
 A repeated key, or a repeated hodge=p,q, is an error.
 """
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from ._base import IdentityFailed
 
@@ -91,13 +92,19 @@ def resolve_surface(spec):
 
 
 def _parse_partition(text, flag):
-    # the monomial-ideal triple of the comma-separated parts, in any order
+    # the monomial-ideal triple of the comma-separated parts, in any order;
+    # its staircase has as many cells as the parts sum to
     from .adhm import from_monomial_ideal
     try:
         parts = [int(x) for x in text.split(",")]  # an empty field fails
-        return from_monomial_ideal(sorted(parts, reverse=True))
+        if sum(parts) < sys.maxsize:
+            return from_monomial_ideal(sorted(parts, reverse=True))
     except ValueError as exc:
         raise ConfigError("bad partition for %s: %s" % (flag, exc))
+    except MemoryError:
+        raise ConfigError("out of memory: %s is too large" % flag)
+    raise ConfigError("%s must sum below %d, got %d"
+                      % (flag, sys.maxsize, sum(parts)))
 
 
 def emit(rows, output):
@@ -109,57 +116,85 @@ def emit(rows, output):
         sys.stdout.write(text)
 
 
+def _count(name, least, **kw):
+    return "--" + name, least, dict(kw, type=int)
+
+
+_OUTPUT = ("--output", None, {"default": None})
+_SEED = _count("seed", None, default=0)
+_SURFACE = ("--surface", None, {"required": True})
+_ORDER = _count("order", 0, required=True)
+_TABLE = (_SURFACE, _ORDER, _OUTPUT)
+# name: (help, *options), each option a flag, the least value of a count
+# option (or None) and its add_argument keywords; cmd_<name> handles it
+COMMANDS = {
+    "goettsche": ("Poincare polynomials of the Hilbert schemes, product "
+                  "route", *_TABLE),
+    "sym": ("Poincare polynomials of symmetric products", *_TABLE),
+    "punctual": ("Poincare polynomials of punctual fibers", _ORDER, _OUTPUT),
+    "euler": ("Euler numbers of the Hilbert schemes", *_TABLE),
+    "hodge": ("Hodge polynomials of the Hilbert schemes", *_TABLE),
+    "fock": ("graded Fock characters", *_TABLE),
+    "commutators": ("verify the commutation relations on random states",
+                    _SURFACE, _OUTPUT, _count("trials", 1, default=50), _SEED),
+    "strata": ("strata supporting a direct image degree",
+               _count("n", 1, required=True), _OUTPUT,
+               _count("h", 0, required=True)),
+    "adhm": ("inspect a matrix triple", _OUTPUT,
+             ("--triple", None, {"help": "triple file"}),
+             ("--mu", None, {"help": "partition for a monomial-ideal "
+                                     "triple, e.g. 2,1"})),
+    "ktheory": ("equivariant K-theory dimensions", *_TABLE),
+    # a selfcheck of order 0 checks nothing
+    "selfcheck": ("run every cross-identity",
+                  _count("order", 1, required=True), _OUTPUT, _SEED),
+}
+
+
+def _defaults(name):
+    # looked up per request, so a cmd_* rebound after import is the one run
+    _, *options = COMMANDS[name]
+    return {"handler": globals()["cmd_" + name], "least": {
+        flag[2:]: low for flag, low, _ in options if low is not None}}
+
+
+def _read_args(argv):
+    """
+    What parse_args returns for the form a request takes, NAME (--OPTION
+    VALUE)*, each option spelled as NAME declares it, no value starting
+    with "-" and none required missing; None for any other argv.
+    """
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    _, *options = COMMANDS[argv[0]]
+    known = {flag: kw for flag, _, kw in options}
+    args = {flag[2:]: kw.get("default") for flag, _, kw in options}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in known or value.startswith("-"):
+            return None
+        try:
+            args[flag[2:]] = known[flag].get("type", str)(value)
+        except ValueError:
+            return None
+    if any(kw.get("required") and flag not in argv for flag, _, kw in options):
+        return None
+    return SimpleNamespace(command=argv[0], **args, **_defaults(argv[0]))
+
+
 def build_parser(argv):
     """
-    One declaration per subcommand: its help, its options, the least value
-    of each count option and its handler.  Only the subcommand argv[0]
-    names is built (all are if it names none, as for --help).  main calls
-    this on every run, so a cmd_* rebound here is the one that runs.
+    The argparse reader of COMMANDS, with their help; main builds it only
+    for an argv _read_args declines, so help and usage errors are
+    argparse's own.  Only the subcommand argv[0] names is built (all are if
+    it names none, as for --help).
     """
+    import argparse
     ap = argparse.ArgumentParser(
         prog="hilbfock",
         description="exact invariants of Hilbert schemes of points")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def count(name, least, **kw):
-        return "--" + name, least, dict(kw, type=int)
-
-    surface = ("--surface", None, {"required": True})
-    order = count("order", 0, required=True)
-    output = ("--output", None, {"default": None})
-    seed = count("seed", None, default=0)
-    declared = {}  # name: (handler, help, *options)
-
-    def add(name, *declaration):
-        declared[name] = declaration
-
-    add("goettsche", cmd_goettsche, "Poincare polynomials of the Hilbert "
-        "schemes, product route", surface, order, output)
-    add("sym", cmd_sym, "Poincare polynomials of symmetric products",
-        surface, order, output)
-    add("punctual", cmd_punctual, "Poincare polynomials of punctual fibers",
-        order, output)
-    add("euler", cmd_euler, "Euler numbers of the Hilbert schemes", surface,
-        order, output)
-    add("hodge", cmd_hodge, "Hodge polynomials of the Hilbert schemes",
-        surface, order, output)
-    add("fock", cmd_fock, "graded Fock characters", surface, order, output)
-    add("commutators", cmd_commutators, "verify the commutation relations "
-        "on random states", surface, output, count("trials", 1, default=50),
-        seed)
-    add("strata", cmd_strata, "strata supporting a direct image degree",
-        count("n", 1, required=True), output, count("h", 0, required=True))
-    add("adhm", cmd_adhm, "inspect a matrix triple", output,
-        ("--triple", None, {"help": "triple file"}),
-        ("--mu", None, {"help": "partition for a monomial-ideal triple, "
-                                "e.g. 2,1"}))
-    add("ktheory", cmd_ktheory, "equivariant K-theory dimensions", surface,
-        order, output)
-    # a selfcheck of order 0 checks nothing
-    add("selfcheck", cmd_selfcheck, "run every cross-identity",
-        count("order", 1, required=True), output, seed)
-    for name in [argv[0]] if argv and argv[0] in declared else declared:
-        handler, help, *options = declared[name]
+    for name in [argv[0]] if argv and argv[0] in COMMANDS else COMMANDS:
+        help, *options = COMMANDS[name]
         p = sub.add_parser(name, help=help)
         for flag, _, kw in options:
             if flag == "--surface":  # only its preset list loads surfaces
@@ -167,8 +202,7 @@ def build_parser(argv):
                 kw = dict(kw, help="preset name (%s) or config file"
                           % ", ".join(sorted(set(PRESETS))))
             p.add_argument(flag, **kw)
-        p.set_defaults(handler=handler, least={
-            flag[2:]: low for flag, low, _ in options if low is not None})
+        p.set_defaults(**_defaults(name))
     return ap
 
 
@@ -279,7 +313,7 @@ def cmd_selfcheck(args):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = _read_args(argv) or build_parser(argv).parse_args(argv)
     size = "the request"  # what is too large when memory runs out
     try:
         for name, low in args.least.items():

@@ -268,6 +268,8 @@ def sym_total_dim(model, m):
     multiset count: choose j of the odd classes (no repeats) and a multiset
     of m-j even classes.
     """
+    if m < 0:
+        raise ValueError("m must be non-negative")
     b_even = model.betti[0] + model.betti[2] + model.betti[4]
     b_odd = model.betti[1] + model.betti[3]
     total = 0

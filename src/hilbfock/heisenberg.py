@@ -368,6 +368,8 @@ def enumerate_monomials(model, n):
     All level-n monomials, listed explicitly.  Exponential in n; meant for
     small levels (cross-checks and sampling), not for production counts.
     """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     odd = model.ordinary_parities
     gens = [(mode, cls) for mode in range(1, n + 1) for cls in range(len(odd))]
 

@@ -9,7 +9,8 @@ import pytest
 from hilbfock import adhm
 from hilbfock.adhm import (MatrixTriple, from_monomial_ideal, trace_invariant,
                            write_triple)
-from hilbfock.cli import build_parser, main, parse_surface_file
+from hilbfock.cli import (COMMANDS, _read_args, build_parser, main,
+                          parse_surface_file)
 from hilbfock.linalg import GaussianRational, matrix, scalar_from_str
 from hilbfock.partitions import Partition
 
@@ -272,6 +273,25 @@ def test_strata_claims_only_the_rows_it_lists(h, code, out, err):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
+@pytest.mark.parametrize("mu, err", [
+    ("100000000", "out of memory: --mu is too large"),
+    (str(sys.maxsize - 1), "out of memory: --mu is too large"),
+    ("99999999999999999999", "--mu must sum below %d, got 99999999999999999999"
+     % sys.maxsize),
+    ("%d,1" % (sys.maxsize - 1), "--mu must sum below %d, got %d"
+     % (sys.maxsize, sys.maxsize)),
+], ids=["1e8", "maxsize-1", "1e20", "sum_maxsize"])
+def test_a_partition_no_memory_can_hold_exits_2_at_once(mu, err):
+    # the staircase was listed a cell at a time until memory ran out, which
+    # took seconds under the child's 1 GiB and without a limit never ended
+    proc = subprocess.run(
+        [sys.executable, "-m", "hilbfock", "adhm", "--mu", mu],
+        capture_output=True, text=True, timeout=5,
+        preexec_fn=limit_child_memory)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: %s\n" % err
+
+
 def test_output_deterministic(tmp_path, capsys):
     f1 = tmp_path / "a.tsv"
     f2 = tmp_path / "b.tsv"
@@ -437,7 +457,7 @@ def test_running_out_of_memory_exits_2_with_one_line(monkeypatch, capsys):
     assert err == "error: out of memory: --order is too large\n"
 
 
-def test_a_table_request_builds_only_its_own_subparser(monkeypatch):
+def test_a_table_request_builds_only_its_own_subparser(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -447,6 +467,8 @@ def test_a_table_request_builds_only_its_own_subparser(monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     argv = ["euler", "--surface", "k3", "--order", "20"]
+    # a well-formed request reads its own arguments and builds no parser
+    assert run_cli(argv, capsys)[0] == 0 and built == []
     assert build_parser(argv).parse_args(argv).order == 20
     assert built == ["hilbfock", "hilbfock euler"]
     # --help, no argument and an unknown name list every subcommand
@@ -505,3 +527,87 @@ def test_help_text_is_unchanged(command, monkeypatch, capsys):
     assert exit_info.value.code == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]
+
+
+def request_forms():
+    """Every subcommand with all its options in and out of declared order,
+    and with its required options only."""
+    value = {"--surface": "k3", "--output": "out.tsv", "--triple": "t.txt",
+             "--mu": "2,1"}
+    for name, (_, *options) in COMMANDS.items():
+        pairs = [[flag, value.get(flag, "3")] for flag, _, _ in options]
+        required = [pair for pair, (_, _, kw) in zip(pairs, options)
+                    if kw.get("required")]
+        for chosen in (pairs, pairs[::-1], required):
+            yield [name] + [token for pair in chosen for token in pair]
+
+
+# the form a request takes, read without argparse
+READ = list(request_forms()) + [
+    ["euler", "--order", "3", "--surface", "p2", "--order", "5"],
+    ["strata", "--n", "4", "--h", "1", "--h", "2"],
+    ["punctual", "--order", " 7 "],
+    ["punctual", "--order", "+7"],
+    ["adhm", "--mu", "2,1", "--triple", "t.txt"],
+    ["hodge", "--surface", "", "--order", "0"],
+]
+# everything else goes to argparse: help, abbreviations, --option=value,
+# negative and non-integer counts, unknown options, a missing value, a
+# trailing token, a missing required option, no argument, an unknown name
+DECLINED = [
+    ["--help"], ["-h"], ["hodge", "--help"], ["hodge", "-h"],
+    ["hodge", "--surface", "k3", "--order", "3", "-h"],
+    ["hodge", "--surface", "k3", "--ord", "3"],
+    ["hodge", "--surf", "k3", "--order", "3"],
+    ["hodge", "--surface=k3", "--order=3"],
+    ["hodge", "--surface", "k3", "--order=3"],
+    ["euler", "--surface", "k3", "--order", "-1"],
+    ["strata", "--n", "4", "--h", "-2"],
+    ["euler", "--surface", "k3", "--order", "x"],
+    ["euler", "--surface", "k3", "--order", "2.0"],
+    ["euler", "--surface", "k3", "--order", "x", "--order", "3"],
+    ["euler", "--surface", "k3", "--order", "3", "--bogus", "1"],
+    ["euler", "--surface", "k3", "--order", "3", "--mu", "2,1"],
+    ["euler", "--surface", "k3", "--order"],
+    ["euler", "--surface", "--order", "3"],
+    ["euler", "--surface", "k3", "--order", "3", "extra"],
+    ["euler", "--surface", "k3", "--order", "3", "--"],
+    ["euler", "--surface", "k3"], ["strata", "--n", "4"], ["selfcheck"],
+    ["adhm", "--mu", "-1"], ["adhm", "--triple", "-"],
+    [], ["bogus"], ["bogus", "--order", "3"], ["eul", "--order", "3"],
+]
+
+
+def argparse_reads(argv, capsys):
+    """vars of parse_args, or None where argparse exits (help, errors)."""
+    try:
+        return vars(build_parser(argv).parse_args(argv))
+    except SystemExit:
+        capsys.readouterr()
+        return None
+
+
+@pytest.mark.parametrize("argv", READ, ids=" ".join)
+def test_a_request_reads_what_argparse_reads(argv, capsys):
+    args = _read_args(argv)
+    assert args is not None
+    assert vars(args) == argparse_reads(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", DECLINED, ids=lambda argv: " ".join(argv)
+                         or "none")
+def test_any_other_argv_is_left_to_argparse(argv, capsys):
+    assert _read_args(argv) is None
+    argparse_reads(argv, capsys)  # reads it or exits, and raises nothing else
+
+
+def test_a_handler_rebound_after_import_is_the_one_read(monkeypatch):
+    from hilbfock import cli
+
+    def handler(args):
+        return 0, []
+
+    monkeypatch.setattr(cli, "cmd_punctual", handler)
+    argv = ["punctual", "--order", "3"]
+    assert _read_args(argv).handler is handler
+    assert build_parser(argv).parse_args(argv).handler is handler

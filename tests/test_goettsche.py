@@ -89,6 +89,8 @@ def test_sym_and_hodge_sym_reject_negative_index():
                 sym_poincare_table(model, m)
             with pytest.raises(ValueError):
                 hodge_sym(model, m)
+            with pytest.raises(ValueError):
+                sym_total_dim(model, m)
 
 
 def test_sym_examples():

@@ -250,6 +250,8 @@ def test_level_dim_rejects_negative_level():
         for n in (-1, -2):
             with pytest.raises(ValueError):
                 level_dim(model, n)
+            with pytest.raises(ValueError):
+                enumerate_monomials(model, n)
 
 
 def test_stratum_class_examples():

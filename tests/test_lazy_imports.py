@@ -125,7 +125,7 @@ def test_importing_the_cli_loads_no_rational_arithmetic():
     assert not set(out.split()) & RATIONAL
 
 
-@pytest.mark.parametrize("argv", [
+TABLE_REQUESTS = [
     ["goettsche", "--surface", "k3", "--order", "4"],
     ["sym", "--surface", "abelian", "--order", "4"],
     ["punctual", "--order", "4"],
@@ -135,7 +135,10 @@ def test_importing_the_cli_loads_no_rational_arithmetic():
     ["fock", "--surface", "abelian", "--order", "4"],
     ["ktheory", "--surface", "p1xp1", "--order", "4"],
     ["strata", "--n", "4", "--h", "2"],
-], ids=" ".join)
+]
+
+
+@pytest.mark.parametrize("argv", TABLE_REQUESTS, ids=" ".join)
 def test_integer_tables_load_no_rational_arithmetic(argv):
     assert not modules_after(argv) & RATIONAL
 
@@ -177,6 +180,36 @@ def test_exact_keeps_its_rules_with_fractions_loaded_on_demand():
     before, after = (line.split() for line in out.splitlines())
     assert before == ["True"] * 6 + ["False"]
     assert after == ["True"] * 8
+
+
+# the argument parser: argparse imports gettext (and with it locale)
+PARSER = {"argparse", "gettext"}
+
+
+@pytest.mark.parametrize("argv", TABLE_REQUESTS + [
+    ["adhm", "--mu", "2,1"], ["adhm", "--triple", "{triple}"],
+], ids=" ".join)
+def test_a_well_formed_request_loads_no_argparse(argv, tmp_path):
+    triple = tmp_path / "triple.txt"
+    triple.write_text("2\n0 0\n1 0\n0 0\n1/2 0\n1 0\n")
+    argv = [str(triple) if arg == "{triple}" else arg for arg in argv]
+    assert not modules_after(argv) & PARSER
+
+
+def test_only_help_and_usage_errors_load_argparse():
+    out = fresh_python(
+        "import contextlib, io, sys\n"
+        "import hilbfock.cli\n"
+        "print(' '.join(sys.modules))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        hilbfock.cli.main(['--help'])\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "print(' '.join(sys.modules))\n")
+    imported, helped = (set(line.split()) for line in out.splitlines())
+    assert not imported & PARSER
+    assert PARSER <= helped  # the positive control: the check can fail
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["hodge", "--help"]])
