@@ -11,14 +11,13 @@ scalar is written without internal whitespace as "a/b", "c/di" or
 "a/b+c/di" (see linalg.scalar_from_str).
 """
 
-from fractions import Fraction
 from math import isqrt
 from sys import getsizeof, maxsize
 from types import MappingProxyType
 
 from ._base import Frozen
 from .linalg import (GaussianRational, IdentityFailed, SpectrumNotSplit,
-                     ZERO, affine_rows, char_poly_rows,
+                     ZERO, affine_rows, char_poly_rows, cleared_rows,
                      gaussian_rational_roots, invert, join_rows, matrix,
                      mul_rows, parse_rows, pow_rows, power_traces,
                      restrict_rows, scalar_to_str, span_dim_rows, split_rows,
@@ -43,8 +42,11 @@ class MatrixTriple(Frozen):
     GaussianRational, int or Fraction entries.  The checks run on `cols`,
     (A^T, B^T, v) split once (linalg): A w is the row product w A^T, and
     the transposes have the traces, characteristic polynomials and joint
-    spectrum of A and B.  `commuting` is whether AB = BA; the grids `a`,
-    `b` and `v` are built anew on each read.
+    spectrum of A and B.  The linalg kernels clear their denominators, so
+    a rational triple is worked on in Gaussian integers and an integer
+    one loads no rational arithmetic.  `commuting` is whether AB = BA,
+    multiplied on the cleared columns; the grids `a`, `b` and `v` are
+    built anew on each read.
     """
 
     __slots__ = ("n", "cols", "commuting")
@@ -63,7 +65,9 @@ class MatrixTriple(Frozen):
         tr = object.__new__(cls)
         object.__setattr__(tr, "n", len(a))
         object.__setattr__(tr, "cols", (a, b, v))
-        object.__setattr__(tr, "commuting", mul_rows(a, b) == mul_rows(b, a))
+        (ca, _), (cb, _) = cleared_rows(a), cleared_rows(b)
+        object.__setattr__(tr, "commuting",
+                           mul_rows(ca, cb) == mul_rows(cb, ca))
         return tr
 
     a = property(lambda self: tuple(zip(*join_rows(self.cols[0], self.n))))
@@ -158,7 +162,7 @@ def support_cycle(tr, traces=None):
     n, (a, b, _) = tr.n, tr.cols
     points = {}
     for x, mx in gaussian_rational_roots(char_poly_rows(a)):
-        block = restrict_rows(b, pow_rows(affine_rows(a, 1, -x), mx))
+        block = restrict_rows(b, a, x, mx)
         for y, my in gaussian_rational_roots(char_poly_rows(block)):
             points[(x, y)] = my
     cycle = SupportCycle(points)
@@ -185,24 +189,30 @@ def in_bidisk(tr, cycle=None):
 
 
 def _sqrt_upper(s, precision):
-    """A rational r with sqrt(s) <= r < sqrt(s) + precision, s in [0, 1)."""
+    """
+    A rational r with sqrt(s) <= r < sqrt(s) + precision, s in [0, 1);
+    a precision of None means 1/10^6.
+    """
+    from fractions import Fraction
     p, q = isqrt(s.numerator), isqrt(s.denominator)
     if p * p == s.numerator and q * q == s.denominator:
         return Fraction(p, q)
-    d = int(1 / precision) + 1  # (isqrt(floor(s d^2)) + 1) / d is within 1/d
+    # (isqrt(floor(s d^2)) + 1) / d is within 1/d
+    d = (10 ** 6 if precision is None else int(1 / precision)) + 1
     return Fraction(isqrt(s.numerator * d * d // s.denominator) + 1, d)
 
 
-def retract(tr, precision=Fraction(1, 10 ** 6)):
+def retract(tr, precision=None):
     """
     Rescale a bidisk triple to the whole plane: the torus action at (s, s)
     with s = 1/(1 - phi), phi the largest eigenvalue modulus of A and B.
     When phi^2 is a perfect rational square the scale is exact; otherwise
     phi is replaced by a one-sided rational upper approximation within
-    `precision` (so the computed scale is >= the exact one).  Commuting,
-    stability and the marked vector are untouched by scaling.
+    `precision`, 1/10^6 when None (so the computed scale is >= the exact
+    one).  Commuting, stability and the marked vector are untouched by
+    scaling.
     """
-    if precision <= 0:
+    if precision is not None and precision <= 0:
         raise ValueError("precision must be positive")
     phi_sq = max((z.norm_sq() for point in support_cycle(tr).points
                   for z in point), default=0)
@@ -227,7 +237,8 @@ def staircase_cells(mu):
     The staircase of a partition: row i gives the y-degree bound for
     x-degree i-1, so the cells are (i-1, j) for j < mu_i, listed sorted.
     Raises ValueError unless mu has parts, positive and weakly decreasing.
-    The cells' memory is claimed from their count before any is listed.
+    The memory of the monomial triple on the cells (from_monomial_ideal)
+    is claimed from their count before any cell is listed.
     """
     mu = tuple(mu)
     if not mu:
@@ -236,10 +247,16 @@ def staircase_cells(mu):
         if not 0 < part <= before:
             raise ValueError("bad part %r in %r: parts must be positive and "
                              "weakly decreasing" % (part, mu))
-    # so a staircase memory cannot hold fails now: each cell is at least a
-    # pair and its list slot (a claim of maxsize bytes or more cannot fit)
-    bytearray(min(sum(mu) * (getsizeof((0, 0)) + 8), maxsize))
-    return sorted((i, j) for i, part in enumerate(mu) for j in range(part))
+    # so a triple memory cannot hold fails now (a claim of maxsize bytes or
+    # more cannot fit): per cell, the pair, its two coordinates and its list
+    # slot; its index entry, a dict slot of three words in a table at most
+    # half full, and the int index; and in each of the two column lists a
+    # (dict, None) pair, its one-entry dict and its slot
+    word, num = 8, getsizeof(1 << 30)
+    per_cell = (getsizeof((0, 0)) + 2 * num + word + 6 * word + num
+                + 2 * (getsizeof(({}, None)) + getsizeof({0: 1}) + word))
+    bytearray(min(sum(mu) * per_cell, maxsize))
+    return [(i, j) for i, part in enumerate(mu) for j in range(part)]
 
 
 def from_monomial_ideal(mu):

@@ -7,18 +7,21 @@ search for polynomials that split over the Gaussian rationals.
 The kernels run on split rows, the form adhm keeps its triples in: a
 split row is a pair (re, im) of sparse dicts {column: int or Fraction} of
 the nonzero parts, im None for a real row, and a split matrix is a list
-of split rows.  The matrix helpers (mat_mul, rank, char_poly, ...) are
-thin wrappers that take and return tuples of tuples of GaussianRational.
-All row reduction is one routine, _insert, which adds one vector to a
-basis kept in reduced row-echelon form.  Everything is pure.
+of split rows.  Each kernel clears its input's denominators on entry
+(cleared_rows) and works on Gaussian integers; a Fraction appears only in
+a result that really has a denominator.  The matrix helpers (mat_mul,
+rank, char_poly, ...) are thin wrappers that take and return tuples of
+tuples of GaussianRational.  All row reduction is one routine, _insert,
+which adds one integer vector to a fraction-free echelon basis.  fractions
+is imported only where a rational is built, so integer matrices never load
+it.  Everything is pure.
 """
 
-from fractions import Fraction
 from itertools import count
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 import re
 
-from ._base import Frozen, IdentityFailed, exact
+from ._base import Frozen, IdentityFailed, exact, rational_types
 
 
 class SpectrumNotSplit(ArithmeticError):
@@ -58,7 +61,8 @@ class GaussianRational(Frozen):
         n = other.norm_sq()
         if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return self * other.conjugate() * GaussianRational(Fraction(1) / n)
+        z = self * other.conjugate()
+        return _scalar(z.re, z.im, n)
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -96,26 +100,32 @@ ONE = GaussianRational(1)
 def _coerce(x):
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, rational_types()):
         return GaussianRational(x)
     raise TypeError("cannot coerce %r" % (x,))
 
 
+# scalar patterns, compiled (and cached by re) at the first parse, so a
+# request that parses no scalar compiles none
 _RAT = r"\d+(?:/\d*[1-9]\d*)?"  # no zero denominator
-_IMAG_ONLY = re.compile(r"([+-]?(?:%s)?)i" % _RAT)
-_FULL = re.compile(r"([+-]?%s)(?:([+-](?:%s)?)i)?" % (_RAT, _RAT))
+_IMAG_ONLY = r"([+-]?(?:%s)?)i" % _RAT
+_FULL = r"([+-]?%s)(?:([+-](?:%s)?)i)?" % (_RAT, _RAT)
 
 
 def _parse_rat(s):
-    return exact(Fraction(s + "1" if s in ("", "+", "-") else s))
+    s = s + "1" if s in ("", "+", "-") else s
+    if "/" not in s:
+        return int(s)
+    from fractions import Fraction
+    return exact(Fraction(s))
 
 
 def _parse(token):
     # the exact (re, im) of a scalar token
-    m = _IMAG_ONLY.fullmatch(token)
+    m = re.fullmatch(_IMAG_ONLY, token)
     if m:
         return 0, _parse_rat(m.group(1))
-    m = _FULL.fullmatch(token)
+    m = re.fullmatch(_FULL, token)
     if m:
         return _parse_rat(m.group(1)), _parse_rat(m.group(2) or "0")
     raise ValueError("cannot parse scalar %r" % (token,))
@@ -155,26 +165,51 @@ def parse_rows(rows):
     return [_row([_parse(token) for token in row]) for row in rows]
 
 
-def join_rows(s, ncols):
-    """The GaussianRational matrix of a split matrix with `ncols` columns."""
-    return tuple(tuple(_scalar(*_entry(row, j)) for j in range(ncols))
+def join_rows(s, ncols, d=1):
+    """
+    The GaussianRational matrix of a split matrix with `ncols` columns,
+    divided by the integer d.
+    """
+    return tuple(tuple(_scalar(*_entry(row, j), d) for j in range(ncols))
                  for row in s)
 
 
-def _cleared(s):
-    # (d s, with integer parts, and d), d the least common denominator of s
-    d = lcm(*(x.denominator for row in s for part in row if part
-              for x in part.values()))
-    return (s if d == 1 else [tuple(part and {j: int(x * d) for j, x in
-                                              part.items()} for part in row)
-                              for row in s]), d
+def cleared_rows(s):
+    """
+    (d s, d): the split matrix s times the least common denominator d of
+    its entries, with int parts; s itself when they are ints already.
+    """
+    parts = [part for row in s for part in row if part]
+    if all(type(x) is int for part in parts for x in part.values()):
+        return s, 1
+    d = lcm(*(x.denominator for part in parts for x in part.values()))
+    return [tuple(part and {j: x.numerator * (d // x.denominator)
+                            for j, x in part.items()} for part in row)
+            for row in s], d
+
+
+def _div(x, d):
+    # the exact quotient x / d: an int when d divides x, else a Fraction
+    if not x % d:
+        return x // d
+    from fractions import Fraction
+    return Fraction(x, d)
 
 
 def _scalar(re, im, d=1):
     # the GaussianRational (re + i im) / d, ZERO itself for zero
+    if not (re or im):
+        return ZERO
     if d != 1:
-        re, im = Fraction(re, d), Fraction(im, d)
-    return GaussianRational(re, im) if re or im else ZERO
+        re, im = _div(re, d), _div(im, d)
+    return GaussianRational(re, im)
+
+
+def _over(s, d):
+    # the split matrix s / d, for the integer d
+    return s if d == 1 else [tuple(part and {j: _div(x, d) for j, x in
+                                             part.items()} for part in row)
+                             for row in s]
 
 
 def _cols(row):
@@ -216,17 +251,26 @@ def mul_rows(x, y):
 
 def pow_rows(s, k):
     """The k-th power of a square split matrix, by repeated squaring."""
-    if not k:
-        return affine_rows(s, 0, 1)
+    if k in (0, 1):
+        return s if k else _eye(len(s))
     half = pow_rows(mul_rows(s, s), k >> 1)
     return mul_rows(half, s) if k & 1 else half
+
+
+def _eye(n):
+    # the n x n identity split matrix
+    return [({i: 1}, None) for i in range(n)]
 
 
 def affine_rows(s, c, d):
     """c s + d I for a square split matrix s and scalars c and d."""
     c, d = _coerce(c), _coerce(d)
-    return [_comb([(c.re, c.im, row), (d.re, d.im, ({i: 1}, None))])
-            for i, row in enumerate(s)]
+    return [_comb([(c.re, c.im, row), (d.re, d.im, e)])
+            for row, e in zip(s, _eye(len(s)))]
+
+
+def _is_zero(s):
+    return not any(re or im for re, im in s)
 
 
 def power_traces(a, b, max_total):
@@ -234,20 +278,21 @@ def power_traces(a, b, max_total):
     All Tr(A^k B^l), k + l <= max_total, of square split matrices at once,
     integral on the power lists of d A and e B: the entries of each power,
     laid out once as {(i, j): (re, im)} with B's transposed, multiply on
-    the keys two such dicts share.  A dict (k, l) -> GaussianRational.
+    the keys two such dicts share.  A power list stops at its first zero
+    power, and a trace past it is 0.  A dict (k, l) -> GaussianRational.
     """
     entries, dens = [], []
     for m, swap in ((a, False), (b, True)):
-        s, d = _cleared(m)
+        s, d = cleared_rows(m)
         dens.append(d)
-        pows = [affine_rows(m, 0, 1)]
-        for _ in range(max_total):
+        pows = [_eye(len(m))]
+        while len(pows) <= max_total and not _is_zero(pows[-1]):
             pows.append(mul_rows(pows[-1], s))
         entries.append([{(j, i) if swap else (i, j):
                          (re.get(j, 0), im.get(j, 0) if im else 0)
                          for i, (re, im) in enumerate(p) if re or im
                          for j in (re.keys() | im.keys() if im else re)}
-                        for p in pows])
+                        for p in pows] + [{}] * (max_total + 1 - len(pows)))
     out = {}
     for k, ak in enumerate(entries[0]):
         for l, bl in enumerate(entries[1][:max_total + 1 - k]):
@@ -259,61 +304,83 @@ def power_traces(a, b, max_total):
     return out
 
 
+def _primitive(row, p):
+    # the integer split row, positive at p, divided by the gcd of its parts
+    if row[0][p] == 1:
+        return row
+    g = gcd(*row[0].values(), *(row[1] or {}).values())
+    return row if g == 1 else tuple(part and {j: x // g for j, x in
+                                              part.items()} for part in row)
+
+
 def _insert(basis, v):
-    # add the split row v to a reduced row-echelon basis {pivot: split row}:
-    # reduce v against the rows, scale its first nonzero entry to 1 and
-    # clear that column from the other rows; False, basis unchanged, if v
-    # is dependent
+    # add the integer split row v to a fraction-free reduced echelon basis
+    # {pivot: split row}: each row is primitive (its parts have gcd 1), a
+    # positive integer at its pivot and zero at the other pivots.  Reduce v
+    # against the rows by cross-multiplying, make its first nonzero entry a
+    # positive integer (times its conjugate) and clear that column from
+    # the other rows the same way; False, basis unchanged, if v is
+    # dependent
     for p, row in basis.items():
         fr, fi = _entry(v, p)
         if fr or fi:
-            v = _comb([(1, 0, v), (-fr, -fi, row)])
+            v = _comb([(row[0][p], 0, v), (-fr, -fi, row)])
     col = min(_cols(v), default=None)
     if col is None:
         return False
     xr, xi = _entry(v, col)
-    if (xr, xi) != (1, 0):
-        n = Fraction(xr * xr + xi * xi)
-        v = _comb([(exact(xr / n), exact(-xi / n), v)])
+    v = _primitive(_comb([(xr, -xi, v)]) if xi or xr < 0 else v, col)
     for p, row in basis.items():
         fr, fi = _entry(row, col)
         if fr or fi:
-            basis[p] = _comb([(1, 0, row), (-fr, -fi, v)])
+            basis[p] = _primitive(_comb([(v[0][col], 0, row), (-fr, -fi, v)]),
+                                  p)
     basis[col] = v
     return True
 
 
 def _kernel(s, ncols):
-    # (w, free): the columns of the split matrix w are a basis of the right
-    # kernel of s, one per free column f of its echelon basis: 1 at f, 0 at
-    # the other free columns, minus the echelon row p at f at each pivot p
+    # (w, free, d): the columns of the integer split matrix w / d are a
+    # basis of the right kernel of the integer split matrix s, one per free
+    # column f of its echelon basis: 1 at f, 0 at the other free columns,
+    # minus the echelon row p at f over its pivot at each pivot p
     basis = {}
     for row in s:
         _insert(basis, row)
     free = [c for c in range(ncols) if c not in basis]
     at = {c: i for i, c in enumerate(free)}
-    return [({at[c]: 1}, None) if c in at else
-            tuple(part and {at[j]: -x for j, x in part.items() if j != c}
-                  for part in basis[c]) for c in range(ncols)], free
+    d = lcm(*(row[0][p] for p, row in basis.items()))
+    return [({at[c]: d}, None) if c in at else
+            tuple(part and {at[j]: -x * (d // basis[c][0][c])
+                            for j, x in part.items() if j != c}
+                  for part in basis[c]) for c in range(ncols)], free, d
 
 
-def restrict_rows(b, k):
+def restrict_rows(b, a, x, m):
     """
-    The split matrix of b on the right kernel of the square split matrix
-    k, which b must preserve, in the basis of kernel_basis: a kernel
-    vector's coordinates are its entries at the free columns.
+    The split matrix of b on the generalized eigenspace, the right kernel
+    of (a - x)^m, of the square split matrix a, which b must preserve, in
+    the basis of kernel_basis: a kernel vector's coordinates are its
+    entries at the free columns.  The power and the kernel are taken on
+    d (a - x) for the common denominator d of a (d x is a Gaussian
+    integer when x is an eigenvalue of a).
     """
-    w, free = _kernel(k, len(k))
-    return mul_rows([b[c] for c in free], w)
+    a, d = cleared_rows(a)
+    k = a if x.is_zero() else cleared_rows(affine_rows(a, 1, -x * d))[0]
+    w, free, e = _kernel(pow_rows(k, m), len(k))
+    b, f = cleared_rows(b)
+    return _over(mul_rows([b[c] for c in free], w), e * f)
 
 
 def span_dim_rows(cols, v):
     """
     The dimension of the smallest subspace that contains the split row v
-    and is invariant under each m with m^T in cols, grown breadth-first:
-    each vector w that enlarges it sends m w = w m^T to the next round.
+    and is invariant under each m with m^T in cols, grown breadth-first on
+    cleared rows: each vector w that enlarges it sends m w = w m^T to the
+    next round.
     """
-    basis, frontier = {}, [v]
+    cols = [cleared_rows(c)[0] for c in cols]
+    basis, frontier = {}, cleared_rows([v])[0]
     while frontier and len(basis) < len(cols[0]):
         frontier = [_comb(_terms(w, c)) for w in frontier
                     if _insert(basis, w) for c in cols]
@@ -328,14 +395,22 @@ def trace_rows(s):
 def char_poly_rows(s):
     """
     det(z*I - A) of a square split matrix, monic, GaussianRational
-    coefficients ascending, by the trace recursion (exact division by the
-    step index) on d A, integral: A M_k = A (A M_(k-1) + c_k I), c_k / d^k.
+    coefficients ascending, by the trace recursion on d A, integral:
+    A M_k = A (A M_(k-1) + c_k I), c_k = -Tr(A M_k) / k exactly (else
+    IdentityFailed), and the coefficient c_k / d^k.  It stops at a zero
+    A M_k, after which every coefficient is 0.
     """
-    n, (s, d) = len(s), _cleared(s)
+    n, (s, d) = len(s), cleared_rows(s)
     coeffs, am = [ZERO] * n + [ONE], s
     for k in range(1, n + 1):
+        if _is_zero(am):
+            break
         t = trace_rows(am)
-        cr, ci = exact(Fraction(-t.re, k)), exact(Fraction(-t.im, k))
+        if t.re % k or t.im % k:
+            raise IdentityFailed("the trace %s of step %d of the "
+                                 "characteristic polynomial is not a "
+                                 "multiple of %d" % (t, k, k))
+        cr, ci = -t.re // k, -t.im // k
         coeffs[n - k] = _scalar(cr, ci, d ** k)
         if k < n:
             am = mul_rows(s, affine_rows(am, 1, _scalar(cr, ci))
@@ -371,13 +446,15 @@ def invariant_span_dim(mats, v):
 
 
 def _echelon(rows):
-    # (reduced row-echelon rows, their pivot columns), by ascending pivot
+    # (reduced row-echelon rows, their pivot columns), by ascending pivot:
+    # the fraction-free rows, each divided by its pivot as it is joined
     basis = {}
-    for row in split_rows(rows):
+    for row in cleared_rows(split_rows(rows))[0]:
         _insert(basis, row)
     pivots = sorted(basis)
-    return list(join_rows([basis[p] for p in pivots],
-                          len(rows[0]) if rows else 0)), pivots
+    ncols = len(rows[0]) if rows else 0
+    return [join_rows([basis[p]], ncols, basis[p][0][p])[0]
+            for p in pivots], pivots
 
 
 def rank(a):
@@ -386,8 +463,8 @@ def rank(a):
 
 def kernel_basis(a):
     """Basis of the right kernel, as a list of column vectors."""
-    w, free = _kernel(split_rows(a), len(a[0]) if a else 0)
-    return list(zip(*join_rows(w, len(free))))
+    w, free, d = _kernel(cleared_rows(split_rows(a))[0], len(a[0]) if a else 0)
+    return list(zip(*join_rows(w, len(free), d)))
 
 
 def invert(a):

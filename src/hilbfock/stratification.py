@@ -45,8 +45,9 @@ def support_strata(n, h):
     """
     The strata supporting the direct image in degree 2h: all partitions of
     n with length at most n - h, in the order of partitions_of(n), their
-    memory claimed from their count before any row.  Empty when h >= n.
-    Odd degrees have no table at all: the odd direct images vanish.
+    memory claimed from their counts by length before any row.  Empty
+    when h >= n.  Odd degrees have no table at all: the odd direct images
+    vanish.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -55,14 +56,18 @@ def support_strata(n, h):
     most = n - h
     if most < 1:
         return []
-    count = [1] + [0] * n  # partitions of k into parts of size <= j
+    # count[k]: partitions of k into parts of size <= j, as many as into at
+    # most j parts (conjugation); at_most[j] is count[n]
+    count, at_most = [1] + [0] * n, [0]
     for j in range(1, most + 1):
         for k in range(j, n + 1):
             count[k] += count[k - j]
-    # claimed first, so rows memory cannot hold fail now: each row is at
-    # most a Partition, a tuple of `most` parts and its list slot, 8 B each
-    bytearray(count[n] * (getsizeof(Partition(())) + getsizeof(())
-                          + 8 * (most + 1)))
+        at_most.append(count[n])
+    # claimed first, so rows memory cannot hold fail now: a row of l parts
+    # is a Partition, a tuple of l parts and its list slot, 8 B each
+    bytearray(sum((at_most[l] - at_most[l - 1])
+                  * (getsizeof(Partition(())) + getsizeof(()) + 8 * (l + 1))
+                  for l in range(1, most + 1)))
 
     def parts(k, top, slots):  # of k, each part <= top, at most slots parts
         if not k:

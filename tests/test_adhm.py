@@ -89,6 +89,18 @@ def test_char_poly_examples():
     assert char_poly(nil) == [G(0), G(0), G(1)]
 
 
+@pytest.mark.parametrize("shift", [Fraction(1, 2), 1],
+                         ids=["fractional", "odd"])
+def test_char_poly_rejects_a_trace_step_that_is_not_integral(monkeypatch,
+                                                             shift):
+    # on I: the step-1 trace 2 + 1/2 is not an integer, and with 2 + 1 the
+    # step-2 trace Tr(-2 I) + 1 = -3 is not a multiple of 2
+    real = linalg.trace_rows
+    monkeypatch.setattr(linalg, "trace_rows", lambda s: real(s) + shift)
+    with pytest.raises(IdentityFailed, match="not a multiple"):
+        char_poly(identity(2))
+
+
 def test_char_poly_is_conjugation_invariant():
     rng = random.Random(1)
     for _ in range(10):
@@ -548,3 +560,106 @@ def test_support_cycle_points_are_read_only():
     with pytest.raises(TypeError):
         cycle.points[(G(1), G(1))] = 1
     assert cycle == SupportCycle({(G(0), G(0)): 3})
+
+
+# ------------------------------------ rational triples through the adhm CLI
+# Written on (re, im) pairs of Fractions, apart from the code under test.
+
+def pair_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def pairs_mat_mul(a, b):
+    return [[(sum(pair_mul(x, y)[0] for x, y in zip(row, col)),
+              sum(pair_mul(x, y)[1] for x, y in zip(row, col)))
+             for col in zip(*b)] for row in a]
+
+
+def pair_str(z):
+    """The triple text and adhm output form of a scalar."""
+    re, im = z
+    if not im:
+        return str(re)
+    ims = ("" if abs(im) == 1 else str(abs(im))) + "i"
+    if not re:
+        return ("-" if im < 0 else "") + ims
+    return str(re) + ("-" if im < 0 else "+") + ims
+
+
+# few coordinates, so that blocks often share an x or a y; two lie outside
+# the unit disk
+COORDINATES = [(Fraction(1, 2), Fraction(0)),
+               (Fraction(-1, 3), Fraction(1, 2)), (Fraction(0), Fraction(0)),
+               (Fraction(3, 4), Fraction(-1)), (Fraction(2), Fraction(1, 3))]
+
+
+def rational_triple(rng):
+    """
+    (triple text, expected adhm output) for a triple of size n <= 6: a
+    block sum of monomial triples moved to distinct Gaussian-rational
+    points, conjugated by G = a product of I + c E_ij with Gaussian
+    integers c, so G is unimodular and G^-1 the product of the I - c E_ij
+    in reverse.  The support is the block points with the block sizes, and
+    Tr(A^k B^l) = sum m x^k y^l.
+    """
+    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    blocks, n = {}, 0
+    while n < 6 and (not blocks or rng.random() < 0.6):
+        size = rng.randint(1, 6 - n)
+        point = tuple(rng.choice(COORDINATES) for _ in "xy")
+        if point not in blocks:
+            blocks[point] = rng.choice(list(partitions_of(size))).nu
+            n += size
+    a, b = ([[zero] * n for _ in range(n)] for _ in "ab")
+    v = []
+    for (x, y), mu in blocks.items():
+        cells = [(i, j) for i, part in enumerate(mu) for j in range(part)]
+        at = {c: len(v) + k for k, c in enumerate(cells)}
+        for (i, j), k in at.items():
+            a[k][k], b[k][k] = x, y
+            if (i + 1, j) in at:
+                a[at[(i + 1, j)]][k] = one
+            if (i, j + 1) in at:
+                b[at[(i, j + 1)]][k] = one
+        v += [one] + [zero] * (len(cells) - 1)
+    g, gi = ([[one if i == j else zero for j in range(n)] for i in range(n)]
+             for _ in "gh")
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = (Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-1, 1)))
+        e, ei = ([[one if r == s else zero for s in range(n)]
+                  for r in range(n)] for _ in "ef")
+        e[i][j], ei[i][j] = c, (-c[0], -c[1])
+        g, gi = pairs_mat_mul(g, e), pairs_mat_mul(ei, gi)
+    a, b = (pairs_mat_mul(pairs_mat_mul(g, m), gi) for m in (a, b))
+    v = [row[0] for row in pairs_mat_mul(g, [[z] for z in v])]
+    text = "\n".join([str(n)] + [" ".join(map(pair_str, row))
+                                 for row in a + b + [v]]) + "\n"
+
+    support = sorted((point, sum(mu)) for point, mu in blocks.items())
+    rows = [("key", "value"), ("size", n), ("commuting", True),
+            ("stable", True),
+            ("support", " + ".join("%d*(%s,%s)" % (m, pair_str(x), pair_str(y))
+                                   for (x, y), m in support)),
+            ("in_bidisk", all(z[0] ** 2 + z[1] ** 2 < 1
+                              for point, _ in support for z in point))]
+    for k in range(n + 1):
+        for l in range(n + 1 - k):
+            t = zero
+            for (x, y), m in support:
+                term = (Fraction(m), Fraction(0))
+                for z in [x] * k + [y] * l:
+                    term = pair_mul(term, z)
+                t = (t[0] + term[0], t[1] + term[1])
+            rows.append(("trace[%d,%d]" % (k, l), pair_str(t)))
+    return text, "".join("\t".join(map(str, row)) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rational_triples_give_their_support_stability_and_traces(
+        seed, tmp_path, capsys):
+    text, expect = rational_triple(random.Random(seed))
+    path = tmp_path / "triple.txt"
+    path.write_text(text)
+    assert main(["adhm", "--triple", str(path)]) == 0
+    assert capsys.readouterr() == (expect, ""), text

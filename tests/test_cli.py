@@ -274,19 +274,22 @@ def test_strata_claims_only_the_rows_it_lists(h, code, out, err):
 
 
 @pytest.mark.parametrize("mu, err", [
+    ("2000000", "out of memory: --mu is too large"),
     ("100000000", "out of memory: --mu is too large"),
     (str(sys.maxsize - 1), "out of memory: --mu is too large"),
     ("99999999999999999999", "--mu must sum below %d, got 99999999999999999999"
      % sys.maxsize),
     ("%d,1" % (sys.maxsize - 1), "--mu must sum below %d, got %d"
      % (sys.maxsize, sys.maxsize)),
-], ids=["1e8", "maxsize-1", "1e20", "sum_maxsize"])
+], ids=["2e6", "1e8", "maxsize-1", "1e20", "sum_maxsize"])
 def test_a_partition_no_memory_can_hold_exits_2_at_once(mu, err):
     # the staircase was listed a cell at a time until memory ran out, which
-    # took seconds under the child's 1 GiB and without a limit never ended
+    # took seconds under the child's 1 GiB and without a limit never ended;
+    # then 2,000,000 cells fit a claim of the cells alone, and the index and
+    # columns filled the 1 GiB over 6-8 s.  The whole triple is claimed now
     proc = subprocess.run(
         [sys.executable, "-m", "hilbfock", "adhm", "--mu", mu],
-        capture_output=True, text=True, timeout=5,
+        capture_output=True, text=True, timeout=2,
         preexec_fn=limit_child_memory)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: %s\n" % err

@@ -1,9 +1,10 @@
 """
 The package loads its modules on demand: top-level names resolve on first
 access, and a CLI request imports only the layers its subcommand uses.
-Integer tables load no rational arithmetic (fractions), which is imported
-only where a rational can appear.  Import sets are read in fresh
-interpreters, so earlier tests cannot leak modules into them.
+Integer tables and monomial triples load no rational arithmetic
+(fractions), which is imported only where a rational can appear.  Import
+sets are read in fresh interpreters, so earlier tests cannot leak modules
+into them.
 """
 
 import importlib
@@ -138,17 +139,28 @@ TABLE_REQUESTS = [
 ]
 
 
-@pytest.mark.parametrize("argv", TABLE_REQUESTS, ids=" ".join)
+# the monomial triples of the benchmark's adhm requests
+MONOMIAL_REQUESTS = [["adhm", "--mu", mu] for mu in (
+    "1", "2", "1,1", "2,1", "1,1,1", "3", "2,2", "3,1", "2,1,1", "3,2",
+    "2,2,1", "3,2,1", "4,2", "3,3,1", "3,3,3")]
+
+
+@pytest.mark.parametrize("argv", TABLE_REQUESTS + MONOMIAL_REQUESTS,
+                         ids=" ".join)
 def test_integer_tables_load_no_rational_arithmetic(argv):
     assert not modules_after(argv) & RATIONAL
 
 
 @pytest.mark.parametrize("argv", [
-    ["adhm", "--mu", "2,1"],
+    ["adhm", "--triple", "{triple}"],
     ["commutators", "--surface", "p2", "--trials", "2"],
 ], ids=" ".join)
-def test_rational_requests_load_fractions(argv):
-    # the positive control: the check above can fail
+def test_rational_requests_load_fractions(argv, tmp_path):
+    # the positive control: the checks above can fail; the triple has a
+    # 1/2 entry
+    triple = tmp_path / "triple.txt"
+    triple.write_text("2\n0 0\n1 0\n0 0\n1/2 0\n1 0\n")
+    argv = [str(triple) if arg == "{triple}" else arg for arg in argv]
     assert "fractions" in modules_after(argv)
 
 

@@ -1,9 +1,10 @@
 from collections import Counter
 from math import prod
+from sys import getsizeof
 
 import pytest
 
-from hilbfock import partitions
+from hilbfock import partitions, stratification
 from hilbfock.goettsche import punctual_poincare
 from hilbfock.partitions import (Partition, partitions_of, refines,
                                  splittings_merging_to, splittings_with_drop)
@@ -31,6 +32,20 @@ def test_support_strata_lists_the_filtered_partitions_in_order():
         for h in range(n + 2):
             assert support_strata(n, h) == [
                 a for a in partitions_of(n) if a.length <= n - h]
+
+
+def test_support_strata_claims_each_row_at_its_length(monkeypatch):
+    # the claim once sized every row at n - h parts, whatever its length
+    claims = []
+    monkeypatch.setattr(stratification, "bytearray", claims.append,
+                        raising=False)
+    base = getsizeof(Partition(())) + getsizeof(())
+    for n in range(1, 17):
+        for h in range(n + 1):
+            claims.clear()
+            rows = support_strata(n, h)
+            assert sum(claims) == sum(base + 8 * (nu.length + 1)
+                                      for nu in rows), (n, h)
 
 
 def test_support_strata_monotone():
