@@ -16,7 +16,7 @@ Surface configuration files are flat key=value lines:
 
     name=mysurface
     betti=1,0,2,0,1
-    betti_c=1,0,2,0,1        (optional, defaults to betti)
+    betti_c=1,0,2,0,1        (optional, defaults to the reverse of betti)
     euler=4                  (optional, checked against betti)
     hodge=0,0,1              (optional, repeatable: p,q,h)
 

@@ -20,7 +20,8 @@ literal partition walks stay apart: stratum_product for the regrouping
 check of stratification, selfcheck's route to the orbifold Euler numbers.
 Packed rows grow through series.grow from exponents, independent totals
 and, in x, y, a y-slope; series alone sizes, lays out, re-spaces and
-checks their digits.  Newton rows are checked by remainders too.
+checks their digits against closed forms (sym_total_dim; for product and
+strata, series.coefficient_sums).  Newton rows are checked by remainders too.
 
 Every table is cached per surface or Euler number, at the longest order
 asked so far.  Each keeps the state its kernel goes on from, so a per-n
@@ -32,8 +33,8 @@ from functools import lru_cache, partial, wraps
 from math import comb, prod
 
 from ._base import IdentityFailed
-from .series import (CoeffPoly, FactorFamily, QTSeries, grow, pack,
-                     product_table, super_power_table)
+from .series import (CoeffPoly, FactorFamily, QTSeries, coefficient_sums,
+                     grow, pack, product_table, super_power_table)
 
 
 def goettsche_families(model):
@@ -181,12 +182,13 @@ def _strata_sums(term, order, shift=0, state=None):
 
 
 def _strata_table(model, order, kept, sym, slope=None):
-    """Strata sums of a sym table times t^(2 drop) or (xy)^drop; K totals."""
+    """Strata sums of a sym table times t^(2 drop) or (xy)^drop; Betti sums."""
     def step(offset, state, n):
         return _strata_sums(lambda a: pack(sym[a], offset), order,
                             offset((1, 1) if slope else (2,)), state)
-    return grow(kept, order, equivariant_k_table(model, order).__getitem__,
-                [[], [[1]]], step, slope)
+    b = model.betti
+    totals = coefficient_sums(sum(b[::2]), sum(b[1::2]), order)
+    return grow(kept, order, totals.__getitem__, [[], [[1]]], step, slope)
 
 
 @_cached_table
@@ -270,8 +272,7 @@ def sym_total_dim(model, m):
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    b_even = model.betti[0] + model.betti[2] + model.betti[4]
-    b_odd = model.betti[1] + model.betti[3]
+    b_even, b_odd = sum(model.betti[::2]), sum(model.betti[1::2])
     total = 0
     for j in range(min(b_odd, m) + 1):
         # max(., 0): with no even class only the empty multiset is left

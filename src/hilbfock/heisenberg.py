@@ -36,7 +36,7 @@ from bisect import bisect_left
 from operator import index
 
 from ._base import Frozen, exact
-from .series import QTSeries, grow, super_power_table
+from .series import QTSeries, coefficient_sums, grow, super_power_table
 from .surfaces import DELTA, MissingHodgeData
 
 
@@ -336,11 +336,10 @@ def degree_of(state, model, hodge=False):
     return MIXED if len(degs) > 1 else next(iter(degs), None)
 
 
-def _level_table(model, order, offset=lambda exps: 0):
-    """One stepping pass, t^degree at offset((degree,)) (all 0: counts)."""
-    gens = ((offset((d + 2 * (mode - 1),)), mode, d % 2)
-            for mode in range(1, order + 1) for d in model.ordinary_degrees)
-    return super_power_table(gens, order)
+def _level_dims(model, order):
+    """Level dimensions 0..order: coefficient_sums of even and odd classes."""
+    odd = sum(model.ordinary_parities)
+    return coefficient_sums(len(model.ordinary_parities) - odd, odd, order)
 
 
 def graded_character(model, order):
@@ -349,18 +348,21 @@ def graded_character(model, order):
     t^degree over all level-n monomials.  Evaluated generator by generator
     (geometric step for even classes, two-term step for odd ones), which
     sums over exactly the admissible monomials without listing them: one
-    pass with plain counts sizes the digits of one packed pass.
+    packed pass, each row's digits checked against its level dimension.
     """
-    return QTSeries(order, grow(
-        None, order, _level_table(model, order).__getitem__, [],
-        lambda offset, *_: (_level_table(model, order, offset), []))[0])
+    def step(offset, *_):
+        return super_power_table(((offset((d + 2 * (mode - 1),)), mode, d % 2)
+                                  for mode in range(1, order + 1)
+                                  for d in model.ordinary_degrees), order), []
+    return QTSeries(order, grow(None, order, _level_dims(model, order)
+                                .__getitem__, [], step)[0])
 
 
 def level_dim(model, n):
-    """Number of level-n monomials, by the same stepping with plain counts."""
+    """Number of level-n monomials, from the same closed form."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _level_table(model, n)[n]
+    return _level_dims(model, n)[n]
 
 
 def enumerate_monomials(model, n):

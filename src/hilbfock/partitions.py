@@ -96,7 +96,11 @@ def partitions_of(n):
     """All partitions of n, descending lexicographic in the parts notation."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return tuple(Partition(p) for p in _raw_partitions(n, n))
+    out = [] if n else [Partition(())]
+    for first in range(n, 0, -1):  # then the cached rest, parts <= first
+        out += [Partition((first,) + p.nu) for p in partitions_of(n - first)
+                if p.nu[:1] <= (first,)]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -104,17 +108,6 @@ def partition_census(n):
     """{(length, signature): count} over partitions_of(n), in one walk."""
     return MappingProxyType(Counter((p.length, p.signature)
                                     for p in partitions_of(n)))
-
-
-@lru_cache(maxsize=None)
-def _raw_partitions(n, max_part):
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _raw_partitions(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
 
 
 def count_with_length(n, l):

@@ -69,6 +69,8 @@ def check_sym_routes(order):
 
 
 def check_commutators(trials, seed, models):
+    if trials < 1:
+        raise ValueError("trials must be at least 1, got %d" % trials)
     rng = random.Random(seed)
     for s in models:
         n_ord = len(s.ordinary_degrees)
@@ -199,8 +201,10 @@ def run_all(order, seed=0):
     """
     Run the whole battery; returns a list of (name, ok, detail).  Each row
     is (name, check, its arguments), so every bound derived from `order`
-    is here.
+    is here.  An order below 1 would check nothing: ValueError.
     """
+    if order < 1:
+        raise ValueError("order must be at least 1, got %d" % order)
     battery = [
         ("goettsche_product_vs_strata", check_goettsche, order),
         ("fock_character_vs_product", check_fock_character, order),

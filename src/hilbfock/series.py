@@ -12,9 +12,9 @@ series coefficients, runs through one term-product kernel, _mul_into.
 Infinite products of the shape prod_{m>=1} (1 +- t^(c*m+d) q^m)^(+-w) are
 expanded row by row from their logarithmic derivative, each row from the
 rows below it; factors with m > N cannot touch coefficients up to q^N, so
-the product is finite.  Its coefficient sums come in closed form from the
-logarithmic derivative of prod_m (1 - q^m)^(-a) (1 + q^m)^b.  product_table
-keeps the packed rows to grow from; product_expand returns a QTSeries.
+the product is finite.  coefficient_sums, the totals of every Hilbert-scheme
+table, come in closed form from the log-derivative of prod_m (1 - q^m)^(-a)
+(1 + q^m)^b.  product_table keeps the packed rows; product_expand a QTSeries.
 
 Dimension counts and the product are stepped on one packed int per q-power
 (Kronecker substitution), in a layout only this module knows: callers give
@@ -31,8 +31,8 @@ of every packed table: the new rows' totals size the digits, the kept state
 is re-laid for a wider width and re-spaced for wider digits (respace), and
 each new row is unpacked against its total.  Rational data is never packed.
 The graded super-symmetric powers (symmetric products, their Hodge
-refinement, the Fock character, level dimensions) come from one stepping
-kernel, super_power_table: a generator at offset k steps the table by
+refinement, the Fock character) come from one stepping kernel,
+super_power_table: a generator at offset k steps the table by
 1/(1 - 2^k q^s) if even, (1 + 2^k q^s) if odd, a shift and an add per row.
 """
 
@@ -432,20 +432,20 @@ def product_table(families, order, kept=None, nvars=None):
                                      % n)
             rows.append(row)
         return rows, rows
-    rows, state = grow(kept, order, _product_totals(families, order)
-                       .__getitem__, [1], step, slope)
+    a, b = (sum(f.weight for f in families if f.sign == sg) for sg in (-1, 1))
+    rows, state = grow(kept, order, coefficient_sums(a, b, order).__getitem__,
+                       [1], step, slope)
     return [r if r.nvars == nvars else CoeffPoly._make(  # w^k as x^k y^k
         {(k, k): c for (k,), c in r.terms.items()}, 2) for r in rows], state
 
 
-def _product_totals(families, order):
+def coefficient_sums(a, b, order):
     """
-    The coefficient sums T_n of the product, those of prod_m (1 - q^m)^(-a)
-    (1 + q^m)^b for the weight sums a, b of the - and + families: q d/dq of
-    its log gives n T_n = sum_k s_k T_(n-k), where
-    s_k = sum_(m|k) m (a - (-1)^(k/m) b).
+    T_0..T_order of prod_m (1 - q^m)^(-a) (1 + q^m)^b: the coefficient sums
+    of a product of - and + families of weights a, b, the total Betti numbers
+    of the Hilbert schemes of a surface of a even, b odd classes.  By q d/dq
+    log, n T_n = sum_k s_k T_(n-k), where s_k = sum_(m|k) m (a - (-1)^(k/m) b).
     """
-    a, b = (sum(f.weight for f in families if f.sign == sg) for sg in (-1, 1))
     s = [0] * (order + 1)
     for m in range(1, order + 1):
         for j, k in enumerate(range(m, order + 1, m), 1):

@@ -2,13 +2,13 @@
 Graded super vector-space data of a surface.
 
 A SurfaceModel records the ordinary and compact-support Betti numbers in
-degrees 0..4, the pairing between degree d and compact degree 4-d, and an
-optional Hodge bigrading.  Cohomology classes get flat indices: ordinary
-classes are numbered degree by degree, compact-support classes likewise.
-The parity of a class is its degree mod 2.  Derived at construction, so
-outside equality and the hash: ordinary_parities and compact_parities in
-flat order, and pairing_columns, for each compact class a read-only
-{ordinary index: nonzero pairing}.
+degrees 0..4 (by default b^c_d = b_(4-d), Poincare duality), the pairing
+between degree d and compact degree 4-d, and an optional Hodge bigrading.
+Cohomology classes get flat indices: ordinary classes are numbered degree
+by degree, compact-support classes likewise.  The parity of a class is its
+degree mod 2.  Derived at construction, so outside equality and the hash:
+ordinary_parities and compact_parities in flat order, and pairing_columns,
+for each compact class a read-only {ordinary index: nonzero pairing}.
 
 Shipped presets: the open bidisk/affine-plane model ("delta"), the
 projective plane, the quadric, a K3 and an abelian surface.  All pairings
@@ -35,7 +35,7 @@ class SurfaceModel(Frozen):
         betti = tuple(int(b) for b in betti)
         if len(betti) != 5 or any(b < 0 for b in betti):
             raise ValueError("betti must be 5 non-negative integers")
-        betti_c = betti if betti_c is None else tuple(int(b) for b in betti_c)
+        betti_c = betti[::-1] if betti_c is None else tuple(map(int, betti_c))
         if len(betti_c) != 5 or any(b < 0 for b in betti_c):
             raise ValueError("betti_c must be 5 non-negative integers")
         for d in range(5):
@@ -155,7 +155,7 @@ class SurfaceModel(Frozen):
         return self._bidegrees
 
 
-DELTA = SurfaceModel("delta", (1, 0, 0, 0, 0), betti_c=(0, 0, 0, 0, 1))
+DELTA = SurfaceModel("delta", (1, 0, 0, 0, 0))
 
 P2 = SurfaceModel("p2", (1, 0, 1, 0, 1),
                   hodge={(0, 0): 1, (1, 1): 1, (2, 2): 1})

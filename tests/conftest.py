@@ -6,9 +6,9 @@ from hilbfock import goettsche, partitions
 
 # Every lru_cache of the package; with goettsche._TABLES these are all its
 # module-level caches (tests/test_layering.py pins that set).
-LRU_CACHES = (partitions.partitions_of, partitions._raw_partitions,
-              partitions._fill, partitions.partition_census,
-              partitions.splitting_drops, goettsche.sym_total_dim)
+LRU_CACHES = (partitions.partitions_of, partitions._fill,
+              partitions.partition_census, partitions.splitting_drops,
+              goettsche.sym_total_dim)
 
 
 @pytest.fixture

@@ -350,7 +350,8 @@ def test_surface_config_errors(tmp_path, capsys):
     assert code == 2
     assert "euler" in err
 
-    bad.write_text("betti=2,0,1,0,1\n")     # pairing block 0 not square
+    # an explicit betti_c that is not dual: pairing block 0 not square
+    bad.write_text("betti=2,0,1,0,1\nbetti_c=2,0,1,0,1\n")
     code, _, err = run_cli(["euler", "--surface", str(bad), "--order", "1"],
                            capsys)
     assert code == 2

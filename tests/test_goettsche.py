@@ -319,7 +319,8 @@ def test_surface_model_validation():
     with pytest.raises(ValueError):
         SurfaceModel("bad", (1, 0, 1, 0))
     with pytest.raises(ValueError):
-        SurfaceModel("bad", (1, 0, 1, 0, 2))      # b0 != b4^c
+        SurfaceModel("bad", (1, 0, 1, 0, 2),
+                     betti_c=(1, 0, 1, 0, 2))     # b0 != b4^c
     with pytest.raises(ValueError):
         SurfaceModel("bad", (1, 0, 1, 0, 1), hodge={(0, 0): 1, (1, 1): 2,
                                                     (2, 2): 1})

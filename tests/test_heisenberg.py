@@ -491,8 +491,8 @@ def test_commutator_builds_no_validated_monomial(monkeypatch):
     assert calls == []
 
 
-def test_fock_request_makes_one_plain_and_one_packed_pass(monkeypatch,
-                                                           capsys):
+def test_fock_request_makes_one_packed_pass(monkeypatch, capsys):
+    # the digits are checked against the closed form, not a plain pass
     passes = []
     real = heisenberg.super_power_table
 
@@ -503,8 +503,10 @@ def test_fock_request_makes_one_plain_and_one_packed_pass(monkeypatch,
 
     monkeypatch.setattr(heisenberg, "super_power_table", counting)
     assert main(["fock", "--surface", "abelian", "--order", "12"]) == 0
-    assert sorted(passes) == [(12, False), (12, True)]
+    assert passes == [(12, False)]
     assert len(capsys.readouterr().out.splitlines()) == 14
+    assert [level_dim(ABELIAN, n) for n in (0, 1, 12)] == [1, 16, 155341248]
+    assert passes == [(12, False)]  # level_dim steps nothing
 
 
 def test_monomial_hash_is_the_hash_of_its_factors():

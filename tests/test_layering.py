@@ -268,8 +268,8 @@ def test_the_cache_detector_sees_each_kind_of_cache():
 
 
 CACHES = {"goettsche._TABLES", "goettsche.sym_total_dim", "partitions._fill",
-          "partitions._raw_partitions", "partitions.partition_census",
-          "partitions.partitions_of", "partitions.splitting_drops"}
+          "partitions.partition_census", "partitions.partitions_of",
+          "partitions.splitting_drops"}
 
 
 def test_every_module_level_cache_is_listed():

@@ -103,6 +103,15 @@ def test_run_all_holds_every_bound(monkeypatch, order, capped):
                         for name in CHECKS if name != "commutators"}
 
 
+@pytest.mark.parametrize("bound", (0, -3))
+def test_a_battery_of_zero_cases_is_refused(bound):
+    # a check that ran no case must not report a pass
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        selfcheck.run_all(bound)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        selfcheck.check_commutators(bound, 0, selfcheck.ALL_PRESETS)
+
+
 def refuse(*args, **kwargs):
     raise AssertionError("the other Euler route was called")
 

@@ -284,25 +284,27 @@ def coefficient_sums(series):
 @pytest.mark.parametrize("nvars", (1, 2))
 def test_closed_form_totals_are_the_coefficient_sums(nvars):
     rng = random.Random(70 + nvars)
-    assert series._product_totals([], 9) == [1] + [0] * 9
+    assert series.coefficient_sums(0, 0, 9) == [1] + [0] * 9
     for order in range(11):
         for _ in range(2):
             fams = [rand_family(rng, nvars) for _ in range(rng.randint(1, 3))]
-            assert series._product_totals(fams, order) == coefficient_sums(
+            a, b = (sum(f.weight for f in fams if f.sign == sign)
+                    for sign in (-1, 1))
+            assert series.coefficient_sums(a, b, order) == coefficient_sums(
                 factor_chain(fams, order, nvars))
 
 
 def test_a_corrupted_total_fails_the_identity(monkeypatch):
-    real = series._product_totals
+    real = series.coefficient_sums
 
-    def corrupted(families, order):
-        totals = real(families, order)
+    def corrupted(a, b, order):
+        totals = real(a, b, order)
         totals[6] += 1
         return totals
 
     families = goettsche_families(K3)
     product_expand(families, 8)
-    monkeypatch.setattr(series, "_product_totals", corrupted)
+    monkeypatch.setattr(series, "coefficient_sums", corrupted)
     with pytest.raises(IdentityFailed, match="do not sum to"):
         product_expand(families, 8)
 

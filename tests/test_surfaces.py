@@ -77,6 +77,15 @@ def open_surface(tmp_path):
     return parse_surface_file(str(cfg))
 
 
+def test_betti_c_defaults_to_the_reverse_of_betti(tmp_path):
+    cfg = tmp_path / "dual.surface"
+    cfg.write_text("name=torus\nbetti=1,2,1,0,0\n")
+    model = parse_surface_file(str(cfg))
+    assert model.betti_c == (0, 0, 1, 2, 1)
+    assert model == open_surface(tmp_path)  # the explicit dual, same model
+    assert SurfaceModel("delta", (1, 0, 0, 0, 0)) == DELTA
+
+
 def pairing_oracle(model):
     """{(ordinary index, compact index): value}, nonzero entries only, read
     off the pairing blocks with the flat offsets of each degree."""

@@ -112,12 +112,12 @@ def test_a_k_walk_convolves_each_row_once(row_steps):
 
 
 def test_a_strata_walk_convolves_each_row_once(row_steps):
-    # the strata table and the K table of its totals grow side by side
+    # the totals come in closed form: no K table grows beside the strata
     walk = [hilbert_poincare_from_strata(K3, n) for n in range(31)]
-    assert row_steps == rows_once("strata", 0, 30, 2) + Counter(
+    assert row_steps == rows_once("strata", 0, 30) + Counter(
         {"stepping": 30})
     walk += [hilbert_poincare_from_strata(K3, n) for n in range(31, 41)]
-    assert row_steps == rows_once("strata", 0, 40, 2) + Counter(
+    assert row_steps == rows_once("strata", 0, 40) + Counter(
         {"stepping": 40})
     assert walk == strata_poincare_table(K3, 40)
 
@@ -196,10 +196,9 @@ def test_a_hodge_sym_walk_steps_each_row_once(row_steps):
 
 
 def test_a_strata_hodge_walk_convolves_each_row_once(row_steps):
-    # the Hodge strata table and the K table of its totals grow side by
-    # side, over the bigraded sym table
+    # the Hodge strata table grows alone, over the bigraded sym table
     walk = [strata_hodge_table(K3, n)[n] for n in range(17)]
-    assert row_steps == rows_once("strata", 0, 16, 2) + Counter(
+    assert row_steps == rows_once("strata", 0, 16) + Counter(
         {"stepping": 16})
     assert walk == strata_hodge_table(K3, 16)
 
@@ -229,6 +228,9 @@ def test_grown_euler_rows_equal_one_shot_rows(reset_caches):
     assert walks == {e: hilbert_euler_table(e, 40) for e in EULER_RANGE}
 
 
+PRODUCTS = (goettsche._product_table, hilbert_hodge_table)
+
+
 def kept(table, model):
     return goettsche._TABLES[getattr(table, "__wrapped__", table), model]
 
@@ -236,10 +238,9 @@ def kept(table, model):
 @pytest.mark.parametrize("reader, table, patched", [
     (sym_poincare, sym_poincare_table, "sym_total_dim"),
     (sym_poincare_product, goettsche._newton_table, "sym_total_dim"),
-    (hilbert_poincare_from_strata, strata_poincare_table,
-     "equivariant_k_table"),
-    (product_row, goettsche._product_table, "_product_totals"),
-    (hilbert_hodge, hilbert_hodge_table, "_product_totals"),
+    (hilbert_poincare_from_strata, strata_poincare_table, "coefficient_sums"),
+    (product_row, goettsche._product_table, "coefficient_sums"),
+    (hilbert_hodge, hilbert_hodge_table, "coefficient_sums"),
 ], ids=["stepping", "newton", "strata", "product", "hodge"])
 def test_a_corrupted_total_fails_its_row_and_keeps_the_table(
         monkeypatch, reset_caches, reader, table, patched):
@@ -248,15 +249,16 @@ def test_a_corrupted_total_fails_its_row_and_keeps_the_table(
     walk = [reader(K3, n) for n in range(7)]
     before = kept(table, K3)
     snapshot = list(before[0]), deepcopy(before[1])
-    # the product totals are read inside series.product_table
-    module = series if patched == "_product_totals" else goettsche
+    # each table reads its closed form where it is built: the strata in
+    # goettsche, the products inside series.product_table
+    module = series if table in PRODUCTS else goettsche
     real = getattr(module, patched)
 
-    def corrupted(model, n):
+    def corrupted(*args):
         if patched == "sym_total_dim":
-            return real(model, n) + (n == 7)
-        rows = real(model, n)
-        return rows[:7] + [rows[7] + 1] + rows[8:] if n >= 7 else rows
+            return real(*args) + (args[1] == 7)
+        rows = real(*args)
+        return rows[:7] + [rows[7] + 1] + rows[8:] if len(rows) > 7 else rows
 
     with monkeypatch.context() as m:
         m.setattr(module, patched, corrupted)
