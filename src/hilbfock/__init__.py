@@ -18,11 +18,11 @@ _EXPORTS = {
         QTSeries UnknownVariable product_expand""",
     "surfaces": """ABELIAN DELTA K3 P2 P1XP1 PRESETS MissingHodgeData
         SurfaceModel""",
-    "goettsche": """equivariant_k_dim general_binomial goettsche_families
-        hilbert_euler hilbert_hodge hilbert_poincare_from_strata
-        hilbert_poincare_series hodge_sym orbifold_euler punctual_poincare
-        stratum_poincare sym_poincare sym_poincare_product
-        sym_poincare_table sym_total_dim""",
+    "product": "goettsche_families hilbert_hodge hilbert_poincare_series",
+    "goettsche": """equivariant_k_dim general_binomial hilbert_euler
+        hilbert_poincare_from_strata hodge_sym orbifold_euler
+        punctual_poincare stratum_poincare sym_poincare
+        sym_poincare_product sym_poincare_table sym_total_dim""",
     "heisenberg": """MIXED Annihilate Central Create FockMonomial FockState
         ModeNonPositive UnknownClass WrongModel commutator degree_of
         enumerate_monomials graded_character level_dim random_state

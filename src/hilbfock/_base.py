@@ -1,10 +1,14 @@
-"""The frozen value base, the exact normaliser and IdentityFailed."""
+"""The frozen base, the exact normaliser, IdentityFailed and ConfigError."""
 
 import sys
 
 
 class IdentityFailed(ArithmeticError):
     """Two independently computed quantities that must agree do not."""
+
+
+class ConfigError(ValueError):
+    """A request names a bad option value or an invalid surface file."""
 
 
 class Frozen:

@@ -11,80 +11,18 @@ Each cmd_* imports its own layer, so a request loads only the modules its
 subcommand uses, and returns (exit code, rows); main writes the rows, so
 stdout stays empty when a request fails.  A request reads its own
 arguments from COMMANDS; argparse loads only for help and usage errors.
-
-Surface configuration files are flat key=value lines:
-
-    name=mysurface
-    betti=1,0,2,0,1
-    betti_c=1,0,2,0,1        (optional, defaults to the reverse of betti)
-    euler=4                  (optional, checked against betti)
-    hodge=0,0,1              (optional, repeatable: p,q,h)
-
-A repeated key, or a repeated hodge=p,q, is an error.
 """
 
 import sys
 from types import SimpleNamespace
 
-from ._base import IdentityFailed
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def parse_surface_file(path):
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ConfigError("cannot read surface file %s: %s" % (path, exc))
-    fields, hodge = {}, {}
-    for ln, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError("%s:%d: expected key=value" % (path, ln))
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        table, slot = fields, key
-        try:
-            if key in ("betti", "betti_c"):
-                value = [int(x) for x in value.split(",")]
-            elif key == "euler":
-                value = int(value)
-            elif key == "hodge":
-                p, q, value = (int(x) for x in value.split(","))
-                table, slot, key = hodge, (p, q), "hodge=%d,%d" % (p, q)
-            elif key != "name":
-                raise ConfigError("%s:%d: unknown field %r" % (path, ln, key))
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError("%s:%d: bad value for %r: %s"
-                              % (path, ln, key, exc))
-        if slot in table:
-            raise ConfigError("%s:%d: duplicate field %r" % (path, ln, key))
-        table[slot] = value
-    if "betti" not in fields:
-        raise ConfigError("%s: missing required field 'betti'" % path)
-    from .surfaces import SurfaceModel
-    try:
-        return SurfaceModel(fields.get("name", path),
-                            fields["betti"],
-                            betti_c=fields.get("betti_c"),
-                            hodge=hodge or None,
-                            euler=fields.get("euler"))
-    except ValueError as exc:
-        raise ConfigError("%s: %s" % (path, exc))
+from ._base import ConfigError, IdentityFailed
 
 
 def resolve_surface(spec):
     if spec is None:
         raise ConfigError("missing --surface")
-    from .surfaces import PRESETS
+    from .surfaces import PRESETS, parse_surface_file
     key = spec.lower()
     if key in PRESETS:
         return PRESETS[key]
@@ -93,18 +31,20 @@ def resolve_surface(spec):
 
 def _parse_partition(text, flag):
     # the monomial-ideal triple of the comma-separated parts, in any order;
-    # its staircase has as many cells as the parts sum to
+    # its staircase has as many cells n as the parts sum to, and the list of
+    # its (n + 1)(n + 2)/2 trace rows (at most maxsize) is claimed first
     from .adhm import from_monomial_ideal
     try:
         parts = [int(x) for x in text.split(",")]  # an empty field fails
-        if sum(parts) < sys.maxsize:
+        if (n := sum(parts)) < sys.maxsize:
+            [None] * min((n + 1) * (n + 2) // 2, sys.maxsize)
             return from_monomial_ideal(sorted(parts, reverse=True))
     except ValueError as exc:
         raise ConfigError("bad partition for %s: %s" % (flag, exc))
     except MemoryError:
         raise ConfigError("out of memory: %s is too large" % flag)
     raise ConfigError("%s must sum below %d, got %d"
-                      % (flag, sys.maxsize, sum(parts)))
+                      % (flag, sys.maxsize, n))
 
 
 def emit(rows, output):
@@ -207,7 +147,7 @@ def build_parser(argv):
 
 
 def cmd_goettsche(args):
-    from .goettsche import hilbert_poincare_series
+    from .product import hilbert_poincare_series
     s = resolve_surface(args.surface)
     return 0, [("n", "poincare"),
                *enumerate(hilbert_poincare_series(s, args.order).coeffs)]
@@ -233,7 +173,7 @@ def cmd_euler(args):
 
 
 def cmd_hodge(args):
-    from .goettsche import hilbert_hodge_table
+    from .product import hilbert_hodge_table
     s = resolve_surface(args.surface)
     if not s.has_hodge:
         raise ConfigError("surface %r has no hodge field (--surface)" % s.name)

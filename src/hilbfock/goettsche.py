@@ -3,16 +3,13 @@ Closed-form invariants of the Hilbert schemes of points of a surface,
 of its symmetric products and punctual fibers, each computed by two
 independent routes wherever possible.
 
-Routes for the Poincare polynomial of the n-th Hilbert scheme:
-
-  * the product generating function over q (hilbert_poincare_series);
-  * the stratum decomposition: a degree-shifted sum over partitions of n
-    of the Poincare polynomials of products of symmetric products
-    (hilbert_poincare_from_strata).
-
+This module holds the stratum decomposition of the Hilbert scheme: a
+degree-shifted sum over partitions of n of the Poincare polynomials of
+products of symmetric products (hilbert_poincare_from_strata), and in x, y
+of their Hodge polynomials (strata_hodge_table).  Goettsche's product, the
+other route, is the module product; the two never import each other.
 Their agreement, coefficient by coefficient, is the numerical content of
-the decomposition of the direct image under the support morphism.  So is
-that of hilbert_hodge_table (a product) and strata_hodge_table in x, y.
+the decomposition of the direct image under the support morphism.
 
 The stratum sums (Poincare, Hodge, K-theory) and the Euler product are one
 convolution over part sizes, on packed polynomials or on integers.  The
@@ -20,66 +17,26 @@ literal partition walks stay apart: stratum_product for the regrouping
 check of stratification, selfcheck's route to the orbifold Euler numbers.
 Packed rows grow through series.grow from exponents, independent totals
 and, in x, y, a y-slope; series alone sizes, lays out, re-spaces and
-checks their digits against closed forms (sym_total_dim; for product and
-strata, series.coefficient_sums).  Newton rows are checked by remainders too.
+checks their digits against closed forms (sym_total_dim; for the strata,
+series.coefficient_sums).  Newton rows are checked by remainders too.
+series loads only inside the builders of packed rows and polynomials, so
+the integer tables (Euler, K-theory) load none of it.
 
-Every table is cached per surface or Euler number, at the longest order
-asked so far.  Each keeps the state its kernel goes on from, so a per-n
-walk computes each row once.
+Every table is cached in tables, per surface or Euler number, at the
+longest order asked so far.  Each keeps the state its kernel goes on from,
+so a per-n walk computes each row once.
 """
 
-from collections import Counter
-from functools import lru_cache, partial, wraps
+from functools import lru_cache, partial
 from math import comb, prod
 
 from ._base import IdentityFailed
-from .series import (CoeffPoly, FactorFamily, QTSeries, coefficient_sums,
-                     grow, pack, product_table, super_power_table)
-
-
-def goettsche_families(model):
-    """
-    The five factor families of the product formula: numerator factors
-    (1 + t^(2m-1) q^m)^b1 and (1 + t^(2m+1) q^m)^b3, denominator factors
-    (1 - t^(2m-2) q^m)^-b0, (1 - t^(2m) q^m)^-b2, (1 - t^(2m+2) q^m)^-b4.
-    """
-    b = model.betti
-    specs = [(-1, b[0], (2, -2)), (1, b[1], (2, -1)), (-1, b[2], (2, 0)),
-             (1, b[3], (2, 1)), (-1, b[4], (2, 2))]
-    return [FactorFamily(sign, w, (exp,)) for sign, w, exp in specs if w]
-
-
-_TABLES = {}  # (rows, state) per (builder, surface); one value per (f, *args)
-
-
-def _cached_table(build):
-    """
-    build(model, order, kept) as a cached table of rows 0..order; kept, the
-    (rows, state) of the longest build or None, stays unchanged.
-    """
-    @wraps(build)
-    def table(model, order):
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        kept = _TABLES.get((build, model))
-        if kept is None or order >= len(kept[0]):
-            kept = _TABLES[build, model] = build(model, order, kept)
-        return kept[0][:order + 1]
-    return table
-
-
-@_cached_table
-def _product_table(model, order, kept):
-    return product_table(goettsche_families(model), order, kept)
-
-
-def hilbert_poincare_series(model, order):
-    """Generating function of Hilbert-scheme Poincare polynomials up to q^order."""
-    return QTSeries(order, _product_table(model, order))
+from .tables import cached, cached_table
 
 
 def _sym_table(model, order, kept, slope=None):
     """The stepping kernel, keeping a row per class; sym_total_dim totals."""
+    from .series import grow, super_power_table
     exps = model.class_bidegrees if slope else list(zip(model.ordinary_degrees))
     def step(offset, last, n):
         gens = [(offset(e), 1, odd)
@@ -90,7 +47,7 @@ def _sym_table(model, order, kept, slope=None):
                 step, slope)
 
 
-@_cached_table
+@cached_table
 def sym_poincare_table(model, order, kept):
     """
     The list [sym_poincare(model, m) for m in 0..order], from one pass of
@@ -120,8 +77,9 @@ def sym_poincare_product(model, m):
     return _newton_table(model, m)[m]
 
 
-@_cached_table
+@cached_table
 def _newton_table(model, order, kept):
+    from .series import grow
     b = model.betti
     def step(offset, packed, n):
         p = [[(s ** d * c, offset((d,))) for d, c in enumerate(b)
@@ -144,6 +102,7 @@ def stratum_poincare(model, a):
     partition in multiplicity notation: one factor per multiplicity a_i
     (zero multiplicities contribute a point factor).
     """
+    from .series import CoeffPoly
     return CoeffPoly({(d,): c for d, c in enumerate(
         stratum_product(model, a.signature))})
 
@@ -153,13 +112,13 @@ def stratum_product(model, signature):
     The product of sym_poincare(model, m) over a Partition.signature, as its
     coefficients of t^0, t^1, ..: built once per surface and signature.
     """
-    row = _TABLES.get((stratum_product, model, signature))
-    if row is None:
+    def build():
+        from .series import CoeffPoly
         out = prod((sym_poincare(model, m) for m in signature),
                    start=CoeffPoly.one())
-        row = _TABLES[stratum_product, model, signature] = tuple(
-            out.coefficient((d,)) for d in range(out.total_degree() + 1))
-    return row
+        return tuple(out.coefficient((d,))
+                     for d in range(out.total_degree() + 1))
+    return cached((stratum_product, model, signature), build)
 
 
 def _strata_sums(term, order, shift=0, state=None):
@@ -183,6 +142,7 @@ def _strata_sums(term, order, shift=0, state=None):
 
 def _strata_table(model, order, kept, sym, slope=None):
     """Strata sums of a sym table times t^(2 drop) or (xy)^drop; Betti sums."""
+    from .series import coefficient_sums, grow, pack
     def step(offset, state, n):
         return _strata_sums(lambda a: pack(sym[a], offset), order,
                             offset((1, 1) if slope else (2,)), state)
@@ -191,7 +151,7 @@ def _strata_table(model, order, kept, sym, slope=None):
     return grow(kept, order, totals.__getitem__, [[], [[1]]], step, slope)
 
 
-@_cached_table
+@cached_table
 def strata_poincare_table(model, order, kept):
     """[hilbert_poincare_from_strata(model, n) for n in 0..order]."""
     return _strata_table(model, order, kept, sym_poincare_table(model, order))
@@ -215,15 +175,15 @@ def punctual_poincare(n):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    poly = _TABLES.get((punctual_poincare, n))
-    if poly is None:
+    def build():
+        from .series import CoeffPoly
         p = [[1] + [0] * n]
         for k in range(1, n + 1):
             p.append([0] + [p[k - 1][l - 1] + p[k - l][l]
                             for l in range(1, k + 1)] + [0] * (n - k))
-        poly = _TABLES[punctual_poincare, n] = CoeffPoly._make(
+        return CoeffPoly._make(
             {(2 * (n - l),): p[n][l] for l in range(1, n + 1)}, 1)
-    return poly
+    return cached((punctual_poincare, n), build)
 
 
 def general_binomial(a, k):
@@ -236,7 +196,7 @@ def general_binomial(a, k):
     return comb(a, k)
 
 
-@_cached_table
+@cached_table
 def hilbert_euler_table(euler, order, kept):
     """
     Euler numbers of the Hilbert schemes of points, n = 0..order: the
@@ -290,7 +250,7 @@ def equivariant_k_dim(model, n):
     return equivariant_k_table(model, n)[n]
 
 
-@_cached_table
+@cached_table
 def equivariant_k_table(model, order, kept):
     """[equivariant_k_dim(model, n) for n in 0..order] from one convolution."""
     return _strata_sums(partial(sym_total_dim, model), order, 0,
@@ -302,7 +262,7 @@ def _hodge_slope(model):
     return max([1] + [q for _, q in model.class_bidegrees])
 
 
-@_cached_table
+@cached_table
 def hodge_sym_table(model, order, kept):
     """The list [hodge_sym(model, m) for m in 0..order], grown in x, y."""
     return _sym_table(model, order, kept, _hodge_slope(model))
@@ -316,27 +276,11 @@ def hodge_sym(model, m):
     return hodge_sym_table(model, m)[m]
 
 
-def hilbert_hodge(model, n):
-    """Hodge polynomial sum h^{p,q} x^p y^q of the n-th Hilbert scheme."""
-    return hilbert_hodge_table(model, n)[n]
-
-
-@_cached_table
-def hilbert_hodge_table(model, order, kept):
-    """
-    [hilbert_hodge(model, n) for n in 0..order] from the Goettsche-Soergel
-    product prod_m prod_(p,q) (1 - (-1)^(p+q) x^(p+m-1) y^(q+m-1) q^m)
-    ^(-(-1)^(p+q) h^(p,q)), h^(p,q) counted from class_bidegrees (with
-    only h^(p,p), series packs it in w = xy).
-    """
-    return product_table([
-        FactorFamily(1 if (p + q) % 2 else -1, h, ((1, p - 1), (1, q - 1)))
-        for (p, q), h in Counter(model.class_bidegrees).items()],
-        order, kept, nvars=2)
-
-
-@_cached_table
+@cached_table
 def strata_hodge_table(model, order, kept):
-    """hilbert_hodge_table as the sum of hodge_sym strata times (xy)^drop."""
+    """
+    The Hodge polynomials of product.hilbert_hodge_table as the sum of
+    hodge_sym strata times (xy)^drop.
+    """
     return _strata_table(model, order, kept, hodge_sym_table(model, order),
                          _hodge_slope(model))

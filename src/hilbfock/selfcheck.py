@@ -43,7 +43,7 @@ def _compare(models, order, lhs, rhs, names):
 
 
 def _product_rows(s, order):
-    from .goettsche import hilbert_poincare_series
+    from .product import hilbert_poincare_series
     return hilbert_poincare_series(s, order).coeffs
 
 
@@ -157,7 +157,8 @@ def check_ktheory(order):
 
 
 def check_hodge(order):
-    from .goettsche import hilbert_hodge_table, strata_poincare_table
+    from .goettsche import strata_poincare_table
+    from .product import hilbert_hodge_table
     return _compare(
         HODGE_PRESETS, order,
         lambda s, n: [h.specialize({"x": "t", "y": "t"})

@@ -446,6 +446,8 @@ def coefficient_sums(a, b, order):
     of the Hilbert schemes of a surface of a even, b odd classes.  By q d/dq
     log, n T_n = sum_k s_k T_(n-k), where s_k = sum_(m|k) m (a - (-1)^(k/m) b).
     """
+    if order < 0:
+        raise ValueError("order must be non-negative")
     s = [0] * (order + 1)
     for m in range(1, order + 1):
         for j, k in enumerate(range(m, order + 1, m), 1):

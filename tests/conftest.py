@@ -2,9 +2,9 @@ from collections import Counter
 
 import pytest
 
-from hilbfock import goettsche, partitions
+from hilbfock import goettsche, partitions, tables
 
-# Every lru_cache of the package; with goettsche._TABLES these are all its
+# Every lru_cache of the package; with tables._TABLES these are all its
 # module-level caches (tests/test_layering.py pins that set).
 LRU_CACHES = (partitions.partitions_of, partitions._fill,
               partitions.partition_census, partitions.splitting_drops,
@@ -15,7 +15,7 @@ LRU_CACHES = (partitions.partitions_of, partitions._fill,
 def reset_caches(monkeypatch):
     """Empty every module-level cache; call the value to empty them again."""
     def reset():
-        monkeypatch.setattr(goettsche, "_TABLES", {})
+        monkeypatch.setattr(tables, "_TABLES", {})
         for cached in LRU_CACHES:
             cached.cache_clear()
     reset()
@@ -32,5 +32,5 @@ def table_writes(monkeypatch, reset_caches):
             writes[key] += 1
             super().__setitem__(key, value)
 
-    monkeypatch.setattr(goettsche, "_TABLES", CountedWrites())
+    monkeypatch.setattr(tables, "_TABLES", CountedWrites())
     return writes

@@ -11,11 +11,12 @@ from hilbfock.adhm import (MatrixTriple, from_monomial_ideal, in_bidisk,
                            is_commuting, is_stable, support_cycle,
                            trace_invariant, trace_table)
 from hilbfock.goettsche import (equivariant_k_dim, hilbert_euler,
-                                hilbert_hodge, hilbert_poincare_from_strata,
-                                hilbert_poincare_series, punctual_poincare)
+                                hilbert_poincare_from_strata,
+                                punctual_poincare)
 from hilbfock.heisenberg import (Annihilate, Create, FockState, commutator,
                                  graded_character, random_state)
 from hilbfock.linalg import GaussianRational as G
+from hilbfock.product import hilbert_hodge, hilbert_poincare_series
 from hilbfock.partitions import partitions_of
 from hilbfock.series import CoeffPoly
 from hilbfock.stratification import (global_degeneration_check,

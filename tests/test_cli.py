@@ -9,10 +9,10 @@ import pytest
 from hilbfock import adhm
 from hilbfock.adhm import (MatrixTriple, from_monomial_ideal, trace_invariant,
                            write_triple)
-from hilbfock.cli import (COMMANDS, _read_args, build_parser, main,
-                          parse_surface_file)
+from hilbfock.cli import COMMANDS, _read_args, build_parser, main
 from hilbfock.linalg import GaussianRational, matrix, scalar_from_str
 from hilbfock.partitions import Partition
+from hilbfock.surfaces import parse_surface_file
 
 
 def run_cli(args, capsys):
@@ -295,6 +295,18 @@ def test_a_partition_no_memory_can_hold_exits_2_at_once(mu, err):
     assert proc.stderr == "error: %s\n" % err
 
 
+def test_a_staircase_whose_trace_rows_cannot_fit_exits_2_at_once():
+    # 1,000,000 cells: the triple alone (784 MB) fit the child's 1 GiB, and
+    # is_stable, quadratic on a one-row staircase, then ran past a 60 s
+    # timeout.  Its 500,001,500,001 trace rows are claimed before the triple
+    proc = subprocess.run(
+        [sys.executable, "-m", "hilbfock", "adhm", "--mu", "1000000"],
+        capture_output=True, text=True, timeout=2,
+        preexec_fn=limit_child_memory)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: out of memory: --mu is too large\n"
+
+
 def test_output_deterministic(tmp_path, capsys):
     f1 = tmp_path / "a.tsv"
     f2 = tmp_path / "b.tsv"
@@ -449,14 +461,15 @@ def test_adhm_request_multiplies_a_and_b_once_each_way(monkeypatch, capsys):
 
 
 def test_running_out_of_memory_exits_2_with_one_line(monkeypatch, capsys):
-    from hilbfock import goettsche
+    from hilbfock import product
 
     def exhausted(model, order):
         raise MemoryError
 
-    monkeypatch.setattr(goettsche, "hilbert_poincare_series", exhausted)
+    monkeypatch.setattr(product, "hilbert_poincare_series", exhausted)
+    # an --order whose rows fit, so the table, not main's claim, runs out
     code, out, err = run_cli(["goettsche", "--surface", "k3", "--order",
-                              "100000000000"], capsys)
+                              "3"], capsys)
     assert (code, out) == (2, "")
     assert err == "error: out of memory: --order is too large\n"
 

@@ -4,22 +4,21 @@ from math import comb, factorial
 
 import pytest
 
-from hilbfock import goettsche, series
+from hilbfock import goettsche, product, series, tables
 from hilbfock._base import IdentityFailed
 from hilbfock.cli import main
 from hilbfock.goettsche import (equivariant_k_dim, equivariant_k_table,
                                 general_binomial, hilbert_euler,
-                                hilbert_euler_table,
-                                hilbert_hodge, hilbert_hodge_table,
-                                strata_hodge_table,
-                                hilbert_poincare_from_strata,
-                                hilbert_poincare_series, hodge_sym,
+                                hilbert_euler_table, strata_hodge_table,
+                                hilbert_poincare_from_strata, hodge_sym,
                                 hodge_sym_table, orbifold_euler,
                                 punctual_poincare, strata_poincare_table,
                                 stratum_poincare, sym_poincare,
                                 sym_poincare_product, sym_poincare_table,
                                 sym_total_dim)
 from hilbfock.partitions import Partition, count_with_length, partitions_of
+from hilbfock.product import (hilbert_hodge, hilbert_hodge_table,
+                              hilbert_poincare_series)
 from hilbfock.selfcheck import check_goettsche, check_sym_routes
 from hilbfock.series import CoeffPoly, FactorFamily, QTSeries, product_expand
 from hilbfock.surfaces import (ABELIAN, DELTA, K3, P2, P1XP1,
@@ -194,7 +193,7 @@ def test_euler_tables_are_cached(monkeypatch):
     def expansion(*args):
         raise AssertionError("a per-n call started a new expansion")
 
-    monkeypatch.setattr(goettsche, "_TABLES", {})
+    monkeypatch.setattr(tables, "_TABLES", {})
     for e in (-4, 0, 24):
         table = hilbert_euler_table(e, 20)
         with monkeypatch.context() as m:
@@ -209,7 +208,7 @@ def test_euler_table_computes_each_binomial_once(monkeypatch):
         calls.append((a, k))
         return general_binomial(a, k)
 
-    monkeypatch.setattr(goettsche, "_TABLES", {})
+    monkeypatch.setattr(tables, "_TABLES", {})
     monkeypatch.setattr(goettsche, "general_binomial", counting)
     table = hilbert_euler_table(24, 60)
     assert table[:4] == [1, 24, 324, 3200]
@@ -363,14 +362,15 @@ def test_open_surface_pairing():
 def count_stepping_tables(monkeypatch):
     """Empty the table cache and record the order of every stepping pass."""
     orders = []
-    real = goettsche.super_power_table
+    real = series.super_power_table
 
     def counting(gens, order, last=None):
         orders.append(order)
         return real(gens, order, last)
 
-    monkeypatch.setattr(goettsche, "_TABLES", {})
-    monkeypatch.setattr(goettsche, "super_power_table", counting)
+    monkeypatch.setattr(tables, "_TABLES", {})
+    # goettsche reads the stepping kernel from series at call time
+    monkeypatch.setattr(series, "super_power_table", counting)
     return orders
 
 
@@ -397,9 +397,9 @@ TABLE_IDS = [t[0].__name__ for t in TABLES]
 
 @pytest.mark.parametrize("table, reader, key", TABLES, ids=TABLE_IDS)
 def test_table_rows_match_per_n_reader(monkeypatch, table, reader, key):
-    monkeypatch.setattr(goettsche, "_TABLES", {})
+    monkeypatch.setattr(tables, "_TABLES", {})
     cold = [reader(key, n) for n in range(7)]
-    monkeypatch.setattr(goettsche, "_TABLES", {})
+    monkeypatch.setattr(tables, "_TABLES", {})
     rows = table(key, 6)
     assert list(rows) == cold
     assert len(table(key, 9)) == 10
@@ -413,13 +413,15 @@ def test_table_rows_match_per_n_reader(monkeypatch, table, reader, key):
 def count_builds(monkeypatch):
     """Empty the table cache and record every kernel run that builds a table."""
     calls = []
-    for name in ("super_power_table", "_strata_sums", "product_table"):
-        def counting(*args, _real=getattr(goettsche, name), _name=name,
+    for module, name in ((series, "super_power_table"),
+                         (goettsche, "_strata_sums"),
+                         (product, "product_table")):
+        def counting(*args, _real=getattr(module, name), _name=name,
                      **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)
-        monkeypatch.setattr(goettsche, name, counting)
-    monkeypatch.setattr(goettsche, "_TABLES", {})
+        monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(tables, "_TABLES", {})
     return calls
 
 
@@ -436,7 +438,7 @@ def test_public_table_is_built_once(monkeypatch, table, reader, key):
 
 
 def test_a_caller_cannot_change_a_cached_table(monkeypatch):
-    monkeypatch.setattr(goettsche, "_TABLES", {})
+    monkeypatch.setattr(tables, "_TABLES", {})
     rows = sym_poincare_table(P2, 4)
     rows[2] = None
     assert sym_poincare_table(P2, 4)[2] == sym_poincare_product(P2, 2)
@@ -449,7 +451,7 @@ def test_newton_walk_builds_each_row_once(monkeypatch):
         calls.append(n)
         return divmod(acc, n)
 
-    monkeypatch.setattr(goettsche, "_TABLES", {})
+    monkeypatch.setattr(tables, "_TABLES", {})
     # the module-level name shadows the builtin inside goettsche
     monkeypatch.setattr(goettsche, "divmod", counting, raising=False)
     walks = {model: [sym_poincare_product(model, m) for m in range(13)]
@@ -468,15 +470,14 @@ def test_newton_walk_builds_each_row_once(monkeypatch):
 
 
 def test_newton_route_shares_no_code_with_the_stepping_kernel(monkeypatch):
-    monkeypatch.setattr(goettsche, "_TABLES", {})
+    monkeypatch.setattr(tables, "_TABLES", {})
     recorded = sym_poincare_table(ABELIAN, 8)
-    monkeypatch.setattr(goettsche, "_TABLES", {})
+    monkeypatch.setattr(tables, "_TABLES", {})
 
     def shared(*args, **kwargs):
         raise AssertionError("the Newton route reached shared code")
 
-    for owner, name in ((goettsche, "super_power_table"),
-                        (series, "super_power_table"),
+    for owner, name in ((series, "super_power_table"),
                         (goettsche, "sym_poincare_table"),
                         (QTSeries, "__mul__"),
                         (FactorFamily, "factor_series")):
@@ -487,7 +488,7 @@ def test_newton_route_shares_no_code_with_the_stepping_kernel(monkeypatch):
 
 
 def test_each_newton_row_checks_its_division(monkeypatch):
-    monkeypatch.setattr(goettsche, "_TABLES", {})
+    monkeypatch.setattr(tables, "_TABLES", {})
     good = [sym_poincare_product(K3, m) for m in range(5)]
     bumped = []
 
@@ -508,13 +509,13 @@ def test_each_newton_row_checks_its_division(monkeypatch):
 
 
 def test_newton_rows_are_checked_against_their_totals(monkeypatch):
-    monkeypatch.setattr(goettsche, "_TABLES", {})
+    monkeypatch.setattr(tables, "_TABLES", {})
     real = goettsche.sym_total_dim
     monkeypatch.setattr(goettsche, "sym_total_dim",
                         lambda model, m: real(model, m) + (m == 3))
     with pytest.raises(IdentityFailed, match="do not sum to 11"):
         sym_poincare_product(P2, 4)
-    assert goettsche._TABLES == {}
+    assert tables._TABLES == {}
 
 
 def test_the_only_lru_cache_is_on_sym_total_dim():
@@ -526,13 +527,13 @@ def test_the_only_lru_cache_is_on_sym_total_dim():
 def test_hodge_request_expands_one_product(monkeypatch, capsys):
     orders = count_stepping_tables(monkeypatch)
     expanded = []
-    real = goettsche.product_table
+    real = product.product_table
 
     def counting(families, order, kept=None, nvars=None):
         expanded.append(order)
         return real(families, order, kept, nvars)
 
-    monkeypatch.setattr(goettsche, "product_table", counting)
+    monkeypatch.setattr(product, "product_table", counting)
     assert main(["hodge", "--surface", "k3", "--order", "10"]) == 0
     assert (orders, expanded) == ([], [10])
     assert len(capsys.readouterr().out.splitlines()) == 12
@@ -660,7 +661,7 @@ def test_ktheory_request_builds_one_k_table(monkeypatch, capsys):
         built.append(order)
         return real(term, order, shift, state)
 
-    monkeypatch.setattr(goettsche, "_TABLES", {})
+    monkeypatch.setattr(tables, "_TABLES", {})
     monkeypatch.setattr(goettsche, "_strata_sums", counting)
     assert main(["ktheory", "--surface", "k3", "--order", "20"]) == 0
     assert built == [20]

@@ -6,7 +6,6 @@ import pytest
 
 from hilbfock import heisenberg
 from hilbfock.cli import main
-from hilbfock.goettsche import hilbert_poincare_series
 from hilbfock.heisenberg import (MIXED, Annihilate, Central, Create,
                                  FockMonomial, FockState, ModeNonPositive,
                                  UnknownClass, WrongModel, commutator,
@@ -15,6 +14,7 @@ from hilbfock.heisenberg import (MIXED, Annihilate, Central, Create,
                                  stratum_class)
 from hilbfock.partitions import (Partition, multiplicity_factorial,
                                  partitions_of)
+from hilbfock.product import hilbert_poincare_series
 from hilbfock.series import CoeffPoly
 from hilbfock.surfaces import ABELIAN, DELTA, K3, P2, P1XP1, SurfaceModel
 

@@ -7,8 +7,9 @@ itself.  The split-row form of
 the matrix kernels belongs to linalg alone: no other module imports or
 reads a _-prefixed linalg name.  The raw factor-tuple keys of a FockState
 belong to heisenberg alone: no other module reads the _terms field or
-calls FockMonomial._make.  Every module-level cache is listed here, so a
-new one cannot be added without this file knowing.
+calls FockMonomial._make.  The two routes of Goettsche's formula, product
+and goettsche, never import each other.  Every module-level cache is listed
+here, so a new one cannot be added without this file knowing.
 """
 
 import ast
@@ -217,6 +218,48 @@ def test_no_module_but_heisenberg_reads_fock_keys():
     assert found == {}
 
 
+def imported_modules(tree):
+    """
+    (line, module) of every hilbfock module an import names, at any depth
+    (function-level imports included), relative or absolute.
+    """
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            path = "." * node.level + (node.module or "")
+            if path.startswith((".", "hilbfock")):
+                module = path.removeprefix("hilbfock").strip(".")
+                # from . import a, b names the modules a and b
+                out.update((node.lineno, module or alias.name)
+                           for alias in node.names)
+        elif isinstance(node, ast.Import):
+            out.update((node.lineno, alias.name.removeprefix("hilbfock."))
+                       for alias in node.names
+                       if alias.name.startswith("hilbfock."))
+    return sorted(out)
+
+
+def test_the_import_detector_sees_each_kind_of_import():
+    code = ("from .series import grow\n"
+            "def f():\n"
+            "    from .goettsche import sym_total_dim\n"
+            "    from . import product, tables\n"
+            "import hilbfock.surfaces as surfaces\n"
+            "from hilbfock.product import hilbert_hodge\n"
+            "from collections import Counter\n"
+            "import os\n")
+    assert imported_modules(ast.parse(code)) == [
+        (1, "series"), (3, "goettsche"), (4, "product"), (4, "tables"),
+        (5, "surfaces"), (6, "product")]
+
+
+def test_the_two_routes_never_import_each_other():
+    for module, other in (("product", "goettsche"), ("goettsche", "product")):
+        tree = ast.parse((SRC / (module + ".py")).read_text())
+        found = [name for _, name in imported_modules(tree)]
+        assert "tables" in found and other not in found, (module, found)
+
+
 MUTATORS = {"setdefault", "update", "pop", "popitem", "clear", "append",
             "extend", "insert", "add"}
 
@@ -267,7 +310,7 @@ def test_the_cache_detector_sees_each_kind_of_cache():
     assert module_caches(ast.parse(code)) == {"A", "B", "f", "g"}
 
 
-CACHES = {"goettsche._TABLES", "goettsche.sym_total_dim", "partitions._fill",
+CACHES = {"tables._TABLES", "goettsche.sym_total_dim", "partitions._fill",
           "partitions.partition_census", "partitions.partitions_of",
           "partitions.splitting_drops"}
 

@@ -42,15 +42,17 @@ HOME = {
     "partitions": "MismatchedWeight Partition refines splittings_with_drop",
     "series": "CoeffPoly QTSeries product_expand",
     "surfaces": "K3 PRESETS SurfaceModel",
-    "goettsche": "hilbert_hodge sym_poincare_table",
+    "goettsche": "sym_poincare_table sym_total_dim",
+    "product": "goettsche_families hilbert_hodge",
     "heisenberg": "MIXED Create graded_character",
     "linalg": "GaussianRational IdentityFailed SpectrumNotSplit",
     "adhm": "IdentityFailed SupportCycle trace_table",
     "stratification": "StalkTable support_strata",
 }
 
-ALL_LAYERS = {"partitions", "series", "surfaces", "goettsche", "heisenberg",
-              "linalg", "adhm", "stratification", "selfcheck"}
+ALL_LAYERS = {"partitions", "series", "surfaces", "goettsche", "product",
+              "tables", "heisenberg", "linalg", "adhm", "stratification",
+              "selfcheck"}
 
 
 def fresh_python(code):
@@ -83,21 +85,41 @@ def loaded_after(argv):
 
 @pytest.mark.parametrize("argv, needed, unneeded", [
     (["adhm", "--mu", "2,1"], {"linalg", "adhm"},
-     {"partitions", "series", "surfaces", "goettsche", "heisenberg",
-      "stratification", "selfcheck"}),
-    (["hodge", "--surface", "p2", "--order", "2"], {"goettsche", "series"},
-     {"linalg", "adhm", "heisenberg", "stratification", "selfcheck"}),
+     {"partitions", "series", "surfaces", "goettsche", "product", "tables",
+      "heisenberg", "stratification", "selfcheck"}),
+    # Goettsche's product route loads no strata route, and the reverse
+    (["hodge", "--surface", "p2", "--order", "2"],
+     {"product", "tables", "series"},
+     {"goettsche", "linalg", "adhm", "heisenberg", "stratification",
+      "selfcheck"}),
     (["strata", "--n", "4", "--h", "2"], {"stratification", "partitions"},
-     {"linalg", "adhm", "heisenberg", "selfcheck", "goettsche", "series"}),
+     {"linalg", "adhm", "heisenberg", "selfcheck", "goettsche", "product",
+      "tables", "series"}),
     (["fock", "--surface", "delta", "--order", "3"], {"heisenberg", "series"},
-     {"linalg", "adhm", "goettsche", "stratification", "selfcheck",
-      "partitions"}),
+     {"linalg", "adhm", "goettsche", "product", "tables", "stratification",
+      "selfcheck", "partitions"}),
     # the relation battery lives in selfcheck but needs only the Fock layer
     (["commutators", "--surface", "abelian", "--trials", "3"],
      {"heisenberg", "series", "partitions", "selfcheck"},
-     {"linalg", "adhm", "goettsche", "stratification"}),
+     {"linalg", "adhm", "goettsche", "product", "tables", "stratification"}),
     (["adhm", "--triple", "{triple}"], {"linalg", "adhm"},
-     {"partitions", "series", "surfaces", "goettsche", "heisenberg",
+     {"partitions", "series", "surfaces", "goettsche", "product", "tables",
+      "heisenberg", "stratification", "selfcheck"}),
+    (["goettsche", "--surface", "k3", "--order", "2"],
+     {"product", "tables", "series"},
+     {"goettsche", "linalg", "adhm", "heisenberg", "stratification",
+      "selfcheck"}),
+    (["sym", "--surface", "p2", "--order", "2"],
+     {"goettsche", "tables", "series"},
+     {"product", "linalg", "adhm", "heisenberg", "stratification",
+      "selfcheck"}),
+    # the integer tables are convolutions: no series
+    (["euler", "--surface", "k3", "--order", "4"], {"goettsche", "tables"},
+     {"series", "product", "partitions", "linalg", "adhm", "heisenberg",
+      "stratification", "selfcheck"}),
+    (["ktheory", "--surface", "abelian", "--order", "4"],
+     {"goettsche", "tables"},
+     {"series", "product", "partitions", "linalg", "adhm", "heisenberg",
       "stratification", "selfcheck"}),
 ])
 def test_request_loads_only_its_layers(argv, needed, unneeded, tmp_path):
@@ -107,6 +129,56 @@ def test_request_loads_only_its_layers(argv, needed, unneeded, tmp_path):
     loaded = loaded_after(argv) & ALL_LAYERS
     assert needed <= loaded
     assert not loaded & unneeded
+
+
+def lines_loaded(argv):
+    """
+    {module: source lines} of the hilbfock modules a fresh interpreter
+    holds after one request, or after importing the CLI for argv None.
+    """
+    request = "" if argv is None else (
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(%r)\n"
+        "assert code == 0, code\n" % (argv,))
+    out = fresh_python(
+        "import sys\nfrom hilbfock import cli\n" + request +
+        "for name, module in list(sys.modules.items()):\n"
+        "    if name.startswith('hilbfock'):\n"
+        "        with open(module.__file__) as fh:\n"
+        "            print(name, len(fh.readlines()))\n")
+    return {name: int(n) for name, n in map(str.split, out.splitlines())}
+
+
+# the most hilbfock source lines each request form may compile: a fresh
+# request without a bytecode cache compiles every module it loads in full,
+# so a layer that loads for nothing costs its whole length
+COMPILE_BUDGETS = [
+    (["goettsche", "--surface", "k3", "--order", "4"], 1300),
+    (["hodge", "--surface", "p2", "--order", "4"], 1300),
+    (["euler", "--surface", "p2", "--order", "4"], 1000),
+    (["ktheory", "--surface", "p1xp1", "--order", "4"], 1000),
+    (["sym", "--surface", "abelian", "--order", "4"], 1550),
+    (["punctual", "--order", "4"], 1366),
+    (["fock", "--surface", "abelian", "--order", "4"], 1628),
+    (["strata", "--n", "4", "--h", "2"], 811),
+    (["adhm", "--mu", "2,1"], 1405),
+    (["adhm", "--triple", "{triple}"], 1405),
+    (None, 456),
+]
+
+
+@pytest.mark.parametrize("argv, budget", COMPILE_BUDGETS, ids=[
+    " ".join(argv) if argv else "import hilbfock.cli"
+    for argv, _ in COMPILE_BUDGETS])
+def test_each_request_compiles_within_its_budget(argv, budget, tmp_path):
+    triple = tmp_path / "triple.txt"
+    triple.write_text("2\n0 0\n1 0\n0 0\n1/2 0\n1 0\n")
+    if argv is not None:
+        argv = [str(triple) if arg == "{triple}" else arg for arg in argv]
+    lines = lines_loaded(argv)
+    assert "hilbfock.cli" in lines  # the count reads the modules it loaded
+    assert sum(lines.values()) <= budget, lines
 
 
 def test_importing_the_cli_loads_no_layer_beyond_surfaces():

@@ -12,8 +12,8 @@ from collections import Counter
 import pytest
 
 import hilbfock
-from hilbfock import (goettsche, heisenberg, partitions, selfcheck,
-                      stratification)
+from hilbfock import (goettsche, heisenberg, partitions, product, selfcheck,
+                      stratification, tables)
 from hilbfock.series import QTSeries
 from hilbfock.surfaces import P2
 
@@ -46,7 +46,7 @@ def break_row_3(monkeypatch, module, name, key):
      ("p2 m=3: ", "stepping ", " vs product ")),
     (selfcheck.check_ktheory, goettsche, "equivariant_k_table", P2,
      ("p2 n=3: ", "K-dim ", " vs total Betti ")),
-    (selfcheck.check_hodge, goettsche, "hilbert_hodge_table", P2,
+    (selfcheck.check_hodge, product, "hilbert_hodge_table", P2,
      ("p2 n=3: ", "collapsed ", " vs strata ")),
     # the Euler check runs over Euler numbers; 3 is that of P2
     (selfcheck.check_euler, selfcheck, "_orbifold_rows", P2.euler,
@@ -117,11 +117,11 @@ def refuse(*args, **kwargs):
 
 
 def test_orbifold_route_shares_no_code_with_the_product(monkeypatch):
-    monkeypatch.setattr(goettsche, "_TABLES", {})
-    tables = {e: goettsche.hilbert_euler_table(e, 12) for e in (-4, 0, 24)}
+    monkeypatch.setattr(tables, "_TABLES", {})
+    rows = {e: goettsche.hilbert_euler_table(e, 12) for e in (-4, 0, 24)}
     monkeypatch.setattr(goettsche, "_strata_sums", refuse)
     monkeypatch.setattr(goettsche, "general_binomial", refuse)
-    for e, table in tables.items():
+    for e, table in rows.items():
         assert selfcheck._orbifold_rows(e, 12) == table
 
 
@@ -138,8 +138,9 @@ def test_leray_walk_shares_no_code_with_the_convolution(monkeypatch,
                                                         reset_caches):
     lhs = {s: goettsche.strata_poincare_table(s, 10)
            for s in selfcheck.ALL_PRESETS}
-    for name in ("_strata_sums", "general_binomial", "product_table"):
+    for name in ("_strata_sums", "general_binomial"):
         monkeypatch.setattr(goettsche, name, refuse)
+    monkeypatch.setattr(product, "product_table", refuse)
     assert selfcheck.check_leray(10) == (True, "5 presets, n <= 10")
     assert all(goettsche.strata_poincare_table(s, 10) == rows
                for s, rows in lhs.items())

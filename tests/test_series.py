@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from hilbfock import goettsche, heisenberg, series
+from hilbfock import heisenberg, product, series, tables
 from hilbfock._base import IdentityFailed
 from hilbfock.cli import main
-from hilbfock.goettsche import goettsche_families
 from hilbfock.partitions import partitions_of
+from hilbfock.product import goettsche_families
 from hilbfock.series import (CoeffPoly, FactorFamily, IndexOutOfRange,
                              OrderMismatch, QTSeries, UnknownVariable,
                              digit_bits, digit_offset, pack,
@@ -294,6 +294,14 @@ def test_closed_form_totals_are_the_coefficient_sums(nvars):
                 factor_chain(fams, order, nvars))
 
 
+def test_coefficient_sums_rejects_a_negative_order():
+    # order -1 once returned [1], a row 0 that no table of order -1 has
+    assert series.coefficient_sums(1, 0, 0) == [1]
+    for order in (-1, -7):
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            series.coefficient_sums(1, 0, order)
+
+
 def test_a_corrupted_total_fails_the_identity(monkeypatch):
     real = series.coefficient_sums
 
@@ -317,14 +325,14 @@ def test_product_and_character_routes_step_apart(monkeypatch):
     """fock_character_vs_product proves something only if they share no step."""
     families = goettsche_families(K3)
     with monkeypatch.context() as m:
-        for module in (series, goettsche, heisenberg):
+        for module in (series, heisenberg):
             m.setattr(module, "super_power_table", crossed)
-        product = product_expand(families, 8)
-    assert product == factor_chain(families, 8, 1)
-    monkeypatch.setattr(goettsche, "_TABLES", {})
-    for module in (series, goettsche):
+        expanded = product_expand(families, 8)
+    assert expanded == factor_chain(families, 8, 1)
+    monkeypatch.setattr(tables, "_TABLES", {})
+    for module in (series, product):
         monkeypatch.setattr(module, "product_table", crossed)
-    assert heisenberg.graded_character(K3, 8) == product
+    assert heisenberg.graded_character(K3, 8) == expanded
 
 
 def test_a_carry_in_the_product_series_fails_the_identity(monkeypatch,
@@ -333,7 +341,7 @@ def test_a_carry_in_the_product_series_fails_the_identity(monkeypatch,
     monkeypatch.setattr(series, "digit_bits", lambda total: 8)
     with pytest.raises(IdentityFailed):
         product_expand(goettsche_families(K3), 10)
-    monkeypatch.setattr(goettsche, "_TABLES", {})
+    monkeypatch.setattr(tables, "_TABLES", {})
     assert main(["goettsche", "--surface", "k3", "--order", "10"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "identity failed" in err
@@ -347,7 +355,7 @@ def test_every_packed_table_takes_its_digit_size_from_series(
     # one-byte digits carry in each of these K3 tables; a table that sized
     # its digits anywhere but series.digit_bits would still pass
     monkeypatch.setattr(series, "digit_bits", lambda total: 8)
-    monkeypatch.setattr(goettsche, "_TABLES", {})
+    monkeypatch.setattr(tables, "_TABLES", {})
     assert main(request_args.split()) == 1
     out, err = capsys.readouterr()
     assert out == "" and "identity failed" in err

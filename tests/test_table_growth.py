@@ -14,16 +14,16 @@ from copy import deepcopy
 
 import pytest
 
-from hilbfock import goettsche, series
+from hilbfock import goettsche, product, series, tables
 from hilbfock._base import IdentityFailed
 from hilbfock.goettsche import (equivariant_k_dim, equivariant_k_table,
                                 hilbert_euler, hilbert_euler_table,
-                                hilbert_hodge, hilbert_hodge_table,
-                                hilbert_poincare_from_strata,
-                                hilbert_poincare_series, hodge_sym,
+                                hilbert_poincare_from_strata, hodge_sym,
                                 hodge_sym_table, strata_hodge_table,
                                 strata_poincare_table, sym_poincare,
                                 sym_poincare_product, sym_poincare_table)
+from hilbfock.product import (hilbert_hodge, hilbert_hodge_table,
+                              hilbert_poincare_series)
 from hilbfock.selfcheck import (ALL_PRESETS, EULER_RANGE, HODGE_PRESETS,
                                 check_goettsche)
 from hilbfock.series import FactorFamily
@@ -44,7 +44,7 @@ GROWING = [
     (goettsche._newton_table, sym_poincare_product),
     (strata_poincare_table, hilbert_poincare_from_strata),
     (equivariant_k_table, equivariant_k_dim),
-    (goettsche._product_table, product_row),
+    (product._product_table, product_row),
 ]
 GROWING_IDS = [reader.__name__ for _, reader in GROWING]
 
@@ -58,8 +58,8 @@ def row_steps(monkeypatch, reset_caches):
     division by n, as ("newton", n), and the product rows as ("product", n).
     """
     steps = Counter()
-    strata, stepping = goettsche._strata_sums, goettsche.super_power_table
-    product = goettsche.product_table
+    strata, stepping = goettsche._strata_sums, series.super_power_table
+    expand = product.product_table
 
     def counted_strata(term, order, *rest):  # rest: shift, state
         state = rest[1] if len(rest) > 1 else None
@@ -78,11 +78,12 @@ def row_steps(monkeypatch, reset_caches):
     def counted_product(families, order, kept=None, nvars=None):
         start = len(kept[0]) if kept else 1  # row 0 is the constant 1
         steps.update(("product", n) for n in range(start, order + 1))
-        return product(families, order, kept, nvars)
+        return expand(families, order, kept, nvars)
 
+    # goettsche reads the stepping kernel from series at call time
     monkeypatch.setattr(goettsche, "_strata_sums", counted_strata)
-    monkeypatch.setattr(goettsche, "product_table", counted_product)
-    monkeypatch.setattr(goettsche, "super_power_table", counted_stepping)
+    monkeypatch.setattr(product, "product_table", counted_product)
+    monkeypatch.setattr(series, "super_power_table", counted_stepping)
     # the module-level name shadows the builtin inside goettsche
     monkeypatch.setattr(goettsche, "divmod", counted_divmod, raising=False)
     return steps
@@ -228,18 +229,15 @@ def test_grown_euler_rows_equal_one_shot_rows(reset_caches):
     assert walks == {e: hilbert_euler_table(e, 40) for e in EULER_RANGE}
 
 
-PRODUCTS = (goettsche._product_table, hilbert_hodge_table)
-
-
 def kept(table, model):
-    return goettsche._TABLES[getattr(table, "__wrapped__", table), model]
+    return tables._TABLES[getattr(table, "__wrapped__", table), model]
 
 
 @pytest.mark.parametrize("reader, table, patched", [
     (sym_poincare, sym_poincare_table, "sym_total_dim"),
     (sym_poincare_product, goettsche._newton_table, "sym_total_dim"),
     (hilbert_poincare_from_strata, strata_poincare_table, "coefficient_sums"),
-    (product_row, goettsche._product_table, "coefficient_sums"),
+    (product_row, product._product_table, "coefficient_sums"),
     (hilbert_hodge, hilbert_hodge_table, "coefficient_sums"),
 ], ids=["stepping", "newton", "strata", "product", "hodge"])
 def test_a_corrupted_total_fails_its_row_and_keeps_the_table(
@@ -249,9 +247,10 @@ def test_a_corrupted_total_fails_its_row_and_keeps_the_table(
     walk = [reader(K3, n) for n in range(7)]
     before = kept(table, K3)
     snapshot = list(before[0]), deepcopy(before[1])
-    # each table reads its closed form where it is built: the strata in
-    # goettsche, the products inside series.product_table
-    module = series if table in PRODUCTS else goettsche
+    # each table reads its closed form where it is built: sym_total_dim in
+    # goettsche, coefficient_sums from series (the strata at call time, the
+    # products inside series.product_table)
+    module = goettsche if patched == "sym_total_dim" else series
     real = getattr(module, patched)
 
     def corrupted(*args):
@@ -275,11 +274,11 @@ def test_a_corrupted_total_fails_its_row_and_keeps_the_table(
 def test_concurrent_walks_read_the_right_rows(reset_caches):
     # the cache takes no lock: a growth copies what it extends, so threads
     # that grow one table side by side each read rows equal to one build
-    tables = [(table, reader, model)
+    walked = [(table, reader, model)
               for table, reader in GROWING + [(hilbert_hodge_table,
                                                hilbert_hodge)]
               for model in (P2, K3)]
-    want = [list(table(model, 24)) for table, _, model in tables]
+    want = [list(table(model, 24)) for table, _, model in walked]
 
     def walk(reader, model):
         return [reader(model, n) for n in range(25)]
@@ -291,7 +290,7 @@ def test_concurrent_walks_read_the_right_rows(reset_caches):
             for _ in range(10):
                 reset_caches()
                 walks = [pool.submit(walk, reader, model)
-                         for _ in range(3) for _, reader, model in tables]
+                         for _ in range(3) for _, reader, model in walked]
                 got = [w.result(timeout=120) for w in walks]
                 assert got == want * 3
     finally:
@@ -305,12 +304,12 @@ def test_strata_catch_a_wrong_product_whose_totals_agree(monkeypatch,
     # route sees the wrong S_k
     assert check_goettsche(6) == (True, "5 presets, n <= 6")
     reset_caches()
-    real = goettsche.goettsche_families
+    real = product.goettsche_families
 
     def moved(model):
         return [FactorFamily(f.sign, f.weight, ((2, 1),))
                 if f.exps == ((2, 0),) else f for f in real(model)]
 
-    monkeypatch.setattr(goettsche, "goettsche_families", moved)
+    monkeypatch.setattr(product, "goettsche_families", moved)
     assert check_goettsche(6) == (
         False, "p2 n=1: product 1 + t^3 + t^4 vs strata 1 + t^2 + t^4")
