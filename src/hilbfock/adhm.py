@@ -3,12 +3,13 @@ The commuting-matrix model of the Hilbert scheme of points of the plane:
 triples (A, B, v) with [A, B] = 0 and v cyclic, over exact Gaussian
 rationals.  The quotient by simultaneous conjugation is never formed;
 points are handled through conjugation-invariant data (trace invariants
-and support cycles).
+and support cycles), computed by linalg's split-row kernels: only a
+nonzero eigenvalue loads the root search (roots), and only conjugate_by
+and torus_scale load the Gaussian-rational matrix wrappers (matrices).
 
 Triple text format: whitespace-separated tokens; first the size n, then
-the n*n entries of A row-major, then B, then the n entries of v.  Each
-scalar is written without internal whitespace as "a/b", "c/di" or
-"a/b+c/di" (see linalg.scalar_from_str).
+the n*n entries of A row-major, then B, then the n entries of v, each a
+token "a/b", "c/di" or "a/b+c/di" (see linalg.scalar_from_str).
 """
 
 from math import isqrt
@@ -18,10 +19,9 @@ from types import MappingProxyType
 from ._base import Frozen
 from .linalg import (GaussianRational, IdentityFailed, SpectrumNotSplit,
                      ZERO, affine_rows, char_poly_rows, cleared_rows,
-                     gaussian_rational_roots, invert, join_rows, matrix,
-                     mul_rows, parse_rows, pow_rows, power_traces,
-                     restrict_rows, scalar_to_str, span_dim_rows, split_rows,
-                     trace_rows)
+                     gaussian_rational_roots, join_rows, mul_rows, parse_rows,
+                     pow_rows, power_traces, restrict_rows, scalar_to_str,
+                     span_dim_rows, split_rows, trace_rows)
 
 
 class NotCommuting(ValueError):
@@ -82,6 +82,7 @@ class MatrixTriple(Frozen):
 
     def conjugate_by(self, g):
         """G (A, B, v) G^-1, v as G v: on cols, G^-T A^T G^T and v G^T."""
+        from .matrices import invert
         if len(g) != self.n or any(len(row) != self.n for row in g):
             raise ValueError("conjugator must be %d x %d" % (self.n, self.n))
         gt, git = (split_rows(zip(*m)) for m in (g, invert(g)))
@@ -224,6 +225,7 @@ def retract(tr, precision=None):
 
 def torus_scale(l1, l2, tr):
     """The torus action (l1, l2) . (A, B, v) = (l1 A, l2 B, v)."""
+    from .matrices import matrix
     ((l1, l2),) = matrix([(l1, l2)])
     if l1.is_zero() or l2.is_zero():
         raise ZeroScalar("torus scalars must be nonzero")

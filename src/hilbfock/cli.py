@@ -22,10 +22,11 @@ from ._base import ConfigError, IdentityFailed
 def resolve_surface(spec):
     if spec is None:
         raise ConfigError("missing --surface")
-    from .surfaces import PRESETS, parse_surface_file
+    from .surfaces import PRESETS
     key = spec.lower()
     if key in PRESETS:
         return PRESETS[key]
+    from .surface_file import parse_surface_file
     return parse_surface_file(spec)
 
 

@@ -1,24 +1,22 @@
 """
-Exact arithmetic over the Gaussian rationals and the small amount of
-linear algebra the commuting-matrix model needs: products, powers,
-echelon/kernel/inverse, characteristic polynomials, and a bounded root
-search for polynomials that split over the Gaussian rationals.
+Exact arithmetic over the Gaussian rationals and the linear algebra the
+commuting-matrix model needs: products, powers, echelon bases, kernels,
+traces, characteristic polynomials and their Gaussian-rational roots.
 
 The kernels run on split rows, the form adhm keeps its triples in: a
 split row is a pair (re, im) of sparse dicts {column: int or Fraction} of
 the nonzero parts, im None for a real row, and a split matrix is a list
 of split rows.  Each kernel clears its input's denominators on entry
 (cleared_rows) and works on Gaussian integers; a Fraction appears only in
-a result that really has a denominator.  The matrix helpers (mat_mul,
-rank, char_poly, ...) are thin wrappers that take and return tuples of
-tuples of GaussianRational.  All row reduction is one routine, _insert,
-which adds one integer vector to a fraction-free echelon basis.  fractions
-is imported only where a rational is built, so integer matrices never load
-it.  Everything is pure.
+a result that really has a denominator.  All row reduction is one
+routine, echelon_insert.  The bounded root search (roots) loads only for
+a factor with no root at zero, and the wrappers over tuples of
+GaussianRational (matrices) only for their callers, so a monomial triple
+compiles neither.  fractions is imported only where a rational is built.
+Everything is pure.
 """
 
-from itertools import count
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 import re
 
 from ._base import Frozen, IdentityFailed, exact, rational_types
@@ -27,10 +25,6 @@ from ._base import Frozen, IdentityFailed, exact, rational_types
 class SpectrumNotSplit(ArithmeticError):
     """A characteristic polynomial has no full Gaussian-rational root set
     discoverable by the configured root search."""
-
-
-# Gaussian integers with norm above this bound are not searched for roots.
-ROOT_SEARCH_NORM_BOUND = 10 ** 12
 
 
 class GaussianRational(Frozen):
@@ -146,7 +140,7 @@ def scalar_to_str(z):
 
 
 # ---------------------------------------------------------------------------
-# matrices: the split-row kernels, then the GaussianRational helpers
+# matrices: the split-row kernels
 
 
 def _row(pairs):
@@ -313,14 +307,15 @@ def _primitive(row, p):
                                               part.items()} for part in row)
 
 
-def _insert(basis, v):
-    # add the integer split row v to a fraction-free reduced echelon basis
-    # {pivot: split row}: each row is primitive (its parts have gcd 1), a
-    # positive integer at its pivot and zero at the other pivots.  Reduce v
-    # against the rows by cross-multiplying, make its first nonzero entry a
-    # positive integer (times its conjugate) and clear that column from
-    # the other rows the same way; False, basis unchanged, if v is
-    # dependent
+def echelon_insert(basis, v):
+    """
+    Add the integer split row v to a fraction-free reduced echelon basis
+    {pivot: split row} of primitive rows (parts of gcd 1), each a positive
+    integer at its pivot and zero at the other pivots: reduce v by
+    cross-multiplying, make its first nonzero entry a positive integer
+    (times its conjugate) and clear that column from the other rows.
+    Whether v was independent (if not, the basis is unchanged).
+    """
     for p, row in basis.items():
         fr, fi = _entry(v, p)
         if fr or fi:
@@ -339,14 +334,16 @@ def _insert(basis, v):
     return True
 
 
-def _kernel(s, ncols):
-    # (w, free, d): the columns of the integer split matrix w / d are a
-    # basis of the right kernel of the integer split matrix s, one per free
-    # column f of its echelon basis: 1 at f, 0 at the other free columns,
-    # minus the echelon row p at f over its pivot at each pivot p
+def kernel_rows(s, ncols):
+    """
+    (w, free, d): the columns of the integer split matrix w / d are a basis
+    of the right kernel of the integer split matrix s, one per free column
+    f of its echelon basis: 1 at f, 0 at the other free columns, minus the
+    echelon row p at f over its pivot at each pivot p.
+    """
     basis = {}
     for row in s:
-        _insert(basis, row)
+        echelon_insert(basis, row)
     free = [c for c in range(ncols) if c not in basis]
     at = {c: i for i, c in enumerate(free)}
     d = lcm(*(row[0][p] for p, row in basis.items()))
@@ -367,7 +364,7 @@ def restrict_rows(b, a, x, m):
     """
     a, d = cleared_rows(a)
     k = a if x.is_zero() else cleared_rows(affine_rows(a, 1, -x * d))[0]
-    w, free, e = _kernel(pow_rows(k, m), len(k))
+    w, free, e = kernel_rows(pow_rows(k, m), len(k))
     b, f = cleared_rows(b)
     return _over(mul_rows([b[c] for c in free], w), e * f)
 
@@ -383,7 +380,7 @@ def span_dim_rows(cols, v):
     basis, frontier = {}, cleared_rows([v])[0]
     while frontier and len(basis) < len(cols[0]):
         frontier = [_comb(_terms(w, c)) for w in frontier
-                    if _insert(basis, w) for c in cols]
+                    if echelon_insert(basis, w) for c in cols]
     return len(basis)
 
 
@@ -418,180 +415,17 @@ def char_poly_rows(s):
     return coeffs
 
 
-def matrix(rows):
-    return tuple(tuple(_coerce(v) for v in row) for row in rows)
-
-
-def identity(n):
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n))
-                 for i in range(n))
-
-
-def mat_mul(a, b):
-    return join_rows(mul_rows(split_rows(a), split_rows(b)),
-                     len(b[0]) if b else 0)
-
-
-def mat_pow(a, k):
-    return join_rows(pow_rows(split_rows(a), k), len(a))
-
-
-def char_poly(a):
-    return char_poly_rows(split_rows(a))
-
-
-def invariant_span_dim(mats, v):
-    return span_dim_rows([split_rows(zip(*m)) for m in mats],
-                         split_rows([v])[0])
-
-
-def _echelon(rows):
-    # (reduced row-echelon rows, their pivot columns), by ascending pivot:
-    # the fraction-free rows, each divided by its pivot as it is joined
-    basis = {}
-    for row in cleared_rows(split_rows(rows))[0]:
-        _insert(basis, row)
-    pivots = sorted(basis)
-    ncols = len(rows[0]) if rows else 0
-    return [join_rows([basis[p]], ncols, basis[p][0][p])[0]
-            for p in pivots], pivots
-
-
-def rank(a):
-    return len(_echelon(a)[1])
-
-
-def kernel_basis(a):
-    """Basis of the right kernel, as a list of column vectors."""
-    w, free, d = _kernel(cleared_rows(split_rows(a))[0], len(a[0]) if a else 0)
-    return list(zip(*join_rows(w, len(free), d)))
-
-
-def invert(a):
-    try:
-        return solve_columns(tuple(zip(*a)), identity(len(a)))
-    except ValueError:
-        raise ZeroDivisionError("matrix is singular") from None
-
-
-def solve_columns(v_cols, w_cols):
-    """
-    Solve V * M = W column by column, where V is given by columns and has
-    full column rank.  Returns M (len(v_cols) x len(w_cols)).
-    """
-    n, k = len(v_cols[0]) if v_cols else 0, len(v_cols)
-    aug = [[v_cols[j][i] for j in range(k)] + [w[i] for w in w_cols]
-           for i in range(n)]
-    ech, pivots = _echelon(aug)
-    if pivots[:k] != list(range(k)):
-        raise ValueError("columns are not independent")
-    if len(pivots) > k:
-        raise ValueError("system is inconsistent")
-    return tuple(tuple(ech[i][k:]) for i in range(k))
-
-
 # ---------------------------------------------------------------------------
 # polynomials (coefficients ascending, GaussianRational)
-
-
-def _poly_divmod(a, b):
-    # (quotient, remainder without leading zeros) of a by b, by long division
-    a, inv = list(a), ONE / b[-1]
-    quot = [ZERO] * (len(a) + 1 - len(b))
-    for i in range(len(quot) - 1, -1, -1):
-        c = quot[i] = a.pop() * inv
-        for j, y in enumerate(b[:-1], i):
-            a[j] = a[j] - c * y
-    while a and a[-1].is_zero():
-        a.pop()
-    return quot, a
-
-
-def _factor(n):
-    # {prime: exponent} of a positive integer, by trial division
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _two_squares(p):
-    # (a, b) with a*a + b*b == p for a prime p = 1 (mod 4): a square root
-    # of -1 mod p, then the Euclidean algorithm on (p, root) down to sqrt(p)
-    a, b = p, next(r for r in (pow(c, (p - 1) // 4, p) for c in count(2))
-                   if r * r % p == p - 1)
-    while b * b > p:
-        a, b = b, a % b
-    return b, isqrt(p - b * b)
-
-
-def _times(divisors, q, k):
-    # each Gaussian integer d of divisors times q^0, ..., q^k, all (re, im)
-    out = []
-    for dr, di in divisors:
-        for _ in range(k + 1):
-            out.append((dr, di))
-            dr, di = dr * q[0] - di * q[1], dr * q[1] + di * q[0]
-    return out
-
-
-def gaussian_integer_divisors(g):
-    """
-    Divisors of a nonzero Gaussian integer, one per associate class
-    (normalized to the closed first quadrant minus the positive imaginary
-    axis), sorted by norm, then real and imaginary part.  Built from the
-    factorisation of the norm N(g): 2 gives powers of 1+i, a prime
-    p = 3 (mod 4) divides g as p^(e/2), and a prime p = 1 (mod 4) splits as
-    (a+bi)(a-bi), with the exponent of each factor in g found by exact
-    division.
-    """
-    n = int(g.norm_sq())
-    if n == 0:
-        raise ValueError("zero has no divisor list")
-    if n > ROOT_SEARCH_NORM_BOUND:
-        raise SpectrumNotSplit(
-            "norm %d exceeds the root search bound %d"
-            % (n, ROOT_SEARCH_NORM_BOUND))
-    divisors = [(1, 0)]
-    for p, e in _factor(n).items():
-        if p == 2:
-            divisors = _times(divisors, (1, 1), e)
-        elif p % 4 == 3:
-            divisors = _times(divisors, (p, 0), e // 2)
-        else:
-            a, b = _two_squares(p)
-            rest = (int(g.re), int(g.im))
-            for q in ((a, b), (a, -b)):
-                k = 0
-                while k < e:
-                    # rest / q = rest * conj(q) / p, exact when p divides both
-                    re = rest[0] * q[0] + rest[1] * q[1]
-                    im = rest[1] * q[0] - rest[0] * q[1]
-                    if re % p or im % p:
-                        break
-                    rest = (re // p, im // p)
-                    k += 1
-                divisors = _times(divisors, q, k)
-    out = set()
-    for re, im in divisors:
-        while re <= 0 or im < 0:  # the associate with re > 0, im >= 0
-            re, im = -im, re
-        out.add(GaussianRational(re, im))
-    return sorted(out, key=lambda z: (z.norm_sq(), z.re, z.im))
 
 
 def gaussian_rational_roots(p):
     """
     All roots of the polynomial with multiplicity, provided it splits over
     the Gaussian rationals within the configured search; otherwise raises
-    SpectrumNotSplit.  Returns a list of (root, multiplicity).  Each root is
-    found once (_distinct_roots); exact divisions of p by z - root count it.
+    SpectrumNotSplit.  Returns a list of (root, multiplicity).  Roots at
+    zero are counted here; a factor of degree >= 1 left after them goes to
+    the bounded search (roots.nonzero_roots).
     """
     while len(p) > 1 and p[-1].is_zero():  # leading zeros
         p = p[:-1]
@@ -599,51 +433,12 @@ def gaussian_rational_roots(p):
     while len(p) > 1 and p[0].is_zero():  # roots at zero
         mult[ZERO] = mult.get(ZERO, 0) + 1
         p = p[1:]
-    for root in _distinct_roots(p) if len(p) > 1 else ():
-        while len(p) > 1 and not (div := _poly_divmod(p, [-root, ONE]))[1]:
-            p, mult[root] = div[0], mult.get(root, 0) + 1
-        if root not in mult:
-            raise IdentityFailed("the root %s of the square-free part does "
-                                 "not divide the polynomial" % (root,))
+    if len(p) > 1:
+        from .roots import nonzero_roots
+        p, found = nonzero_roots(p)
+        mult.update(found)
     if len(p) > 1:
         raise SpectrumNotSplit(
             "polynomial of degree %d has %d discoverable roots"
             % (degree, sum(mult.values())))
     return sorted(mult.items(), key=lambda kv: (kv[0].re, kv[0].im))
-
-
-def _distinct_roots(p):
-    # the roots of p, p(0) != 0, that the bounded search finds, each once,
-    # on the square-free part q = p / gcd(p, p') made monic (so cleared, it
-    # has no Gaussian content): a root num/den has num | q(0), den | lead
-    # over Z[i] and lies in Cauchy's bound; Horner tests it on int pairs
-    g, b = p, [c * k for k, c in enumerate(p)][1:]
-    while b:
-        g, b = b, _poly_divmod(g, b)[1]
-    q = _poly_divmod(p, g)[0]
-    q = [c / q[-1] for c in reversed(q)]  # highest first, monic
-    if len(q) == 2:
-        return [-q[1]]
-    lead = lcm(*(f.denominator for c in q for f in (c.re, c.im)))
-    ip = [(int(c.re * lead), int(c.im * lead)) for c in q]
-    # each root has modulus < 1 + max |q_i| <= bound
-    bound = 2 + isqrt(-(-max(c.norm_sq() for c in q[1:]) // 1))
-    nums = gaussian_integer_divisors(GaussianRational(*ip[-1]))
-    roots = set()
-    for den in gaussian_integer_divisors(GaussianRational(lead)):
-        # t[i] = ip[i] den^i, so den^d q(num/den) = sum_i t[i] num^(d-i)
-        t = [(cr * pr - ci * pi, cr * pi + ci * pr) for (cr, ci), (pr, pi)
-             in zip(ip, _times([(1, 0)], (den.re, den.im), len(ip) - 1))]
-        for num in nums:
-            if num.norm_sq() >= bound * bound * den.norm_sq():
-                break  # nums ascend by norm
-            nr, ni = int(num.re), int(num.im)
-            for ur, ui in ((nr, ni), (-ni, nr), (-nr, -ni), (ni, -nr)):
-                ar = ai = 0
-                for cr, ci in t:
-                    ar, ai = ar * ur - ai * ui + cr, ar * ui + ai * ur + ci
-                if not (ar or ai):
-                    roots.add(GaussianRational(ur, ui) / den)
-                    if len(roots) == len(q) - 1:
-                        return roots
-    return roots

@@ -6,7 +6,7 @@ single pass/fail line (run with -s to see them on success).
 import random
 from fractions import Fraction
 
-from hilbfock import linalg
+from hilbfock import matrices
 from hilbfock.adhm import (MatrixTriple, from_monomial_ideal, in_bidisk,
                            is_commuting, is_stable, support_cycle,
                            trace_invariant, trace_table)
@@ -183,7 +183,7 @@ def test_criterion_09_adhm_model():
             g = [[G(rng.randint(-2, 2), rng.randint(-1, 1))
                   for _ in range(size)] for _ in range(size)]
             try:
-                linalg.invert(g)
+                matrices.invert(g)
                 return g
             except ZeroDivisionError:
                 continue

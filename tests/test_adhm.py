@@ -4,7 +4,7 @@ from math import isqrt
 
 import pytest
 
-from hilbfock import adhm, linalg
+from hilbfock import adhm, linalg, matrices
 from hilbfock.cli import main
 from hilbfock.partitions import Partition, partitions_of
 from hilbfock.adhm import (MatrixTriple, NotCommuting, NotInBidisk,
@@ -14,11 +14,11 @@ from hilbfock.adhm import (MatrixTriple, NotCommuting, NotInBidisk,
                            torus_scale, trace_invariant, trace_table,
                            write_triple)
 from hilbfock.linalg import (GaussianRational, IdentityFailed,
-                             SpectrumNotSplit, char_poly,
-                             gaussian_integer_divisors,
-                             gaussian_rational_roots, identity, invert,
-                             kernel_basis, mat_mul, rank, scalar_from_str,
-                             scalar_to_str)
+                             SpectrumNotSplit, gaussian_rational_roots,
+                             scalar_from_str, scalar_to_str)
+from hilbfock.matrices import (char_poly, identity, invert, kernel_basis,
+                               mat_mul, rank)
+from hilbfock.roots import gaussian_integer_divisors
 
 G = GaussianRational
 
@@ -378,8 +378,8 @@ def test_monomial_triples():
         profiles = set()
         for tr in triples:
             prof = tuple(
-                (len(kernel_basis(linalg.mat_pow(tr.a, k))),
-                 len(kernel_basis(linalg.mat_pow(tr.b, k))))
+                (len(kernel_basis(matrices.mat_pow(tr.a, k))),
+                 len(kernel_basis(matrices.mat_pow(tr.b, k))))
                 for k in range(1, n + 1))
             profiles.add(prof)
         assert len(profiles) == len(triples)

@@ -10,9 +10,10 @@ from hilbfock import adhm
 from hilbfock.adhm import (MatrixTriple, from_monomial_ideal, trace_invariant,
                            write_triple)
 from hilbfock.cli import COMMANDS, _read_args, build_parser, main
-from hilbfock.linalg import GaussianRational, matrix, scalar_from_str
+from hilbfock.linalg import GaussianRational, scalar_from_str
+from hilbfock.matrices import matrix
 from hilbfock.partitions import Partition
-from hilbfock.surfaces import parse_surface_file
+from hilbfock.surface_file import parse_surface_file
 
 
 def run_cli(args, capsys):

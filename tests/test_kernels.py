@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 from hilbfock.adhm import MatrixTriple, from_monomial_ideal, trace_table
-from hilbfock.linalg import GaussianRational, char_poly
+from hilbfock.linalg import GaussianRational
+from hilbfock.matrices import char_poly
 from hilbfock.partitions import partitions_of
 
 G = GaussianRational

@@ -2,7 +2,8 @@
 The package loads its modules on demand: top-level names resolve on first
 access, and a CLI request imports only the layers its subcommand uses.
 Integer tables and monomial triples load no rational arithmetic
-(fractions), which is imported only where a rational can appear.  Import
+(fractions), which is imported only where a rational can appear, and a
+monomial triple loads neither the root search nor the matrix wrappers.  Import
 sets are read in fresh interpreters, so earlier tests cannot leak modules
 into them.
 """
@@ -46,13 +47,21 @@ HOME = {
     "product": "goettsche_families hilbert_hodge",
     "heisenberg": "MIXED Create graded_character",
     "linalg": "GaussianRational IdentityFailed SpectrumNotSplit",
+    "roots": "GaussianRational IdentityFailed SpectrumNotSplit",
+    "matrices": "",  # exports no top-level name and imports none
+    "surface_file": "SurfaceModel",
     "adhm": "IdentityFailed SupportCycle trace_table",
     "stratification": "StalkTable support_strata",
 }
 
-ALL_LAYERS = {"partitions", "series", "surfaces", "goettsche", "product",
-              "tables", "heisenberg", "linalg", "adhm", "stratification",
-              "selfcheck"}
+ALL_LAYERS = {"partitions", "series", "surfaces", "surface_file",
+              "goettsche", "product", "tables", "heisenberg", "linalg",
+              "roots", "matrices", "adhm", "stratification", "selfcheck"}
+
+# a commuting triple with the eigenvalues 1 and 2 of A, and a 1/2 entry:
+# its characteristic polynomials have nonzero roots, so it reaches the
+# root search
+TRIPLE = "2\n1 0\n0 2\n0 0\n0 1/2\n1 1\n"
 
 
 def fresh_python(code):
@@ -86,7 +95,7 @@ def loaded_after(argv):
 @pytest.mark.parametrize("argv, needed, unneeded", [
     (["adhm", "--mu", "2,1"], {"linalg", "adhm"},
      {"partitions", "series", "surfaces", "goettsche", "product", "tables",
-      "heisenberg", "stratification", "selfcheck"}),
+      "heisenberg", "stratification", "selfcheck", "roots", "matrices"}),
     # Goettsche's product route loads no strata route, and the reverse
     (["hodge", "--surface", "p2", "--order", "2"],
      {"product", "tables", "series"},
@@ -102,9 +111,11 @@ def loaded_after(argv):
     (["commutators", "--surface", "abelian", "--trials", "3"],
      {"heisenberg", "series", "partitions", "selfcheck"},
      {"linalg", "adhm", "goettsche", "product", "tables", "stratification"}),
-    (["adhm", "--triple", "{triple}"], {"linalg", "adhm"},
+    # the positive control of the --mu case: only a nonzero eigenvalue
+    # loads the root search, and no request loads the matrix wrappers
+    (["adhm", "--triple", "{triple}"], {"linalg", "roots", "adhm"},
      {"partitions", "series", "surfaces", "goettsche", "product", "tables",
-      "heisenberg", "stratification", "selfcheck"}),
+      "heisenberg", "stratification", "selfcheck", "matrices"}),
     (["goettsche", "--surface", "k3", "--order", "2"],
      {"product", "tables", "series"},
      {"goettsche", "linalg", "adhm", "heisenberg", "stratification",
@@ -124,7 +135,7 @@ def loaded_after(argv):
 ])
 def test_request_loads_only_its_layers(argv, needed, unneeded, tmp_path):
     triple = tmp_path / "triple.txt"
-    triple.write_text("2\n0 0\n1 0\n0 0\n1/2 0\n1 0\n")
+    triple.write_text(TRIPLE)
     argv = [str(triple) if arg == "{triple}" else arg for arg in argv]
     loaded = loaded_after(argv) & ALL_LAYERS
     assert needed <= loaded
@@ -154,16 +165,16 @@ def lines_loaded(argv):
 # request without a bytecode cache compiles every module it loads in full,
 # so a layer that loads for nothing costs its whole length
 COMPILE_BUDGETS = [
-    (["goettsche", "--surface", "k3", "--order", "4"], 1300),
-    (["hodge", "--surface", "p2", "--order", "4"], 1300),
-    (["euler", "--surface", "p2", "--order", "4"], 1000),
-    (["ktheory", "--surface", "p1xp1", "--order", "4"], 1000),
-    (["sym", "--surface", "abelian", "--order", "4"], 1550),
-    (["punctual", "--order", "4"], 1366),
-    (["fock", "--surface", "abelian", "--order", "4"], 1628),
-    (["strata", "--n", "4", "--h", "2"], 811),
-    (["adhm", "--mu", "2,1"], 1405),
-    (["adhm", "--triple", "{triple}"], 1405),
+    (["goettsche", "--surface", "k3", "--order", "4"], 1260),
+    (["hodge", "--surface", "p2", "--order", "4"], 1260),
+    (["euler", "--surface", "p2", "--order", "4"], 920),
+    (["ktheory", "--surface", "p1xp1", "--order", "4"], 920),
+    (["sym", "--surface", "abelian", "--order", "4"], 1490),
+    (["punctual", "--order", "4"], 1300),
+    (["fock", "--surface", "abelian", "--order", "4"], 1590),
+    (["strata", "--n", "4", "--h", "2"], 770),
+    (["adhm", "--mu", "2,1"], 1150),
+    (["adhm", "--triple", "{triple}"], 1320),
     (None, 456),
 ]
 
@@ -173,7 +184,7 @@ COMPILE_BUDGETS = [
     for argv, _ in COMPILE_BUDGETS])
 def test_each_request_compiles_within_its_budget(argv, budget, tmp_path):
     triple = tmp_path / "triple.txt"
-    triple.write_text("2\n0 0\n1 0\n0 0\n1/2 0\n1 0\n")
+    triple.write_text(TRIPLE)
     if argv is not None:
         argv = [str(triple) if arg == "{triple}" else arg for arg in argv]
     lines = lines_loaded(argv)
@@ -223,6 +234,27 @@ def test_integer_tables_load_no_rational_arithmetic(argv):
     assert not modules_after(argv) & RATIONAL
 
 
+@pytest.mark.parametrize("argv", MONOMIAL_REQUESTS, ids=" ".join)
+def test_a_monomial_triple_loads_no_root_search_and_no_matrix_wrappers(argv):
+    # each characteristic polynomial is z^n: all its roots are at zero
+    loaded = loaded_after(argv)
+    assert {"linalg", "adhm"} <= loaded
+    assert not loaded & {"roots", "matrices"}
+
+
+@pytest.mark.parametrize("argv", TABLE_REQUESTS, ids=" ".join)
+def test_a_preset_request_loads_no_surface_file_reader(argv):
+    assert "surface_file" not in loaded_after(argv)
+
+
+def test_a_surface_file_loads_its_reader(tmp_path):
+    # the positive control: the check above can fail
+    cfg = tmp_path / "surface.cfg"
+    cfg.write_text("betti=1,0,1,0,1\n")
+    argv = ["euler", "--surface", str(cfg), "--order", "2"]
+    assert "surface_file" in loaded_after(argv)
+
+
 @pytest.mark.parametrize("argv", [
     ["adhm", "--triple", "{triple}"],
     ["commutators", "--surface", "p2", "--trials", "2"],
@@ -231,7 +263,7 @@ def test_rational_requests_load_fractions(argv, tmp_path):
     # the positive control: the checks above can fail; the triple has a
     # 1/2 entry
     triple = tmp_path / "triple.txt"
-    triple.write_text("2\n0 0\n1 0\n0 0\n1/2 0\n1 0\n")
+    triple.write_text(TRIPLE)
     argv = [str(triple) if arg == "{triple}" else arg for arg in argv]
     assert "fractions" in modules_after(argv)
 
@@ -275,7 +307,7 @@ PARSER = {"argparse", "gettext"}
 ], ids=" ".join)
 def test_a_well_formed_request_loads_no_argparse(argv, tmp_path):
     triple = tmp_path / "triple.txt"
-    triple.write_text("2\n0 0\n1 0\n0 0\n1/2 0\n1 0\n")
+    triple.write_text(TRIPLE)
     argv = [str(triple) if arg == "{triple}" else arg for arg in argv]
     assert not modules_after(argv) & PARSER
 

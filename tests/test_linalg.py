@@ -11,9 +11,9 @@ from fractions import Fraction
 import pytest
 
 from hilbfock.adhm import MatrixTriple, from_monomial_ideal, is_stable
-from hilbfock.linalg import (GaussianRational, _echelon, identity,
-                             invariant_span_dim, invert, kernel_basis,
-                             mat_mul, rank, solve_columns)
+from hilbfock.linalg import GaussianRational
+from hilbfock.matrices import (_echelon, identity, invariant_span_dim, invert,
+                               kernel_basis, mat_mul, rank, solve_columns)
 from hilbfock.partitions import partitions_of
 
 G = GaussianRational

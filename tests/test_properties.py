@@ -12,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hilbfock.adhm import (MatrixTriple, from_monomial_ideal,  # noqa: E402
                            read_triple, support_cycle, trace_table,
                            write_triple)
-from hilbfock.linalg import GaussianRational, invert  # noqa: E402
+from hilbfock.linalg import GaussianRational  # noqa: E402
+from hilbfock.matrices import invert  # noqa: E402
 from hilbfock.partitions import Partition, partitions_of, refines  # noqa: E402
 from hilbfock.series import CoeffPoly, super_power_table  # noqa: E402
 

@@ -1,15 +1,17 @@
 """
-The root search of linalg: roots are searched once each on the
+The root search (roots): roots are searched once each on the
 square-free part of the polynomial, made monic, and their multiplicities
-come from deflating the polynomial itself.
+come from deflating the polynomial itself.  Roots at zero are counted
+without it, so a monomial triple never reaches the search.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from hilbfock import linalg
+from hilbfock import roots as search
 from hilbfock.cli import main
+from hilbfock.roots import gaussian_integer_divisors
 from hilbfock.linalg import (GaussianRational, SpectrumNotSplit,
                              gaussian_rational_roots)
 
@@ -31,14 +33,14 @@ def expand(roots):
 
 def counting_divisors(monkeypatch):
     """Record the argument of every gaussian_integer_divisors call."""
-    real = linalg.gaussian_integer_divisors
+    real = search.gaussian_integer_divisors
     calls = []
 
     def counting(g):
         calls.append(g)
         return real(g)
 
-    monkeypatch.setattr(linalg, "gaussian_integer_divisors", counting)
+    monkeypatch.setattr(search, "gaussian_integer_divisors", counting)
     return calls
 
 
@@ -118,3 +120,41 @@ def test_a_large_single_eigenvalue_gets_a_verified_support(tmp_path,
     out = capsys.readouterr().out.splitlines()
     assert "support\t1*(10000000,0)" in out
     assert "in_bidisk\tFalse" in out
+
+
+@pytest.mark.parametrize("g, name", [
+    (G(Fraction(3, 2)), "3/2"),
+    (G(Fraction(1, 2)), "1/2"),
+    (G(2, Fraction(1, 3)), "2+1/3i"),
+])
+def test_divisors_of_a_non_integral_value_raise_naming_it(g, name):
+    # 3/2 was truncated to 1 (divisors [1, 1+i]), and 1/2 to 0
+    with pytest.raises(ValueError, match="^%s is not a Gaussian integer$"
+                       % name.replace("+", r"\+")):
+        gaussian_integer_divisors(g)
+
+
+# the distinct partitions of the benchmark's adhm --mu requests
+BENCHMARK_PARTITIONS = ("1", "2", "1,1", "2,1", "1,1,1", "3", "2,2", "3,1",
+                        "2,1,1", "3,2", "2,2,1", "3,2,1", "4,2", "3,3,1",
+                        "3,3,3")
+
+
+def test_a_monomial_triple_never_reaches_the_search(monkeypatch, tmp_path):
+    def adhm_bytes(argv):
+        path = tmp_path / "out.tsv"
+        assert main(argv + ["--output", str(path)]) == 0
+        return path.read_bytes()
+
+    want = {mu: adhm_bytes(["adhm", "--mu", mu])
+            for mu in BENCHMARK_PARTITIONS}
+
+    def no_search(p):
+        raise AssertionError("the root search ran on %r" % (p,))
+
+    monkeypatch.setattr(search, "nonzero_roots", no_search)
+    for mu in BENCHMARK_PARTITIONS:
+        assert adhm_bytes(["adhm", "--mu", mu]) == want[mu], mu
+    # the positive control: a nonzero eigenvalue does reach the search
+    with pytest.raises(AssertionError, match="the root search ran"):
+        gaussian_rational_roots([G(-1), G(1)])

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from hilbfock.surfaces import (ABELIAN, DELTA, K3, P2, P1XP1, SurfaceModel,
-                               parse_surface_file)
+from hilbfock.surface_file import parse_surface_file
+from hilbfock.surfaces import ABELIAN, DELTA, K3, P2, P1XP1, SurfaceModel
 
 PRESETS = (DELTA, P2, P1XP1, K3, ABELIAN)
 
