@@ -14,15 +14,16 @@ _EXPORTS = {
     "partitions": """MismatchedWeight Partition PartitionTuple
         count_with_length multiplicity_factorial partitions_of refines
         splittings splittings_merging_to splittings_with_drop""",
-    "series": """CoeffPoly FactorFamily IndexOutOfRange OrderMismatch
-        QTSeries UnknownVariable product_expand""",
+    "poly": "CoeffPoly UnknownVariable",
+    "series": """FactorFamily IndexOutOfRange OrderMismatch QTSeries
+        product_expand""",
     "surfaces": """ABELIAN DELTA K3 P2 P1XP1 PRESETS MissingHodgeData
         SurfaceModel""",
     "product": "goettsche_families hilbert_hodge hilbert_poincare_series",
-    "goettsche": """equivariant_k_dim general_binomial hilbert_euler
-        hilbert_poincare_from_strata hodge_sym orbifold_euler
-        punctual_poincare stratum_poincare sym_poincare
-        sym_poincare_product sym_poincare_table sym_total_dim""",
+    "counts": """equivariant_k_dim general_binomial hilbert_euler
+        orbifold_euler punctual_poincare sym_total_dim""",
+    "goettsche": """hilbert_poincare_from_strata hodge_sym stratum_poincare
+        sym_poincare sym_poincare_product sym_poincare_table""",
     "heisenberg": """MIXED Annihilate Central Create FockMonomial FockState
         ModeNonPositive UnknownClass WrongModel commutator degree_of
         enumerate_monomials graded_character level_dim random_state

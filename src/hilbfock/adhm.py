@@ -9,14 +9,15 @@ and torus_scale load the Gaussian-rational matrix wrappers (matrices).
 
 Triple text format: whitespace-separated tokens; first the size n, then
 the n*n entries of A row-major, then B, then the n entries of v, each a
-token "a/b", "c/di" or "a/b+c/di" (see linalg.scalar_from_str).
+token "a/b", "c/di" or "a/b+c/di" (see linalg.scalar_from_str).  The adhm
+subcommand reads its triple with requested_triple and prints report.
 """
 
 from math import isqrt
 from sys import getsizeof, maxsize
 from types import MappingProxyType
 
-from ._base import Frozen
+from ._base import ConfigError, Frozen
 from .linalg import (GaussianRational, IdentityFailed, SpectrumNotSplit,
                      ZERO, affine_rows, char_poly_rows, cleared_rows,
                      gaussian_rational_roots, join_rows, mul_rows, parse_rows,
@@ -300,3 +301,51 @@ def write_triple(tr):
     """Render a triple in its text format."""
     rows = [" ".join(map(scalar_to_str, row)) for row in tr.a + tr.b + (tr.v,)]
     return "\n".join([str(tr.n)] + rows) + "\n"
+
+
+def requested_triple(path, mu):
+    """
+    The triple of exactly one of the file path (--triple) or the monomial
+    ideal of mu (--mu), comma-separated parts in any order.  Its n cells'
+    (n + 1)(n + 2)/2 trace rows (at most maxsize) are claimed first.
+    """
+    if bool(path) == bool(mu):
+        raise ConfigError("give exactly one of --triple or --mu")
+    if path:
+        try:
+            with open(path) as fh:
+                return read_triple(fh.read())
+        except (OSError, ValueError) as exc:
+            raise ConfigError("--triple: %s" % exc)
+    try:
+        parts = [int(x) for x in mu.split(",")]  # an empty field fails
+        if (n := sum(parts)) < maxsize:
+            [None] * min((n + 1) * (n + 2) // 2, maxsize)
+            return from_monomial_ideal(sorted(parts, reverse=True))
+    except ValueError as exc:
+        raise ConfigError("bad partition for --mu: %s" % exc)
+    except MemoryError:
+        raise ConfigError("out of memory: --mu is too large")
+    raise ConfigError("--mu must sum below %d, got %d" % (maxsize, n))
+
+
+def report(tr):
+    """
+    The rows the adhm subcommand prints: size, commuting and, if so,
+    stable, support (or why it does not split), in_bidisk and the traces.
+    """
+    commuting = is_commuting(tr)
+    rows = [("key", "value"), ("size", tr.n), ("commuting", commuting)]
+    if not commuting:
+        return rows
+    rows.append(("stable", is_stable(tr)))
+    traces = trace_table(tr, tr.n)
+    try:
+        cycle = support_cycle(tr, traces)
+        rows.append(("support", cycle))
+        rows.append(("in_bidisk", in_bidisk(tr, cycle)))
+    except SpectrumNotSplit as exc:
+        rows.append(("support", "not split (%s)" % exc))
+    rows += [("trace[%d,%d]" % (k, l), traces[(k, l)])
+             for k in range(tr.n + 1) for l in range(tr.n + 1 - k)]
+    return rows

@@ -10,7 +10,8 @@ or out-of-memory error, 3 an internal error (the traceback goes to stderr).
 Each cmd_* imports its own layer, so a request loads only the modules its
 subcommand uses, and returns (exit code, rows); main writes the rows, so
 stdout stays empty when a request fails.  A request reads its own
-arguments from COMMANDS; argparse loads only for help and usage errors.
+arguments from COMMANDS; usage, the argparse reader, loads only for help
+and usage errors, and adhm reads and reports the adhm subcommand's triple.
 """
 
 import sys
@@ -28,24 +29,6 @@ def resolve_surface(spec):
         return PRESETS[key]
     from .surface_file import parse_surface_file
     return parse_surface_file(spec)
-
-
-def _parse_partition(text, flag):
-    # the monomial-ideal triple of the comma-separated parts, in any order;
-    # its staircase has as many cells n as the parts sum to, and the list of
-    # its (n + 1)(n + 2)/2 trace rows (at most maxsize) is claimed first
-    from .adhm import from_monomial_ideal
-    try:
-        parts = [int(x) for x in text.split(",")]  # an empty field fails
-        if (n := sum(parts)) < sys.maxsize:
-            [None] * min((n + 1) * (n + 2) // 2, sys.maxsize)
-            return from_monomial_ideal(sorted(parts, reverse=True))
-    except ValueError as exc:
-        raise ConfigError("bad partition for %s: %s" % (flag, exc))
-    except MemoryError:
-        raise ConfigError("out of memory: %s is too large" % flag)
-    raise ConfigError("%s must sum below %d, got %d"
-                      % (flag, sys.maxsize, n))
 
 
 def emit(rows, output):
@@ -122,31 +105,6 @@ def _read_args(argv):
     return SimpleNamespace(command=argv[0], **args, **_defaults(argv[0]))
 
 
-def build_parser(argv):
-    """
-    The argparse reader of COMMANDS, with their help; main builds it only
-    for an argv _read_args declines, so help and usage errors are
-    argparse's own.  Only the subcommand argv[0] names is built (all are if
-    it names none, as for --help).
-    """
-    import argparse
-    ap = argparse.ArgumentParser(
-        prog="hilbfock",
-        description="exact invariants of Hilbert schemes of points")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in [argv[0]] if argv and argv[0] in COMMANDS else COMMANDS:
-        help, *options = COMMANDS[name]
-        p = sub.add_parser(name, help=help)
-        for flag, _, kw in options:
-            if flag == "--surface":  # only its preset list loads surfaces
-                from .surfaces import PRESETS
-                kw = dict(kw, help="preset name (%s) or config file"
-                          % ", ".join(sorted(set(PRESETS))))
-            p.add_argument(flag, **kw)
-        p.set_defaults(**_defaults(name))
-    return ap
-
-
 def cmd_goettsche(args):
     from .product import hilbert_poincare_series
     s = resolve_surface(args.surface)
@@ -161,13 +119,13 @@ def cmd_sym(args):
 
 
 def cmd_punctual(args):
-    from .goettsche import punctual_poincare
+    from .counts import punctual_poincare
     return 0, [("n", "poincare"), *((n, punctual_poincare(n))
                                     for n in range(1, args.order + 1))]
 
 
 def cmd_euler(args):
-    from .goettsche import hilbert_euler_table
+    from .counts import hilbert_euler_table
     s = resolve_surface(args.surface)
     return 0, [("n", "euler"),
                *enumerate(hilbert_euler_table(s.euler, args.order))]
@@ -206,36 +164,12 @@ def cmd_strata(args):
 
 
 def cmd_adhm(args):
-    from . import adhm
-    if bool(args.triple) == bool(args.mu):
-        raise ConfigError("give exactly one of --triple or --mu")
-    if args.triple:
-        try:
-            with open(args.triple) as fh:
-                tr = adhm.read_triple(fh.read())
-        except (OSError, ValueError) as exc:
-            raise ConfigError("--triple: %s" % exc)
-    else:
-        tr = _parse_partition(args.mu, "--mu")
-    commuting = adhm.is_commuting(tr)
-    rows = [("key", "value"), ("size", tr.n), ("commuting", commuting)]
-    if not commuting:
-        return 0, rows
-    rows.append(("stable", adhm.is_stable(tr)))
-    traces = adhm.trace_table(tr, tr.n)
-    try:
-        cycle = adhm.support_cycle(tr, traces)
-        rows.append(("support", cycle))
-        rows.append(("in_bidisk", adhm.in_bidisk(tr, cycle)))
-    except adhm.SpectrumNotSplit as exc:
-        rows.append(("support", "not split (%s)" % exc))
-    rows += [("trace[%d,%d]" % (k, l), traces[(k, l)])
-             for k in range(tr.n + 1) for l in range(tr.n + 1 - k)]
-    return 0, rows
+    from .adhm import report, requested_triple
+    return 0, report(requested_triple(args.triple, args.mu))
 
 
 def cmd_ktheory(args):
-    from .goettsche import equivariant_k_table
+    from .counts import equivariant_k_table
     s = resolve_surface(args.surface)
     return 0, [("n", "dim"), *enumerate(equivariant_k_table(s, args.order))]
 
@@ -254,7 +188,10 @@ def cmd_selfcheck(args):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = _read_args(argv) or build_parser(argv).parse_args(argv)
+    args = _read_args(argv)
+    if args is None:  # help or a usage error
+        from .usage import build_parser
+        args = build_parser(argv).parse_args(argv)
     size = "the request"  # what is too large when memory runs out
     try:
         for name, low in args.least.items():

@@ -13,7 +13,7 @@ from math import prod
 
 from . import heisenberg
 from .partitions import partition_census, partitions_of
-from .series import CoeffPoly
+from .poly import CoeffPoly
 from .surfaces import ABELIAN, DELTA, K3, P2, P1XP1
 
 ALL_PRESETS = (DELTA, P2, P1XP1, K3, ABELIAN)
@@ -110,7 +110,7 @@ def check_local_stalks(order):
 
 
 def check_punctual(order):
-    from .goettsche import punctual_poincare
+    from .counts import punctual_poincare
     for n in range(1, order + 1):
         poly = punctual_poincare(n)
         drops = Counter(p.drop for p in partitions_of(n))
@@ -142,13 +142,13 @@ def _orbifold_rows(euler, order):
 
 
 def check_euler(order):
-    from .goettsche import hilbert_euler_table
+    from .counts import hilbert_euler_table
     return _compare(EULER_RANGE, order, hilbert_euler_table, _orbifold_rows,
                     ("n", "product", "orbifold"))
 
 
 def check_ktheory(order):
-    from .goettsche import equivariant_k_table
+    from .counts import equivariant_k_table
     return _compare(
         ALL_PRESETS, order, equivariant_k_table,
         lambda s, n: [c.specialize({"t": 1}).constant_value()

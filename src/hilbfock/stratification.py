@@ -34,7 +34,7 @@ class StalkTable(Frozen):
 
     def poincare(self):
         """Sum of rows[h] t^(2h), the stalk Poincare polynomial."""
-        from .series import CoeffPoly
+        from .poly import CoeffPoly
         return CoeffPoly({(2 * h,): r for h, r in enumerate(self.rows)})
 
     def __repr__(self):
@@ -97,8 +97,8 @@ def local_fiber_check(nu):
     product of the punctual polynomials of the parts.  Both sides are
     computed independently (tuple enumeration vs polynomial product).
     """
-    from .goettsche import punctual_poincare
-    from .series import CoeffPoly
+    from .counts import punctual_poincare
+    from .poly import CoeffPoly
     lhs = stalk_table(nu).poincare()
     rhs = CoeffPoly.one()
     for part in nu:
@@ -113,7 +113,7 @@ def global_degeneration_check(model, n):
     t^(2h) times the total stratum polynomial in length n - h.
     """
     from .goettsche import hilbert_poincare_from_strata, stratum_product
-    from .series import CoeffPoly
+    from .poly import CoeffPoly
     if n < 0:
         raise ValueError("n must be non-negative")
     lhs = hilbert_poincare_from_strata(model, n)

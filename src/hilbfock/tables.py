@@ -1,8 +1,8 @@
 """
-The table cache that product (Goettsche's product) and goettsche (the
-strata, symmetric products, K-theory, Euler and punctual tables) share
-without importing each other.  Every table lives in the one dict _TABLES,
-looked up here at call time, so replacing it empties them all at once.
+The table cache of Goettsche's product (product) and of the strata side,
+which never imports it: goettsche (strata, symmetric products) and counts
+(K-theory, Euler, punctual).  Every table lives in the one dict _TABLES,
+looked up here at call time, so replacing it empties them all.
 """
 
 from functools import wraps

@@ -2,13 +2,13 @@ from collections import Counter
 
 import pytest
 
-from hilbfock import goettsche, partitions, tables
+from hilbfock import counts, partitions, tables
 
 # Every lru_cache of the package; with tables._TABLES these are all its
 # module-level caches (tests/test_layering.py pins that set).
 LRU_CACHES = (partitions.partitions_of, partitions._fill,
               partitions.partition_census, partitions.splitting_drops,
-              goettsche.sym_total_dim)
+              counts.sym_total_dim)
 
 
 @pytest.fixture

@@ -10,15 +10,14 @@ from hilbfock import matrices
 from hilbfock.adhm import (MatrixTriple, from_monomial_ideal, in_bidisk,
                            is_commuting, is_stable, support_cycle,
                            trace_invariant, trace_table)
-from hilbfock.goettsche import (equivariant_k_dim, hilbert_euler,
-                                hilbert_poincare_from_strata,
-                                punctual_poincare)
+from hilbfock.counts import equivariant_k_dim, hilbert_euler, punctual_poincare
+from hilbfock.goettsche import hilbert_poincare_from_strata
 from hilbfock.heisenberg import (Annihilate, Create, FockState, commutator,
                                  graded_character, random_state)
 from hilbfock.linalg import GaussianRational as G
 from hilbfock.product import hilbert_hodge, hilbert_poincare_series
 from hilbfock.partitions import partitions_of
-from hilbfock.series import CoeffPoly
+from hilbfock.poly import CoeffPoly
 from hilbfock.stratification import (global_degeneration_check,
                                      local_fiber_check)
 from hilbfock.surfaces import ABELIAN, DELTA, K3, P2, P1XP1

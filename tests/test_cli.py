@@ -9,11 +9,12 @@ import pytest
 from hilbfock import adhm
 from hilbfock.adhm import (MatrixTriple, from_monomial_ideal, trace_invariant,
                            write_triple)
-from hilbfock.cli import COMMANDS, _read_args, build_parser, main
+from hilbfock.cli import COMMANDS, _read_args, main
 from hilbfock.linalg import GaussianRational, scalar_from_str
 from hilbfock.matrices import matrix
 from hilbfock.partitions import Partition
 from hilbfock.surface_file import parse_surface_file
+from hilbfock.usage import build_parser
 
 
 def run_cli(args, capsys):
@@ -165,6 +166,43 @@ def test_adhm_empty_partition_exits_2(capsys, mu):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "bad partition for --mu" in err
+
+
+# a commuting triple whose support has a nonzero point, and one whose
+# matrices do not commute: its report stops after the commuting row
+REPORTED = {"commuting": "2\n1 0\n0 2\n0 0\n0 1/2\n1 1\n",
+            "not_commuting": "2\n0 1\n0 0\n0 0\n1 0\n1 0\n"}
+
+
+@pytest.mark.parametrize("kind", REPORTED)
+def test_the_adhm_report_is_what_the_cli_prints(kind, tmp_path, capsys):
+    path = tmp_path / "triple.txt"
+    path.write_text(REPORTED[kind])
+    rows = adhm.report(adhm.read_triple(REPORTED[kind]))
+    code, out, _ = run_cli(["adhm", "--triple", str(path)], capsys)
+    assert code == 0
+    assert out == "".join("\t".join(map(str, row)) + "\n" for row in rows)
+    assert rows[2] == ("commuting", kind == "commuting")
+    # the commuting triple has 6 trace rows of total degree at most 2
+    assert len(rows) == (3 if kind == "not_commuting" else 6 + 6)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--mu", "x"], "bad partition for --mu: invalid literal for int() "
+                    "with base 10: 'x'"),
+    (["--mu", "1,,2"], "bad partition for --mu: invalid literal for int() "
+                       "with base 10: ''"),
+    ([], "give exactly one of --triple or --mu"),
+    (["--mu", "2,1", "--triple", "{triple}"],
+     "give exactly one of --triple or --mu"),
+], ids=["letter", "empty_part", "neither", "both"])
+def test_adhm_flag_errors_exit_2_with_one_line(argv, message, tmp_path,
+                                                capsys):
+    path = tmp_path / "triple.txt"
+    path.write_text(REPORTED["commuting"])
+    argv = [str(path) if arg == "{triple}" else arg for arg in argv]
+    code, out, err = run_cli(["adhm"] + argv, capsys)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 def test_adhm_identity_failure_exits_1(monkeypatch, capsys):
@@ -497,12 +535,12 @@ def test_a_table_request_builds_only_its_own_subparser(monkeypatch, capsys):
 
 
 def test_internal_error_exits_3_with_a_traceback(monkeypatch, capsys):
-    from hilbfock import goettsche
+    from hilbfock import counts
 
     def broken(e, order):
         raise TypeError("broken layer")
 
-    monkeypatch.setattr(goettsche, "hilbert_euler_table", broken)
+    monkeypatch.setattr(counts, "hilbert_euler_table", broken)
     code, out, err = run_cli(["euler", "--surface", "k3", "--order", "3"],
                              capsys)
     assert code == 3

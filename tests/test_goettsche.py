@@ -4,23 +4,24 @@ from math import comb, factorial
 
 import pytest
 
-from hilbfock import goettsche, product, series, tables
+from hilbfock import counts, goettsche, product, series, tables
 from hilbfock._base import IdentityFailed
 from hilbfock.cli import main
-from hilbfock.goettsche import (equivariant_k_dim, equivariant_k_table,
-                                general_binomial, hilbert_euler,
-                                hilbert_euler_table, strata_hodge_table,
+from hilbfock.counts import (equivariant_k_dim, equivariant_k_table,
+                             general_binomial, hilbert_euler,
+                             hilbert_euler_table, orbifold_euler,
+                             punctual_poincare, sym_total_dim)
+from hilbfock.goettsche import (strata_hodge_table,
                                 hilbert_poincare_from_strata, hodge_sym,
-                                hodge_sym_table, orbifold_euler,
-                                punctual_poincare, strata_poincare_table,
+                                hodge_sym_table, strata_poincare_table,
                                 stratum_poincare, sym_poincare,
-                                sym_poincare_product, sym_poincare_table,
-                                sym_total_dim)
+                                sym_poincare_product, sym_poincare_table)
 from hilbfock.partitions import Partition, count_with_length, partitions_of
 from hilbfock.product import (hilbert_hodge, hilbert_hodge_table,
                               hilbert_poincare_series)
 from hilbfock.selfcheck import check_goettsche, check_sym_routes
-from hilbfock.series import CoeffPoly, FactorFamily, QTSeries, product_expand
+from hilbfock.poly import CoeffPoly
+from hilbfock.series import FactorFamily, QTSeries, product_expand
 from hilbfock.surfaces import (ABELIAN, DELTA, K3, P2, P1XP1,
                                MissingHodgeData, SurfaceModel)
 
@@ -177,13 +178,13 @@ def test_euler_table_rows_equal_per_n_values():
 
 def test_euler_request_runs_the_product_loop_once(monkeypatch, capsys):
     orders = []
-    real = goettsche.hilbert_euler_table
+    real = counts.hilbert_euler_table
 
     def counting(euler, order):
         orders.append(order)
         return real(euler, order)
 
-    monkeypatch.setattr(goettsche, "hilbert_euler_table", counting)
+    monkeypatch.setattr(counts, "hilbert_euler_table", counting)
     assert main(["euler", "--surface", "k3", "--order", "24"]) == 0
     assert orders == [24]
     assert len(capsys.readouterr().out.splitlines()) == 26
@@ -197,7 +198,7 @@ def test_euler_tables_are_cached(monkeypatch):
     for e in (-4, 0, 24):
         table = hilbert_euler_table(e, 20)
         with monkeypatch.context() as m:
-            m.setattr(goettsche, "general_binomial", expansion)
+            m.setattr(counts, "general_binomial", expansion)
             assert [hilbert_euler(e, n) for n in range(21)] == table
 
 
@@ -209,7 +210,7 @@ def test_euler_table_computes_each_binomial_once(monkeypatch):
         return general_binomial(a, k)
 
     monkeypatch.setattr(tables, "_TABLES", {})
-    monkeypatch.setattr(goettsche, "general_binomial", counting)
+    monkeypatch.setattr(counts, "general_binomial", counting)
     table = hilbert_euler_table(24, 60)
     assert table[:4] == [1, 24, 324, 3200]
     assert len(calls) <= 61
@@ -415,6 +416,7 @@ def count_builds(monkeypatch):
     calls = []
     for module, name in ((series, "super_power_table"),
                          (goettsche, "_strata_sums"),
+                         (counts, "_strata_sums"),
                          (product, "product_table")):
         def counting(*args, _real=getattr(module, name), _name=name,
                      **kwargs):
@@ -655,14 +657,14 @@ def test_skew_config_file_prints_unaliased_hodge_rows(tmp_path, capsys):
 
 def test_ktheory_request_builds_one_k_table(monkeypatch, capsys):
     built = []
-    real = goettsche._strata_sums
+    real = counts._strata_sums
 
     def counting(term, order, shift=0, state=None):
         built.append(order)
         return real(term, order, shift, state)
 
     monkeypatch.setattr(tables, "_TABLES", {})
-    monkeypatch.setattr(goettsche, "_strata_sums", counting)
+    monkeypatch.setattr(counts, "_strata_sums", counting)
     assert main(["ktheory", "--surface", "k3", "--order", "20"]) == 0
     assert built == [20]
     assert len(capsys.readouterr().out.splitlines()) == 22

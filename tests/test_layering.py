@@ -8,7 +8,8 @@ the matrix kernels belongs to linalg alone: no other module imports or
 reads a _-prefixed linalg name.  The raw factor-tuple keys of a FockState
 belong to heisenberg alone: no other module reads the _terms field or
 calls FockMonomial._make.  The two routes of Goettsche's formula, product
-and goettsche, never import each other.  Every module-level cache is listed
+and goettsche (with counts, its convolution), never import each other, and
+poly, the polynomial leaf, imports nothing but _base.  Every module-level cache is listed
 here, so a new one cannot be added without this file knowing.
 """
 
@@ -254,10 +255,18 @@ def test_the_import_detector_sees_each_kind_of_import():
 
 
 def test_the_two_routes_never_import_each_other():
-    for module, other in (("product", "goettsche"), ("goettsche", "product")):
+    # counts, which holds the strata convolution, is on the strata side
+    for module, others in (("product", {"goettsche", "counts"}),
+                           ("goettsche", {"product"}),
+                           ("counts", {"product"})):
         tree = ast.parse((SRC / (module + ".py")).read_text())
         found = [name for _, name in imported_modules(tree)]
-        assert "tables" in found and other not in found, (module, found)
+        assert "tables" in found and not others & set(found), (module, found)
+
+
+def test_poly_imports_no_module_but_base():
+    tree = ast.parse((SRC / "poly.py").read_text())
+    assert [name for _, name in imported_modules(tree)] == ["_base"]
 
 
 MUTATORS = {"setdefault", "update", "pop", "popitem", "clear", "append",
@@ -310,7 +319,7 @@ def test_the_cache_detector_sees_each_kind_of_cache():
     assert module_caches(ast.parse(code)) == {"A", "B", "f", "g"}
 
 
-CACHES = {"tables._TABLES", "goettsche.sym_total_dim", "partitions._fill",
+CACHES = {"tables._TABLES", "counts.sym_total_dim", "partitions._fill",
           "partitions.partition_census", "partitions.partitions_of",
           "partitions.splitting_drops"}
 

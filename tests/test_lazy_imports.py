@@ -3,15 +3,18 @@ The package loads its modules on demand: top-level names resolve on first
 access, and a CLI request imports only the layers its subcommand uses.
 Integer tables and monomial triples load no rational arithmetic
 (fractions), which is imported only where a rational can appear, and a
-monomial triple loads neither the root search nor the matrix wrappers.  Import
-sets are read in fresh interpreters, so earlier tests cannot leak modules
-into them.
+monomial triple loads neither the root search nor the matrix wrappers.  The
+integer tables and the punctual polynomials load neither series nor the
+strata route, and only help and usage errors load argparse and its reader,
+usage.  Import sets are read in fresh interpreters, so earlier tests
+cannot leak modules into them.
 """
 
 import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,8 +44,10 @@ trace_invariant trace_table write_triple
 
 HOME = {
     "partitions": "MismatchedWeight Partition refines splittings_with_drop",
+    "poly": "CoeffPoly UnknownVariable",
     "series": "CoeffPoly QTSeries product_expand",
     "surfaces": "K3 PRESETS SurfaceModel",
+    "counts": "hilbert_euler punctual_poincare sym_total_dim",
     "goettsche": "sym_poincare_table sym_total_dim",
     "product": "goettsche_families hilbert_hodge",
     "heisenberg": "MIXED Create graded_character",
@@ -52,11 +57,23 @@ HOME = {
     "surface_file": "SurfaceModel",
     "adhm": "IdentityFailed SupportCycle trace_table",
     "stratification": "StalkTable support_strata",
+    "usage": "",  # exports no top-level name and imports none
 }
 
-ALL_LAYERS = {"partitions", "series", "surfaces", "surface_file",
-              "goettsche", "product", "tables", "heisenberg", "linalg",
-              "roots", "matrices", "adhm", "stratification", "selfcheck"}
+ALL_LAYERS = {"partitions", "poly", "series", "surfaces", "surface_file",
+              "counts", "goettsche", "product", "tables", "heisenberg",
+              "linalg", "roots", "matrices", "adhm", "stratification",
+              "selfcheck", "usage"}
+
+# the modules every request loads: the package, its base and the CLI
+ALWAYS = {"__init__", "__main__", "_base", "cli"}
+
+
+def test_every_module_is_a_layer():
+    # so a module split off later cannot miss the layer checks below
+    modules = {path.stem for path in Path(hilbfock.__file__).parent.glob(
+        "*.py")}
+    assert modules - ALWAYS == ALL_LAYERS
 
 # a commuting triple with the eigenvalues 1 and 2 of A, and a 1/2 entry:
 # its characteristic polynomials have nonzero roots, so it reaches the
@@ -121,17 +138,21 @@ def loaded_after(argv):
      {"goettsche", "linalg", "adhm", "heisenberg", "stratification",
       "selfcheck"}),
     (["sym", "--surface", "p2", "--order", "2"],
-     {"goettsche", "tables", "series"},
+     {"goettsche", "counts", "tables", "series", "poly"},
      {"product", "linalg", "adhm", "heisenberg", "stratification",
       "selfcheck"}),
-    # the integer tables are convolutions: no series
-    (["euler", "--surface", "k3", "--order", "4"], {"goettsche", "tables"},
-     {"series", "product", "partitions", "linalg", "adhm", "heisenberg",
-      "stratification", "selfcheck"}),
+    # the integer tables are convolutions: no series, no strata route
+    (["euler", "--surface", "k3", "--order", "4"], {"counts", "tables"},
+     {"goettsche", "series", "poly", "product", "partitions", "linalg",
+      "adhm", "heisenberg", "stratification", "selfcheck"}),
     (["ktheory", "--surface", "abelian", "--order", "4"],
-     {"goettsche", "tables"},
-     {"series", "product", "partitions", "linalg", "adhm", "heisenberg",
-      "stratification", "selfcheck"}),
+     {"counts", "tables"},
+     {"goettsche", "series", "poly", "product", "partitions", "linalg",
+      "adhm", "heisenberg", "stratification", "selfcheck"}),
+    # counted by length: polynomials, but no series and no strata route
+    (["punctual", "--order", "4"], {"counts", "tables", "poly"},
+     {"goettsche", "series", "product", "partitions", "surfaces", "linalg",
+      "adhm", "heisenberg", "stratification", "selfcheck"}),
 ])
 def test_request_loads_only_its_layers(argv, needed, unneeded, tmp_path):
     triple = tmp_path / "triple.txt"
@@ -165,17 +186,17 @@ def lines_loaded(argv):
 # request without a bytecode cache compiles every module it loads in full,
 # so a layer that loads for nothing costs its whole length
 COMPILE_BUDGETS = [
-    (["goettsche", "--surface", "k3", "--order", "4"], 1260),
-    (["hodge", "--surface", "p2", "--order", "4"], 1260),
-    (["euler", "--surface", "p2", "--order", "4"], 920),
-    (["ktheory", "--surface", "p1xp1", "--order", "4"], 920),
-    (["sym", "--surface", "abelian", "--order", "4"], 1490),
-    (["punctual", "--order", "4"], 1300),
-    (["fock", "--surface", "abelian", "--order", "4"], 1590),
-    (["strata", "--n", "4", "--h", "2"], 770),
-    (["adhm", "--mu", "2,1"], 1150),
-    (["adhm", "--triple", "{triple}"], 1320),
-    (None, 456),
+    (["goettsche", "--surface", "k3", "--order", "4"], 1205),
+    (["hodge", "--surface", "p2", "--order", "4"], 1205),
+    (["euler", "--surface", "p2", "--order", "4"], 695),
+    (["ktheory", "--surface", "p1xp1", "--order", "4"], 695),
+    (["sym", "--surface", "abelian", "--order", "4"], 1450),
+    (["punctual", "--order", "4"], 715),
+    (["fock", "--surface", "abelian", "--order", "4"], 1535),
+    (["strata", "--n", "4", "--h", "2"], 705),
+    (["adhm", "--mu", "2,1"], 1145),
+    (["adhm", "--triple", "{triple}"], 1310),
+    (None, 350),
 ]
 
 
@@ -298,8 +319,9 @@ def test_exact_keeps_its_rules_with_fractions_loaded_on_demand():
     assert after == ["True"] * 8
 
 
-# the argument parser: argparse imports gettext (and with it locale)
-PARSER = {"argparse", "gettext"}
+# the argument parser: argparse imports gettext (and with it locale), and
+# the CLI's reader of it is the module usage
+PARSER = {"argparse", "gettext", "hilbfock.usage"}
 
 
 @pytest.mark.parametrize("argv", TABLE_REQUESTS + [
@@ -313,19 +335,20 @@ def test_a_well_formed_request_loads_no_argparse(argv, tmp_path):
 
 
 def test_only_help_and_usage_errors_load_argparse():
-    out = fresh_python(
-        "import contextlib, io, sys\n"
-        "import hilbfock.cli\n"
-        "print(' '.join(sys.modules))\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    try:\n"
-        "        hilbfock.cli.main(['--help'])\n"
-        "    except SystemExit:\n"
-        "        pass\n"
-        "print(' '.join(sys.modules))\n")
-    imported, helped = (set(line.split()) for line in out.splitlines())
-    assert not imported & PARSER
-    assert PARSER <= helped  # the positive control: the check can fail
+    for argv in (["--help"], ["hodge", "--help"]):
+        out = fresh_python(
+            "import contextlib, io, sys\n"
+            "import hilbfock.cli\n"
+            "print(' '.join(sys.modules))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        hilbfock.cli.main(%r)\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "print(' '.join(sys.modules))\n" % (argv,))
+        imported, helped = (set(line.split()) for line in out.splitlines())
+        assert not imported & PARSER
+        assert PARSER <= helped  # the positive control: the check can fail
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["hodge", "--help"]])

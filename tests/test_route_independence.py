@@ -8,7 +8,7 @@ two routes of an identity do not both decode through it.
 
 import pytest
 
-from hilbfock import goettsche, heisenberg, product, series
+from hilbfock import counts, goettsche, heisenberg, product, series
 from hilbfock._base import IdentityFailed
 from hilbfock.cli import main
 from hilbfock.selfcheck import run_all
@@ -89,7 +89,7 @@ def refuse(*args, **kwargs):
 
 
 def test_strata_tables_build_no_k_table(monkeypatch, reset_caches):
-    monkeypatch.setattr(goettsche, "equivariant_k_table", refuse)
+    monkeypatch.setattr(counts, "equivariant_k_table", refuse)
     poincare = goettsche.strata_poincare_table(K3, 12)
     hodge = goettsche.strata_hodge_table(K3, 8)
     assert poincare == list(product.hilbert_poincare_series(K3, 12).coeffs)

@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from hilbfock import heisenberg, product, series, tables
+from hilbfock import heisenberg, poly, product, series, tables
 from hilbfock._base import IdentityFailed
 from hilbfock.cli import main
 from hilbfock.partitions import partitions_of
 from hilbfock.product import goettsche_families
-from hilbfock.series import (CoeffPoly, FactorFamily, IndexOutOfRange,
-                             OrderMismatch, QTSeries, UnknownVariable,
-                             digit_bits, digit_offset, pack,
+from hilbfock.poly import CoeffPoly, UnknownVariable
+from hilbfock.series import (FactorFamily, IndexOutOfRange, OrderMismatch,
+                             QTSeries, digit_bits, digit_offset, pack,
                              product_expand, super_power_table, unpack)
 from hilbfock.surfaces import K3
 
@@ -465,7 +465,7 @@ def test_unpack_with_a_wrong_total_raises_identity_failed():
 
 
 # A plain-dict reference for the sparse product, sharing no code with the
-# kernel in series: every pair of terms, exponents added per variable.
+# kernel in poly: every pair of terms, exponents added per variable.
 def dict_product(a, b):
     out = {}
     for ea, ca in a.items():
@@ -537,7 +537,7 @@ def test_both_products_run_through_the_one_kernel(monkeypatch):
     def broken(bucket, a, b, nvars):
         raise RuntimeError("kernel called")
 
-    monkeypatch.setattr(series, "_mul_into", broken)
+    monkeypatch.setattr(poly, "mul_into", broken)
     for nvars in (1, 2):
         p = CoeffPoly({(1,) * nvars: 2}, nvars)
         with pytest.raises(RuntimeError, match="kernel called"):

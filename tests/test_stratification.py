@@ -5,11 +5,11 @@ from sys import getsizeof
 import pytest
 
 from hilbfock import partitions, stratification
-from hilbfock.goettsche import punctual_poincare
+from hilbfock.counts import punctual_poincare
 from hilbfock.partitions import (Partition, partitions_of, refines,
                                  splittings_merging_to, splittings_with_drop)
 from hilbfock.selfcheck import check_local_stalks, check_punctual
-from hilbfock.series import CoeffPoly
+from hilbfock.poly import CoeffPoly
 from hilbfock.stratification import (StalkTable, global_degeneration_check,
                                      local_fiber_check, stalk_table,
                                      support_strata)

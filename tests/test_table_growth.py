@@ -14,11 +14,11 @@ from copy import deepcopy
 
 import pytest
 
-from hilbfock import goettsche, product, series, tables
+from hilbfock import counts, goettsche, product, series, tables
 from hilbfock._base import IdentityFailed
-from hilbfock.goettsche import (equivariant_k_dim, equivariant_k_table,
-                                hilbert_euler, hilbert_euler_table,
-                                hilbert_poincare_from_strata, hodge_sym,
+from hilbfock.counts import (equivariant_k_dim, equivariant_k_table,
+                             hilbert_euler, hilbert_euler_table)
+from hilbfock.goettsche import (hilbert_poincare_from_strata, hodge_sym,
                                 hodge_sym_table, strata_hodge_table,
                                 strata_poincare_table, sym_poincare,
                                 sym_poincare_product, sym_poincare_table)
@@ -81,7 +81,8 @@ def row_steps(monkeypatch, reset_caches):
         return expand(families, order, kept, nvars)
 
     # goettsche reads the stepping kernel from series at call time
-    monkeypatch.setattr(goettsche, "_strata_sums", counted_strata)
+    for module in (goettsche, counts):  # each binds the one convolution
+        monkeypatch.setattr(module, "_strata_sums", counted_strata)
     monkeypatch.setattr(product, "product_table", counted_product)
     monkeypatch.setattr(series, "super_power_table", counted_stepping)
     # the module-level name shadows the builtin inside goettsche
