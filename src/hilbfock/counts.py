@@ -5,14 +5,14 @@ the symmetric products (sym_total_dim) and of equivariant K-theory
 (equivariant_k_table), and punctual Poincare polynomials, counted by
 partition length.  _strata_sums is the one convolution over part sizes
 that goettsche's packed stratum sums run too.  No table here loads series:
-only punctual_poincare builds a polynomial (poly.CoeffPoly).  Tables are
-cached in tables, per surface or Euler number, at the longest order asked.
+only punctual_poincare builds a polynomial (poly.CoeffPoly).  Tables grow
+in tables, per surface or Euler number; one-value results use lru_cache.
 """
 
 from functools import lru_cache, partial
 from math import comb
 
-from .tables import cached, cached_table
+from .tables import cached_table
 
 
 def _strata_sums(term, order, shift=0, state=None):
@@ -34,6 +34,7 @@ def _strata_sums(term, order, shift=0, state=None):
     return [col[n] for n, col in enumerate(parts)], [f, parts]
 
 
+@lru_cache(maxsize=None)
 def punctual_poincare(n):
     """
     Poincare polynomial of the punctual fiber: sum over partitions of n of
@@ -44,15 +45,13 @@ def punctual_poincare(n):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    def build():
-        from .poly import CoeffPoly
-        p = [[1] + [0] * n]
-        for k in range(1, n + 1):
-            p.append([0] + [p[k - 1][l - 1] + p[k - l][l]
-                            for l in range(1, k + 1)] + [0] * (n - k))
-        return CoeffPoly._make(
-            {(2 * (n - l),): p[n][l] for l in range(1, n + 1)}, 1)
-    return cached((punctual_poincare, n), build)
+    from .poly import CoeffPoly
+    p = [[1] + [0] * n]
+    for k in range(1, n + 1):
+        p.append([0] + [p[k - 1][l - 1] + p[k - l][l]
+                        for l in range(1, k + 1)] + [0] * (n - k))
+    return CoeffPoly._make({(2 * (n - l),): p[n][l]
+                            for l in range(1, n + 1)}, 1)
 
 
 def general_binomial(a, k):

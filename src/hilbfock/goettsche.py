@@ -22,17 +22,17 @@ sizes, lays out, re-spaces and checks their digits against closed forms
 (sym_total_dim; for the strata, series.coefficient_sums).  Newton rows
 are checked by remainders too.
 
-Every table is cached in tables, per surface, at the longest order asked
-so far.  Each keeps the state its kernel goes on from, so a per-n walk
-computes each row once.
+Every table grows in tables, per surface, to the longest order asked so
+far, keeping the state its kernel goes on from, so a per-n walk computes
+each row once; stratum_product, one value per key, uses lru_cache.
 """
 
-from functools import partial
+from functools import lru_cache, partial
 from math import prod
 
 from ._base import IdentityFailed
 from .counts import _strata_sums, sym_total_dim
-from .tables import cached, cached_table
+from .tables import cached_table
 
 
 def _sym_table(model, order, kept, slope=None):
@@ -108,18 +108,16 @@ def stratum_poincare(model, a):
         stratum_product(model, a.signature))})
 
 
+@lru_cache(maxsize=None)
 def stratum_product(model, signature):
     """
     The product of sym_poincare(model, m) over a Partition.signature, as its
     coefficients of t^0, t^1, ..: built once per surface and signature.
     """
-    def build():
-        from .poly import CoeffPoly
-        out = prod((sym_poincare(model, m) for m in signature),
-                   start=CoeffPoly.one())
-        return tuple(out.coefficient((d,))
-                     for d in range(out.total_degree() + 1))
-    return cached((stratum_product, model, signature), build)
+    from .poly import CoeffPoly
+    out = prod((sym_poincare(model, m) for m in signature),
+               start=CoeffPoly.one())
+    return tuple(out.coefficient((d,)) for d in range(out.total_degree() + 1))
 
 
 def _strata_table(model, order, kept, sym, slope=None):

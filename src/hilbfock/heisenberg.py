@@ -360,8 +360,6 @@ def graded_character(model, order):
 
 def level_dim(model, n):
     """Number of level-n monomials, from the same closed form."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
     return _level_dims(model, n)[n]
 
 

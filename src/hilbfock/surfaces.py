@@ -65,7 +65,7 @@ class SurfaceModel(Frozen):
             hodge = {(int(p), int(q)): int(h) for (p, q), h in dict(hodge).items()
                      if int(h)}
             for (p, q), h in hodge.items():
-                if h < 0 or p < 0 or q < 0 or p + q > 4:
+                if h < 0 or p not in range(3) or q not in range(3):
                     raise ValueError("bad hodge entry (%d,%d): %d" % (p, q, h))
                 if hodge.get((q, p), 0) != h:
                     raise ValueError("hodge numbers must be symmetric")

@@ -1,13 +1,13 @@
 """
-The table cache of Goettsche's product (product) and of the strata side,
+The grown tables of Goettsche's product (product) and of the strata side,
 which never imports it: goettsche (strata, symmetric products) and counts
-(K-theory, Euler, punctual).  Every table lives in the one dict _TABLES,
-looked up here at call time, so replacing it empties them all.
+(K-theory, Euler).  Each lives in the one dict _TABLES, looked up here at
+call time, so replacing it empties them all; one-value results use lru_cache.
 """
 
 from functools import wraps
 
-_TABLES = {}  # (rows, state) per (builder, key); one value per (f, *args)
+_TABLES = {}  # (rows, state) per (builder, key)
 
 
 def cached_table(build):
@@ -24,11 +24,3 @@ def cached_table(build):
             kept = _TABLES[build, key] = build(key, order, kept)
         return kept[0][:order + 1]
     return table
-
-
-def cached(key, build):
-    """The value kept under key, made by build() on the first call."""
-    value = _TABLES.get(key)
-    if value is None:
-        value = _TABLES[key] = build()
-    return value

@@ -445,6 +445,19 @@ def test_hodge_entry_above_degree_4_exits_2(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_hodge_bidegree_above_2_exits_2(tmp_path, capsys):
+    # every p + q <= 4 and every degree sums to its Betti number, but a
+    # complex surface has h^(p,q) = 0 unless 0 <= p, q <= 2
+    cfg = tmp_path / "skew.surface"
+    cfg.write_text("name=skew\nbetti=1,0,0,0,3\nhodge=0,0,1\nhodge=4,0,1\n"
+                   "hodge=0,4,1\nhodge=2,2,1\n")
+    code, out, err = run_cli(["hodge", "--surface", str(cfg), "--order", "2"],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert "bad hodge entry" in err
+    assert err.count("\n") == 1
+
+
 def test_commutators_on_a_surface_without_classes_exits_2(tmp_path, capsys):
     cfg = tmp_path / "empty.surface"
     cfg.write_text("name=empty\nbetti=0,0,0,0,0\n")

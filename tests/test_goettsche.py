@@ -520,10 +520,11 @@ def test_newton_rows_are_checked_against_their_totals(monkeypatch):
     assert tables._TABLES == {}
 
 
-def test_the_only_lru_cache_is_on_sym_total_dim():
+def test_the_lru_caches_are_sym_total_dim_and_stratum_product():
+    # one-value results only: every table grows in tables._TABLES
     cached = [name for name, obj in vars(goettsche).items()
               if hasattr(obj, "cache_info")]
-    assert cached == ["sym_total_dim"]
+    assert sorted(cached) == ["stratum_product", "sym_total_dim"]
 
 
 def test_hodge_request_expands_one_product(monkeypatch, capsys):
@@ -623,36 +624,6 @@ def test_orbifold_convolution_matches_partition_walk():
     for e in range(-4, 25):
         assert [orbifold_euler(e, n) for n in range(13)] == [
             walk_orbifold(e, n) for n in range(13)]
-
-
-# classes of bidegree (0,4) and (4,0): the y-exponent reaches 4n, twice the
-# 2n of a preset, so a packing width taken from 2 * order + 1 would alias
-SKEW = SurfaceModel("skew", (1, 0, 0, 0, 3), betti_c=(3, 0, 0, 0, 1),
-                    hodge={(0, 0): 1, (0, 4): 1, (4, 0): 1, (2, 2): 1})
-
-
-def test_skew_surface_hodge_matches_oracle_and_product():
-    assert hodge_sym(SKEW, 1) == CoeffPoly(
-        {(0, 0): 1, (0, 4): 1, (4, 0): 1, (2, 2): 1}, nvars=2)
-    families = [FactorFamily(1 if (p + q) % 2 else -1, h,
-                             ((1, p - 1), (1, q - 1)))
-                for (p, q), h in SKEW.hodge]
-    series = product_expand(families, 4, nvars=2)
-    for n in range(5):
-        assert hodge_sym(SKEW, n) == oracle_hodge_sym(SKEW, n)
-        assert hilbert_hodge(SKEW, n) == series.coeff(n)
-        assert hilbert_hodge(SKEW, n) == walk_hodge(SKEW, n)
-
-
-def test_skew_config_file_prints_unaliased_hodge_rows(tmp_path, capsys):
-    cfg = tmp_path / "skew.cfg"
-    cfg.write_text("name=skew\nbetti=1,0,0,0,3\nbetti_c=3,0,0,0,1\n"
-                   "hodge=0,0,1\nhodge=0,4,1\nhodge=4,0,1\nhodge=2,2,1\n")
-    assert main(["hodge", "--surface", str(cfg), "--order", "4"]) == 0
-    rows = capsys.readouterr().out.splitlines()
-    assert rows[2] == "1\t1 + y^4 + x^2y^2 + x^4"
-    assert rows[1:] == ["%d\t%s" % (n, hilbert_hodge(SKEW, n))
-                        for n in range(5)]
 
 
 def test_ktheory_request_builds_one_k_table(monkeypatch, capsys):

@@ -321,7 +321,8 @@ def test_the_cache_detector_sees_each_kind_of_cache():
 
 CACHES = {"tables._TABLES", "counts.sym_total_dim", "partitions._fill",
           "partitions.partition_census", "partitions.partitions_of",
-          "partitions.splitting_drops"}
+          "partitions.splitting_drops", "goettsche.stratum_product",
+          "counts.punctual_poincare"}
 
 
 def test_every_module_level_cache_is_listed():
@@ -350,3 +351,14 @@ def test_the_reset_empties_every_cache(reset_caches):
     assert all(cache_sizes().values()), cache_sizes()
     reset_caches()
     assert cache_sizes() == dict.fromkeys(CACHES, 0)
+
+
+def test_the_table_cache_holds_only_grown_tables(reset_caches):
+    from hilbfock import selfcheck, tables
+    selfcheck.run_all(8)
+    assert tables._TABLES
+    for (build, key), value in tables._TABLES.items():
+        table = getattr(import_module(build.__module__), build.__name__)
+        assert table.__wrapped__ is build and not hasattr(table, "cache_info")
+        rows, _ = value  # a (rows, state) pair
+        assert isinstance(rows, list) and rows, (build, key)

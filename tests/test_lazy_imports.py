@@ -186,13 +186,13 @@ def lines_loaded(argv):
 # request without a bytecode cache compiles every module it loads in full,
 # so a layer that loads for nothing costs its whole length
 COMPILE_BUDGETS = [
-    (["goettsche", "--surface", "k3", "--order", "4"], 1205),
-    (["hodge", "--surface", "p2", "--order", "4"], 1205),
-    (["euler", "--surface", "p2", "--order", "4"], 695),
-    (["ktheory", "--surface", "p1xp1", "--order", "4"], 695),
-    (["sym", "--surface", "abelian", "--order", "4"], 1450),
-    (["punctual", "--order", "4"], 715),
-    (["fock", "--surface", "abelian", "--order", "4"], 1535),
+    (["goettsche", "--surface", "k3", "--order", "4"], 1197),
+    (["hodge", "--surface", "p2", "--order", "4"], 1197),
+    (["euler", "--surface", "p2", "--order", "4"], 686),
+    (["ktheory", "--surface", "p1xp1", "--order", "4"], 686),
+    (["sym", "--surface", "abelian", "--order", "4"], 1439),
+    (["punctual", "--order", "4"], 706),
+    (["fock", "--surface", "abelian", "--order", "4"], 1533),
     (["strata", "--n", "4", "--h", "2"], 705),
     (["adhm", "--mu", "2,1"], 1145),
     (["adhm", "--triple", "{triple}"], 1310),

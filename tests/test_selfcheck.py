@@ -175,7 +175,7 @@ def test_a_census_fault_fails_both_walks_at_its_row(monkeypatch, fault):
         False, "e=-10 n=5: product %d vs orbifold %d" % (euler, euler + term))
 
 
-def test_leray_builds_each_stratum_product_once(monkeypatch, table_writes):
+def test_leray_builds_each_stratum_product_once(monkeypatch, reset_caches):
     factors = Counter()
     sym_poincare = goettsche.sym_poincare
 
@@ -188,10 +188,13 @@ def test_leray_builds_each_stratum_product_once(monkeypatch, table_writes):
     assert selfcheck.check_leray(10) == (True, "5 presets, n <= 10")
     signatures = {p.signature for n in range(11)
                   for p in partitions.partitions_of(n)}
-    products = Counter({key[1:]: count for key, count in table_writes.items()
-                        if key[0] is goettsche.stratum_product})
-    assert products == Counter({(s, sig): 1 for s in selfcheck.ALL_PRESETS
-                                for sig in signatures})
+    expected = len(selfcheck.ALL_PRESETS) * len(signatures)
+    built = goettsche.stratum_product.cache_info()
+    assert built.misses == built.currsize == expected
+    for s in selfcheck.ALL_PRESETS:  # the keys built are exactly these
+        for sig in signatures:
+            goettsche.stratum_product(s, sig)
+    assert goettsche.stratum_product.cache_info().misses == built.misses
     assert factors == Counter({s: sum(map(len, signatures))
                                for s in selfcheck.ALL_PRESETS})
 

@@ -156,9 +156,12 @@ def test_stalk_tuples_are_enumerated_once_per_partition(monkeypatch,
                              for nu in strata})
 
 
-def test_each_punctual_polynomial_is_computed_once(table_writes):
+def test_each_punctual_polynomial_is_computed_once(reset_caches):
     assert check_punctual(12)[0]
     assert check_local_stalks(8)[0]
     assert check_punctual(10)[0]
-    assert table_writes == Counter({(punctual_poincare, n): 1
-                                    for n in range(1, 13)})
+    built = punctual_poincare.cache_info()
+    assert built.misses == built.currsize == 12
+    for n in range(1, 13):  # the keys built are exactly n = 1..12
+        punctual_poincare(n)
+    assert punctual_poincare.cache_info().misses == 12

@@ -57,7 +57,8 @@ def test_supplied_pairing_entries_are_normalised():
     assert [type(v) for v in skew.pairing[2][1]] == [int, int]
 
 
-@pytest.mark.parametrize("pq", [(3, 3), (5, 0), (0, 5)])
+@pytest.mark.parametrize("pq", [(3, 3), (5, 0), (0, 5), (4, 0), (3, 1),
+                                (3, 0)])
 def test_hodge_entry_above_degree_4_is_refused(pq):
     p, q = pq
     with pytest.raises(ValueError, match="bad hodge entry"):
